@@ -16,8 +16,10 @@ from svoc import (
     builtin_problem,
     evaluate_cost,
     fd_expansion_check,
+    hamiltonian_fields,
     make_grid,
     second_order_test,
+    solve_adjoint,
     solve_state,
 )
 
@@ -32,7 +34,8 @@ def main() -> None:
         grid = make_grid(problem.T, args.n)
         u = Trajectory.constant(0.0, grid)
         y = solve_state(problem, u, grid)
-        report = second_order_test(problem, (y, u), grid)
+        fields = hamiltonian_fields(problem, (y, u), solve_adjoint(problem, (y, u), grid), grid)
+        report = second_order_test(problem, (y, u), fields, grid)
         print(f"c = {c:+g}: verdict {report.verdict}, "
               f"lambda_max = {report.lambda_max:+.6e} (tol {report.tol:.2e})")
 
@@ -47,7 +50,7 @@ def main() -> None:
             y_pert = solve_state(problem, u_pert, grid)
             dj = evaluate_cost(problem, y_pert, u_pert, grid).total - base
             print(f"    delta = {delta:5.3f}: J(u + delta v) - J(u) = {dj:+.6e}")
-        expansion = fd_expansion_check(problem, u, v, grid=grid)
+        expansion = fd_expansion_check(problem, (y, u), v)
         print(f"    expansion residual ratios: "
               f"{', '.join(f'{r:.3f}' for r in expansion.ratios)}")
 

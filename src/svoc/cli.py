@@ -108,6 +108,14 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _setup(args):
+    """Problem, grid, output directory and control shared by the pair commands."""
+    problem = _load_problem(args)
+    grid = make_grid(problem.T, args.n)
+    out = _out_dir(args)
+    return problem, grid, out, _control(args.control, grid)
+
+
 def _identity(problem: ProblemSpec, args) -> dict:
     return {
         "problem": problem.name,
@@ -126,10 +134,7 @@ def _cmd_list_problems(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    problem = _load_problem(args)
-    grid = make_grid(problem.T, args.n)
-    out = _out_dir(args)
-    control = _control(args.control, grid)
+    problem, grid, out, control = _setup(args)
     start = time.perf_counter()
     y = solve_state(problem, control, grid)
     cost = evaluate_cost(problem, y, control, grid)
@@ -147,10 +152,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_adjoint(args) -> int:
-    problem = _load_problem(args)
-    grid = make_grid(problem.T, args.n)
-    out = _out_dir(args)
-    control = _control(args.control, grid)
+    problem, grid, out, control = _setup(args)
     start = time.perf_counter()
     y = solve_state(problem, control, grid)
     adj = solve_adjoint(problem, (y, control), grid)
@@ -161,10 +163,7 @@ def _cmd_adjoint(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    problem = _load_problem(args)
-    grid = make_grid(problem.T, args.n)
-    out = _out_dir(args)
-    control = _control(args.control, grid)
+    problem, grid, out, control = _setup(args)
     start = time.perf_counter()
     y = solve_state(problem, control, grid)
     cost = evaluate_cost(problem, y, control, grid)
@@ -189,7 +188,7 @@ def _cmd_check(args) -> int:
     )
     second = None
     if args.order == 2 and verdict.singular:
-        second = second_order_test(problem, (y, control), grid, args.tol)
+        second = second_order_test(problem, (y, control), fields, grid, args.tol)
         files.append("second_order.json")
         if second.violating_direction is not None:
             files.append("direction.csv")
@@ -220,14 +219,11 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    problem = _load_problem(args)
-    grid = make_grid(problem.T, args.n)
-    out = _out_dir(args)
-    control = _control(args.control, grid)
+    problem, grid, out, control = _setup(args)
     direction = _control(args.direction, grid, what="direction")
     start = time.perf_counter()
-    expansion = fd_expansion_check(problem, control, direction, grid=grid)
     y = solve_state(problem, control, grid)
+    expansion = fd_expansion_check(problem, (y, control), direction)
     variational = variational_fd_check(problem, (y, control), direction, grid=grid)
     elapsed = time.perf_counter() - start
     report = _identity(problem, args)

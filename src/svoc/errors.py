@@ -39,6 +39,10 @@ class KernelAssemblyError(NumericsError):
         self.col = col
 
 
+class KernelAsymmetryError(NumericsError):
+    """An assembled kernel that should be symmetric is not, beyond roundoff."""
+
+
 class SeriesError(NumericsError):
     """A series evaluation failed to converge within its budget."""
 

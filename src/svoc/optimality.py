@@ -25,7 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .adjoint import AdjointTrajectory, _instant_rows, snap_instants, solve_adjoint
+from .adjoint import AdjointTrajectory, _instant_rows, snap_instants
+from .errors import KernelAsymmetryError
 from .problem import ProblemSpec
 from .quadrature import Grid, midpoint_weights
 from .resolvent import RegularizedKernel, build_q_kernel, midpoint_apply_matrix, node_apply_row
@@ -129,6 +130,14 @@ def detect_singular(fields: HamiltonianFields, tol: float | None = None) -> Sing
     return SingularVerdict(sup <= tol, sup, float(fields.h_u.grid.midpoints[k]), tol)
 
 
+def _symmetrized(A: np.ndarray, what: str) -> np.ndarray:
+    """0.5 (A + A^T), after checking that A was symmetric up to roundoff."""
+    asym = float(np.max(np.abs(A - A.T)))
+    if asym > 1e-12 * (1.0 + float(np.max(np.abs(A)))):
+        raise KernelAsymmetryError(f"{what} asymmetry {asym:.3e} exceeds tolerance")
+    return 0.5 * (A + A.T)
+
+
 def assemble_m_kernel(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
                       fields: HamiltonianFields, q: RegularizedKernel,
                       grid: Grid) -> MKernel:
@@ -138,7 +147,7 @@ def assemble_m_kernel(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
                   - sum_i 1[a < t_i] 1[b < t_i] Q(t_i,a) h_yy^i(y*(t_i)) Q(t_i,b),
 
     assembled through the midpoint response matrix so the result is symmetric
-    by construction; the max asymmetry is asserted tiny before symmetrizing.
+    by construction; the max asymmetry is checked tiny before symmetrizing.
     """
     if q.grid != grid:
         raise ValueError("kernel grid mismatch")
@@ -164,10 +173,7 @@ def assemble_m_kernel(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
                 continue
             qi = node_apply_row(q, snap.node_index, grid)
             M -= np.outer(qi, qi) * (coeff / h**2)
-    asym = float(np.max(np.abs(M - M.T)))
-    if asym > 1e-12 * (1.0 + float(np.max(np.abs(M)))):
-        raise AssertionError(f"curvature kernel asymmetry {asym:.3e} exceeds tolerance")
-    return MKernel(grid, 0.5 * (M + M.T))
+    return MKernel(grid, _symmetrized(M, "curvature kernel"))
 
 
 def quadratic_form(fields: HamiltonianFields, m: MKernel, q: RegularizedKernel,
@@ -193,22 +199,19 @@ def _quadratic_matrix(fields: HamiltonianFields, m: MKernel, q: RegularizedKerne
     if not q.is_zero and np.any(fields.h_yu.values):
         C = (fields.h_yu.values * h)[:, None] * midpoint_apply_matrix(q, grid)
         K = K + C + C.T
-    asym = float(np.max(np.abs(K - K.T)))
-    if asym > 1e-12 * (1.0 + float(np.max(np.abs(K)))):
-        raise AssertionError(f"quadratic form asymmetry {asym:.3e} exceeds tolerance")
-    return 0.5 * (K + K.T)
+    return _symmetrized(K, "quadratic form")
 
 
 def second_order_test(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
-                      grid: Grid, tol: float | None = None) -> SecondOrderReport:
+                      fields: HamiltonianFields, grid: Grid,
+                      tol: float | None = None) -> SecondOrderReport:
     """Necessary-condition test at a singular control.
 
-    Builds K, takes its extreme eigenvalue, and returns the eigenvector as an
-    improving direction when the form can be made positive.  If the control is
-    not singular the test does not apply and the verdict is inconclusive.
+    fields are the Hamiltonian fields along the pair.  Builds K, takes its
+    extreme eigenvalue, and returns the eigenvector as an improving direction
+    when the form can be made positive.  If the control is not singular the
+    test does not apply and the verdict is inconclusive.
     """
-    adj = solve_adjoint(problem, pair, grid)
-    fields = hamiltonian_fields(problem, pair, adj, grid)
     verdict = detect_singular(fields, tol)
     if not verdict.singular:
         return SecondOrderReport("inconclusive", float("nan"), verdict.tol,

@@ -89,22 +89,22 @@ def _check_deltas(deltas) -> tuple[float, ...]:
     return deltas
 
 
-def fd_expansion_check(problem: ProblemSpec, u_star: Trajectory, v: Trajectory,
-                       deltas=DEFAULT_DELTAS, grid: Grid | None = None) -> ExpansionReport:
-    """Measure J(u* + delta v) - J(u*) against the first- and second-order
-    models; the cost difference is computed only through forward solves."""
+def fd_expansion_check(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
+                       v: Trajectory, deltas=DEFAULT_DELTAS) -> ExpansionReport:
+    """Measure J(u* + delta v) - J(u*) along the reference pair (y*, u*) against
+    the first- and second-order models on the pair's grid; the cost difference
+    is computed only through forward solves."""
     deltas = _check_deltas(deltas)
-    if grid is None:
-        grid = make_grid(problem.T, 2048)
-    y_star = solve_state(problem, u_star, grid)
+    y_star, u_star = pair
+    grid = y_star.grid
     base = evaluate_cost(problem, y_star, u_star, grid).total
 
-    adj = solve_adjoint(problem, (y_star, u_star), grid)
-    fields = hamiltonian_fields(problem, (y_star, u_star), adj, grid)
+    adj = solve_adjoint(problem, pair, grid)
+    fields = hamiltonian_fields(problem, pair, adj, grid)
     v_mid = Trajectory(grid, "midpoints", v.midpoint_values())
     hu_pairing = grid.h * float(np.dot(fields.h_u.values, v_mid.values))
-    q = build_q_kernel(problem, (y_star, u_star), grid)
-    m = assemble_m_kernel(problem, (y_star, u_star), fields, q, grid)
+    q = build_q_kernel(problem, pair, grid)
+    m = assemble_m_kernel(problem, pair, fields, q, grid)
     qf = quadratic_form(fields, m, q, v_mid, grid)
 
     rows = []

@@ -281,26 +281,31 @@ def load_problem_file(path: str | Path) -> ProblemSpec:
         except ExpressionError as exc:
             raise ProblemValidationError(f"{path}: bad expression for '{key}': {exc}") from exc
 
+    def number(key: str, source) -> float:
+        try:
+            return float(source)
+        except (TypeError, ValueError) as exc:
+            raise ProblemValidationError(f"{path}: '{key}' must be a number") from exc
+
+    entries = data.get("instant_costs", [])
+    if not isinstance(entries, list):
+        raise ProblemValidationError(f"{path}: instant_costs must be a list")
     instants = []
-    for i, entry in enumerate(data.get("instant_costs", [])):
+    for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or set(entry) != {"t", "h"}:
             raise ProblemValidationError(
                 f"{path}: instant_costs[{i}] must be an object with keys 't' and 'h'"
             )
-        instants.append(InstantCost(float(entry["t"]), expr_of(f"instant_costs[{i}].h", entry["h"])))
+        instants.append(InstantCost(number(f"instant_costs[{i}].t", entry["t"]),
+                                    expr_of(f"instant_costs[{i}].h", entry["h"])))
     bounds = data.get("control_bounds")
     if bounds is not None:
         if not isinstance(bounds, (list, tuple)) or len(bounds) != 2:
             raise ProblemValidationError(f"{path}: control_bounds must be a [lo, hi] pair")
-        bounds = (float(bounds[0]), float(bounds[1]))
-    try:
-        alpha = float(data["alpha"])
-        horizon = float(data["T"])
-    except (TypeError, ValueError) as exc:
-        raise ProblemValidationError(f"{path}: alpha and T must be numbers") from exc
+        bounds = (number("control_bounds[0]", bounds[0]), number("control_bounds[1]", bounds[1]))
     return ProblemSpec(
-        alpha=alpha,
-        T=horizon,
+        alpha=number("alpha", data["alpha"]),
+        T=number("T", data["T"]),
         eta=expr_of("eta", data["eta"]),
         f=expr_of("f", data["f"]),
         g=expr_of("g", data["g"]),

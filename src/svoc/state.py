@@ -16,10 +16,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NewtonError, StateBlowupError
+from .errors import NewtonError, NumericsError, StateBlowupError
 from .expr import ScalarExpr, parse_expression
 from .problem import ProblemSpec
-from .quadrature import Grid, SingularWeights, singular_weights, trapezoid, trapezoid_weights
+from .quadrature import Grid, singular_weights, trapezoid, trapezoid_weights
 
 BLOWUP_LIMIT = 1e12
 
@@ -161,85 +161,68 @@ def evaluate_cost(problem: ProblemSpec, y: Trajectory, u: Trajectory, grid: Grid
     _require_nodes("state", y, grid)
     _require_nodes("control", u, grid)
     t = grid.nodes
-    g = evaluate_on(problem.g, {"t": t, "y": y.values, "u": u.values}, t.shape)
-    running = trapezoid(g, grid.h)
-    instants = []
-    for ic in problem.instant_costs:
-        yi = float(np.interp(ic.time, t, y.values))
-        instants.append(float(ic.h.evaluate(y=yi)))
-    return CostBreakdown(running, tuple(instants), running + sum(instants))
+    with np.errstate(all="ignore"):
+        g = evaluate_on(problem.g, {"t": t, "y": y.values, "u": u.values}, t.shape)
+        running = trapezoid(g, grid.h)
+        instants = []
+        for ic in problem.instant_costs:
+            yi = float(np.interp(ic.time, t, y.values))
+            instants.append(float(ic.h.evaluate(y=yi)))
+    total = running + sum(instants)
+    if not np.isfinite(total):
+        raise NumericsError(f"cost is not finite (running {running:g}, instants {instants})")
+    return CostBreakdown(running, tuple(instants), total)
 
 
-def _march_linear(grid: Grid, weights: SingularWeights, coeff: np.ndarray,
-                  source: np.ndarray) -> np.ndarray:
-    """March z_k = sum_{j<k} w[k-j] (coeff_j z_j + source_j), z_0 = 0."""
+def _march_response(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
+                    grid: Grid, exprs: tuple[ScalarExpr, ...], source) -> Trajectory:
+    """March z_k = sum_{j<k} w[k-j] (f_y z_j + source_j) along the pair, z_0 = 0.
+
+    source(sl, *samples) builds the source on the node slice sl from samples of
+    exprs there; samples are taken once when no expression reads the outer
+    time t, and per row otherwise.
+    """
+    y_star, u_star = pair
+    _require_nodes("reference state", y_star, grid)
+    _require_nodes("reference control", u_star, grid)
+    t = grid.nodes
+    w = singular_weights(problem.alpha, grid)
+    exprs = (problem.bundle.f_y, *exprs)
     z = np.zeros(grid.n + 1)
-    for k in range(1, grid.n + 1):
-        z[k] = weights.row(k) @ (coeff[:k] * z[:k] + source[:k])
-        _guard(k, z[k])
-    return z
+    if all("t" not in e.free_vars() for e in exprs):
+        env = {"s": t, "y": y_star.values, "u": u_star.values}
+        coeff, *samples = (evaluate_on(e, env, t.shape) for e in exprs)
+        src = source(slice(None), *samples)
+        for k in range(1, grid.n + 1):
+            z[k] = w.row(k) @ (coeff[:k] * z[:k] + src[:k])
+            _guard(k, z[k])
+    else:
+        for k in range(1, grid.n + 1):
+            env = {"t": t[k], "s": t[:k], "y": y_star.values[:k], "u": u_star.values[:k]}
+            coeff, *samples = (evaluate_on(e, env, (k,)) for e in exprs)
+            z[k] = w.row(k) @ (coeff * z[:k] + source(slice(0, k), *samples))
+            _guard(k, z[k])
+    return Trajectory(grid, "nodes", z)
 
 
 def solve_y1(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
              v: Trajectory, grid: Grid) -> Trajectory:
     """First-order response of the state to a control variation v."""
-    y_star, u_star = pair
-    _require_nodes("reference state", y_star, grid)
-    _require_nodes("reference control", u_star, grid)
     _require_nodes("variation", v, grid)
-    t = grid.nodes
-    w = singular_weights(problem.alpha, grid)
-    b = problem.bundle
-    base_env = {"s": t, "y": y_star.values, "u": u_star.values}
-
-    if "t" not in b.f_u.free_vars() and "t" not in b.f_y.free_vars():
-        source = evaluate_on(b.f_u, base_env, t.shape) * v.values
-        coeff = evaluate_on(b.f_y, base_env, t.shape)
-        return Trajectory(grid, "nodes", _march_linear(grid, w, coeff, source))
-
-    z = np.zeros(grid.n + 1)
-    for k in range(1, grid.n + 1):
-        env = {"t": t[k], "s": t[:k], "y": y_star.values[:k], "u": u_star.values[:k]}
-        fy = evaluate_on(b.f_y, env, (k,))
-        fu = evaluate_on(b.f_u, env, (k,))
-        z[k] = w.row(k) @ (fy * z[:k] + fu * v.values[:k])
-        _guard(k, z[k])
-    return Trajectory(grid, "nodes", z)
+    vv = v.values
+    return _march_response(problem, pair, grid, (problem.bundle.f_u,),
+                           lambda sl, fu: fu * vv[sl])
 
 
 def solve_y2(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
              v: Trajectory, y1: Trajectory, grid: Grid) -> Trajectory:
     """Second-order response; sources quadratic in (Y1, v) under the same weights."""
-    y_star, u_star = pair
-    _require_nodes("reference state", y_star, grid)
-    _require_nodes("reference control", u_star, grid)
     _require_nodes("variation", v, grid)
     _require_nodes("first-order response", y1, grid)
-    t = grid.nodes
-    w = singular_weights(problem.alpha, grid)
     b = problem.bundle
+    vv, z1 = v.values, y1.values
 
-    exprs = (b.f_y, b.f_yy, b.f_yu, b.f_uu)
-    if all("t" not in e.free_vars() for e in exprs):
-        env = {"s": t, "y": y_star.values, "u": u_star.values}
-        shape = t.shape
-        source = (
-            evaluate_on(b.f_yy, env, shape) * y1.values**2
-            + 2.0 * evaluate_on(b.f_yu, env, shape) * y1.values * v.values
-            + evaluate_on(b.f_uu, env, shape) * v.values**2
-        )
-        coeff = evaluate_on(b.f_y, env, shape)
-        return Trajectory(grid, "nodes", _march_linear(grid, w, coeff, source))
+    def source(sl, fyy, fyu, fuu):
+        return fyy * z1[sl] ** 2 + 2.0 * fyu * z1[sl] * vv[sl] + fuu * vv[sl] ** 2
 
-    z = np.zeros(grid.n + 1)
-    for k in range(1, grid.n + 1):
-        env = {"t": t[k], "s": t[:k], "y": y_star.values[:k], "u": u_star.values[:k]}
-        fy = evaluate_on(b.f_y, env, (k,))
-        src = (
-            evaluate_on(b.f_yy, env, (k,)) * y1.values[:k] ** 2
-            + 2.0 * evaluate_on(b.f_yu, env, (k,)) * y1.values[:k] * v.values[:k]
-            + evaluate_on(b.f_uu, env, (k,)) * v.values[:k] ** 2
-        )
-        z[k] = w.row(k) @ (fy * z[:k] + src)
-        _guard(k, z[k])
-    return Trajectory(grid, "nodes", z)
+    return _march_response(problem, pair, grid, (b.f_yy, b.f_yu, b.f_uu), source)

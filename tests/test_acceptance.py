@@ -149,7 +149,7 @@ def test_criterion_5_expansion_identity():
     grid = make_grid(1.0, 2048)
     u = Trajectory.constant(0.0, grid)
     v = Trajectory.constant(1.0, grid)
-    rep = fd_expansion_check(problem, u, v, grid=grid)
+    rep = fd_expansion_check(problem, (solve_state(problem, u, grid), u), v)
     assert abs(rep.qf - (-16.0 / 3.0)) <= 1e-2
     assert all(r <= 0.3 for r in rep.ratios)
     report("expansion identity",
@@ -164,14 +164,16 @@ def test_criterion_6_second_order_verdicts():
 
     holds = builtin_problem("sing_quad", {"c": 1.0})
     y = solve_state(holds, u, grid)
-    rep_holds = second_order_test(holds, (y, u), grid)
+    fields_holds = hamiltonian_fields(holds, (y, u), solve_adjoint(holds, (y, u), grid), grid)
+    rep_holds = second_order_test(holds, (y, u), fields_holds, grid)
     norm_k = float(np.linalg.norm(rep_holds.matrix, 2))
     assert rep_holds.verdict == "holds"
     assert rep_holds.lambda_max <= 1e-8 * norm_k
 
     violated = builtin_problem("sing_quad", {"c": -1.0})
     y2 = solve_state(violated, u, grid)
-    rep_viol = second_order_test(violated, (y2, u), grid)
+    fields_viol = hamiltonian_fields(violated, (y2, u), solve_adjoint(violated, (y2, u), grid), grid)
+    rep_viol = second_order_test(violated, (y2, u), fields_viol, grid)
     assert rep_viol.verdict == "violated"
 
     # independent confirmation: push along the returned direction

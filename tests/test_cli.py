@@ -1,8 +1,12 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
+import svoc.adjoint
+import svoc.optimality
+import svoc.state
 from svoc.cli import run_command
 from svoc.problem import builtin_problem, problem_to_dict
 
@@ -180,3 +184,70 @@ def test_param_rejected_for_file_problems(tmp_path, capsys):
                 "--param", "c=1"], tmp_path)
     assert code == 1
     assert "builtin" in capsys.readouterr().err
+
+
+def error_lines(capsys):
+    return capsys.readouterr().err.strip().splitlines()
+
+
+def test_non_finite_cost_is_a_numerical_failure(tmp_path, capsys):
+    spec_path = tmp_path / "p.json"
+    spec_path.write_text(json.dumps({"alpha": 0.5, "T": 1.0, "eta": "1", "f": "y",
+                                     "g": "log(y-5)"}))
+    code = run(["solve", "--problem", str(spec_path), "--control", "0", "--n", "16"],
+               tmp_path)
+    assert code == 2
+    [line] = error_lines(capsys)
+    assert line.startswith("numerical failure: cost is not finite")
+    assert not (tmp_path / "cost.json").exists()
+
+
+@pytest.mark.parametrize("extra", [
+    {"control_bounds": [{}, 1]},
+    {"instant_costs": 5},
+    {"instant_costs": [{"t": [1], "h": "y"}]},
+])
+def test_malformed_problem_file_is_a_validation_error(tmp_path, capsys, extra):
+    spec_path = tmp_path / "p.json"
+    spec_path.write_text(json.dumps({"alpha": 0.5, "T": 1.0, "eta": "1", "f": "y",
+                                     "g": "y", **extra}))
+    code = run(["solve", "--problem", str(spec_path), "--control", "0", "--n", "16"],
+               tmp_path)
+    assert code == 1
+    [line] = error_lines(capsys)
+    assert line.startswith("error: ")
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name under every svoc module binding it; return the call log."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "svoc" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_second_order_check_solves_costate_and_fields_once(tmp_path, monkeypatch):
+    adjoint_calls = count_calls(monkeypatch, svoc.adjoint, "solve_adjoint")
+    fields_calls = count_calls(monkeypatch, svoc.optimality, "hamiltonian_fields")
+    code = run(["check", "--order", "2", "--problem", "sing_quad", "--param", "c=-1",
+                "--control=0", "--n", "64"], tmp_path)
+    assert code == 0
+    assert len(adjoint_calls) == 1
+    assert len(fields_calls) == 1
+
+
+def test_verify_marches_reference_state_once(tmp_path, monkeypatch):
+    state_calls = count_calls(monkeypatch, svoc.state, "solve_state")
+    code = run(["verify", "--problem", "lq", "--param", "a=0.5", "--param", "b=1",
+                "--param", "r=1", "--control", "1", "--direction", "cos(2*t)",
+                "--n", "32"], tmp_path)
+    assert code == 0
+    # y* once, then three perturbed marches for each of the two checks
+    assert len(state_calls) == 7

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from svoc.adjoint import solve_adjoint
+from svoc.errors import KernelAsymmetryError, NumericsError
 from svoc.expr import parse_expression
 from svoc.optimality import (
     CROSS_TERM_CONVENTION,
@@ -209,7 +210,8 @@ def test_negative_curvature_holds():
     grid = make_grid(1.0, 256)
     u = Trajectory.constant(0.0, grid)
     y = solve_state(problem, u, grid)
-    report = second_order_test(problem, (y, u), grid)
+    fields = hamiltonian_fields(problem, (y, u), solve_adjoint(problem, (y, u), grid), grid)
+    report = second_order_test(problem, (y, u), fields, grid)
     assert report.verdict == "holds"
     assert report.violating_direction is None
     assert report.matrix is not None
@@ -226,7 +228,8 @@ def test_positive_curvature_violated_with_improving_direction():
     grid = make_grid(1.0, 256)
     u = Trajectory.constant(0.0, grid)
     y = solve_state(problem, u, grid)
-    report = second_order_test(problem, (y, u), grid)
+    fields = hamiltonian_fields(problem, (y, u), solve_adjoint(problem, (y, u), grid), grid)
+    report = second_order_test(problem, (y, u), fields, grid)
     assert report.verdict == "violated"
     assert report.lambda_max == pytest.approx(8.0 * grid.h * math.sqrt(1.0 - 0.5 * grid.h), rel=1e-10)
 
@@ -253,7 +256,8 @@ def test_zero_form_still_holds():
     grid = make_grid(1.0, 64)
     u = Trajectory.constant(0.0, grid)
     y = solve_state(problem, u, grid)
-    report = second_order_test(problem, (y, u), grid)
+    fields = hamiltonian_fields(problem, (y, u), solve_adjoint(problem, (y, u), grid), grid)
+    report = second_order_test(problem, (y, u), fields, grid)
     assert report.verdict == "holds"
     assert report.lambda_max == 0.0
     assert not report.matrix.any()
@@ -264,12 +268,24 @@ def test_nonsingular_control_is_inconclusive():
     grid = make_grid(1.0, 64)
     u = Trajectory.constant(0.0, grid)
     y = solve_state(problem, u, grid)
-    report = second_order_test(problem, (y, u), grid)
+    fields = hamiltonian_fields(problem, (y, u), solve_adjoint(problem, (y, u), grid), grid)
+    report = second_order_test(problem, (y, u), fields, grid)
     assert report.verdict == "inconclusive"
     assert math.isnan(report.lambda_max)
     assert report.matrix is None
     assert report.violating_direction is None
     assert report.sup_hu > 1.0
+
+
+def test_asymmetric_kernel_is_a_numerical_failure():
+    problem = builtin_problem("sing_quad", {"c": 1.0})
+    grid = make_grid(1.0, 16)
+    pair, fields = fields_for(problem, grid)
+    q = build_q_kernel(problem, pair, grid)
+    skewed = MKernel(grid, np.triu(np.ones((grid.n, grid.n))))
+    with pytest.raises(KernelAsymmetryError, match="quadratic form asymmetry"):
+        _quadratic_matrix(fields, skewed, q, grid)
+    assert issubclass(KernelAsymmetryError, NumericsError)
 
 
 def test_curvature_kernel_grid_mismatch_rejected():

@@ -71,7 +71,7 @@ def test_expansion_is_exact_for_linear_cost():
     grid = make_grid(1.0, 256)
     u = Trajectory.constant(1.0, grid)
     v = Trajectory.from_expression("sin(2*t)", grid)
-    report = fd_expansion_check(problem, u, v, grid=grid)
+    report = fd_expansion_check(problem, (solve_state(problem, u, grid), u), v)
     assert report.qf == 0.0
     for row in report.rows:
         assert abs(row.residual) <= 1e-8  # measured ~2e-16
@@ -83,7 +83,7 @@ def test_expansion_measures_the_quadratic_term():
     grid = make_grid(1.0, 2048)
     u = Trajectory.constant(0.0, grid)
     v = Trajectory.constant(1.0, grid)
-    report = fd_expansion_check(problem, u, v, grid=grid)
+    report = fd_expansion_check(problem, (solve_state(problem, u, grid), u), v)
     assert report.hu_pairing == 0.0
     assert report.qf == pytest.approx(-16.0 / 3.0, abs=1e-2)  # measured off 5.2e-6
     for row in report.rows:
@@ -98,7 +98,7 @@ def test_expansion_with_zero_variation_is_identically_zero():
     grid = make_grid(1.0, 128)
     u = Trajectory.constant(0.0, grid)
     v = Trajectory.constant(0.0, grid)
-    report = fd_expansion_check(problem, u, v, grid=grid)
+    report = fd_expansion_check(problem, (solve_state(problem, u, grid), u), v)
     assert report.hu_pairing == 0.0 and report.qf == 0.0
     assert all(row.delta_j == 0.0 and row.residual == 0.0 for row in report.rows)
     assert all(math.isnan(r) for r in report.ratios)
@@ -110,11 +110,11 @@ def test_delta_sweep_validation():
     u = Trajectory.constant(0.0, grid)
     v = Trajectory.constant(1.0, grid)
     with pytest.raises(ValueError, match="positive"):
-        fd_expansion_check(problem, u, v, deltas=(), grid=grid)
+        fd_expansion_check(problem, (solve_state(problem, u, grid), u), v, deltas=())
     with pytest.raises(ValueError, match="positive"):
-        fd_expansion_check(problem, u, v, deltas=(0.1, -0.05), grid=grid)
+        fd_expansion_check(problem, (solve_state(problem, u, grid), u), v, deltas=(0.1, -0.05))
     with pytest.raises(ValueError, match="decreasing"):
-        fd_expansion_check(problem, u, v, deltas=(0.05, 0.1), grid=grid)
+        fd_expansion_check(problem, (solve_state(problem, u, grid), u), v, deltas=(0.05, 0.1))
 
 
 def test_first_order_pairing_direct():
