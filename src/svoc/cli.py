@@ -24,6 +24,39 @@ from .quadrature import make_grid
 from .reports import dump_json, table_csv, trajectory_csv
 from .state import Trajectory, evaluate_cost, solve_state
 
+# Grid budget, checked before anything is allocated.  Per grid, a command
+# makes a fixed number of O(N^2) passes (marches and N x N field evaluations)
+# and holds a fixed number of dense (N+1)^2 float64 tables at its peak
+# (tracemalloc peaks at N = 256 and 512: 4.4 tables for `check --order 1`,
+# 16.5 for `check --order 2` with a non-zero Q, 16.1 for `verify`).
+WORK_BUDGET = 2**34   # sum of (N+1)^2 over a command's passes: `solve` up to N ~ 2^17
+DENSE_BUDGET = 2**31  # bytes of dense tables held at once
+_PASSES_TABLES = {
+    ("solve", 1): (1, 0),
+    ("adjoint", 1): (2, 0),
+    ("check", 1): (8, 5),
+    ("check", 2): (8, 17),
+    ("verify", 1): (15, 17),
+    ("converge", 1): (1, 0),
+}
+
+
+def grid_cost(command: str, n: int, order: int = 1) -> tuple[int, int]:
+    """(O(N^2) work, bytes of dense tables) of one command on an n-cell grid."""
+    passes, tables = _PASSES_TABLES[command, order]
+    cells = (n + 1) ** 2
+    return passes * cells, tables * cells * 8
+
+
+def _check_budget(command: str, n: int, order: int = 1) -> None:
+    work, dense = grid_cost(command, n, order)
+    if work > WORK_BUDGET or dense > DENSE_BUDGET:
+        name = f"check --order {order}" if command == "check" else command
+        raise ProblemValidationError(
+            f"a grid of {n} cells is too large for {name}: it needs {work:.3g} "
+            f"O(N^2) operations (budget {WORK_BUDGET:.3g}) and {dense / 2**30:.3g} GiB "
+            f"of dense tables (budget {DENSE_BUDGET / 2**30:.3g} GiB)")
+
 
 def _parse_param(text: str) -> tuple[str, float]:
     key, sep, value = text.partition("=")
@@ -110,6 +143,7 @@ def _out_dir(args) -> Path:
 
 def _setup(args):
     """Problem, grid, output directory and control shared by the pair commands."""
+    _check_budget(args.command, args.n, getattr(args, "order", 1))
     problem = _load_problem(args)
     grid = make_grid(problem.T, args.n)
     out = _out_dir(args)
@@ -266,6 +300,8 @@ def _cmd_converge(args) -> int:
         raise ProblemValidationError(f"bad --ns list {args.ns!r}") from exc
     if not ns:
         raise ProblemValidationError("--ns must name at least one grid size")
+    for n in ns:
+        _check_budget("converge", n)
     out = _out_dir(args)
     start = time.perf_counter()
     report = convergence_study(args.lam, args.alpha, ns)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import svoc.adjoint
+import svoc.cli
 import svoc.optimality
 import svoc.state
 from svoc.cli import run_command
@@ -251,3 +252,44 @@ def test_verify_marches_reference_state_once(tmp_path, monkeypatch):
     assert code == 0
     # y* once, then three perturbed marches for each of the two checks
     assert len(state_calls) == 7
+
+
+# (command, N, order) of every README command and benchmark workload
+SHIPPED_GRIDS = [
+    ("solve", 256, 1), ("adjoint", 128, 1), ("check", 256, 1), ("check", 512, 2),
+    ("verify", 512, 1), ("converge", 1024, 1),
+    ("verify", 384, 1), ("check", 1536, 2), ("solve", 16384, 1), ("adjoint", 16384, 1),
+    ("check", 2048, 1), ("converge", 4096, 1),
+]
+
+
+@pytest.mark.parametrize("command,n,order", SHIPPED_GRIDS)
+def test_shipped_grids_are_within_budget(command, n, order):
+    work, dense = svoc.cli.grid_cost(command, n, order)
+    assert work <= svoc.cli.WORK_BUDGET and dense <= svoc.cli.DENSE_BUDGET
+
+
+@pytest.mark.parametrize("command,n,order", [
+    ("solve", 100_000_000, 1), ("adjoint", 200_000, 1), ("check", 8192, 1),
+    ("check", 4096, 2), ("verify", 4096, 1), ("converge", 1_000_000, 1),
+])
+def test_oversize_grids_are_over_budget(command, n, order):
+    work, dense = svoc.cli.grid_cost(command, n, order)
+    assert work > svoc.cli.WORK_BUDGET or dense > svoc.cli.DENSE_BUDGET
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--problem", "lq", "--param", "a=1", "--param", "b=1", "--param", "r=1",
+     "--control", "0", "--n", "64"],
+    ["check", "--order", "2", "--problem", "sing_quad", "--param", "c=1",
+     "--control=0", "--n", "64"],
+    ["converge", "--lambda", "1", "--ns", "32,64"],
+])
+def test_grid_over_budget_is_refused_before_any_output(argv, tmp_path, capsys, monkeypatch):
+    # a small grid against a lowered budget: the refusal path without the allocation
+    monkeypatch.setattr(svoc.cli, "WORK_BUDGET", svoc.cli.grid_cost(argv[0], 48)[0])
+    out = tmp_path / "out"
+    assert run_command(argv + ["--out", str(out)]) == 1
+    [line] = error_lines(capsys)
+    assert line.startswith("error: a grid of 64 cells is too large for")
+    assert not out.exists()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svoc.errors import KernelAssemblyError
-from svoc.problem import builtin_problem
+from svoc.expr import parse_expression
+from svoc.problem import ProblemSpec, builtin_problem
 from svoc.quadrature import make_grid
 from svoc.resolvent import (
+    _BLOCK,
     apply_kernel_nodes,
     build_q_kernel,
     build_resolvent,
@@ -103,9 +106,126 @@ def test_resolvent_identity_residual():
 
 
 def test_assembly_failure_names_the_cell():
+    # the first row whose quadrature reaches an infinite sample is 9
+    # (t - s > 0.5 first holds for a half-cell sample at k - j = 9)
     bad = lambda t, s: np.where(t - s > 0.5, np.inf, 1.0)
-    with pytest.raises(KernelAssemblyError, match="non-finite"):
-        build_resolvent(bad, 0.5, make_grid(1.0, 16))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(KernelAssemblyError, match="non-finite") as exc:
+            build_resolvent(bad, 0.5, make_grid(1.0, 16))
+    assert (exc.value.row, exc.value.col) == (9, 0)
+
+
+# --- reference: the same quadrature, one row at a time ---------------------------
+
+class RowReference:
+    """The resolvent and Q quadrature evaluated row by row with explicit
+    half-cell masks: a slow, independent statement of the weights."""
+
+    def __init__(self, alpha, grid):
+        n, h = grid.n, grid.h
+        self.n, self.grid = n, grid
+        i = np.arange(n + 1, dtype=float)
+        pa, ph = (i * h) ** alpha, ((i[:-1] + 0.5) * h) ** alpha
+        self.q1 = ((i[:-1] + 0.25) * h) ** (alpha - 1.0)
+        self.q3 = ((i[:-1] + 0.75) * h) ** (alpha - 1.0)
+        self.wr1 = np.r_[0.0, (pa[1:] - ph) / alpha]
+        self.wr2 = np.r_[0.0, (ph - pa[:-1]) / alpha]
+        d = np.subtract.outer(np.arange(n), np.arange(n)).clip(min=0)
+        self.wl1, self.wl2 = ((ph - pa[:-1]) / alpha)[d], ((pa[1:] - ph) / alpha)[d]
+        self.q1d, self.q3d = self.q1[d], self.q3[d]
+
+    def samples(self, fn):
+        n, h, t = self.n, self.grid.h, self.grid.nodes
+        cells = t[:-1]
+        below = np.tril(np.ones((n, n), dtype=bool))
+        rows = np.arange(n + 1)[:, None] > np.arange(n)[None, :]
+        grab = lambda tt, ss, keep: np.where(keep, np.broadcast_to(fn(tt, ss), keep.shape), 0.0)
+        return (grab(cells[:, None] + 0.25 * h, t[None, :-1], below),
+                grab(cells[:, None] + 0.75 * h, t[None, :-1], below),
+                grab(t[:, None], cells[None, :] + 0.25 * h, rows),
+                grab(t[:, None], cells[None, :] + 0.75 * h, rows))
+
+    def product_row(self, k, left1, left2, right1, right2):
+        j, c = np.arange(k)[:, None], np.arange(k)[None, :]
+        s = slice(0, k)
+        half1 = np.where(2 * j - c < k, left1[s, s] * self.wl1[s, s] * self.q3[k - 1 - j],
+                         left1[s, s] * self.q1d[s, s] * self.wr1[k - j])
+        half2 = np.where(2 * j - c < k - 1, left2[s, s] * self.wl2[s, s] * self.q1[k - 1 - j],
+                         left2[s, s] * self.q3d[s, s] * self.wr2[k - j])
+        return right1[k, s] @ half1 + right2[k, s] @ half2
+
+    def regular_row(self, k, R, right1, right2, last_row_known):
+        V = R[: k + 1, :k].copy()
+        idx = np.arange(k)
+        V[idx, idx] = R[idx + 1, idx]
+        V[k] = R[k, :k] if last_row_known else R[k - 1, :k]
+        inside = np.tril(np.ones((k, k), dtype=bool))
+        r1 = np.where(inside, 0.75 * V[:-1] + 0.25 * V[1:], 0.0)
+        r2 = np.where(inside, 0.25 * V[:-1] + 0.75 * V[1:], 0.0)
+        return (right1[k, :k] * self.wr1[k:0:-1]) @ r1 + (right2[k, :k] * self.wr2[k:0:-1]) @ r2
+
+    @staticmethod
+    def extend_diagonal(R):
+        n = R.shape[0] - 1
+        R[np.arange(n), np.arange(n)] = R[np.arange(1, n + 1), np.arange(n)]
+        R[n, n] = R[n, n - 1]
+
+    def resolvent(self, fn):
+        smp = self.samples(fn)
+        R = np.zeros((self.n + 1, self.n + 1))
+        for known in (False, True):
+            for k in range(1, self.n + 1):
+                R[k, :k] = self.product_row(k, *smp) + self.regular_row(k, R, *smp[2:], known)
+            self.extend_diagonal(R)
+        return R
+
+    def residual(self, fn, R):
+        smp = self.samples(fn)
+        return max(float(np.max(np.abs(self.product_row(k, *smp)
+                                        + self.regular_row(k, R, *smp[2:], True) - R[k, :k])))
+                   for k in range(1, self.n + 1))
+
+    def q_regular(self, a_fn, c_fn, Rp):
+        g1, g2, _, _ = self.samples(c_fn)
+        _, _, a1, a2 = self.samples(a_fn)
+        out = np.zeros((self.n + 1, self.n + 1))
+        for k in range(1, self.n + 1):
+            rp1 = 0.75 * Rp[k, :k] + 0.25 * Rp[k, 1 : k + 1]
+            rp2 = 0.25 * Rp[k, :k] + 0.75 * Rp[k, 1 : k + 1]
+            out[k, :k] = (self.product_row(k, g1, g2, a1, a2)
+                          + rp1 @ (g1 * self.wl1)[:k, :k] + rp2 @ (g2 * self.wl2)[:k, :k])
+        self.extend_diagonal(out)
+        return out
+
+
+def _max_rel(a, b):
+    return float(np.max(np.abs(a - b))) / max(1.0, float(np.max(np.abs(b))))
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.8])
+@pytest.mark.parametrize("n", [2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5])
+def test_blocked_assembly_matches_row_reference(alpha, n):
+    # partial and empty blocks included; only the summation order differs
+    grid = make_grid(1.0, n)
+    ref = RowReference(alpha, grid)
+    kernel = lambda t, s: 0.3 + 0.5 * np.sin(2 * t) * np.cos(s) + 0.2 * t * s
+    phi = build_resolvent(kernel, alpha, grid)
+    R = ref.resolvent(kernel)
+    assert _max_rel(phi.regular, R) <= 1e-12
+    res, res_ref = resolvent_residual(phi, kernel, grid), ref.residual(kernel, R)
+    assert abs(res - res_ref) <= 1e-12 * res_ref
+
+    problem = ProblemSpec(alpha, 1.0, parse_expression("1 + t"),
+                          parse_expression("(0.4 + 0.3*t*s)*y*cos(u) + sin(t - s)*u"),
+                          parse_expression("y^2"))
+    u = Trajectory.from_expression("0.5 + sin(3*t)", grid)
+    y = solve_state(problem, u, grid)
+    q = build_q_kernel(problem, (y, u), grid)
+    pair_fn = lambda e: lambda t, s: e.evaluate(
+        t=t, s=s, y=np.interp(s, grid.nodes, y.values), u=np.interp(s, grid.nodes, u.values))
+    a_fn, c_fn = pair_fn(problem.bundle.f_y), pair_fn(problem.bundle.f_u)
+    assert _max_rel(q.regular, ref.q_regular(a_fn, c_fn, ref.resolvent(a_fn))) <= 1e-12
 
 
 # --- response kernel ---------------------------------------------------------
