@@ -74,6 +74,41 @@ def _instant_rows(problem: ProblemSpec, grid: Grid, expression,
     return rows
 
 
+def _tail_sampler(expression, tau: np.ndarray, ym: np.ndarray, um: np.ndarray):
+    """(column, row) for the tail coefficient e(tau_j, tau_k, y*_k, u*_k), j >= k.
+
+    row(k) samples row k on tau[k:].  If e ignores t it is evaluated once,
+    into column; otherwise column is None and each row evaluates e.
+    """
+    n = len(tau)
+    if "t" not in expression.free_vars():
+        column = evaluate_on(expression, {"s": tau, "y": ym, "u": um}, tau.shape)
+        return column, lambda k: np.broadcast_to(column[k], (n - k,))
+    return None, lambda k: evaluate_on(
+        expression, {"t": tau[k:], "s": tau[k], "y": ym[k], "u": um[k]}, (n - k,))
+
+
+def _tail_field(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory], grid: Grid,
+                f_part, g_part, phi: np.ndarray) -> np.ndarray:
+    """sum_{j>=k} mu[j-k] f_part(tau_j, tau_k, y*_k, u*_k) phi_j - g_part(tau_k, ...)
+    minus f_part's instant rows, per midpoint k: the costate right-hand side for
+    (f_y, g_y), H and its partials for f, g and their partials.  O(N^2) time and
+    O(N) memory, or O(N) evaluations and one correlation if f_part ignores t."""
+    y_star, u_star = pair
+    n, tau = grid.n, grid.midpoints
+    ym, um = y_star.midpoint_values(), u_star.midpoint_values()
+    mu = midpoint_weights(problem.alpha, grid).mu
+    with np.errstate(all="ignore"):
+        column, row = _tail_sampler(f_part, tau, ym, um)
+        if column is not None:
+            tail = column * np.correlate(phi, mu, "full")[n - 1 :]
+        else:
+            tail = np.array([mu[: n - k] @ (row(k) * phi[k:]) for k in range(n)])
+    snaps = snap_instants(problem, grid)
+    inst = _instant_rows(problem, grid, f_part, y_star.values, ym, um, snaps)
+    return tail - evaluate_on(g_part, {"t": tau, "y": ym, "u": um}, tau.shape) - inst.sum(axis=0)
+
+
 def solve_adjoint(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
                   grid: Grid) -> AdjointTrajectory:
     """March the costate backward from the horizon.
@@ -89,22 +124,15 @@ def solve_adjoint(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
     ym = y_star.midpoint_values()
     um = u_star.midpoint_values()
     b = problem.bundle
-    mw = midpoint_weights(problem.alpha, grid)
-    mu = mw.mu
+    mu = midpoint_weights(problem.alpha, grid).mu
     snaps = snap_instants(problem, grid)
     inst = _instant_rows(problem, grid, b.f_y, y_star.values, ym, um, snaps)
     gy = evaluate_on(b.g_y, {"t": tau, "y": ym, "u": um}, tau.shape)
 
-    fy_t_free = "t" not in b.f_y.free_vars()
+    _, row = _tail_sampler(b.f_y, tau, ym, um)
     psi = np.zeros(n)
     for k in range(n - 1, -1, -1):
-        if fy_t_free:
-            fy = np.broadcast_to(
-                np.asarray(b.f_y.evaluate(s=tau[k], y=ym[k], u=um[k]),
-                           dtype=float), (n - k,))
-        else:
-            env = {"t": tau[k:], "s": tau[k], "y": ym[k], "u": um[k]}
-            fy = evaluate_on(b.f_y, env, tau[k:].shape)
+        fy = row(k)
         rhs = mu[1 : n - k] @ (fy[1:] * psi[k + 1 :]) - gy[k] - inst[:, k].sum()
         denom = 1.0 - mu[0] * fy[0]
         if abs(denom) < 1e-12:
@@ -118,19 +146,5 @@ def solve_adjoint(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
 def adjoint_residual(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
                      adj: AdjointTrajectory, grid: Grid) -> float:
     """Max absolute defect of psi under one re-application of the equation."""
-    y_star, u_star = pair
-    n = grid.n
-    tau = grid.midpoints
-    ym = y_star.midpoint_values()
-    um = u_star.midpoint_values()
-    b = problem.bundle
-    mu = midpoint_weights(problem.alpha, grid).mu
-    gy = evaluate_on(b.g_y, {"t": tau, "y": ym, "u": um}, tau.shape)
-    psi = adj.psi.values
-    worst = 0.0
-    for k in range(n):
-        env = {"t": tau[k:], "s": tau[k], "y": ym[k], "u": um[k]}
-        fy = evaluate_on(b.f_y, env, tau[k:].shape)
-        rhs = mu[: n - k] @ (fy * psi[k:]) - gy[k] - adj.instant_terms[:, k].sum()
-        worst = max(worst, abs(rhs - psi[k]))
-    return worst
+    b, psi = problem.bundle, adj.psi.values
+    return float(np.max(np.abs(_tail_field(problem, pair, grid, b.f_y, b.g_y, psi) - psi)))

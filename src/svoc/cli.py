@@ -25,16 +25,16 @@ from .reports import dump_json, table_csv, trajectory_csv
 from .state import Trajectory, evaluate_cost, solve_state
 
 # Grid budget, checked before anything is allocated.  Per grid, a command
-# makes a fixed number of O(N^2) passes (marches and N x N field evaluations)
-# and holds a fixed number of dense (N+1)^2 float64 tables at its peak
-# (tracemalloc peaks at N = 256 and 512: 4.4 tables for `check --order 1`,
-# 16.5 for `check --order 2` with a non-zero Q, 16.1 for `verify`).
+# makes a fixed number of O(N^2) passes (marches and tail quadratures) and
+# holds a fixed number of dense (N+1)^2 float64 tables at its peak (tracemalloc
+# peaks at N = 256 and 512: 16.1 tables for `check --order 2` with a non-zero
+# Q and for `verify`; `check --order 1` holds O(N): 0.5 and 0.07 tables).
 WORK_BUDGET = 2**34   # sum of (N+1)^2 over a command's passes: `solve` up to N ~ 2^17
 DENSE_BUDGET = 2**31  # bytes of dense tables held at once
 _PASSES_TABLES = {
     ("solve", 1): (1, 0),
     ("adjoint", 1): (2, 0),
-    ("check", 1): (8, 5),
+    ("check", 1): (8, 0),
     ("check", 2): (8, 17),
     ("verify", 1): (15, 17),
     ("converge", 1): (1, 0),
@@ -258,7 +258,7 @@ def _cmd_verify(args) -> int:
     start = time.perf_counter()
     y = solve_state(problem, control, grid)
     expansion = fd_expansion_check(problem, (y, control), direction)
-    variational = variational_fd_check(problem, (y, control), direction, grid=grid)
+    variational = variational_fd_check(problem, (y, control), direction)
     elapsed = time.perf_counter() - start
     report = _identity(problem, args)
     report.update(

@@ -25,12 +25,12 @@ from typing import Optional
 
 import numpy as np
 
-from .adjoint import AdjointTrajectory, _instant_rows, snap_instants
+from .adjoint import AdjointTrajectory, _tail_field, snap_instants
 from .errors import KernelAsymmetryError
 from .problem import ProblemSpec
-from .quadrature import Grid, midpoint_weights
+from .quadrature import Grid
 from .resolvent import RegularizedKernel, build_q_kernel, midpoint_apply_matrix, node_apply_row
-from .state import Trajectory, evaluate_on
+from .state import Trajectory
 
 CROSS_TERM_CONVENTION = (
     "cross term evaluated as 2 * int_0^T v(t) H_yu(t) [int_0^t Q(t,s) v(s) ds] dt"
@@ -83,32 +83,13 @@ def default_tolerance(fields: HamiltonianFields) -> float:
 
 def hamiltonian_fields(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
                        psi: AdjointTrajectory, grid: Grid) -> HamiltonianFields:
-    """Evaluate H and its (u, y) partials on midpoints along the pair."""
-    y_star, u_star = pair
-    n = grid.n
-    tau = grid.midpoints
-    ym = y_star.midpoint_values()
-    um = u_star.midpoint_values()
+    """H and its (u, y) partials on midpoints along the pair, one `_tail_field`
+    each: O(N^2) time and O(N) memory, or O(N) evaluations and one correlation
+    when f's partial ignores t."""
     b = problem.bundle
-    mu = midpoint_weights(problem.alpha, grid).mu
-    snaps = snap_instants(problem, grid)
-    psi_vals = psi.psi.values
-
-    # tail weight matrix W[j, k] = mu[j - k] for j >= k, zero elsewhere
-    d = np.subtract.outer(np.arange(n), np.arange(n))
-    W = np.where(d >= 0, mu[d.clip(min=0)], 0.0)
-    upper = d >= 0  # (j, k): integration time tau_j at or after tau_k
 
     def field(f_part, g_part) -> Trajectory:
-        env = {"t": tau[:, None], "s": tau[None, :], "y": ym[None, :], "u": um[None, :]}
-        with np.errstate(all="ignore"):
-            F = np.broadcast_to(np.asarray(f_part.evaluate(**env), dtype=float), (n, n))
-        F = np.where(upper, F, 0.0)
-        vals = psi_vals @ (W * F)
-        vals = vals - evaluate_on(g_part, {"t": tau, "y": ym, "u": um}, tau.shape)
-        if snaps:
-            vals = vals - _instant_rows(problem, grid, f_part, y_star.values,
-                                        ym, um, snaps).sum(axis=0)
+        vals = _tail_field(problem, pair, grid, f_part, g_part, psi.psi.values)
         return Trajectory(grid, "midpoints", vals)
 
     return HamiltonianFields(

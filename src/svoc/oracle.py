@@ -16,7 +16,7 @@ from .adjoint import solve_adjoint
 from .errors import SeriesError
 from .optimality import assemble_m_kernel, hamiltonian_fields, quadratic_form
 from .problem import ProblemSpec, builtin_problem
-from .quadrature import Grid, make_grid
+from .quadrature import make_grid
 from .resolvent import build_q_kernel
 from .state import Trajectory, evaluate_cost, solve_state, solve_y1, solve_y2
 
@@ -136,13 +136,12 @@ class VariationalReport:
 
 
 def variational_fd_check(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
-                         v: Trajectory, deltas=DEFAULT_DELTAS,
-                         grid: Grid | None = None) -> VariationalReport:
-    """Taylor-order measurement of the first- and second-order responses."""
+                         v: Trajectory, deltas=DEFAULT_DELTAS) -> VariationalReport:
+    """Taylor-order measurement of the first- and second-order responses on the
+    pair's grid."""
     deltas = _check_deltas(deltas)
     y_star, u_star = pair
-    if grid is None:
-        grid = y_star.grid
+    grid = y_star.grid
     y1 = solve_y1(problem, pair, v, grid)
     y2 = solve_y2(problem, pair, v, y1, grid)
     scale = 1.0 + float(np.max(np.abs(y_star.values)))

@@ -378,6 +378,9 @@ def build_q_kernel(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
     c_fn = _pair_fn(b.f_u, y_star.values, u_star.values, grid)
     a_fn = _pair_fn(b.f_y, y_star.values, u_star.values, grid)
 
+    if "t" not in b.f_u.free_vars() and not _sample(c_fn, 0.0, grid.nodes, (n + 1,), True).any():
+        c = np.zeros((n + 1, n + 1))  # f_u ignores t: its lattice samples are node values
+        return RegularizedKernel(alpha, grid, c, np.zeros_like(c), c_fn=c_fn, is_zero=True)
     c = _node_samples(c_fn, grid)
     left = _left_samples(c_fn, grid)
     if not (c.any() or left[0].any() or left[1].any()):

@@ -116,7 +116,7 @@ def test_criterion_4_variational_consistency():
         u = Trajectory.constant(u_val, grid)
         y = solve_state(problem, u, grid)
         v = Trajectory.constant(1.0, grid)
-        rep = variational_fd_check(problem, (y, u), v, grid=grid)
+        rep = variational_fd_check(problem, (y, u), v)
         # each order must either sit in its halving window or be flagged as
         # exact at the roundoff floor (these two problems make the first- or
         # second-order identity exact, so ratios of pure noise do not apply)
@@ -133,7 +133,7 @@ def test_criterion_4_variational_consistency():
     curved = builtin_problem("paper_example")
     u = Trajectory.constant(0.0, grid)
     y = solve_state(curved, u, grid)
-    rep = variational_fd_check(curved, (y, u), Trajectory.constant(1.0, grid), grid=grid)
+    rep = variational_fd_check(curved, (y, u), Trajectory.constant(1.0, grid))
     assert not rep.exact1 and not rep.exact2
     assert in_window(rep.ratio1, 1.5, 2.5)
     assert in_window(rep.ratio2, 3.0, 5.0)

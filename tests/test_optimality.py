@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
-from svoc.adjoint import solve_adjoint
+from svoc.adjoint import (AdjointTrajectory, _instant_rows, adjoint_residual,
+                          snap_instants, solve_adjoint)
 from svoc.errors import KernelAsymmetryError, NumericsError
 from svoc.expr import parse_expression
 from svoc.optimality import (
@@ -18,10 +20,10 @@ from svoc.optimality import (
     quadratic_form,
     second_order_test,
 )
-from svoc.problem import ProblemSpec, builtin_problem
-from svoc.quadrature import make_grid
+from svoc.problem import InstantCost, ProblemSpec, builtin_problem
+from svoc.quadrature import make_grid, midpoint_weights
 from svoc.resolvent import build_q_kernel
-from svoc.state import Trajectory, evaluate_cost, solve_state
+from svoc.state import Trajectory, evaluate_cost, evaluate_on, solve_state
 
 
 def fields_for(problem, grid, control_value=0.0):
@@ -83,6 +85,104 @@ def test_detection_with_explicit_gradient():
     assert not verdict.singular
     assert verdict.sup_hu == pytest.approx(2.0, abs=1e-14)
     assert detect_singular(fields, tol=3.0).singular  # loose tolerance flips it
+
+
+FIELD_PARTIALS = {"h": "", "h_u": "_u", "h_uu": "_uu", "h_yy": "_yy", "h_yu": "_yu",
+                  "costate_rhs": "_y"}
+
+
+def dense_fields(problem, pair, psi_vals, grid):
+    """Each field by the dense n x n formula: psi @ (W * F) with the tail
+    weights W[j, k] = mu[j - k] on j >= k.  "costate_rhs" is the same integral
+    with f_y and g_y, the right-hand side of the costate equation."""
+    y_star, u_star = pair
+    n = grid.n
+    tau = grid.midpoints
+    ym = y_star.midpoint_values()
+    um = u_star.midpoint_values()
+    b = problem.bundle
+    mu = midpoint_weights(problem.alpha, grid).mu
+    snaps = snap_instants(problem, grid)
+    d = np.subtract.outer(np.arange(n), np.arange(n))
+    W = np.where(d >= 0, mu[d.clip(min=0)], 0.0)
+    upper = d >= 0
+
+    def field(f_part, g_part):
+        env = {"t": tau[:, None], "s": tau[None, :], "y": ym[None, :], "u": um[None, :]}
+        with np.errstate(all="ignore"):
+            F = np.broadcast_to(np.asarray(f_part.evaluate(**env), dtype=float), (n, n))
+        F = np.where(upper, F, 0.0)
+        vals = psi_vals @ (W * F)
+        vals = vals - evaluate_on(g_part, {"t": tau, "y": ym, "u": um}, tau.shape)
+        if snaps:
+            vals = vals - _instant_rows(problem, grid, f_part, y_star.values,
+                                        ym, um, snaps).sum(axis=0)
+        return vals
+
+    return {name: field(getattr(b, "f" + sfx), getattr(b, "g" + sfx))
+            for name, sfx in FIELD_PARTIALS.items()}
+
+
+def off_node_instants():
+    # instant times between nodes; every partial of f but f_yu = 2u reads t
+    return ProblemSpec(
+        alpha=0.4, T=1.0, eta=parse_expression("1"),
+        f=parse_expression("0.5*sin(t)*s*sin(y) + (1 + t)*u^2 + y*u^2"),
+        g=parse_expression("y^2 + t*u^2"),
+        instant_costs=(InstantCost(0.4301, parse_expression("y^2")),
+                       InstantCost(0.77, parse_expression("sin(y)"))),
+    )
+
+
+REFERENCE_CASES = {
+    "lq": (lambda: builtin_problem("lq", {"a": 0.5, "b": 1.0, "r": 1.0}), "0.3"),
+    "sing_quad": (lambda: builtin_problem("sing_quad", {"c": 1.0}), "0.5"),
+    "paper_example": (lambda: builtin_problem("paper_example"), "0.3 + 0.2*sin(2*t)"),
+    "off_node_instants": (off_node_instants, "0.2 - 0.1*cos(3*t)"),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 64])
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_fields_and_residual_match_dense_reference(case, n):
+    make_problem, control = REFERENCE_CASES[case]
+    problem = make_problem()
+    grid = make_grid(problem.T, n)
+    u = Trajectory.from_expression(control, grid)
+    pair = (solve_state(problem, u, grid), u)
+    adj = solve_adjoint(problem, pair, grid)
+
+    def assert_close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    fields = hamiltonian_fields(problem, pair, adj, grid)
+    want = dense_fields(problem, pair, adj.psi.values, grid)
+    for name in ("h", "h_u", "h_uu", "h_yy", "h_yu"):
+        assert_close(getattr(fields, name).values, want[name])
+
+    # off the solution, so the residual is O(1) rather than roundoff
+    tau = grid.midpoints
+    psi = Trajectory(grid, "midpoints", adj.psi.values + 0.1 * np.cos(3.0 * tau))
+    off = AdjointTrajectory(psi, adj.instant_terms, adj.snaps)
+    rhs = dense_fields(problem, pair, psi.values, grid)["costate_rhs"]
+    assert_close(np.array(adjoint_residual(problem, pair, off, grid)),
+                 np.max(np.abs(rhs - psi.values)))
+
+
+def test_fields_hold_no_dense_table():
+    problem = builtin_problem("paper_example")  # f_u, f_y and f read t
+    n = 1024
+    grid = make_grid(1.0, n)
+    u = Trajectory.constant(0.5, grid)
+    pair = (solve_state(problem, u, grid), u)
+    adj = solve_adjoint(problem, pair, grid)
+    tracemalloc.start()
+    try:
+        hamiltonian_fields(problem, pair, adj, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (n + 1) ** 2 * 8
 
 
 # --- aggregated curvature kernel ------------------------------------------------

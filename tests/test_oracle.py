@@ -153,7 +153,7 @@ def test_variational_check_flags_exact_linear_responses():
     u = Trajectory.constant(1.0, grid)
     y = solve_state(problem, u, grid)
     v = Trajectory.from_expression("sin(3*t)", grid)
-    report = variational_fd_check(problem, (y, u), v, grid=grid)
+    report = variational_fd_check(problem, (y, u), v)
     assert report.exact1 and report.exact2
     assert all(math.isnan(r) for r in report.ratio1 + report.ratio2)
 
@@ -166,7 +166,7 @@ def test_variational_check_first_order_ratio_is_two():
     u = Trajectory.constant(0.0, grid)
     y = solve_state(problem, u, grid)
     v = Trajectory.constant(1.0, grid)
-    report = variational_fd_check(problem, (y, u), v, grid=grid)
+    report = variational_fd_check(problem, (y, u), v)
     assert not report.exact1
     assert report.exact2
     for r in report.ratio1:
@@ -179,7 +179,7 @@ def test_variational_check_measures_orders_on_curved_dynamics():
     u = Trajectory.constant(0.0, grid)
     y = solve_state(problem, u, grid)
     v = Trajectory.constant(1.0, grid)
-    report = variational_fd_check(problem, (y, u), v, grid=grid)
+    report = variational_fd_check(problem, (y, u), v)
     for r in report.ratio1:
         assert 1.5 <= r <= 2.5
     for r in report.ratio2:

@@ -245,6 +245,21 @@ def test_response_kernel_zero_fast_paths():
     assert not node_apply_row(q, grid.n, grid).any()
 
 
+def test_zero_response_kernel_is_decided_from_node_values(monkeypatch):
+    # f_u = 2cu ignores t, so every lattice sample would be a node value
+    def refuse(*args):
+        raise AssertionError("f_u sampled on a lattice")
+
+    monkeypatch.setattr("svoc.resolvent._node_samples", refuse)
+    grid = make_grid(1.0, 32)
+    u = Trajectory.constant(0.0, grid)
+    quad = builtin_problem("sing_quad", {"c": 1.0})
+    q = build_q_kernel(quad, (solve_state(quad, u, grid), u), grid)
+    assert q.is_zero
+    assert q.sing_coeff.shape == q.regular.shape == (grid.n + 1, grid.n + 1)
+    assert not q.sing_coeff.any() and not q.regular.any()
+
+
 def test_response_kernel_closed_form_when_state_factor_drops():
     # bilinear benchmark at u* = 0: f_y = t u* = 0, so the resolvent vanishes
     # and Q(t, s) = t y*(s) (t-s)^(alpha-1) exactly
