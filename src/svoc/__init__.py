@@ -18,33 +18,27 @@ from .optimality import (HamiltonianFields, MKernel, SecondOrderReport, Singular
 from .problem import (BUILTIN_SIGNATURES, DerivativeBundle, InstantCost, ProblemSpec,
                       ProblemValidationError, builtin_problem, load_problem_file,
                       problem_to_dict)
-from .quadrature import (Grid, MidpointWeights, SingularWeights, TrapezoidWeights,
-                         make_grid, midpoint_weights, singular_integral,
+from .quadrature import (Grid, MidpointWeights, SingularWeights, make_grid, midpoint_weights,
                          singular_weights, trapezoid, trapezoid_weights)
-from .resolvent import (RegularizedKernel, apply_kernel_nodes, build_q_kernel,
-                        build_resolvent, midpoint_apply_matrix, node_apply_row,
-                        represent_solution, resolvent_residual)
+from .resolvent import RegularizedKernel, build_q_kernel, build_resolvent
 from .state import (CostBreakdown, Trajectory, evaluate_cost, solve_state,
                     solve_y1, solve_y2)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjointStepError", "AdjointTrajectory", "BUILTIN_SIGNATURES",
-    "ConvergenceReport", "CostBreakdown", "DerivativeBundle", "ExpansionReport",
-    "ExpressionError", "Grid", "HamiltonianFields", "InstantCost", "InstantSnap",
-    "KernelAssemblyError", "MKernel", "MidpointWeights", "NewtonError",
-    "NonSmoothWarning", "NumericsError", "ProblemSpec", "ProblemValidationError",
-    "RegularizedKernel", "ScalarExpr", "SecondOrderReport", "SeriesError",
-    "SingularVerdict", "SingularWeights", "StateBlowupError", "Trajectory",
-    "TrapezoidWeights", "VariationalReport", "adjoint_residual",
-    "apply_kernel_nodes", "assemble_m_kernel", "build_q_kernel", "build_resolvent",
-    "builtin_problem", "convergence_study", "detect_singular", "differentiate",
-    "evaluate_cost", "fd_expansion_check", "hamiltonian_fields",
-    "linear_analytic_solution", "load_problem_file", "make_grid",
-    "midpoint_apply_matrix", "midpoint_weights", "mittag_leffler",
-    "node_apply_row", "parse_expression", "problem_to_dict", "project_control",
-    "quadratic_form", "represent_solution", "resolvent_residual", "second_order_test",
-    "singular_integral", "singular_weights", "solve_adjoint", "solve_state",
-    "solve_y1", "solve_y2", "trapezoid", "trapezoid_weights", "variational_fd_check",
+    "AdjointStepError", "AdjointTrajectory", "BUILTIN_SIGNATURES", "ConvergenceReport",
+    "CostBreakdown", "DerivativeBundle", "ExpansionReport", "ExpressionError", "Grid",
+    "HamiltonianFields", "InstantCost", "InstantSnap", "KernelAssemblyError", "MKernel",
+    "MidpointWeights", "NewtonError", "NonSmoothWarning", "NumericsError",
+    "ProblemSpec", "ProblemValidationError", "RegularizedKernel", "ScalarExpr",
+    "SecondOrderReport", "SeriesError", "SingularVerdict", "SingularWeights",
+    "StateBlowupError", "Trajectory", "VariationalReport", "adjoint_residual",
+    "assemble_m_kernel", "build_q_kernel", "build_resolvent", "builtin_problem",
+    "convergence_study", "detect_singular", "differentiate", "evaluate_cost",
+    "fd_expansion_check", "hamiltonian_fields", "linear_analytic_solution",
+    "load_problem_file", "make_grid", "midpoint_weights", "mittag_leffler",
+    "parse_expression", "problem_to_dict", "project_control", "quadratic_form",
+    "second_order_test", "singular_weights", "solve_adjoint", "solve_state", "solve_y1",
+    "solve_y2", "trapezoid", "trapezoid_weights", "variational_fd_check",
 ]

@@ -19,9 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdjointStepError
+from .expr import separate
 from .problem import ProblemSpec
-from .quadrature import Grid, midpoint_weights
-from .state import Trajectory, evaluate_on
+from .quadrature import Grid, causal_march, midpoint_weights
+from .state import Trajectory, _outer_samples, evaluate_on
 
 
 @dataclass(frozen=True)
@@ -74,36 +75,41 @@ def _instant_rows(problem: ProblemSpec, grid: Grid, expression,
     return rows
 
 
-def _tail_sampler(expression, tau: np.ndarray, ym: np.ndarray, um: np.ndarray):
-    """(column, row) for the tail coefficient e(tau_j, tau_k, y*_k, u*_k), j >= k.
+def _tail_row(expression, tau: np.ndarray, ym: np.ndarray, um: np.ndarray,
+              k: int) -> np.ndarray:
+    """expression(tau_j, tau_k, y*_k, u*_k) for j = k..n-1."""
+    env = {"t": tau[k:], "s": tau[k], "y": ym[k], "u": um[k]}
+    return evaluate_on(expression, env, (len(tau) - k,))
 
-    row(k) samples row k on tau[k:].  If e ignores t it is evaluated once,
-    into column; otherwise column is None and each row evaluates e.
-    """
-    n = len(tau)
-    if "t" not in expression.free_vars():
-        column = evaluate_on(expression, {"s": tau, "y": ym, "u": um}, tau.shape)
-        return column, lambda k: np.broadcast_to(column[k], (n - k,))
-    return None, lambda k: evaluate_on(
-        expression, {"t": tau[k:], "s": tau[k], "y": ym[k], "u": um[k]}, (n - k,))
+
+def _factors(split, tau: np.ndarray, ym: np.ndarray, um: np.ndarray):
+    """(a, b) of a split along the pair: a_i(tau_j) and b_i(tau_k, y*_k, u*_k),
+    one row per term."""
+    env = {"s": tau, "y": ym, "u": um}
+    return (_outer_samples([a for a, _ in split], tau),
+            np.array([evaluate_on(b, env, tau.shape) for _, b in split]))
 
 
 def _tail_field(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory], grid: Grid,
                 f_part, g_part, phi: np.ndarray) -> np.ndarray:
     """sum_{j>=k} mu[j-k] f_part(tau_j, tau_k, y*_k, u*_k) phi_j - g_part(tau_k, ...)
     minus f_part's instant rows, per midpoint k: the costate right-hand side for
-    (f_y, g_y), H and its partials for f, g and their partials.  O(N^2) time and
-    O(N) memory, or O(N) evaluations and one correlation if f_part ignores t."""
+    (f_y, g_y), H and its partials for f, g and their partials.  One
+    correlation per term when f_part separates, else O(N^2) row by row; O(N)
+    memory either way."""
     y_star, u_star = pair
     n, tau = grid.n, grid.midpoints
     ym, um = y_star.midpoint_values(), u_star.midpoint_values()
     mu = midpoint_weights(problem.alpha, grid).mu
+    split = separate(f_part)
     with np.errstate(all="ignore"):
-        column, row = _tail_sampler(f_part, tau, ym, um)
-        if column is not None:
-            tail = column * np.correlate(phi, mu, "full")[n - 1 :]
+        if split is not None:
+            a, b = _factors(split, tau, ym, um)
+            tail = np.sum([bi * np.correlate(ai * phi, mu, "full")[n - 1 :]
+                           for ai, bi in zip(a, b)], axis=0)
         else:
-            tail = np.array([mu[: n - k] @ (row(k) * phi[k:]) for k in range(n)])
+            tail = np.array([mu[: n - k] @ (_tail_row(f_part, tau, ym, um, k) * phi[k:])
+                             for k in range(n)])
     snaps = snap_instants(problem, grid)
     inst = _instant_rows(problem, grid, f_part, y_star.values, ym, um, snaps)
     return tail - evaluate_on(g_part, {"t": tau, "y": ym, "u": um}, tau.shape) - inst.sum(axis=0)
@@ -114,7 +120,8 @@ def solve_adjoint(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
     """March the costate backward from the horizon.
 
     The diagonal half cell couples psi_k to itself linearly; the step fails if
-    its coefficient degenerates.
+    its coefficient degenerates.  When f_y separates the march runs on the
+    reversed index, where its tail sums are causal sums.
     """
     y_star, u_star = pair
     if y_star.grid != grid or u_star.grid != grid:
@@ -127,19 +134,31 @@ def solve_adjoint(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
     mu = midpoint_weights(problem.alpha, grid).mu
     snaps = snap_instants(problem, grid)
     inst = _instant_rows(problem, grid, b.f_y, y_star.values, ym, um, snaps)
-    gy = evaluate_on(b.g_y, {"t": tau, "y": ym, "u": um}, tau.shape)
-
-    _, row = _tail_sampler(b.f_y, tau, ym, um)
+    known = evaluate_on(b.g_y, {"t": tau, "y": ym, "u": um}, tau.shape) + inst.sum(axis=0)
+    denom = 1.0 - mu[0] * evaluate_on(b.f_y, {"t": tau, "s": tau, "y": ym, "u": um}, tau.shape)
     psi = np.zeros(n)
-    for k in range(n - 1, -1, -1):
-        fy = row(k)
-        rhs = mu[1 : n - k] @ (fy[1:] * psi[k + 1 :]) - gy[k] - inst[:, k].sum()
-        denom = 1.0 - mu[0] * fy[0]
-        if abs(denom) < 1e-12:
-            raise AdjointStepError(k, denom)
-        psi[k] = rhs / denom
+
+    def solve_row(k: int, tail: float) -> None:
+        if abs(denom[k]) < 1e-12:
+            raise AdjointStepError(k, denom[k])
+        psi[k] = (tail - known[k]) / denom[k]
         if not np.isfinite(psi[k]):
-            raise AdjointStepError(k, denom)
+            raise AdjointStepError(k, denom[k])
+
+    split = separate(b.f_y)
+    if split is not None:
+        a, coeff = _factors(split, tau, ym, um)
+
+        def step(r, c):
+            k = n - 1 - r
+            solve_row(k, coeff[:, k] @ c)
+            return a[:, k] * psi[k]
+
+        causal_march(mu, len(split), step)
+    else:
+        for k in range(n - 1, -1, -1):
+            fy = _tail_row(b.f_y, tau, ym, um, k)
+            solve_row(k, mu[1 : n - k] @ (fy[1:] * psi[k + 1 :]))
     return AdjointTrajectory(Trajectory(grid, "midpoints", psi), inst, snaps)
 
 

@@ -11,7 +11,10 @@ import argparse
 import os
 import sys
 import time
+import warnings
 from pathlib import Path
+
+import numpy as np
 
 from .adjoint import solve_adjoint
 from .errors import NumericsError
@@ -29,6 +32,9 @@ from .state import Trajectory, evaluate_cost, solve_state
 # holds a fixed number of dense (N+1)^2 float64 tables at its peak (tracemalloc
 # peaks at N = 256 and 512: 16.1 tables for `check --order 2` with a non-zero
 # Q and for `verify`; `check --order 1` holds O(N): 0.5 and 0.07 tables).
+# A kernel that separates in t marches in O(N log^2 N) instead, but the budget
+# is checked before the problem is loaded, so it charges every kernel the
+# O(N^2) row loop.
 WORK_BUDGET = 2**34   # sum of (N+1)^2 over a command's passes: `solve` up to N ~ 2^17
 DENSE_BUDGET = 2**31  # bytes of dense tables held at once
 _PASSES_TABLES = {
@@ -68,8 +74,19 @@ def _parse_param(text: str) -> tuple[str, float]:
         raise argparse.ArgumentTypeError(f"bad numeric value in {text!r}") from exc
 
 
+class _UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one exception instead of usage text and exit."""
+
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="svoc",
         description="Solve weakly singular integral-equation control problems "
                     "and test candidate controls for necessary optimality.",
@@ -324,23 +341,37 @@ _DISPATCH = {
 }
 
 
-def run_command(argv) -> int:
-    parser = build_parser()
+def _run(argv) -> int:
     try:
-        args = parser.parse_args(list(argv))
-    except SystemExit as exc:
+        args = build_parser().parse_args(list(argv))
+    except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     try:
         return _DISPATCH[args.command](args)
     except (ExpressionError, ProblemValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except NumericsError as exc:
+    except (NumericsError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return 3
+
+
+def run_command(argv) -> int:
+    """Run one command; stderr gets at most one line.  Floating-point warnings
+    are silenced (every march and cost checks finiteness itself), and the first
+    other warning is printed only if the command succeeds."""
+    with warnings.catch_warnings(record=True) as caught, np.errstate(all="ignore"):
+        warnings.simplefilter("always")
+        code = _run(argv)
+    if code == 0 and caught:
+        print(f"warning: {caught[0].message}", file=sys.stderr)
+    return code
 
 
 def main() -> None:

@@ -46,6 +46,12 @@ class NonSmoothWarning(UserWarning):
     """Differentiation crossed a point of non-smoothness (abs at zero)."""
 
 
+def _real(x):
+    """A scalar operand as numpy float64, so that scalar division and powers
+    give inf or nan like array ones instead of raising or going complex."""
+    return x if isinstance(x, np.ndarray) else np.float64(x)
+
+
 @dataclass(frozen=True)
 class ScalarExpr:
     """Base expression node."""
@@ -199,7 +205,7 @@ class Div(ScalarExpr):
     precedence: ClassVar[int] = 2
 
     def evaluate(self, **env):
-        return self.left.evaluate(**env) / self.right.evaluate(**env)
+        return _real(self.left.evaluate(**env)) / self.right.evaluate(**env)
 
     def diff(self, var):
         num = _sub(
@@ -222,7 +228,7 @@ class Pow(ScalarExpr):
     precedence: ClassVar[int] = 3
 
     def evaluate(self, **env):
-        return self.base.evaluate(**env) ** self.exponent.evaluate(**env)
+        return _real(self.base.evaluate(**env)) ** self.exponent.evaluate(**env)
 
     def diff(self, var):
         if isinstance(self.exponent, Num):
@@ -344,7 +350,10 @@ def _pow(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
     if _is_num(b, 0.0):
         return Num(1.0)
     if _is_num(a) and _is_num(b):
-        return Num(a.value ** b.value)
+        with np.errstate(all="ignore"):
+            value = float(_real(a.value) ** b.value)
+        if np.isfinite(value):  # an overflow or a complex power stays unfolded
+            return Num(value)
     return Pow(a, b)
 
 
@@ -525,3 +534,60 @@ def differentiate(expression: ScalarExpr, var: str) -> ScalarExpr:
     if var not in ("y", "u"):
         raise ExpressionError(f"can only differentiate with respect to y or u, not {var!r}")
     return expression.diff(var)
+
+
+# --- separation of the outer time ------------------------------------------
+
+_ONE = Num(1.0)
+
+
+def _merge(terms) -> dict:
+    """Sum terms (a, b) with equal a; a constant a moves into b, zero terms drop."""
+    out: dict = {}
+    for a, b in terms:
+        if isinstance(a, Num):
+            a, b = _ONE, _mul(a, b)
+        if _is_num(b, 0.0):
+            continue
+        out[a] = _add(out[a], b) if a in out else b
+    return out or {_ONE: Num(0.0)}
+
+
+def _split(e: ScalarExpr) -> dict | None:
+    names = e.free_vars()
+    if "t" not in names:
+        return {_ONE: e}
+    if names == {"t"}:
+        return {e: _ONE}
+    if isinstance(e, Neg):
+        inner = _split(e.child)
+        return None if inner is None else {a: _neg(b) for a, b in inner.items()}
+    if not isinstance(e, (Add, Sub, Mul, Div)):
+        return None  # a power or call mixing t with other variables
+    left, right = _split(e.left), _split(e.right)
+    if left is None or right is None:
+        return None
+    if isinstance(e, Add):
+        return _merge([*left.items(), *right.items()])
+    if isinstance(e, Sub):
+        return _merge([*left.items(), *((a, _neg(b)) for a, b in right.items())])
+    if isinstance(e, Mul):
+        return _merge([(_mul(a1, a2), _mul(b1, b2))
+                       for a1, b1 in left.items() for a2, b2 in right.items()])
+    if len(right) != 1:
+        return None  # a quotient by a sum of t-dependent terms
+    ((a2, b2),) = right.items()
+    return _merge([(_div(a, a2), _div(b, b2)) for a, b in left.items()])
+
+
+def separate(expression: ScalarExpr) -> tuple[tuple[ScalarExpr, ScalarExpr], ...] | None:
+    """Terms (a_i, b_i) with expression = sum_i a_i * b_i, every a_i reading only
+    t and every b_i free of t; None when the outer time does not separate.
+
+    The split is built term by term over sums, differences, products and
+    quotients by a single term; a power or call must be t-only or t-free as a
+    whole, so ``sin(t*s)*y`` and ``exp(t*y)`` give None.  A t-free expression
+    is the single term (1, expression).
+    """
+    terms = _split(expression)
+    return None if terms is None else tuple(terms.items())

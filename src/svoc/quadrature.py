@@ -194,6 +194,45 @@ def trapezoid_weights(alpha: float, grid: Grid) -> TrapezoidWeights:
     return TrapezoidWeights(alpha, grid, left, right)
 
 
+LEAF = 128  # rows a causal march runs one by one between FFT convolutions
+
+
+def causal_march(w: np.ndarray, m: int, step) -> None:
+    """Run step(k, c) for k = 0, ..., len(w) - 1 in order, where
+
+        c = sum_{j<k} w[k - j] p[j]   (m values),
+
+    and p[j] holds the m samples step(j, ...) returned.  Divide and conquer
+    (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985)): rows
+    run in order within leaves of LEAF rows, and once the rows so far fill the
+    first half of an aligned block of 2^i LEAF rows, that half adds its part
+    of c to the block's second half by one FFT convolution.
+    O(m N log^2 N) time, O(m N) memory; w[0] is never read.
+    """
+    from numpy.fft import irfft, rfft
+
+    n = len(w)
+    p = np.zeros((n, m))
+    acc = np.zeros((n, m))  # the part of c from finished first halves
+    spectra = {}
+    for lo in range(0, n, LEAF):
+        hi = min(lo + LEAF, n)
+        for k in range(lo, hi):
+            p[k] = step(k, acc[k] + w[k - lo : 0 : -1] @ p[lo:k])
+        if hi == n:
+            break
+        half = LEAF  # rows hi - half .. hi - 1 are the first half of the block
+        while hi % (2 * half) == 0:
+            half *= 2
+        size, end = 2 * half, min(hi + half, n)
+        # rows hi..end-1 read w[1 : size] only, so a length-size cyclic
+        # convolution wraps nothing onto them
+        if size not in spectra:
+            spectra[size] = rfft(w[:size], size)[:, None]
+        part = irfft(rfft(p[hi - half : hi], size, axis=0) * spectra[size], size, axis=0)
+        acc[hi:end] += part[half : half + end - hi]
+
+
 def trapezoid(values: np.ndarray, h: float) -> float:
     """Composite trapezoid rule over uniformly spaced samples."""
     values = np.asarray(values, dtype=float)

@@ -50,20 +50,28 @@ class RegularizedKernel:
     (t_k, t_j); regular[k, j] samples the bounded remainder on the closed lower
     triangle, with the diagonal filled by constant extension from below so that
     interpolation near the diagonal never reads garbage.  c_fn evaluates the
-    singular coefficient off the node lattice.
+    singular coefficient off the node lattice.  The zero kernel that `zero`
+    builds holds neither table.
     """
 
     alpha: float
     grid: Grid
-    sing_coeff: np.ndarray
-    regular: np.ndarray
+    sing_coeff: Optional[np.ndarray]
+    regular: Optional[np.ndarray]
     c_fn: Optional[KernelFn] = None
     is_zero: bool = False
+
+    @classmethod
+    def zero(cls, alpha: float, grid: Grid,
+             c_fn: Optional[KernelFn] = None) -> "RegularizedKernel":
+        return cls(alpha, grid, None, None, c_fn=c_fn, is_zero=True)
 
     def value(self, k: int, j: int) -> float:
         """Pointwise kernel value at (t_k, t_j), j < k."""
         if not 0 <= j < k <= self.grid.n:
             raise IndexError(f"need 0 <= j < k <= n, got j={j}, k={k}")
+        if self.is_zero:
+            return 0.0
         dt = (k - j) * self.grid.h
         return float(self.sing_coeff[k, j] * dt ** (self.alpha - 1.0) + self.regular[k, j])
 
@@ -378,13 +386,13 @@ def build_q_kernel(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
     c_fn = _pair_fn(b.f_u, y_star.values, u_star.values, grid)
     a_fn = _pair_fn(b.f_y, y_star.values, u_star.values, grid)
 
+    # if f_u ignores t, its lattice samples are its node values
     if "t" not in b.f_u.free_vars() and not _sample(c_fn, 0.0, grid.nodes, (n + 1,), True).any():
-        c = np.zeros((n + 1, n + 1))  # f_u ignores t: its lattice samples are node values
-        return RegularizedKernel(alpha, grid, c, np.zeros_like(c), c_fn=c_fn, is_zero=True)
+        return RegularizedKernel.zero(alpha, grid, c_fn)
     c = _node_samples(c_fn, grid)
     left = _left_samples(c_fn, grid)
     if not (c.any() or left[0].any() or left[1].any()):
-        return RegularizedKernel(alpha, grid, c, np.zeros_like(c), c_fn=c_fn, is_zero=True)
+        return RegularizedKernel.zero(alpha, grid, c_fn)
 
     right = _right_samples(a_fn, grid)
     phi = build_resolvent(a_fn, alpha, grid, right=right)

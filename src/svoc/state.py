@@ -17,13 +17,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NewtonError, NumericsError, StateBlowupError
-from .expr import ScalarExpr, parse_expression
+from .expr import Num, ScalarExpr, parse_expression, separate
 from .problem import ProblemSpec
-from .quadrature import Grid, singular_weights, trapezoid, trapezoid_weights
+from .quadrature import Grid, causal_march, singular_weights, trapezoid, trapezoid_weights
 
 BLOWUP_LIMIT = 1e12
 
 _PLACEMENTS = ("nodes", "midpoints")
+_ZERO = Num(0.0)
 
 
 def evaluate_on(expression: ScalarExpr, env: dict, shape: tuple) -> np.ndarray:
@@ -94,8 +95,15 @@ def _require_nodes(name: str, trajectory: Trajectory, grid: Grid) -> None:
 
 
 def _guard(k: int, value: float) -> None:
-    if not np.isfinite(value) or abs(value) > BLOWUP_LIMIT:
+    if not abs(value) <= BLOWUP_LIMIT:  # also catches nan
         raise StateBlowupError(k, value)
+
+
+def _outer_samples(factors, times: np.ndarray) -> np.ndarray:
+    """Outer-time factors a_i of a split on `times`, one row each; a factor may
+    be singular at t = 0, which no forward march row reads."""
+    with np.errstate(all="ignore"):
+        return np.array([evaluate_on(a, {"t": times}, times.shape) for a in factors])
 
 
 def solve_state(problem: ProblemSpec, control: Trajectory, grid: Grid,
@@ -118,13 +126,19 @@ def solve_state(problem: ProblemSpec, control: Trajectory, grid: Grid,
     f = problem.f
     if scheme == "rectangle":
         w = singular_weights(problem.alpha, grid)
-        if "t" not in f.free_vars():
-            # kernel independent of the outer time: one new sample per row
-            fv = np.zeros(grid.n + 1)
-            for k in range(1, grid.n + 1):
-                fv[k - 1] = f.evaluate(s=t[k - 1], y=y[k - 1], u=u[k - 1])
-                y[k] = eta[k] + w.row(k) @ fv[:k]
-                _guard(k, y[k])
+        split = separate(f)
+        if split is not None:
+            # f = sum_i a_i(t) b_i(s, y, u): one new sample of each b_i per row
+            outer = _outer_samples([a for a, _ in split], t)
+            inner = [b for _, b in split]
+
+            def step(k, c):
+                if k:
+                    y[k] = eta[k] + outer[:, k] @ c
+                    _guard(k, y[k])
+                return [b.evaluate(s=t[k], y=y[k], u=u[k]) for b in inner]
+
+            causal_march(w.omega, len(inner), step)
         else:
             for k in range(1, grid.n + 1):
                 env = {"t": t[k], "s": t[:k], "y": y[:k], "u": u[:k]}
@@ -179,8 +193,10 @@ def _march_response(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
     """March z_k = sum_{j<k} w[k-j] (f_y z_j + source_j) along the pair, z_0 = 0.
 
     source(sl, *samples) builds the source on the node slice sl from samples of
-    exprs there; samples are taken once when no expression reads the outer
-    time t, and per row otherwise.
+    exprs there and must be linear in the samples.  When every expression
+    separates, each distinct outer factor a(t) gets its own coefficient and
+    source from the inner factors paired with it, and the samples are taken
+    once; otherwise they are taken per row.
     """
     y_star, u_star = pair
     _require_nodes("reference state", y_star, grid)
@@ -189,13 +205,25 @@ def _march_response(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
     w = singular_weights(problem.alpha, grid)
     exprs = (problem.bundle.f_y, *exprs)
     z = np.zeros(grid.n + 1)
-    if all("t" not in e.free_vars() for e in exprs):
+    splits = [separate(e) for e in exprs]
+    if all(split is not None for split in splits):
+        splits = [dict(split) for split in splits]
+        outer = list(dict.fromkeys(a for split in splits for a in split))
         env = {"s": t, "y": y_star.values, "u": u_star.values}
-        coeff, *samples = (evaluate_on(e, env, t.shape) for e in exprs)
-        src = source(slice(None), *samples)
-        for k in range(1, grid.n + 1):
-            z[k] = w.row(k) @ (coeff[:k] * z[:k] + src[:k])
-            _guard(k, z[k])
+        coeff, src = [], []
+        for a in outer:
+            c, *samples = (evaluate_on(split.get(a, _ZERO), env, t.shape) for split in splits)
+            coeff.append(c)
+            src.append(source(slice(None), *samples))
+        coeff, src, outer = np.array(coeff), np.array(src), _outer_samples(outer, t)
+
+        def step(k, c):
+            if k:
+                z[k] = outer[:, k] @ c
+                _guard(k, z[k])
+            return coeff[:, k] * z[k] + src[:, k]
+
+        causal_march(w.omega, len(outer), step)
     else:
         for k in range(1, grid.n + 1):
             env = {"t": t[k], "s": t[:k], "y": y_star.values[:k], "u": u_star.values[:k]}

@@ -219,6 +219,34 @@ def test_malformed_problem_file_is_a_validation_error(tmp_path, capsys, extra):
     assert line.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, start", [
+    (["solve", "--problem", "paper_example"],
+     "error: svoc solve: the following arguments are required: --control"),
+    (["no-such-command"], "error: svoc: argument command: invalid choice"),
+    (["solve", "--problem", "paper_example", "--control=1/0", "--n", "8"],
+     "error: trajectory values must be finite"),
+    (["solve", "--problem", "paper_example", "--control=(-1)^0.5", "--n", "8"],
+     "error: trajectory values must be finite"),
+    (["solve", "--problem", "sing_quad", "--param", "c=1e308", "--control=1e10", "--n", "8"],
+     "numerical failure: state left the trusted range at node index 1"),
+])
+def test_failures_print_one_line(tmp_path, capsys, argv, start):
+    assert run(argv, tmp_path) in (1, 2)
+    [line] = error_lines(capsys)
+    assert line.startswith(start)
+
+
+def test_warning_on_success_is_one_line(tmp_path, capsys):
+    spec_path = tmp_path / "p.json"
+    spec_path.write_text(json.dumps({"alpha": 0.5, "T": 1.0, "eta": "1", "f": "abs(y)*u",
+                                     "g": "y^2"}))
+    code = run(["adjoint", "--problem", str(spec_path), "--control", "0.5", "--n", "16"],
+               tmp_path)
+    assert code == 0
+    [line] = error_lines(capsys)
+    assert line.startswith("warning: differentiating abs(...)")
+
+
 def count_calls(monkeypatch, module, name):
     """Wrap module.name under every svoc module binding it; return the call log."""
     original = getattr(module, name)

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from svoc.expr import (
     ExpressionError,
+    Num,
     NonSmoothWarning,
     differentiate,
     parse_expression,
+    separate,
 )
 
 
@@ -176,3 +178,62 @@ def test_derivative_matches_finite_differences(y, u):
     step = 1e-6
     fd = (e.evaluate(y=y + step, u=u) - e.evaluate(y=y - step, u=u)) / (2 * step)
     assert math.isclose(d.evaluate(y=y, u=u), fd, rel_tol=1e-6, abs_tol=1e-6)
+
+
+# --- separation of the outer time --------------------------------------------
+
+SEPARABLE_F = ["t*y*u", "sin(t)*y + cos(t)*u^2", "2.5*y", "y/t", "-1.8*u^2", "0.5*y + 1.2*u",
+               "0.5*sin(t)*s*sin(y) + (1 + t)*u^2 + y*u^2/(1 + t)", "t^2*exp(y) - y*u/(1 + t)"]
+
+
+def _partials(source):
+    f = parse_expression(source)
+    f_y, f_u = differentiate(f, "y"), differentiate(f, "u")
+    return [f, f_y, f_u, differentiate(f_y, "y"), differentiate(f_y, "u"),
+            differentiate(f_u, "u")]
+
+
+def _assert_split_reproduces(e, rng, tol=1e-14):
+    terms = separate(e)
+    assert terms is not None
+    for a, b in terms:
+        assert a.free_vars() <= {"t"} and "t" not in b.free_vars()
+    env = {v: rng.uniform(0.1, 2.0, 64) for v in ("t", "s", "y", "u")}
+    want = np.broadcast_to(e.evaluate(**env), (64,))
+    parts = [np.broadcast_to(a.evaluate(t=env["t"]) * b.evaluate(**env), (64,)) for a, b in terms]
+    scale = np.maximum(np.abs(want), np.sum(np.abs(parts), axis=0))
+    finite = np.isfinite(scale)  # random trees may overflow, e.g. exp(exp(exp(2)))
+    assert np.all(np.abs(np.sum(parts, axis=0) - want)[finite] <= tol * scale[finite])
+
+
+@pytest.mark.parametrize("source", SEPARABLE_F)
+def test_separable_kernel_and_its_partials_split(source):
+    rng = np.random.default_rng(3)
+    for e in _partials(source):
+        _assert_split_reproduces(e, rng)
+
+
+def test_split_shapes():
+    t_free = parse_expression("0.5*y + 1.2*u")
+    assert separate(t_free) == ((Num(1.0), t_free),)
+    (a, b), = separate(parse_expression("t*y*u"))
+    assert (str(a), str(b)) == ("t", "y*u")
+    assert [str(a) for a, _ in separate(parse_expression("sin(t)*y + cos(t)*u^2"))] == \
+        ["sin(t)", "cos(t)"]
+    (a, b), = separate(parse_expression("t*y + t*u"))  # equal outer factors merge
+    assert (str(a), str(b)) == ("t", "y + u")
+
+
+@pytest.mark.parametrize("source", ["sin(t*s)*y", "exp(t*y)", "y/(t + s)", "(t*y)^2",
+                                    "t^y", "sin(t)*y + cos(t*u)"])
+def test_non_separable_expressions_give_none(source):
+    assert separate(parse_expression(source)) is None
+
+
+@given(expression_strings())
+@settings(deadline=None, max_examples=80)
+def test_any_split_reproduces_the_expression(source):
+    e = parse_expression(source)
+    if separate(e) is not None:
+        with np.errstate(all="ignore"):
+            _assert_split_reproduces(e, np.random.default_rng(5), tol=1e-12)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -256,8 +257,24 @@ def test_zero_response_kernel_is_decided_from_node_values(monkeypatch):
     quad = builtin_problem("sing_quad", {"c": 1.0})
     q = build_q_kernel(quad, (solve_state(quad, u, grid), u), grid)
     assert q.is_zero
-    assert q.sing_coeff.shape == q.regular.shape == (grid.n + 1, grid.n + 1)
-    assert not q.sing_coeff.any() and not q.regular.any()
+    assert q.sing_coeff is None and q.regular is None
+
+
+def test_zero_response_kernel_holds_no_table():
+    # f_u = 2cu vanishes at u* = 0
+    n = 1024
+    grid = make_grid(1.0, n)
+    u = Trajectory.constant(0.0, grid)
+    quad = builtin_problem("sing_quad", {"c": 1.0})
+    pair = (solve_state(quad, u, grid), u)
+    tracemalloc.start()
+    try:
+        q = build_q_kernel(quad, pair, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert q.is_zero and q.value(n, 0) == 0.0
+    assert peak < (n + 1) ** 2 * 8
 
 
 def test_response_kernel_closed_form_when_state_factor_drops():
