@@ -21,7 +21,7 @@ import numpy as np
 from .errors import AdjointStepError
 from .expr import separate
 from .problem import ProblemSpec
-from .quadrature import Grid, causal_march, midpoint_weights
+from .quadrature import Grid, linear_march, midpoint_weights
 from .state import Trajectory, _outer_samples, evaluate_on
 
 
@@ -121,7 +121,8 @@ def solve_adjoint(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
 
     The diagonal half cell couples psi_k to itself linearly; the step fails if
     its coefficient degenerates.  When f_y separates the march runs on the
-    reversed index, where its tail sums are causal sums.
+    reversed index, where its tail sums are causal sums, and `linear_march`
+    solves a leaf of rows at a time.
     """
     y_star, u_star = pair
     if y_star.grid != grid or u_star.grid != grid:
@@ -136,29 +137,32 @@ def solve_adjoint(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
     inst = _instant_rows(problem, grid, b.f_y, y_star.values, ym, um, snaps)
     known = evaluate_on(b.g_y, {"t": tau, "y": ym, "u": um}, tau.shape) + inst.sum(axis=0)
     denom = 1.0 - mu[0] * evaluate_on(b.f_y, {"t": tau, "s": tau, "y": ym, "u": um}, tau.shape)
-    psi = np.zeros(n)
-
-    def solve_row(k: int, tail: float) -> None:
-        if abs(denom[k]) < 1e-12:
-            raise AdjointStepError(k, denom[k])
-        psi[k] = (tail - known[k]) / denom[k]
-        if not np.isfinite(psi[k]):
-            raise AdjointStepError(k, denom[k])
-
     split = separate(b.f_y)
     if split is not None:
+        # on the reversed index r = n - 1 - k: psi_k = (tail - known_k) / denom_k
         a, coeff = _factors(split, tau, ym, um)
+        rev = slice(None, None, -1)
 
-        def step(r, c):
-            k = n - 1 - r
-            solve_row(k, coeff[:, k] @ c)
-            return a[:, k] * psi[k]
+        def guard(lo, x):
+            k = n - 1 - lo - np.arange(len(x))
+            bad = (np.abs(denom[k]) < 1e-12) | ~np.isfinite(x)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise AdjointStepError(k[i], denom[k[i]])
 
-        causal_march(mu, len(split), step)
+        with np.errstate(divide="ignore"):
+            psi = linear_march(mu, coeff[:, rev], a[:, rev], 0.0, -known[rev],
+                               1.0 / denom[rev], guard)[rev]
     else:
+        psi = np.zeros(n)
         for k in range(n - 1, -1, -1):
             fy = _tail_row(b.f_y, tau, ym, um, k)
-            solve_row(k, mu[1 : n - k] @ (fy[1:] * psi[k + 1 :]))
+            tail = mu[1 : n - k] @ (fy[1:] * psi[k + 1 :])
+            if abs(denom[k]) < 1e-12:
+                raise AdjointStepError(k, denom[k])
+            psi[k] = (tail - known[k]) / denom[k]
+            if not np.isfinite(psi[k]):
+                raise AdjointStepError(k, denom[k])
     return AdjointTrajectory(Trajectory(grid, "midpoints", psi), inst, snaps)
 
 

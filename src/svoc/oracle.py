@@ -30,37 +30,55 @@ def mittag_leffler(alpha: float, z: float) -> float:
     Terms are formed in log space to dodge intermediate overflow; the sum
     stops once terms are decreasing and negligible relative to the total.
     """
+    return float(_mittag_leffler_series(alpha, np.array([float(z)]))[0])
+
+
+def _mittag_leffler_series(alpha: float, z: np.ndarray) -> np.ndarray:
+    """mittag_leffler at every entry of z: one Kahan sum over the array, with
+    lgamma(n alpha + 1) once per series index and a stop test per entry.  Of
+    the entries that fail, the first one's error is raised."""
     if alpha <= 0.0:
         raise ValueError(f"exponent must be positive, got {alpha}")
-    z = float(z)
-    if abs(z) > 50.0:
-        raise ValueError(f"|z| <= 50 required, got {z}")
-    if z == 0.0:
-        return 1.0
-    log_az = math.log(abs(z))
-    total = 0.0
-    comp = 0.0
-    prev_mag = math.inf
-    for n in range(10_000):
-        log_mag = n * log_az - math.lgamma(n * alpha + 1.0)
-        if log_mag > 709.0:
-            raise SeriesError(f"series term overflow at n={n} for alpha={alpha}, z={z}")
-        mag = math.exp(log_mag)
-        term = -mag if (z < 0.0 and n % 2 == 1) else mag
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if mag < prev_mag and mag < 1e-16 * abs(total):
-            return total
-        prev_mag = mag
-    raise SeriesError(f"no convergence in 10000 terms for alpha={alpha}, z={z}")
+    out = np.ones(z.shape)
+    errors = {int(i): ValueError(f"|z| <= 50 required, got {float(z[i])}")
+              for i in np.flatnonzero(np.abs(z) > 50.0)}
+    live = np.flatnonzero((z != 0.0) & ~(np.abs(z) > 50.0))
+    log_az, neg = np.log(np.abs(z[live])), z[live] < 0.0
+    total, comp, prev_mag = np.zeros(live.size), np.zeros(live.size), np.full(live.size, np.inf)
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats, no warnings
+        for n in range(10_000):
+            if not live.size:
+                break
+            log_mag = n * log_az - math.lgamma(n * alpha + 1.0)
+            mag = np.exp(log_mag)
+            term = np.where(neg, -mag, mag) if n % 2 == 1 else mag
+            y = term - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+            over = log_mag > 709.0
+            done = over | ((mag < prev_mag) & (mag < 1e-16 * np.abs(total)))
+            for i in live[over]:
+                errors[int(i)] = SeriesError(
+                    f"series term overflow at n={n} for alpha={alpha}, z={float(z[i])}")
+            if done.any():
+                out[live[done]] = total[done]
+                keep = ~done
+                live, log_az, neg = live[keep], log_az[keep], neg[keep]
+                total, comp, mag = total[keep], comp[keep], mag[keep]
+            prev_mag = mag
+    for i in live:
+        errors[int(i)] = SeriesError(
+            f"no convergence in 10000 terms for alpha={alpha}, z={float(z[i])}")
+    if errors:
+        raise errors[min(errors)]
+    return out
 
 
 def linear_analytic_solution(lam: float, alpha: float, t: np.ndarray) -> np.ndarray:
     """Solution of y = 1 + lam * int_0^t y(s) (t-s)^(alpha-1) ds."""
     z = lam * math.gamma(alpha)
-    return np.array([mittag_leffler(alpha, z * ti**alpha) for ti in np.asarray(t, float)])
+    return _mittag_leffler_series(alpha, z * np.asarray(t, float) ** alpha)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import NumericsError
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -194,34 +196,33 @@ def trapezoid_weights(alpha: float, grid: Grid) -> TrapezoidWeights:
     return TrapezoidWeights(alpha, grid, left, right)
 
 
-LEAF = 128  # rows a causal march runs one by one between FFT convolutions
+LEAF = 128  # rows a stepped march runs one by one between FFT convolutions
+LINEAR_LEAF = 64  # rows a linear march solves as one triangular system
 
 
-def causal_march(w: np.ndarray, m: int, step) -> None:
-    """Run step(k, c) for k = 0, ..., len(w) - 1 in order, where
+def _leaf_schedule(w: np.ndarray, m: int, leaf: int):
+    """Yield (lo, hi, acc, p) for the leaves [lo, hi) of len(w) rows in order.
 
-        c = sum_{j<k} w[k - j] p[j]   (m values),
-
-    and p[j] holds the m samples step(j, ...) returned.  Divide and conquer
-    (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985)): rows
-    run in order within leaves of LEAF rows, and once the rows so far fill the
-    first half of an aligned block of 2^i LEAF rows, that half adds its part
-    of c to the block's second half by one FFT convolution.
-    O(m N log^2 N) time, O(m N) memory; w[0] is never read.
+    Before the next leaf is requested the caller fills p[lo:hi] (m values a
+    row); acc[k] then holds the part of sum_{j<k} w[k - j] p[j] from rows
+    before row k's own leaf.  Divide and conquer (Hairer, Lubich & Schlichte,
+    SIAM J. Sci. Stat. Comput. 6 (1985)): once the rows so far fill the first
+    half of an aligned block of 2^i leaves, that half adds its part to the
+    block's second half by one FFT convolution.  O(m N log^2 N) time, O(m N)
+    memory; w[0] is never read.
     """
     from numpy.fft import irfft, rfft
 
     n = len(w)
     p = np.zeros((n, m))
-    acc = np.zeros((n, m))  # the part of c from finished first halves
+    acc = np.zeros((n, m))
     spectra = {}
-    for lo in range(0, n, LEAF):
-        hi = min(lo + LEAF, n)
-        for k in range(lo, hi):
-            p[k] = step(k, acc[k] + w[k - lo : 0 : -1] @ p[lo:k])
+    for lo in range(0, n, leaf):
+        hi = min(lo + leaf, n)
+        yield lo, hi, acc, p
         if hi == n:
-            break
-        half = LEAF  # rows hi - half .. hi - 1 are the first half of the block
+            return
+        half = leaf  # rows hi - half .. hi - 1 are the first half of the block
         while hi % (2 * half) == 0:
             half *= 2
         size, end = 2 * half, min(hi + half, n)
@@ -231,6 +232,72 @@ def causal_march(w: np.ndarray, m: int, step) -> None:
             spectra[size] = rfft(w[:size], size)[:, None]
         part = irfft(rfft(p[hi - half : hi], size, axis=0) * spectra[size], size, axis=0)
         acc[hi:end] += part[half : half + end - hi]
+
+
+def causal_march(w: np.ndarray, m: int, step) -> None:
+    """Run step(k, c) for k = 0, ..., len(w) - 1 in order, where
+
+        c = sum_{j<k} w[k - j] p[j]   (m values),
+
+    and p[j] holds the m samples step(j, ...) returned.  Rows run one by one
+    within leaves of LEAF rows, and finished leaves reach later rows through
+    the FFT convolutions of `_leaf_schedule`.  This serves marches that are
+    nonlinear in their unknown: the state when some inner factor of f is not
+    affine in y.  `linear_march` solves the linear ones a leaf at a time: the
+    costate, the responses Y1 and Y2 always, and the state when f is affine
+    in y.  Either way a failure names the row a row loop names.
+    """
+    for lo, hi, acc, p in _leaf_schedule(w, m, LEAF):
+        for k in range(lo, hi):
+            p[k] = step(k, acc[k] + w[k - lo : 0 : -1] @ p[lo:k])
+
+
+def linear_march(w: np.ndarray, a: np.ndarray, b: np.ndarray, g, d, s, guard) -> np.ndarray:
+    """Solve, for k = 0, ..., len(w) - 1,
+
+        x_k = s_k (d_k + sum_i a[i, k] sum_{j<k} w[k - j] (b[i, j] x_j + g[i, j])),
+
+    with a, b of shape (m, len(w)); g, d and s broadcast to their shapes.
+    Each leaf of LINEAR_LEAF rows is one lower-triangular system
+    (I - diag(s) sum_i diag(a_i) T diag(b_i)) x = rhs, T the Toeplitz table of
+    w, solved at once; earlier leaves enter rhs through `_leaf_schedule`.
+    a[:, 0] and w[0] are never read.
+
+    guard(lo, values) raises at the first unusable entry of values, which
+    belong to rows lo, lo + 1, ...  When it raises on a solved leaf, the leaf
+    is marched again row by row, so the error names the row a row loop names
+    (a dense solve mixes the rows of a leaf once one of them is not finite).
+    """
+    n, m = len(w), len(a)
+    lag = np.subtract.outer(np.arange(LINEAR_LEAF), np.arange(LINEAR_LEAF))
+    toeplitz = np.where(lag > 0, w[np.clip(lag, 0, n - 1)], 0.0)
+    s, d, g = np.broadcast_to(s, (n,)), np.broadcast_to(d, (n,)), np.broadcast_to(g, b.shape)
+    x = np.zeros(n)
+    with np.errstate(all="ignore"):
+        for lo, hi, acc, p in _leaf_schedule(w, m, LINEAR_LEAF):
+            rows, t = slice(lo, hi), toeplitz[: hi - lo, : hi - lo]
+            sa, sd, bt, gt = s[rows, None] * a[:, rows].T, s[rows] * d[rows], b[:, rows].T, g[:, rows].T
+            if lo == 0:
+                sa[0] = 0.0
+            lhs = np.eye(hi - lo) - t * (sa @ bt.T)
+            rhs = sd + np.sum(sa * (acc[rows] + t @ gt), axis=1)
+            if not _solve_leaf(lhs, rhs, x[rows], guard, lo):
+                for k in range(hi - lo):
+                    x[lo + k] = sd[k] + sa[k] @ (acc[lo + k] + w[k:0:-1] @ p[lo : lo + k])
+                    guard(lo + k, x[lo + k : lo + k + 1])
+                    p[lo + k] = bt[k] * x[lo + k] + gt[k]
+            p[rows] = bt * x[rows, None] + gt
+    return x
+
+
+def _solve_leaf(lhs: np.ndarray, rhs: np.ndarray, out: np.ndarray, guard, lo: int) -> bool:
+    """Solve lhs out = rhs into out; False if the solve fails or guard rejects out."""
+    try:
+        out[:] = np.linalg.solve(lhs, rhs)
+        guard(lo, out)
+    except (np.linalg.LinAlgError, NumericsError):
+        return False
+    return True
 
 
 def trapezoid(values: np.ndarray, h: float) -> float:

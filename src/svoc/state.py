@@ -11,15 +11,17 @@ reference pair use the same weight table.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import NewtonError, NumericsError, StateBlowupError
-from .expr import Num, ScalarExpr, parse_expression, separate
+from .expr import NonSmoothWarning, Num, ScalarExpr, differentiate, parse_expression, separate
 from .problem import ProblemSpec
-from .quadrature import Grid, causal_march, singular_weights, trapezoid, trapezoid_weights
+from .quadrature import (Grid, causal_march, linear_march, singular_weights, trapezoid,
+                         trapezoid_weights)
 
 BLOWUP_LIMIT = 1e12
 
@@ -99,11 +101,29 @@ def _guard(k: int, value: float) -> None:
         raise StateBlowupError(k, value)
 
 
+def _guard_rows(lo: int, values: np.ndarray) -> None:
+    """_guard on the first bad one of values, which belong to rows lo, lo + 1, ..."""
+    bad = ~(np.abs(values) <= BLOWUP_LIMIT)
+    if bad.any():
+        i = int(np.argmax(bad))
+        _guard(lo + i, values[i])
+
+
 def _outer_samples(factors, times: np.ndarray) -> np.ndarray:
     """Outer-time factors a_i of a split on `times`, one row each; a factor may
     be singular at t = 0, which no forward march row reads."""
     with np.errstate(all="ignore"):
         return np.array([evaluate_on(a, {"t": times}, times.shape) for a in factors])
+
+
+def _slopes(split) -> list[ScalarExpr] | None:
+    """d b_i / dy for the inner factors b_i of a split when none of them reads
+    y, that is when every b_i is affine in y; else None."""
+    with warnings.catch_warnings():
+        # d abs(u)/dy is exactly zero; the warning about abs is for the bundle
+        warnings.simplefilter("ignore", NonSmoothWarning)
+        slopes = [differentiate(b, "y") for _, b in split]
+    return None if any("y" in e.free_vars() for e in slopes) else slopes
 
 
 def solve_state(problem: ProblemSpec, control: Trajectory, grid: Grid,
@@ -127,9 +147,24 @@ def solve_state(problem: ProblemSpec, control: Trajectory, grid: Grid,
     if scheme == "rectangle":
         w = singular_weights(problem.alpha, grid)
         split = separate(f)
-        if split is not None:
-            # f = sum_i a_i(t) b_i(s, y, u): one new sample of each b_i per row
-            outer = _outer_samples([a for a, _ in split], t)
+        if split is None:
+            for k in range(1, grid.n + 1):
+                env = {"t": t[k], "s": t[:k], "y": y[:k], "u": u[:k]}
+                y[k] = eta[k] + w.row(k) @ evaluate_on(f, env, (k,))
+                _guard(k, y[k])
+            return Trajectory(grid, "nodes", y)
+        # f = sum_i a_i(t) b_i(s, y, u)
+        outer = _outer_samples([a for a, _ in split], t)
+        slopes = _slopes(split)
+        if slopes is not None:
+            # every b_i = B_i(s, u) y + G_i(s, u): one triangular solve per leaf
+            env = {"s": t, "u": u}
+            with np.errstate(all="ignore"):
+                B = np.array([evaluate_on(e, env, t.shape) for e in slopes])
+                G = np.array([evaluate_on(b, {**env, "y": 0.0}, t.shape) for _, b in split])
+            y = linear_march(w.omega, outer, B, G, eta, 1.0, _guard_rows)
+        else:
+            # one new sample of each b_i per row
             inner = [b for _, b in split]
 
             def step(k, c):
@@ -139,11 +174,6 @@ def solve_state(problem: ProblemSpec, control: Trajectory, grid: Grid,
                 return [b.evaluate(s=t[k], y=y[k], u=u[k]) for b in inner]
 
             causal_march(w.omega, len(inner), step)
-        else:
-            for k in range(1, grid.n + 1):
-                env = {"t": t[k], "s": t[:k], "y": y[:k], "u": u[:k]}
-                y[k] = eta[k] + w.row(k) @ evaluate_on(f, env, (k,))
-                _guard(k, y[k])
         return Trajectory(grid, "nodes", y)
 
     w = trapezoid_weights(problem.alpha, grid)
@@ -195,8 +225,9 @@ def _march_response(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
     source(sl, *samples) builds the source on the node slice sl from samples of
     exprs there and must be linear in the samples.  When every expression
     separates, each distinct outer factor a(t) gets its own coefficient and
-    source from the inner factors paired with it, and the samples are taken
-    once; otherwise they are taken per row.
+    source from the inner factors paired with it, the samples are taken once
+    and `linear_march` solves a leaf of rows at a time; otherwise the samples
+    are taken per row.
     """
     y_star, u_star = pair
     _require_nodes("reference state", y_star, grid)
@@ -204,7 +235,6 @@ def _march_response(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
     t = grid.nodes
     w = singular_weights(problem.alpha, grid)
     exprs = (problem.bundle.f_y, *exprs)
-    z = np.zeros(grid.n + 1)
     splits = [separate(e) for e in exprs]
     if all(split is not None for split in splits):
         splits = [dict(split) for split in splits]
@@ -215,16 +245,10 @@ def _march_response(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
             c, *samples = (evaluate_on(split.get(a, _ZERO), env, t.shape) for split in splits)
             coeff.append(c)
             src.append(source(slice(None), *samples))
-        coeff, src, outer = np.array(coeff), np.array(src), _outer_samples(outer, t)
-
-        def step(k, c):
-            if k:
-                z[k] = outer[:, k] @ c
-                _guard(k, z[k])
-            return coeff[:, k] * z[k] + src[:, k]
-
-        causal_march(w.omega, len(outer), step)
+        z = linear_march(w.omega, _outer_samples(outer, t), np.array(coeff), np.array(src),
+                         0.0, 1.0, _guard_rows)
     else:
+        z = np.zeros(grid.n + 1)
         for k in range(1, grid.n + 1):
             env = {"t": t[k], "s": t[:k], "y": y_star.values[:k], "u": u_star.values[:k]}
             coeff, *samples = (evaluate_on(e, env, (k,)) for e in exprs)

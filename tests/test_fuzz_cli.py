@@ -16,6 +16,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from svoc import cli
+from svoc.expr import parse_expression, separate
+from svoc.state import _slopes
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None,
                 suppress_health_check=list(HealthCheck))
@@ -35,14 +37,26 @@ def expressions(draw, names=tuple(LEAVES), depth=3):
     return f"({a}{draw(st.sampled_from(OPS))}{draw(expressions(names, depth - 1))})"
 
 
-# kernels that split into a(t) b(s, y, u) and kernels that do not
+# kernels that split into a(t) b(s, y, u), most of them affine in y, and kernels
+# that do not
 SEPARABLE = st.sampled_from(["t*y*u", "sin(t)*y + cos(t)*u^2", "y/t", "0.5*y - u",
                              "(1 + t)*y^2*u", "exp(-t)*s*y + t^2*u"])
 NON_SEPARABLE = st.sampled_from(["sin(t*s)*y", "exp(t*y)", "y/(t + s)", "(t*u)^2 + y"])
+TIME_ONLY = [leaf for leaf in LEAVES if leaf not in ("s", "y", "u")]
+FREE = [leaf for leaf in LEAVES if leaf not in ("t", "y")]
+
+
+@st.composite
+def affine_kernels(draw):
+    """sum_i a_i(t) (B_i(s, u) y + G_i(s, u)): the state march is linear in y."""
+    terms = [f"({draw(expressions(TIME_ONLY, 2))})*(({draw(expressions(FREE, 2))})*y"
+             f" + {draw(expressions(FREE, 2))})" for _ in range(draw(st.integers(1, 3)))]
+    return " + ".join(terms)
+
+
 JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=3),
                  st.floats(allow_nan=True, allow_infinity=True),
                  st.lists(st.integers(), max_size=2))
-TIME_ONLY = [leaf for leaf in LEAVES if leaf not in ("s", "y", "u")]
 
 
 @st.composite
@@ -51,7 +65,7 @@ def problem_files(draw):
         "alpha": draw(st.sampled_from([0.5, 0.3, 0.9])),
         "T": draw(st.sampled_from([1.0, 2.0])),
         "eta": draw(expressions(TIME_ONLY)),
-        "f": draw(st.one_of(SEPARABLE, NON_SEPARABLE, expressions())),
+        "f": draw(st.one_of(SEPARABLE, NON_SEPARABLE, affine_kernels(), expressions())),
         "g": draw(expressions(tuple(x for x in LEAVES if x != "s"))),
     }
     if draw(st.booleans()):
@@ -66,6 +80,13 @@ def problem_files(draw):
     elif damage == 7:
         del data[draw(st.sampled_from(sorted(data)))]
     return data
+
+
+@FUZZ
+@given(affine_kernels())
+def test_affine_kernels_take_the_linear_state_march(f):
+    split = separate(parse_expression(f))
+    assert split is not None and _slopes(split) is not None
 
 
 CONTROLS = ["0", "0.3", "t", "sin(3*t)", "1/0", "t^0.5", "(-1)^0.5", "2^1e5", "log(t)",

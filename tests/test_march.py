@@ -2,21 +2,24 @@
 
 Every rectangle march (state, first and second responses, costate) and every
 tail quadrature (Hamiltonian fields, costate residual) is compared with the
-direct O(N^2) row loop kept below, on grids on both sides of the 128-row leaf
-and of the block sizes above it, for t-free, single-term, multi-term and
-non-separable kernels.
+direct O(N^2) row loop kept below, on grids on both sides of the 64- and
+128-row leaves and of the block sizes above them, for t-free, single-term,
+multi-term, affine-in-y and non-separable kernels.  Failures must name the
+row the row loop names.
 """
 
 import numpy as np
 import pytest
 
+from svoc import state
 from svoc.adjoint import (AdjointTrajectory, _instant_rows, adjoint_residual, snap_instants,
                           solve_adjoint)
 from svoc.errors import AdjointStepError, StateBlowupError
 from svoc.expr import parse_expression, separate
 from svoc.optimality import hamiltonian_fields
 from svoc.problem import InstantCost, ProblemSpec, builtin_problem
-from svoc.quadrature import causal_march, make_grid, midpoint_weights, singular_weights
+from svoc.quadrature import (LINEAR_LEAF, causal_march, linear_march, make_grid,
+                             midpoint_weights, singular_weights)
 from svoc.state import BLOWUP_LIMIT, Trajectory, evaluate_on, solve_state, solve_y1, solve_y2
 
 GRIDS = [2, 3, 127, 128, 129, 257, 1000]
@@ -131,7 +134,39 @@ KERNELS = {
                    "0.2 - 0.1*cos(3*t)"),
     "non_separable": (lambda: custom(0.6, "1", "sin(t*s)*y*u + 0.5*exp(-t*s)*y", "y^2 + t*u^2",
                                      [(0.5, "y")]), "0.4 + 0.1*t"),
+    # affine in y, with outer factors singular at t = 0, which no row reads
+    "singular_outer": (lambda: custom(0.5, "1", "0.3*y*u/sqrt(t) + s*u/t", "y^2 + u^2",
+                                      [(0.5, "y")]), "0.5 - t"),
+    # affine in y with four terms: the state march is linear too
+    "affine_multi_term": (lambda: custom(0.5, "1 - t", "0.5*(1 + t)*y*u + 0.3*sin(t)*s*y"
+                                         " + t^2*u^2 + 0.2*y/(1 + t)", "y^2 + u^2",
+                                         [(0.61, "y^2")]), "0.3*cos(2*t)"),
 }
+
+# the `march` workload's problem file: paper_example's kernel
+MARCH_PROBLEM = (0.5, "1 + t*sqrt(t)", "t*y*u", "y*u", [(1.0, "y")])
+
+
+class Taken(Exception):
+    """Raised by a patched march to name the path solve_state took."""
+
+
+def state_path(problem):
+    """'linear', 'stepped' or 'row loop': the march solve_state takes."""
+    def taken(label):
+        def march(*args):
+            raise Taken(label)
+        return march
+
+    grid = make_grid(problem.T, 4)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(state, "linear_march", taken("linear"))
+        mp.setattr(state, "causal_march", taken("stepped"))
+        try:
+            state.solve_state(problem, Trajectory.constant(0.1, grid), grid)
+        except Taken as path:
+            return path.args[0]
+    return "row loop"
 
 
 def test_kernels_take_the_intended_path():
@@ -142,6 +177,16 @@ def test_kernels_take_the_intended_path():
         assert all(separated) if name != "non_separable" else not any(separated[:3])
     assert len(separate(KERNELS["multi_term"][0]().f)) == 3
     assert len(separate(KERNELS["single_term"][0]().f)) == 1
+    assert len(separate(KERNELS["affine_multi_term"][0]().f)) == 4
+
+    linear = [builtin_problem("paper_example"), builtin_problem("lq", {"a": 0.5, "b": 1, "r": 1}),
+              builtin_problem("sing_quad", {"c": -1}), builtin_problem("abel_linear", {"lam": 0.8}),
+              custom(*MARCH_PROBLEM), KERNELS["affine_multi_term"][0](),
+              KERNELS["singular_outer"][0]()]
+    assert [state_path(p) for p in linear] == ["linear"] * len(linear)
+    stepped = [KERNELS["t_free"][0](), KERNELS["multi_term"][0](), custom(0.5, "1", "0.3*y^2", "y")]
+    assert [state_path(p) for p in stepped] == ["stepped"] * len(stepped)
+    assert state_path(KERNELS["non_separable"][0]()) == "row loop"
 
 
 def assert_close(got, want):
@@ -215,11 +260,10 @@ def test_non_finite_sample_is_reported_at_the_row_loop_index(crossing):
     assert got.value.index == want.value.index
 
 
-@pytest.mark.parametrize("f", ["{K}*y*u", "{K}*(1 + t - s)*y*u"])
-def test_degenerate_backward_step_is_reported_at_the_row_loop_index(f):
-    # 1 - mu_0 f_y vanishes where u = 1, i.e. below t = 0.5
+def assert_backward_failure_at_the_row_loop_index(f, gap):
+    # 1 - mu_0 f_y is gap where u = 1, i.e. below t = 0.5
     grid = make_grid(1.0, 1000)
-    K = 1.0 / float(midpoint_weights(0.5, grid).mu[0])
+    K = (1.0 - gap) / float(midpoint_weights(0.5, grid).mu[0])
     problem = custom(0.5, "1", f.format(K=K), "y^2")
     u = Trajectory(grid, "nodes", np.where(grid.nodes <= 0.5, 1.0, 0.0))
     pair = (Trajectory.constant(1.0, grid), u)
@@ -229,6 +273,90 @@ def test_degenerate_backward_step_is_reported_at_the_row_loop_index(f):
         solve_adjoint(problem, pair, grid)
     assert got.value.index == want.value.index
     assert grid.n - 1 - got.value.index > 128  # rows marched before the failure
+
+
+@pytest.mark.parametrize("f", ["{K}*y*u", "{K}*(1 + t - s)*y*u"])
+def test_degenerate_backward_step_is_reported_at_the_row_loop_index(f):
+    assert_backward_failure_at_the_row_loop_index(f, 0.0)
+
+
+@pytest.mark.parametrize("f", ["{K}*y*u", "{K}*(1 + t - s)*y*u"])
+def test_small_backward_coefficient_is_reported_at_the_row_loop_index(f):
+    # the costate stays finite, so only the coefficient test stops the march
+    assert_backward_failure_at_the_row_loop_index(f, 1e-13)
+
+
+@pytest.mark.parametrize("f, c", [("{c}*y", 6), ("{c}*y", 15), ("{c}*t*y*u", 15),
+                                  ("{c}*t*y*u", 20), ("{c}*(1 + t)*y*u + sin(t)*s*u^2", 6),
+                                  ("{c}*(1 + t)*y*u + sin(t)*s*u^2", 15)])
+def test_linear_blowup_is_reported_at_the_row_loop_index(f, c):
+    # affine in y, so the state march is solved a leaf at a time; blows up
+    # between rows 66 and 765 of 1000
+    problem = custom(0.5, "1", f.format(c=c), "y")
+    grid = make_grid(1.0, 1000)
+    u = Trajectory.constant(0.5, grid)
+    with pytest.raises(StateBlowupError) as want:
+        ref_state(problem, u.values, grid)
+    with pytest.raises(StateBlowupError) as got:
+        solve_state(problem, u, grid)
+    assert LINEAR_LEAF < got.value.index == want.value.index
+
+
+@pytest.mark.parametrize("crossing", [0.0625, 0.1265, 0.2545, 0.6])
+def test_non_finite_linear_factor_is_reported_at_the_row_loop_index(crossing):
+    # sqrt(crossing - s) is nan from row int(1000 crossing) + 1 on; 0.0625, 0.1265
+    # and 0.2545 put the first nan sample on the last row of a leaf (rows 63,
+    # 127 and 255): that leaf's rows stay finite, and the nan reaches the next
+    # leaf through an FFT
+    problem = custom(0.5, "1 + t", f"y*sqrt({crossing!r} - s)", "y")
+    grid = make_grid(1.0, 1000)
+    u = Trajectory.constant(0.0, grid)
+    with np.errstate(all="ignore"):
+        with pytest.raises(StateBlowupError) as want:
+            ref_state(problem, u.values, grid)
+        with pytest.raises(StateBlowupError) as got:
+            solve_state(problem, u, grid)
+    assert got.value.index == want.value.index == int(1000 * crossing) + 2
+
+
+@pytest.mark.parametrize("order, f", [(1, "3.2*y*u + u"), (1, "3.4*y*u + u"),
+                                      (2, "2.2*y*u + u + 40*y^2"), (2, "2.4*y*u + u + 40*y^2")])
+def test_response_blowup_is_reported_at_the_row_loop_index(order, f):
+    # f_y is the y*u coefficient along the pair; Y1, or Y2 from its 80 Y1^2
+    # source while Y1 stays in range, leaves the trusted range past the first leaf
+    problem = custom(0.5, "1", f, "y")
+    grid = make_grid(1.0, 1000)
+    pair = (Trajectory.constant(0.0, grid), Trajectory.constant(1.0, grid))
+    v = Trajectory.constant(1.0, grid)
+    ref, solve = (ref_y1, solve_y1) if order == 1 else (ref_y2, solve_y2)
+    extra = () if order == 1 else (ref_y1(problem, pair, v.values, grid),)
+    with pytest.raises(StateBlowupError) as want:
+        ref(problem, pair, v.values, *extra, grid)
+    extra = () if order == 1 else (Trajectory(grid, "nodes", extra[0]),)
+    with pytest.raises(StateBlowupError) as got:
+        solve(problem, pair, v, *extra, grid)
+    assert LINEAR_LEAF < got.value.index == want.value.index
+
+
+def forward_substitution(w, a, b, g, d, s):
+    n = len(w)
+    x = np.zeros(n)
+    for k in range(n):
+        c = (b[:, :k] * x[:k] + g[:, :k]) @ w[k:0:-1]
+        x[k] = s[k] * (d[k] + a[:, k] @ c)
+    return x
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 128, 129, 700])
+def test_linear_march_matches_forward_substitution(n, m):
+    rng = np.random.default_rng(10 * n + m)
+    w = rng.uniform(-1.0, 1.0, n) / max(n, 1) ** 0.5
+    a, b, g = (rng.standard_normal((m, n)) for _ in range(3))
+    d, s = rng.standard_normal(n), rng.uniform(0.5, 1.5, n)
+    got = linear_march(w, a, b, g, d, s, lambda lo, x: None)
+    want = forward_substitution(w, a, b, g, d, s)
+    assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
 
 
 def test_causal_march_matches_direct_sums():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +40,56 @@ def test_mittag_leffler_series_budget():
     # small alpha needs terms beyond the budget before Gamma(m alpha) takes over
     with pytest.raises(SeriesError):
         mittag_leffler(0.01, 50.0)
+
+
+def scalar_mittag_leffler(alpha, z):
+    """The one-node Kahan sum the array series replaced, kept as its reference."""
+    if z == 0.0:
+        return 1.0
+    log_az = math.log(abs(z))
+    total = comp = 0.0
+    prev_mag = math.inf
+    for n in range(10_000):
+        log_mag = n * log_az - math.lgamma(n * alpha + 1.0)
+        if log_mag > 709.0:
+            raise SeriesError(f"series term overflow at n={n} for alpha={alpha}, z={z}")
+        mag = math.exp(log_mag)
+        term = -mag if (z < 0.0 and n % 2 == 1) else mag
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        if mag < prev_mag and mag < 1e-16 * abs(total):
+            return total
+        prev_mag = mag
+    raise SeriesError(f"no convergence in 10000 terms for alpha={alpha}, z={z}")
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+@pytest.mark.parametrize("lam", [-1.1, 0.8, 3.0])
+def test_linear_solution_matches_the_scalar_series(lam, alpha):
+    # the `converge --ns 512,1024,2048,4096` ladder; every 16th node and the
+    # last against the scalar sum.  Each term carries a few ulps, so the two
+    # sums differ by a few ulps of sum |term| = E_alpha(|z|), not of |E_alpha(z)|
+    # (alternating series at lam = -1.1, alpha = 0.3 cancel to noise).
+    for n in (512, 1024, 2048, 4096):
+        t = make_grid(1.0, n).nodes
+        z_all = lam * math.gamma(alpha) * t**alpha
+        z = z_all[list(range(0, n, 16)) + [n]]
+        try:
+            want = [scalar_mittag_leffler(alpha, float(x)) for x in z]
+        except SeriesError:  # lam = 3, alpha = 0.3: the sum overflows from some node on
+            with pytest.raises(SeriesError) as got:
+                linear_analytic_solution(lam, alpha, t)
+            # the error names the first failing node, as the node-by-node loop did
+            i = next(i for i, x in enumerate(z_all) if str(got.value).endswith(f"z={float(x)}"))
+            with pytest.raises(SeriesError, match=re.escape(str(got.value))):
+                scalar_mittag_leffler(alpha, float(z_all[i]))
+            scalar_mittag_leffler(alpha, float(z_all[i - 1]))
+            continue
+        got = linear_analytic_solution(lam, alpha, t)[list(range(0, n, 16)) + [n]]
+        scale = [scalar_mittag_leffler(alpha, abs(float(x))) for x in z]
+        assert np.all(np.abs(got - want) <= 2e-14 * np.array(scale))
 
 
 def test_linear_solution_degenerate_case():
