@@ -30,8 +30,10 @@ from .state import Trajectory, evaluate_cost, solve_state
 # Grid budget, checked before anything is allocated.  Per grid, a command
 # makes a fixed number of O(N^2) passes (marches and tail quadratures) and
 # holds a fixed number of dense (N+1)^2 float64 tables at its peak (tracemalloc
-# peaks at N = 256 and 512: 16.1 tables for `check --order 2` with a non-zero
-# Q and for `verify`; `check --order 1` holds O(N): 0.5 and 0.07 tables).
+# peaks at N = 512 and 1024: 16.0 tables for `check --order 2` with a non-zero
+# Q and for `verify`, 22.8 at N = 256, where the 3.4 MiB of band masks and
+# factors that `resolvent._product_table` holds at any N still show;
+# `check --order 1` holds O(N): 0.5 and 0.07 tables at N = 256 and 512).
 # A kernel that separates in t marches in O(N log^2 N) instead, but the budget
 # is checked before the problem is loaded, so it charges every kernel the
 # O(N^2) row loop.

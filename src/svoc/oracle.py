@@ -28,7 +28,9 @@ def mittag_leffler(alpha: float, z: float) -> float:
     """E_alpha(z) = sum_n z^n / Gamma(n alpha + 1) by direct Kahan summation.
 
     Terms are formed in log space to dodge intermediate overflow; the sum
-    stops once terms are decreasing and negligible relative to the total.
+    stops once terms are decreasing and negligible relative to the total, and
+    fails at the first term that overflows or takes the total past the
+    largest float.
     """
     return float(_mittag_leffler_series(alpha, np.array([float(z)]))[0])
 
@@ -57,10 +59,14 @@ def _mittag_leffler_series(alpha: float, z: np.ndarray) -> np.ndarray:
             comp = (t - total) - y
             total = t
             over = log_mag > 709.0
-            done = over | ((mag < prev_mag) & (mag < 1e-16 * np.abs(total)))
+            sum_over = ~over & ~np.isfinite(total)
+            done = over | sum_over | ((mag < prev_mag) & (mag < 1e-16 * np.abs(total)))
             for i in live[over]:
                 errors[int(i)] = SeriesError(
                     f"series term overflow at n={n} for alpha={alpha}, z={float(z[i])}")
+            for i in live[sum_over]:
+                errors[int(i)] = SeriesError(
+                    f"series sum overflow at n={n} for alpha={alpha}, z={float(z[i])}")
             if done.any():
                 out[live[done]] = total[done]
                 keep = ~done

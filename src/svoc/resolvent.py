@@ -14,9 +14,16 @@ is integrated in closed form while the other factor and the smooth data are
 sampled at the half's midpoint.
 
 Cost: O(N^3) flops and O(N^2) memory.  The doubly singular part does not
-depend on R, so it is assembled up front as one table of blocked matrix
-products (BLAS); only the march over R is sequential, one gemv per row, so
-the Python-level work is O(N) rows plus O((N/B)^2) blocks of size B.
+depend on R, so it is assembled up front as one table, in blocks of B rows
+and B columns, mostly of matrix products (BLAS).  Elementwise work is left
+only where the half-cell choice switches: in a band of about B cells per
+block, and in the row block's own cells within the two column blocks next to
+the diagonal; both are masked into one batched product per block.  The own
+cells of the column blocks further left take one choice throughout and are
+added a row at a time, one gemv per half, so that no product reaches a cell
+j >= k and a non-finite sample is reported at the cell where a row-by-row
+quadrature first meets it.  The march over R is sequential, one gemv per
+row, so the Python-level work is O(N) rows plus O((N/B)^2) blocks.
 """
 
 from __future__ import annotations
@@ -136,6 +143,21 @@ class _HalfCellTables:
         return y1, w
 
 
+def _band_mask(rows: int, cols: int, width: int, split0: int, own0: int) -> np.ndarray:
+    """Which factor each band cell takes, for rows k0 + r, cells lo + i and
+    columns c0 + q, with split0 = k0 + c0 - 2 lo and own0 = k0 - lo: the
+    (row, cell, column) mask of the factors [bl1, br1, bl2, br2] stacked
+    along the cell axis.  A cell j >= k takes neither."""
+    r = np.arange(rows)[:, None, None]
+    i = np.arange(width)[:, None]
+    q = np.arange(cols)
+    inside = i < r + own0
+    left1 = 2 * i < r + q + split0
+    left2 = 2 * i < r + q + split0 - 1
+    return np.concatenate((left1 & inside, inside & ~left1, left2 & inside, inside & ~left2),
+                          axis=1)
+
+
 def _product_table(tb: _HalfCellTables, right: tuple, left: tuple,
                    bounded: Optional[np.ndarray] = None) -> np.ndarray:
     """Doubly singular product quadrature for every row k and column c < k,
@@ -148,59 +170,66 @@ def _product_table(tb: _HalfCellTables, right: tuple, left: tuple,
     there, so both halves integrate the left factor exactly.
 
     Each (row block, column block) takes, per half, one matrix product over
-    the cells where that half's mask is true for the whole block and one
-    where it is false, and elementwise sums over the band where it changes
-    and over the block's own cells j >= k0, where j < k is checked per row.  No product reaches a cell
-    j >= k, so a non-finite sample first shows in each row at the column where
-    a row-by-row quadrature would first meet it.
+    the cells j < k0 below the row block where both halves' choices are
+    left-exact for the whole block and one where both are right-exact.
+    Elementwise work is left only where the choice switches: the band between
+    those ranges and, in the two column blocks next to the diagonal, the
+    block's own cells j >= k0.  Both halves of that go through one batched
+    product whose left-kernel factor has the choice, and j < k, masked in.
+    In the column blocks further left every own cell is right-exact on both
+    halves; those cells, and the bounded part's own cells, are added one row
+    at a time, a gemv per half over all those columns.  So no product reaches
+    a cell j >= k, and a non-finite sample first shows in each row at the
+    column where a row-by-row quadrature would first meet it.
     """
     n = tb.grid.n
     bl1, br1, bl2, br2 = tb.column_factors(*left)
     out = np.zeros((n + 1, n + 1))
+    masks = {}  # (mask, masked factor) by block geometry; full far blocks share one
     with np.errstate(invalid="ignore", over="ignore"):
         for k0 in range(0, n + 1, _BLOCK):
             k1 = min(k0 + _BLOCK, n + 1)
-            kk = np.arange(k0, k1)
+            kk = np.arange(k0, k1)[:, None]
             xl1, xr1, xl2, xr2 = tb.row_factors(*right, k0, k1)
-            halves = ((xl1, xr1, bl1, br1, 0), (xl2, xr2, bl2, br2, 1))
+            cfar = max(k0 - _BLOCK, 0)  # 2j >= k + c for own cells j >= k0 of columns c < cfar
+            for c0 in range(0, k1 - 1, _BLOCK):
+                c1 = min(c0 + _BLOCK, k1 - 1)
+                cols = slice(c0, c1)
+                # on both halves, 2j < k + c - shift for the whole block iff
+                # j < lo, and for none iff j >= hi
+                lo = min(max((k0 + c0) // 2, c0), k0)
+                hi = min(max((k1 + c1 - 1) // 2, lo), k0)
+                top = hi
+                if c0 >= cfar:  # the band runs on through the own cells
+                    hi, top = k0, k1 - 1
+                acc = (xl1[:, c0:lo] @ bl1[c0:lo, cols] + xl2[:, c0:lo] @ bl2[c0:lo, cols]
+                       + xr1[:, hi:k0] @ br1[hi:k0, cols] + xr2[:, hi:k0] @ br2[hi:k0, cols])
+                if top > lo:
+                    j = slice(lo, top)
+                    # own0 past the band's width leaves every cell j < k
+                    key = (k1 - k0, c1 - c0, top - lo, k0 + c0 - 2 * lo, min(k0 - lo, top - lo))
+                    if key not in masks:
+                        mask = _band_mask(*key)
+                        masks[key] = mask, np.zeros(mask.shape)
+                    mask, factor = masks[key]  # masked-out entries stay zero
+                    np.copyto(factor, np.concatenate((bl1[j, cols], br1[j, cols],
+                                                      bl2[j, cols], br2[j, cols])), where=mask)
+                    x = np.concatenate((xl1[:, j], xr1[:, j], xl2[:, j], xr2[:, j]), axis=1)
+                    acc += np.matmul(x[:, None], factor)[:, 0]
+                if c1 > k0:
+                    acc[kk <= np.arange(c0, c1)] = 0.0
+                out[k0:k1, c0:c1] = acc
             if bounded is not None:
                 rb = bounded[k0:k1, :k1]
                 rp1 = 0.75 * rb[:, :-1] + 0.25 * rb[:, 1:]
                 rp2 = 0.25 * rb[:, :-1] + 0.75 * rb[:, 1:]
-            own = np.arange(k0, k1 - 1)[:, None]  # the block's own cells
-            for c0 in range(0, k1 - 1, _BLOCK):
-                c1 = min(c0 + _BLOCK, k1 - 1)
-                cols = slice(c0, c1)
-                split = (kk[:, None] + np.arange(c0, c1))[:, None, :]  # k + c
-                acc = np.zeros((k1 - k0, c1 - c0))
-                for xl, xr, bl, br, shift in halves:
-                    # 2j < k + c - shift for the whole block iff j < lo, for none iff j >= hi
-                    lo = min(max((k0 + c0 - shift + 1) // 2, c0), k0)
-                    hi = min(max((k1 + c1 - shift - 1) // 2, lo), k0)
-                    acc += xl[:, c0:lo] @ bl[c0:lo, cols]
-                    acc += xr[:, hi:k0] @ br[hi:k0, cols]
-                    if hi > lo:
-                        band = slice(lo, hi)
-                        left_exact = 2 * np.arange(lo, hi)[:, None] < split - shift
-                        acc += np.where(left_exact, xl[:, band, None] * bl[None, band, cols],
-                                        xr[:, band, None] * br[None, band, cols]).sum(axis=1)
-                if k1 - 1 > k0:
-                    j = slice(k0, k1 - 1)
-                    cell = (np.where(2 * own < split,
-                                     xl1[:, j, None] * bl1[None, j, cols],
-                                     xr1[:, j, None] * br1[None, j, cols])
-                            + np.where(2 * own < split - 1,
-                                       xl2[:, j, None] * bl2[None, j, cols],
-                                       xr2[:, j, None] * br2[None, j, cols]))
-                    if bounded is not None:
-                        cell += (rp1[:, j, None] * bl1[None, j, cols]
-                                 + rp2[:, j, None] * bl2[None, j, cols])
-                    acc += np.where(own < kk[:, None, None], cell, 0.0).sum(axis=1)
+                # bl is zero for j < c, so columns c >= k0 have no cell j < k0
+                out[k0:k1, :k0] += rp1[:, :k0] @ bl1[:k0, :k0] + rp2[:, :k0] @ bl2[:k0, :k0]
+            for k in range(k0 + 1, k1):  # own cells k0 <= j < k, one row at a time
+                r, j = k - k0, slice(k0, k)
+                out[k, :cfar] += xr1[r, j] @ br1[j, :cfar] + xr2[r, j] @ br2[j, :cfar]
                 if bounded is not None:
-                    acc += rp1[:, c0:k0] @ bl1[c0:k0, cols] + rp2[:, c0:k0] @ bl2[c0:k0, cols]
-                if c1 > k0:
-                    acc[kk[:, None] <= np.arange(c0, c1)] = 0.0
-                out[k0:k1, c0:c1] = acc
+                    out[k, :k] += rp1[r, j] @ bl1[j, :k] + rp2[r, j] @ bl2[j, :k]
     return out
 
 

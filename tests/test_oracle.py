@@ -59,10 +59,22 @@ def scalar_mittag_leffler(alpha, z):
         t = total + y
         comp = (t - total) - y
         total = t
+        if not math.isfinite(total):
+            raise SeriesError(f"series sum overflow at n={n} for alpha={alpha}, z={z}")
         if mag < prev_mag and mag < 1e-16 * abs(total):
             return total
         prev_mag = mag
     raise SeriesError(f"no convergence in 10000 terms for alpha={alpha}, z={z}")
+
+
+def test_mittag_leffler_stops_at_the_term_whose_sum_overflows():
+    # no single term passes e^709, but their total does
+    with pytest.raises(SeriesError, match=r"^series sum overflow at n=\d+ ") as got:
+        mittag_leffler(0.3, 7.2)
+    with pytest.raises(SeriesError, match=re.escape(str(got.value))):
+        scalar_mittag_leffler(0.3, 7.2)
+    with pytest.raises(SeriesError, match="series sum overflow"):
+        linear_analytic_solution(3.0, 0.3, make_grid(1.0, 512).nodes)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])

@@ -187,7 +187,19 @@ class RowReference:
                                         + self.regular_row(k, R, *smp[2:], True) - R[k, :k])))
                    for k in range(1, self.n + 1))
 
-    def q_regular(self, a_fn, c_fn, Rp):
+    def first_failure(self, fn):
+        """The cell the first pass of the march stops at, or None."""
+        smp = self.samples(fn)
+        R = np.zeros((self.n + 1, self.n + 1))
+        for k in range(1, self.n + 1):
+            row = self.product_row(k, *smp) + self.regular_row(k, R, *smp[2:], False)
+            if not np.isfinite(row).all():
+                return k, int(np.argmax(~np.isfinite(row)))
+            R[k, :k] = row
+        return None
+
+    def q_table(self, a_fn, c_fn, Rp):
+        """Q's regular part before the diagonal is filled in."""
         g1, g2, _, _ = self.samples(c_fn)
         _, _, a1, a2 = self.samples(a_fn)
         out = np.zeros((self.n + 1, self.n + 1))
@@ -196,8 +208,19 @@ class RowReference:
             rp2 = 0.25 * Rp[k, :k] + 0.75 * Rp[k, 1 : k + 1]
             out[k, :k] = (self.product_row(k, g1, g2, a1, a2)
                           + rp1 @ (g1 * self.wl1)[:k, :k] + rp2 @ (g2 * self.wl2)[:k, :k])
+        return out
+
+    def q_regular(self, a_fn, c_fn, Rp):
+        out = self.q_table(a_fn, c_fn, Rp)
         self.extend_diagonal(out)
         return out
+
+
+def pair_coefficients(problem, y, u, grid):
+    """f_y and f_u along the pair, (y, u) interpolated in s."""
+    pair_fn = lambda e: lambda t, s: e.evaluate(
+        t=t, s=s, y=np.interp(s, grid.nodes, y.values), u=np.interp(s, grid.nodes, u.values))
+    return pair_fn(problem.bundle.f_y), pair_fn(problem.bundle.f_u)
 
 
 def _max_rel(a, b):
@@ -205,9 +228,11 @@ def _max_rel(a, b):
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.8])
-@pytest.mark.parametrize("n", [2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5])
+@pytest.mark.parametrize("n", [2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5,
+                               5 * _BLOCK + 3])
 def test_blocked_assembly_matches_row_reference(alpha, n):
-    # partial and empty blocks included; only the summation order differs
+    # partial and empty blocks included, and at 5 B + 3 several column blocks
+    # far from the diagonal per row block; only the summation order differs
     grid = make_grid(1.0, n)
     ref = RowReference(alpha, grid)
     kernel = lambda t, s: 0.3 + 0.5 * np.sin(2 * t) * np.cos(s) + 0.2 * t * s
@@ -223,10 +248,78 @@ def test_blocked_assembly_matches_row_reference(alpha, n):
     u = Trajectory.from_expression("0.5 + sin(3*t)", grid)
     y = solve_state(problem, u, grid)
     q = build_q_kernel(problem, (y, u), grid)
-    pair_fn = lambda e: lambda t, s: e.evaluate(
-        t=t, s=s, y=np.interp(s, grid.nodes, y.values), u=np.interp(s, grid.nodes, u.values))
-    a_fn, c_fn = pair_fn(problem.bundle.f_y), pair_fn(problem.bundle.f_u)
+    a_fn, c_fn = pair_coefficients(problem, y, u, grid)
     assert _max_rel(q.regular, ref.q_regular(a_fn, c_fn, ref.resolvent(a_fn))) <= 1e-12
+
+
+# Non-finite samples on a grid of five row blocks (B = 32).  A left sample
+# L(t_j + f h, t_c) is first used by row j + 1, a right sample B(t_k, t_j + f h)
+# only by row k, at every column.  Cell j = 100 is an own cell of row block
+# 96..127, where columns c < 64 are far and the column block 64..95 is next to
+# the diagonal; cell 95 of row 96 lies in the band of that block; cell 60 of
+# row 100 lies in the band of the far column block 0..31.
+FAIL_N = 4 * _BLOCK + 3
+SAMPLE_FAILURES = [
+    pytest.param("left", 100, 10, 0.25, np.inf, (101, 10), id="left-far-own"),
+    pytest.param("left", 100, 70, 0.75, np.inf, (101, 70), id="left-near-own"),
+    pytest.param("left", 95, 70, 0.75, np.nan, (96, 70), id="left-band"),
+    pytest.param("right", 100, 98, 0.75, np.nan, (100, 0), id="right-far-own"),
+    pytest.param("right", 100, 60, 0.25, -np.inf, (100, 0), id="right-band"),
+]
+
+
+def _sample_point(grid, side, first, second, frac):
+    """(t, s) of a left sample (cell `first`, column `second`) or of a right
+    sample (row `first`, cell `second`)."""
+    nodes, h = grid.nodes, grid.h
+    if side == "left":
+        return nodes[first] + frac * h, nodes[second]
+    return nodes[first], nodes[second] + frac * h
+
+
+def _assembly_failure(build):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(KernelAssemblyError, match="non-finite") as exc:
+            build()
+    return exc.value.row, exc.value.col
+
+
+@pytest.mark.parametrize("side,first,second,frac,value,cell", SAMPLE_FAILURES)
+def test_resolvent_failure_names_the_reference_cell(side, first, second, frac, value, cell):
+    grid = make_grid(1.0, FAIL_N)
+    t0, s0 = _sample_point(grid, side, first, second, frac)
+
+    def kernel(t, s):
+        hit = (np.abs(t - t0) < grid.h / 8) & (np.abs(s - s0) < grid.h / 8)
+        return np.where(hit, value, 0.3 + 0.5 * np.sin(2 * t) * np.cos(s) + 0.2 * t * s)
+
+    with np.errstate(all="ignore"):
+        assert RowReference(0.5, grid).first_failure(kernel) == cell
+    assert _assembly_failure(lambda: build_resolvent(kernel, 0.5, grid)) == cell
+
+
+@pytest.mark.parametrize("first,second,frac,cell", [
+    pytest.param(100, 10, 0.75, (101, 10), id="far-own"),
+    pytest.param(100, 70, 0.25, (101, 70), id="near-own"),
+    pytest.param(95, 70, 0.25, (96, 70), id="band"),
+])
+def test_response_kernel_failure_names_the_reference_cell(first, second, frac, cell):
+    # f_u = 1/((t - a)^2 + (s - b)^2) + ... is infinite at one left sample only
+    grid = make_grid(1.0, FAIL_N)
+    a, b = map(float, _sample_point(grid, "left", first, second, frac))
+    problem = ProblemSpec(0.5, 1.0, parse_expression("1 + t"),
+                          parse_expression("(0.4 + 0.3*t*s)*y*cos(u)"
+                                           f" + u/((t - {a!r})^2 + (s - {b!r})^2)"),
+                          parse_expression("y^2"))
+    y = Trajectory.from_expression("1 + 0.5*t", grid)
+    u = Trajectory.from_expression("0.5 + sin(3*t)", grid)
+    a_fn, c_fn = pair_coefficients(problem, y, u, grid)
+    ref = RowReference(0.5, grid)
+    with np.errstate(all="ignore"):
+        table = ref.q_table(a_fn, c_fn, ref.resolvent(a_fn))
+    assert divmod(int(np.argmax(~np.isfinite(table))), FAIL_N + 1) == cell
+    assert _assembly_failure(lambda: build_q_kernel(problem, (y, u), grid)) == cell
 
 
 # --- response kernel ---------------------------------------------------------
