@@ -13,8 +13,12 @@ are split at each cell midpoint: on each half the factor whose pole is nearer
 is integrated in closed form while the other factor and the smooth data are
 sampled at the half's midpoint.
 
-Cost: O(N^3) flops and O(N^2) memory.  The doubly singular part does not
-depend on R, so it is assembled up front as one table, in blocks of B rows
+Cost: O(N^2) flops for a constant A, O(N^3) otherwise, and O(N^2) memory.
+A constant A makes the operator a convolution: R[k, c] depends on k - c
+alone, so one column of the doubly singular table is built, O(N^2), and each
+pass of the march over it is one `linear_march`, O(N log^2 N); when f_u does
+not read t either, Q's regular part is f_u(s) times one such column.
+Otherwise the doubly singular part does not depend on R, so it is assembled up front as one table, in blocks of B rows
 and B columns, mostly of matrix products (BLAS).  Elementwise work is left
 only where the half-cell choice switches: in a band of about B cells per
 block, and in the row block's own cells within the two column blocks next to
@@ -32,10 +36,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import KernelAssemblyError
 from .problem import ProblemSpec
-from .quadrature import Grid, midpoint_weights, singular_weights
+from .quadrature import Grid, linear_march, midpoint_weights, singular_weights
 from .state import Trajectory
 
 KernelFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -86,6 +91,21 @@ class RegularizedKernel:
 _BLOCK = 32  # rows and columns per block of the doubly singular tables
 
 
+def _lagged(v: np.ndarray, rows: int, cols: int, offset: int = 0) -> np.ndarray:
+    """Read-only Toeplitz view T[r, j] = v[max(r - j + offset, 0)] of shape
+    (rows, cols); needs rows - 1 + offset < len(v)."""
+    u = v[np.maximum(np.arange(rows - 1 + offset, offset - cols, -1), 0)]
+    return sliding_window_view(u, cols)[::-1]
+
+
+def _causal_table(v: np.ndarray, scale=1.0, lowest: int = 0) -> np.ndarray:
+    """The square table T[k, c] = v[k - c] scale[c] where k - c >= lowest,
+    zero elsewhere; no product is formed outside."""
+    m = len(v)
+    out = np.zeros((m, m))
+    return np.multiply(_lagged(v, m, m), scale, out=out, where=np.tri(m, k=-lowest, dtype=bool))
+
+
 class _HalfCellTables:
     """Per-grid weights for the midpoint-split product quadrature.
 
@@ -111,36 +131,64 @@ class _HalfCellTables:
         self.wr2 = np.zeros(n + 1)
         self.wr1[1:] = (pa[1:] - ph) / alpha
         self.wr2[1:] = (ph - pa[:-1]) / alpha
+        # (row k, cell j) views: the sampled right singular factor at the
+        # half's midpoint, q[k - 1 - j], and the exact right weight, wr[k - j]
+        self.near1, self.near3 = _lagged(self.q1, n + 1, n, -1), _lagged(self.q3, n + 1, n, -1)
+        self.far1, self.far2 = _lagged(self.wr1, n + 1, n), _lagged(self.wr2, n + 1, n)
 
     def column_factors(self, left1: np.ndarray, left2: np.ndarray):
         """(cell, column) factors of the left kernel per half: with the exact
         left weight (bl) and with the sampled left singular factor (br)."""
         n = self.grid.n
-        d = np.subtract.outer(np.arange(n), np.arange(n)).clip(min=0)
-        return (left1 * self.wl1[d], left1 * self.q1[d],
-                left2 * self.wl2[d], left2 * self.q3[d])
+        return (left1 * _lagged(self.wl1, n, n), left1 * _lagged(self.q1, n, n),
+                left2 * _lagged(self.wl2, n, n), left2 * _lagged(self.q3, n, n))
 
     def row_factors(self, right1: np.ndarray, right2: np.ndarray, k0: int, k1: int):
         """(row, cell) factors of the right kernel per half for rows k0..k1-1
         and cells j < k1 - 1: with the sampled right singular factor (xl,
         paired with bl) and with the exact right weight (xr, paired with br)."""
-        e = np.subtract.outer(np.arange(k0, k1), np.arange(k1 - 1))  # k - j
-        near, far = (e - 1).clip(min=0), e.clip(min=0)
-        a1, a2 = right1[k0:k1, : k1 - 1], right2[k0:k1, : k1 - 1]
-        return a1 * self.q3[near], a1 * self.wr1[far], a2 * self.q1[near], a2 * self.wr2[far]
+        rows, cells = slice(k0, k1), slice(0, k1 - 1)
+        a1, a2 = right1[rows, cells], right2[rows, cells]
+        return (a1 * self.near3[rows, cells], a1 * self.far1[rows, cells],
+                a2 * self.near1[rows, cells], a2 * self.far2[rows, cells])
 
-    def smooth_weights(self, right1: np.ndarray, right2: np.ndarray):
+    def smooth_weights(self, right1: np.ndarray, right2: np.ndarray, k0: int = 0):
         """Weights (y1, w) of the regular part in `_regular_row`: the right
-        kernel times the exact right weight, spread over the two endpoints
-        each half-cell midpoint interpolates from."""
-        n = self.grid.n
-        e = np.subtract.outer(np.arange(n + 1), np.arange(n)).clip(min=0)
-        x1, x2 = right1 * self.wr1[e], right2 * self.wr2[e]
+        kernel, sampled on rows k0, k0 + 1, ..., times the exact right weight,
+        spread over the two endpoints each half-cell midpoint interpolates
+        from."""
+        rows, n = right1.shape
+        x1 = right1 * self.far1[k0 : k0 + rows]
+        x2 = right2 * self.far2[k0 : k0 + rows]
         y1 = 0.75 * x1 + 0.25 * x2
-        w = np.zeros((n + 1, n + 1))
+        w = np.zeros((rows, n + 1))
         w[:, 1:] = 0.25 * x1 + 0.75 * x2
         w[:, :n] += y1
         return y1, w
+
+    def unit_product(self) -> np.ndarray:
+        """Column 0 of `_product_table` for the kernels B = L = 1: p[k] is
+        row k's sum over cells j < k of both halves, each taking the exact
+        left weight where 2j < k (left half) or 2j < k - 1 (right half) and
+        the exact right weight elsewhere.  For constant kernels b and l the
+        whole table is P[k, c] = b l p[k - c]."""
+        n = self.grid.n
+        k, j = np.arange(n + 1)[:, None], np.arange(n)
+        p = np.zeros(n + 1)
+        for near, exact_left, far, sampled, shift in ((self.near3, self.wl1, self.far1, self.q1, 0),
+                                                     (self.near1, self.wl2, self.far2, self.q3, 1)):
+            left = 2 * j < k - shift
+            # cells j >= k read the zero exact right weight at lag 0
+            p += np.where(left, near, 0.0) @ exact_left + np.where(left, 0.0, far) @ sampled
+        return p
+
+    def constant_smooth_weights(self, a: float) -> tuple[np.ndarray, np.ndarray]:
+        """`smooth_weights` of the kernel A = a by lag: y1[k, j] = y[k - j]
+        and w[k, j] = w[k - j] for j < k, read off row n (y[0] = 0; w[n],
+        which the march never reads, lacks its left neighbour's share)."""
+        right = np.full((1, self.grid.n), a)
+        y1, w = self.smooth_weights(right, right, self.grid.n)
+        return np.concatenate(([0.0], y1[0, ::-1])), w[0, ::-1]
 
 
 def _band_mask(rows: int, cols: int, width: int, split0: int, own0: int) -> np.ndarray:
@@ -303,23 +351,77 @@ def _march(R: np.ndarray, P: np.ndarray, y1: np.ndarray, w: np.ndarray,
     _extend_diagonal(R)
 
 
+def _constant_value(A: KernelFn, grid: Grid) -> Optional[float]:
+    """A's value when it returns one 0-d value for array arguments, that is,
+    when the kernel is the constant A = a and the operator a convolution."""
+    t = grid.nodes[-2:]
+    with np.errstate(all="ignore"):
+        value = np.asarray(A(t[:, None], t), dtype=float)
+    return float(value) if value.ndim == 0 else None
+
+
+def _guard_column(lo: int, values: np.ndarray) -> None:
+    """Name the first non-finite entry of a column march by its cell (k, 0)."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise KernelAssemblyError(lo + int(np.argmax(bad)), 0)
+
+
+def _constant_resolvent(tb: _HalfCellTables, a: float, unit: np.ndarray) -> np.ndarray:
+    """r with R[k, c] = r[k - c] and r[0] = r[1] (the diagonal extension):
+    the regular part of the resolvent of the constant kernel A = a, unit
+    being `tb.unit_product()`.
+
+    On a Toeplitz table `_march` gives row k, column c the value of row
+    k - c, column 0, so both passes run over one column.  Row m reads r[1]
+    for the diagonal entry it replaces (zero at m = 1 of the first pass, the
+    first-pass value at m = 1 of the sweep) and, in the first pass, r[m - 1]
+    in place of its own r[m].  So each pass is one `linear_march` of the
+    causal convolution r[m] = d[m] + sum_{i<m} w'[m - i] r[i] with r[0] = 0,
+    and a non-finite entry is named at the cell the row loop names.
+    """
+    y, w = tb.constant_smooth_weights(a)
+    ones = np.ones((1, tb.grid.n + 1))
+    with np.errstate(invalid="ignore", over="ignore"):
+        p = a * a * unit
+        shifted = w.copy()
+        shifted[1] += w[0]  # row k - 1 in place of row k
+        d = p + y * p[1]
+        d[:2] = 0.0, p[1]
+        r = linear_march(shifted, ones, ones, 0.0, d, 1.0, _guard_column)
+        # Gauss-Seidel sweep: row k reads its own first-pass row and, for
+        # m = 1, the first-pass r[1] as diagonal extension
+        r1 = p[1] + (y[1] + w[0]) * r[1]
+        d = p + y * r1 + w[0] * r
+        d[:2] = 0.0, r1
+        r = linear_march(w, ones, ones, 0.0, d, 1.0, _guard_column)
+    r[0] = r[1]
+    return r
+
+
 def build_resolvent(A: KernelFn, alpha: float, grid: Grid, *,
                     right: Optional[tuple] = None) -> RegularizedKernel:
     """Resolvent of the operator with kernel A(t,s)(t-s)^(alpha-1).
 
     A must accept broadcasting array arguments (t, s) and be finite on the
-    closed triangle s <= t; values outside it are never used.  `right` takes
-    `_right_samples(A, grid)` when the caller holds them already.
+    closed triangle s <= t; values outside it are never used.  A kernel that
+    returns a 0-d value is taken as constant, and its R, Toeplitz, is marched
+    as one column.  `right` takes `_right_samples(A, grid)` when the caller
+    holds them already.
     """
     n = grid.n
     c = _node_samples(A, grid)
-    left = _left_samples(A, grid)
-    if not (c.any() or left[0].any() or left[1].any()):
+    a = _constant_value(A, grid)
+    left = None if a is not None else _left_samples(A, grid)
+    if not (c.any() or (left is not None and (left[0].any() or left[1].any()))):
         return RegularizedKernel(alpha, grid, c, np.zeros_like(c), c_fn=A, is_zero=True)
 
+    tb = _HalfCellTables(alpha, grid)
+    if a is not None:
+        r = _constant_resolvent(tb, a, tb.unit_product())
+        return RegularizedKernel(alpha, grid, c, _causal_table(r), c_fn=A)
     if right is None:
         right = _right_samples(A, grid)
-    tb = _HalfCellTables(alpha, grid)
     P = _product_table(tb, right, left)  # R-independent doubly singular part
     y1, w = tb.smooth_weights(*right)
     R = np.zeros((n + 1, n + 1))
@@ -399,6 +501,23 @@ def _pair_fn(expression, y_star: np.ndarray, u_star: np.ndarray, grid: Grid) -> 
     return fn
 
 
+def _constant_q_table(tb: _HalfCellTables, a: float, g: np.ndarray) -> np.ndarray:
+    """`build_q_kernel`'s table for f_y = a and f_u = g(s) along the pair:
+    Q[k, c] = g[c] q[k - c] below the diagonal, zero on and above it, q[m]
+    being column 0 of the product table with a unit left factor plus the
+    bounded term on the resolvent's r."""
+    n = tb.grid.n
+    p = tb.unit_product()
+    r = _constant_resolvent(tb, a, p)
+    with np.errstate(invalid="ignore", over="ignore"):
+        q = a * p
+        # the bounded term: R at the two half-cell midpoints of the cell at
+        # lag e = k - j >= 1 against the exact left weights, a convolution
+        q[1:] += (np.convolve(0.75 * r[1:] + 0.25 * r[:-1], tb.wl1)[:n]
+                  + np.convolve(0.25 * r[1:] + 0.75 * r[:-1], tb.wl2)[:n])
+        return _causal_table(q, g, 1)
+
+
 def build_q_kernel(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
                    grid: Grid) -> RegularizedKernel:
     """Kernel Q with Y1(t) = int_0^t Q(t,s) v(s) ds for every variation v.
@@ -406,7 +525,9 @@ def build_q_kernel(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
     Q(t,s) = f_u(t,s,y*(s),u*(s)) (t-s)^(alpha-1)
              + int_s^t Phi(t,tau) f_u(tau,s,y*(s),u*(s)) (tau-s)^(alpha-1) dtau,
 
-    Phi being the resolvent of f_y along the pair.
+    Phi being the resolvent of f_y along the pair.  When f_y is a constant
+    and f_u does not read t, Phi depends on t - s only and Q's regular part
+    is f_u(s) times a function of t - s: O(N^2) instead of O(N^3).
     """
     y_star, u_star = pair
     alpha = problem.alpha
@@ -416,18 +537,26 @@ def build_q_kernel(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
     a_fn = _pair_fn(b.f_y, y_star.values, u_star.values, grid)
 
     # if f_u ignores t, its lattice samples are its node values
-    if "t" not in b.f_u.free_vars() and not _sample(c_fn, 0.0, grid.nodes, (n + 1,), True).any():
-        return RegularizedKernel.zero(alpha, grid, c_fn)
-    c = _node_samples(c_fn, grid)
-    left = _left_samples(c_fn, grid)
-    if not (c.any() or left[0].any() or left[1].any()):
-        return RegularizedKernel.zero(alpha, grid, c_fn)
-
-    right = _right_samples(a_fn, grid)
-    phi = build_resolvent(a_fn, alpha, grid, right=right)
-    if phi.is_zero:
+    t_free = "t" not in b.f_u.free_vars()
+    if t_free:
+        g = _sample(c_fn, 0.0, grid.nodes, (n + 1,), True)
+        if not g.any():
+            return RegularizedKernel.zero(alpha, grid, c_fn)
+    a = _constant_value(a_fn, grid) if t_free and not b.f_y.free_vars() else None
+    if a is not None:
+        c = np.tril(np.broadcast_to(g, (n + 1, n + 1)))
+        R = None if a == 0.0 else _constant_q_table(_HalfCellTables(alpha, grid), a, g)
+    else:
+        c = _node_samples(c_fn, grid)
+        left = _left_samples(c_fn, grid)
+        if not (c.any() or left[0].any() or left[1].any()):
+            return RegularizedKernel.zero(alpha, grid, c_fn)
+        right = _right_samples(a_fn, grid)
+        phi = build_resolvent(a_fn, alpha, grid, right=right)
+        R = None if phi.is_zero else _product_table(_HalfCellTables(alpha, grid), right, left,
+                                                    bounded=phi.regular)
+    if R is None:
         return RegularizedKernel(alpha, grid, c, np.zeros((n + 1, n + 1)), c_fn=c_fn)
-    R = _product_table(_HalfCellTables(alpha, grid), right, left, bounded=phi.regular)
     bad = ~np.isfinite(R)
     if bad.any():
         raise KernelAssemblyError(*divmod(int(np.argmax(bad)), n + 1))

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 import warnings
@@ -7,12 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import svoc.resolvent
+from svoc.cli import run_command
 from svoc.errors import KernelAssemblyError
 from svoc.expr import parse_expression
 from svoc.problem import ProblemSpec, builtin_problem
 from svoc.quadrature import make_grid
 from svoc.resolvent import (
     _BLOCK,
+    _HalfCellTables,
     apply_kernel_nodes,
     build_q_kernel,
     build_resolvent,
@@ -73,16 +77,24 @@ def test_neumann_series_oracle():
     assert phi.regular[grid.n, 0] == pytest.approx(series, rel=5e-3)  # measured 2.4e-3
 
 
+def array_constant(a):
+    """The constant kernel a as an array-returning function, which takes the
+    general (non-Toeplitz) path of `build_resolvent`."""
+    return lambda t, s: np.full(np.broadcast(t, s).shape, float(a))
+
+
 @given(st.floats(-1.0, 1.0))
 @settings(deadline=None, max_examples=15)
 def test_constant_kernel_resolvent_is_toeplitz(lam):
-    grid = make_grid(1.0, 24)
-    phi = build_resolvent(lambda t, s: lam, 0.5, grid)
-    R = phi.regular
-    scale = 1.0 + float(np.max(np.abs(R)))
-    for k in range(1, grid.n + 1):
-        for j in range(k):
-            assert abs(R[k, j] - R[k - j, 0]) <= 1e-12 * scale
+    # the general assembly of a constant kernel, also across several row
+    # blocks: the invariant the column march of a constant kernel rests on
+    for n in (24, 2 * _BLOCK + 5):
+        grid = make_grid(1.0, n)
+        phi = build_resolvent(array_constant(lam), 0.5, grid)
+        R = phi.regular
+        scale = 1.0 + float(np.max(np.abs(R)))
+        k, j = np.tril_indices(n + 1, -1)
+        assert np.all(np.abs(R[k, j] - R[k - j, 0]) <= 1e-12 * scale)
 
 
 def test_representation_matches_direct_march():
@@ -438,3 +450,135 @@ def test_node_apply_row_closed_form():
         total = node_apply_row(q, i, grid).sum()
         exact = 2.0 * grid.nodes[i] ** 1.5 + (3.0 * math.pi / 8.0) * grid.nodes[i] ** 3
         assert total == pytest.approx(exact, rel=5e-4)  # measured 6.2e-5
+
+
+# --- constant kernels: the Toeplitz path -------------------------------------
+
+@pytest.mark.parametrize("n", [2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5])
+def test_weight_tables_match_the_gathers(n):
+    # the strided views give the tables the index gathers gave, bit for bit
+    grid = make_grid(1.0, n)
+    tb = _HalfCellTables(0.5, grid)
+    rng = np.random.default_rng(n)
+    left1, left2 = rng.standard_normal((2, n, n))
+    right1, right2 = rng.standard_normal((2, n + 1, n))
+    d = np.subtract.outer(np.arange(n), np.arange(n)).clip(min=0)
+    expect = (left1 * tb.wl1[d], left1 * tb.q1[d], left2 * tb.wl2[d], left2 * tb.q3[d])
+    for got, want in zip(tb.column_factors(left1, left2), expect):
+        assert np.array_equal(got, want)
+    for k0 in range(0, n + 1, _BLOCK):
+        k1 = min(k0 + _BLOCK, n + 1)
+        e = np.subtract.outer(np.arange(k0, k1), np.arange(k1 - 1))
+        near, far = (e - 1).clip(min=0), e.clip(min=0)
+        a1, a2 = right1[k0:k1, : k1 - 1], right2[k0:k1, : k1 - 1]
+        expect = (a1 * tb.q3[near], a1 * tb.wr1[far], a2 * tb.q1[near], a2 * tb.wr2[far])
+        for got, want in zip(tb.row_factors(right1, right2, k0, k1), expect):
+            assert np.array_equal(got, want)
+    e = np.subtract.outer(np.arange(n + 1), np.arange(n)).clip(min=0)
+    x1, x2 = right1 * tb.wr1[e], right2 * tb.wr2[e]
+    y1, w = tb.smooth_weights(right1, right2)
+    assert np.array_equal(y1, 0.75 * x1 + 0.25 * x2)
+    assert np.array_equal(w[:, 0], y1[:, 0])
+    assert np.array_equal(w[:, n], 0.25 * x1[:, -1] + 0.75 * x2[:, -1])
+    assert np.array_equal(w[:, 1:n], 0.25 * x1[:, :-1] + 0.75 * x2[:, :-1] + y1[:, 1:])
+
+
+@pytest.fixture
+def general_path(monkeypatch):
+    """Calling it sends constant kernels down the general assembly."""
+    return lambda: monkeypatch.setattr(svoc.resolvent, "_constant_value", lambda A, grid: None)
+
+
+@pytest.mark.parametrize("a", [-1.0, 0.5, 2.0])
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.8])
+@pytest.mark.parametrize("n", [2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5, 384])
+def test_constant_kernel_path_matches_general_path(n, alpha, a, general_path):
+    grid = make_grid(1.0, n)
+    fast = build_resolvent(lambda t, s: a, alpha, grid)
+    general = build_resolvent(array_constant(a), alpha, grid)
+    assert np.array_equal(fast.sing_coeff, general.sing_coeff)
+    assert _max_rel(fast.regular, general.regular) <= 1e-12  # measured 8.5e-15
+
+    # f_u constant, and f_u reading s (directly and through a varying u*)
+    y = Trajectory.from_expression("1 + 0.5*t", grid)
+    u = Trajectory.from_expression("0.5 + sin(3*t)", grid)
+    problems = [ProblemSpec(alpha, 1.0, parse_expression("1"),
+                            parse_expression(f"{a!r}*y + {f_u}"), parse_expression("y^2 + u^2"))
+                for f_u in ("1.3*u", "(1 + s^2)*u", "0.7*u^2")]
+    fast = [build_q_kernel(problem, (y, u), grid) for problem in problems]
+    general_path()
+    for problem, q in zip(problems, fast):
+        ref = build_q_kernel(problem, (y, u), grid)
+        assert np.array_equal(q.sing_coeff, ref.sing_coeff)
+        assert _max_rel(q.regular, ref.regular) <= 1e-12  # measured 8.8e-15
+
+
+def test_path_selection(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("general product table")
+
+    monkeypatch.setattr(svoc.resolvent, "_product_table", refuse)
+    grid = make_grid(1.0, 48)
+    u = Trajectory.from_expression("0.5 + 0.3*t", grid)
+    y = Trajectory.from_expression("1 + 0.5*t", grid)
+    build_resolvent(lambda t, s: 0.5, 0.5, grid)
+    with pytest.raises(AssertionError, match="general"):
+        build_resolvent(array_constant(0.5), 0.5, grid)
+
+    lq = builtin_problem("lq", {"a": 0.5, "b": 1.0, "r": 1.0})
+    assert not build_q_kernel(lq, (y, u), grid).is_zero
+    t_reading = [builtin_problem("paper_example"),  # f_y = t u, f_u = t y
+                 ProblemSpec(0.5, 1.0, parse_expression("1"), parse_expression("0.5*y + t*u"),
+                             parse_expression("y^2"))]
+    for problem in t_reading:
+        with pytest.raises(AssertionError, match="general"):
+            build_q_kernel(problem, (y, u), grid)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1e150])
+def test_constant_kernel_failure_names_the_general_cell(value):
+    grid = make_grid(1.0, 2 * _BLOCK + 5)
+    cell = _assembly_failure(lambda: build_resolvent(array_constant(value), 0.5, grid))
+    assert _assembly_failure(lambda: build_resolvent(lambda t, s: value, 0.5, grid)) == cell
+
+
+def test_verify_on_the_constant_kernel_path_matches_the_general_path(tmp_path, general_path):
+    argv = ["verify", "--problem", "lq", "--param", "a=0.7", "--param", "b=1.3",
+            "--param", "r=0.8", "--control", "0.4", "--direction", "cos(3*t)", "--n", "64"]
+
+    def numbers(out):
+        assert run_command(argv + ["--out", str(out)]) == 0
+        flat = []
+        walk = [json.loads((out / "verify.json").read_text())]
+        while walk:
+            x = walk.pop()
+            if isinstance(x, dict):
+                walk.extend(x.values())
+            elif isinstance(x, list):
+                walk.extend(x)
+            elif isinstance(x, float):
+                flat.append(x)
+        return np.array(flat)
+
+    fast = numbers(tmp_path / "fast")
+    general_path()
+    general = numbers(tmp_path / "general")
+    assert len(fast) == len(general) > 20
+    assert np.all(np.abs(fast - general) <= 1e-12 * np.abs(general))  # measured 1.7e-16
+
+
+def test_constant_kernel_response_memory():
+    # lq: f_y = a, f_u = b; the general assembly peaked at 17.4 tables
+    n = 384
+    grid = make_grid(1.0, n)
+    lq = builtin_problem("lq", {"a": 0.5, "b": 1.0, "r": 1.0})
+    u = Trajectory.constant(1.0, grid)
+    pair = (solve_state(lq, u, grid), u)
+    tracemalloc.start()
+    try:
+        q = build_q_kernel(lq, pair, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not q.is_zero
+    assert peak <= 3 * (n + 1) ** 2 * 8  # measured 2.30 tables
