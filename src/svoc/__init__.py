@@ -6,8 +6,8 @@ that validate each identity independently.
 """
 
 from .adjoint import AdjointTrajectory, InstantSnap, adjoint_residual, solve_adjoint
-from .errors import (AdjointStepError, KernelAssemblyError, NewtonError,
-                     NumericsError, SeriesError, StateBlowupError)
+from .errors import (AdjointStepError, KernelAssemblyError, NumericsError, SeriesError,
+                     StateBlowupError)
 from .expr import ExpressionError, NonSmoothWarning, ScalarExpr, differentiate, parse_expression
 from .oracle import (ConvergenceReport, ExpansionReport, VariationalReport,
                      convergence_study, fd_expansion_check, linear_analytic_solution,
@@ -19,7 +19,7 @@ from .problem import (BUILTIN_SIGNATURES, DerivativeBundle, InstantCost, Problem
                       ProblemValidationError, builtin_problem, load_problem_file,
                       problem_to_dict)
 from .quadrature import (Grid, MidpointWeights, SingularWeights, make_grid, midpoint_weights,
-                         singular_weights, trapezoid, trapezoid_weights)
+                         singular_weights, trapezoid)
 from .resolvent import RegularizedKernel, build_q_kernel, build_resolvent
 from .state import (CostBreakdown, Trajectory, evaluate_cost, solve_state,
                     solve_y1, solve_y2)
@@ -30,7 +30,7 @@ __all__ = [
     "AdjointStepError", "AdjointTrajectory", "BUILTIN_SIGNATURES", "ConvergenceReport",
     "CostBreakdown", "DerivativeBundle", "ExpansionReport", "ExpressionError", "Grid",
     "HamiltonianFields", "InstantCost", "InstantSnap", "KernelAssemblyError", "MKernel",
-    "MidpointWeights", "NewtonError", "NonSmoothWarning", "NumericsError",
+    "MidpointWeights", "NonSmoothWarning", "NumericsError",
     "ProblemSpec", "ProblemValidationError", "RegularizedKernel", "ScalarExpr",
     "SecondOrderReport", "SeriesError", "SingularVerdict", "SingularWeights",
     "StateBlowupError", "Trajectory", "VariationalReport", "adjoint_residual",
@@ -40,5 +40,5 @@ __all__ = [
     "load_problem_file", "make_grid", "midpoint_weights", "mittag_leffler",
     "parse_expression", "problem_to_dict", "project_control", "quadratic_form",
     "second_order_test", "singular_weights", "solve_adjoint", "solve_state", "solve_y1",
-    "solve_y2", "trapezoid", "trapezoid_weights", "variational_fd_check",
+    "solve_y2", "trapezoid", "variational_fd_check",
 ]

@@ -45,7 +45,3 @@ class KernelAsymmetryError(NumericsError):
 
 class SeriesError(NumericsError):
     """A series evaluation failed to converge within its budget."""
-
-
-class NewtonError(NumericsError):
-    """A scalar Newton iteration failed to converge."""

@@ -16,6 +16,13 @@ quadratic form
 to stay non-positive.  The cross term's inner integral runs over s in [0, t]
 with the outer factor v(t) H_yu(t); this is the ordering consistent with the
 first-order response representation, and reports record it.
+
+Every term reads the midpoint response matrix QM, (QM v)_k ~ int_0^{tau_k}
+Q(tau_k, s) v(s) ds, built once per pair.  M is kept as its factors, never as
+a table: h^2 v^T M v = sum_k h H_yy(tau_k) (QM v)_k^2 - sum_i h_yy^i (q_i . v)^2
+with q_i the row of Q at instant i's node.  QF[v] thus costs O(N^2), and the
+matrix of the form is K = L^T W L + diag(h H_uu) + C + C^T, with L the factor
+rows, W their weights and C = diag(h H_yu) QM.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .adjoint import AdjointTrajectory, _tail_field, snap_instants
-from .errors import KernelAsymmetryError
+from .errors import KernelAsymmetryError, NumericsError
 from .problem import ProblemSpec
 from .quadrature import Grid
 from .resolvent import RegularizedKernel, build_q_kernel, midpoint_apply_matrix, node_apply_row
@@ -58,10 +65,15 @@ class SingularVerdict:
 
 @dataclass(frozen=True, eq=False)
 class MKernel:
-    """Symmetric midpoint-pair samples of the aggregated curvature kernel."""
+    """The aggregated curvature kernel as its factors: h^2 M is the sum of
+    L^T diag(w) L over blocks (L, w), QM with weights h H_yy and Q's node rows
+    at the instants with weights -h_yy^i.  A block whose weights all vanish is
+    left out.  qm is QM itself, which the cross term reads too; None when Q
+    is zero."""
 
     grid: Grid
-    values: np.ndarray
+    qm: Optional[np.ndarray]
+    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +126,7 @@ def detect_singular(fields: HamiltonianFields, tol: float | None = None) -> Sing
 def _symmetrized(A: np.ndarray, what: str) -> np.ndarray:
     """0.5 (A + A^T), after checking that A was symmetric up to roundoff."""
     asym = float(np.max(np.abs(A - A.T)))
-    if asym > 1e-12 * (1.0 + float(np.max(np.abs(A)))):
+    if not asym <= 1e-12 * (1.0 + float(np.max(np.abs(A)))):  # also catches nan
         raise KernelAsymmetryError(f"{what} asymmetry {asym:.3e} exceeds tolerance")
     return 0.5 * (A + A.T)
 
@@ -127,59 +139,56 @@ def assemble_m_kernel(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
         M(a, b) = int_{max(a,b)}^T Q(t,a) H_yy(t) Q(t,b) dt
                   - sum_i 1[a < t_i] 1[b < t_i] Q(t_i,a) h_yy^i(y*(t_i)) Q(t_i,b),
 
-    assembled through the midpoint response matrix so the result is symmetric
-    by construction; the max asymmetry is checked tiny before symmetrizing.
+    as its factors (see MKernel): one `midpoint_apply_matrix`, and one
+    `node_apply_row` per instant with curvature.
     """
     if q.grid != grid:
         raise ValueError("kernel grid mismatch")
-    n, h = grid.n, grid.h
-    hyy = fields.h_yy.values
-    snaps = snap_instants(problem, grid)
-    hyy_inst = [
-        float(problem.bundle.instants[i].h_yy.evaluate(y=pair[0].values[s.node_index]))
-        for i, s in enumerate(snaps)
-    ]
-    need_tail = bool(np.any(hyy)) and not q.is_zero
-    need_inst = any(c != 0.0 for c in hyy_inst) and not q.is_zero
-    if not (need_tail or need_inst):
-        return MKernel(grid, np.zeros((n, n)))
-
-    M = np.zeros((n, n))
+    if q.is_zero:
+        return MKernel(grid, None, ())
     qm = midpoint_apply_matrix(q, grid)
-    if need_tail:
-        M = qm.T @ (qm * (hyy * h)[:, None]) / h**2
-    if need_inst:
-        for coeff, snap in zip(hyy_inst, snaps):
-            if coeff == 0.0:
-                continue
-            qi = node_apply_row(q, snap.node_index, grid)
-            M -= np.outer(qi, qi) * (coeff / h**2)
-    return MKernel(grid, _symmetrized(M, "curvature kernel"))
+    blocks = []
+    tail = grid.h * fields.h_yy.values
+    if np.any(tail):
+        blocks.append((qm, tail))
+    rows, weights = [], []
+    for snap, ic in zip(snap_instants(problem, grid), problem.bundle.instants):
+        coeff = float(ic.h_yy.evaluate(y=pair[0].values[snap.node_index]))
+        if coeff != 0.0:
+            rows.append(node_apply_row(q, snap.node_index, grid))
+            weights.append(-coeff)
+    if rows:
+        blocks.append((np.array(rows), np.array(weights)))
+    return MKernel(grid, qm, tuple(blocks))
 
 
-def quadratic_form(fields: HamiltonianFields, m: MKernel, q: RegularizedKernel,
-                   v: Trajectory, grid: Grid) -> float:
-    """The second-order form QF[v] for a variation sampled on midpoints."""
+def quadratic_form(fields: HamiltonianFields, m: MKernel, v: Trajectory, grid: Grid) -> float:
+    """The second-order form QF[v] for a variation sampled on midpoints, in
+    O(N^2) from the factors of M."""
     if v.placement != "midpoints" or v.grid != grid or m.grid != grid:
         raise ValueError("variation, kernels, and grid must match on midpoints")
     h = grid.h
     vv = v.values
     out = h * float(np.dot(fields.h_uu.values, vv**2))
-    out += h**2 * float(vv @ m.values @ vv)
-    if not q.is_zero and np.any(fields.h_yu.values):
-        qm = midpoint_apply_matrix(q, grid)
-        out += 2.0 * h * float(np.dot(vv * fields.h_yu.values, qm @ vv))
+    for L, w in m.blocks:
+        out += float(np.dot(w, (L @ vv) ** 2))
+    if m.qm is not None and np.any(fields.h_yu.values):
+        out += 2.0 * h * float(np.dot(vv * fields.h_yu.values, m.qm @ vv))
     return out
 
 
-def _quadratic_matrix(fields: HamiltonianFields, m: MKernel, q: RegularizedKernel,
-                      grid: Grid) -> np.ndarray:
+def _quadratic_matrix(fields: HamiltonianFields, m: MKernel, grid: Grid) -> np.ndarray:
     """Symmetric K with v^T K v = QF[v] for every midpoint sample vector."""
     h = grid.h
-    K = np.diag(fields.h_uu.values * h) + h**2 * m.values
-    if not q.is_zero and np.any(fields.h_yu.values):
-        C = (fields.h_yu.values * h)[:, None] * midpoint_apply_matrix(q, grid)
-        K = K + C + C.T
+    K = np.diag(fields.h_uu.values * h)
+    for L, w in m.blocks:
+        K += L.T @ (L * w[:, None])
+    if m.qm is not None and np.any(fields.h_yu.values):
+        C = (fields.h_yu.values * h)[:, None] * m.qm
+        K += C
+        K += C.T
+    if not np.isfinite(K).all():
+        raise NumericsError("quadratic form matrix is not finite")
     return _symmetrized(K, "quadratic form")
 
 
@@ -199,7 +208,7 @@ def second_order_test(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
                                  verdict.sup_hu, None, None)
     q = build_q_kernel(problem, pair, grid)
     m = assemble_m_kernel(problem, pair, fields, q, grid)
-    K = _quadratic_matrix(fields, m, q, grid)
+    K = _quadratic_matrix(fields, m, grid)
     eigenvalues, eigenvectors = np.linalg.eigh(K)
     lam = float(eigenvalues[-1])
     direction = None

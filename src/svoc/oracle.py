@@ -129,7 +129,7 @@ def fd_expansion_check(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory]
     hu_pairing = grid.h * float(np.dot(fields.h_u.values, v_mid.values))
     q = build_q_kernel(problem, pair, grid)
     m = assemble_m_kernel(problem, pair, fields, q, grid)
-    qf = quadratic_form(fields, m, q, v_mid, grid)
+    qf = quadratic_form(fields, m, v_mid, grid)
 
     rows = []
     for delta in deltas:

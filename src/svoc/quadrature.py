@@ -151,51 +151,6 @@ def midpoint_weights(alpha: float, grid: Grid) -> MidpointWeights:
     return MidpointWeights(alpha, grid, mu)
 
 
-@dataclass(frozen=True)
-class TrapezoidWeights:
-    """Product-trapezoid weights: phi interpolated linearly on each cell.
-
-    Row k has weight left[k - j] + right[k - j] on phi(t_j) for interior j,
-    only the left-cell part at j = 0 and only right[0] on phi(t_k) itself,
-    which makes the associated state march implicit.
-    """
-
-    alpha: float
-    grid: Grid
-    left: np.ndarray
-    right: np.ndarray
-
-    @property
-    def diagonal(self) -> float:
-        """Weight on the sample at the pole, h^alpha / (alpha (alpha+1))."""
-        return float(self.right[0])
-
-    def row(self, k: int) -> np.ndarray:
-        """Weights on phi(t_0), ..., phi(t_k) (length k + 1), k >= 1."""
-        if not 1 <= k <= self.grid.n:
-            raise IndexError(f"row index {k} outside 1..{self.grid.n}")
-        out = np.zeros(k + 1)
-        out[: k] += self.left[k:0:-1]
-        out[1:] += self.right[k - 1 :: -1]
-        return out
-
-
-def trapezoid_weights(alpha: float, grid: Grid) -> TrapezoidWeights:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    h = grid.h
-    d = np.arange(grid.n + 1, dtype=float)
-    a = d[:-1] * h  # distance from pole to the cell edge nearer to it
-    b = d[1:] * h
-    w0 = (b**alpha - a**alpha) / alpha
-    w1 = (b ** (alpha + 1.0) - a ** (alpha + 1.0)) / (alpha + 1.0)
-    # cell [t_j, t_{j+1}] with pole at distance d = k - j >= 1 from its left edge
-    left = np.zeros(grid.n + 1)
-    left[1:] = (w1 - a * w0) / h
-    right = (b * w0 - w1) / h  # same cell seen from its right endpoint, d >= 0
-    return TrapezoidWeights(alpha, grid, left, right)
-
-
 LEAF = 128  # rows a stepped march runs one by one between FFT convolutions
 LINEAR_LEAF = 64  # rows a linear march solves as one triangular system
 

@@ -580,14 +580,13 @@ def midpoint_apply_matrix(kernel: RegularizedKernel, grid: Grid) -> np.ndarray:
     tri = np.tril(np.ones((n, n), dtype=bool))
     cmid = _sample(kernel.c_fn, tau[:, None], tau[None, :], (n, n), tri)
     mu = midpoint_weights(kernel.alpha, grid).mu
-    d = np.subtract.outer(np.arange(n), np.arange(n)).clip(min=0)
     R = kernel.regular
     rmid = 0.25 * (R[:n, :n] + R[1:, :n] + R[:n, 1:] + R[1:, 1:])
     idx = np.arange(n)
     rmid[idx, idx] = R[idx + 1, idx]
     wgt = np.tril(np.full((n, n), h))
     wgt[idx, idx] = 0.5 * h
-    return np.where(tri, cmid * mu[d] + rmid * wgt, 0.0)
+    return np.where(tri, cmid * _lagged(mu, n, n) + rmid * wgt, 0.0)
 
 
 def node_apply_row(kernel: RegularizedKernel, node_index: int, grid: Grid) -> np.ndarray:

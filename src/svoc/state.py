@@ -17,11 +17,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NewtonError, NumericsError, StateBlowupError
+from .errors import NumericsError, StateBlowupError
 from .expr import NonSmoothWarning, Num, ScalarExpr, differentiate, parse_expression, separate
 from .problem import ProblemSpec
-from .quadrature import (Grid, causal_march, linear_march, singular_weights, trapezoid,
-                         trapezoid_weights)
+from .quadrature import Grid, causal_march, linear_march, singular_weights, trapezoid
 
 BLOWUP_LIMIT = 1e12
 
@@ -126,16 +125,9 @@ def _slopes(split) -> list[ScalarExpr] | None:
     return None if any("y" in e.free_vars() for e in slopes) else slopes
 
 
-def solve_state(problem: ProblemSpec, control: Trajectory, grid: Grid,
-                scheme: str = "rectangle") -> Trajectory:
-    """March the state equation forward; explicit under the rectangle scheme.
-
-    scheme="trapezoid" interpolates the smooth factor linearly per cell, which
-    couples y_k to itself; the scalar nonlinearity is resolved by Newton.
-    """
+def solve_state(problem: ProblemSpec, control: Trajectory, grid: Grid) -> Trajectory:
+    """March the state equation forward; the rectangle scheme makes it explicit."""
     _require_nodes("control", control, grid)
-    if scheme not in ("rectangle", "trapezoid"):
-        raise ValueError(f"unknown scheme {scheme!r}")
     t = grid.nodes
     u = control.values
     eta = evaluate_on(problem.eta, {"t": t}, t.shape)
@@ -144,59 +136,35 @@ def solve_state(problem: ProblemSpec, control: Trajectory, grid: Grid,
     _guard(0, y[0])
 
     f = problem.f
-    if scheme == "rectangle":
-        w = singular_weights(problem.alpha, grid)
-        split = separate(f)
-        if split is None:
-            for k in range(1, grid.n + 1):
-                env = {"t": t[k], "s": t[:k], "y": y[:k], "u": u[:k]}
-                y[k] = eta[k] + w.row(k) @ evaluate_on(f, env, (k,))
-                _guard(k, y[k])
-            return Trajectory(grid, "nodes", y)
-        # f = sum_i a_i(t) b_i(s, y, u)
-        outer = _outer_samples([a for a, _ in split], t)
-        slopes = _slopes(split)
-        if slopes is not None:
-            # every b_i = B_i(s, u) y + G_i(s, u): one triangular solve per leaf
-            env = {"s": t, "u": u}
-            with np.errstate(all="ignore"):
-                B = np.array([evaluate_on(e, env, t.shape) for e in slopes])
-                G = np.array([evaluate_on(b, {**env, "y": 0.0}, t.shape) for _, b in split])
-            y = linear_march(w.omega, outer, B, G, eta, 1.0, _guard_rows)
-        else:
-            # one new sample of each b_i per row
-            inner = [b for _, b in split]
-
-            def step(k, c):
-                if k:
-                    y[k] = eta[k] + outer[:, k] @ c
-                    _guard(k, y[k])
-                return [b.evaluate(s=t[k], y=y[k], u=u[k]) for b in inner]
-
-            causal_march(w.omega, len(inner), step)
+    w = singular_weights(problem.alpha, grid)
+    split = separate(f)
+    if split is None:
+        for k in range(1, grid.n + 1):
+            env = {"t": t[k], "s": t[:k], "y": y[:k], "u": u[:k]}
+            y[k] = eta[k] + w.row(k) @ evaluate_on(f, env, (k,))
+            _guard(k, y[k])
         return Trajectory(grid, "nodes", y)
+    # f = sum_i a_i(t) b_i(s, y, u)
+    outer = _outer_samples([a for a, _ in split], t)
+    slopes = _slopes(split)
+    if slopes is not None:
+        # every b_i = B_i(s, u) y + G_i(s, u): one triangular solve per leaf
+        env = {"s": t, "u": u}
+        with np.errstate(all="ignore"):
+            B = np.array([evaluate_on(e, env, t.shape) for e in slopes])
+            G = np.array([evaluate_on(b, {**env, "y": 0.0}, t.shape) for _, b in split])
+        y = linear_march(w.omega, outer, B, G, eta, 1.0, _guard_rows)
+    else:
+        # one new sample of each b_i per row
+        inner = [b for _, b in split]
 
-    w = trapezoid_weights(problem.alpha, grid)
-    f_y = problem.bundle.f_y
-    diag = w.diagonal
-    for k in range(1, grid.n + 1):
-        row = w.row(k)
-        env = {"t": t[k], "s": t[:k], "y": y[:k], "u": u[:k]}
-        known = eta[k] + row[:k] @ evaluate_on(f, env, (k,))
-        z = y[k - 1]
-        for _ in range(50):
-            point = {"t": t[k], "s": t[k], "y": z, "u": u[k]}
-            resid = z - known - diag * float(f.evaluate(**point))
-            slope = 1.0 - diag * float(f_y.evaluate(**point))
-            if abs(slope) < 1e-12:
-                raise NewtonError(f"degenerate Newton slope at node {k}")
-            z -= resid / slope
-            if abs(resid) <= 1e-12 * (1.0 + abs(z)):
-                break
-        else:
-            raise NewtonError(f"no convergence in 50 Newton steps at node {k}")
-        y[k] = z
-        _guard(k, y[k])
+        def step(k, c):
+            if k:
+                y[k] = eta[k] + outer[:, k] @ c
+                _guard(k, y[k])
+            return [b.evaluate(s=t[k], y=y[k], u=u[k]) for b in inner]
+
+        causal_march(w.omega, len(inner), step)
     return Trajectory(grid, "nodes", y)
 
 

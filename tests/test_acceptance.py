@@ -195,7 +195,7 @@ def test_criterion_6_second_order_verdicts():
     fields = hamiltonian_fields(lq, (y_lq, u_lq), adj, small)
     q = build_q_kernel(lq, (y_lq, u_lq), small)
     m = assemble_m_kernel(lq, (y_lq, u_lq), fields, q, small)
-    K = _quadratic_matrix(fields, m, q, small)
+    K = _quadratic_matrix(fields, m, small)
     assert np.all(np.isfinite(K))
 
     elapsed = time.perf_counter() - start

@@ -282,6 +282,15 @@ def test_verify_marches_reference_state_once(tmp_path, monkeypatch):
     assert len(state_calls) == 7
 
 
+def test_non_finite_quadratic_form_is_a_numerical_failure(tmp_path, capsys):
+    code = run(["check", "--order", "2", "--problem", "lq", "--param", "a=0.5",
+                "--param", "b=1e160", "--param", "r=1", "--control", "0", "--n", "8",
+                "--tol", "1e300"], tmp_path)
+    assert code == 2
+    [line] = error_lines(capsys)
+    assert line.startswith("numerical failure: ")
+
+
 # (command, N, order) of every README command and benchmark workload
 SHIPPED_GRIDS = [
     ("solve", 256, 1), ("adjoint", 128, 1), ("check", 256, 1), ("check", 512, 2),

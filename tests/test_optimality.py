@@ -5,14 +5,15 @@ import mpmath
 import numpy as np
 import pytest
 
+import svoc.optimality
 from svoc.adjoint import (AdjointTrajectory, _instant_rows, adjoint_residual,
                           snap_instants, solve_adjoint)
 from svoc.errors import KernelAsymmetryError, NumericsError
 from svoc.expr import parse_expression
 from svoc.optimality import (
     CROSS_TERM_CONVENTION,
-    MKernel,
     _quadratic_matrix,
+    _symmetrized,
     assemble_m_kernel,
     default_tolerance,
     detect_singular,
@@ -20,9 +21,10 @@ from svoc.optimality import (
     quadratic_form,
     second_order_test,
 )
+from svoc.oracle import fd_expansion_check
 from svoc.problem import InstantCost, ProblemSpec, builtin_problem
 from svoc.quadrature import make_grid, midpoint_weights
-from svoc.resolvent import build_q_kernel
+from svoc.resolvent import build_q_kernel, midpoint_apply_matrix
 from svoc.state import Trajectory, evaluate_cost, evaluate_on, solve_state
 
 
@@ -194,7 +196,7 @@ def test_curvature_kernel_zero_when_response_kernel_is_zero():
     q = build_q_kernel(problem, pair, grid)
     assert q.is_zero
     m = assemble_m_kernel(problem, pair, fields, q, grid)
-    assert not m.values.any()
+    assert m.qm is None and m.blocks == ()
 
 
 def test_curvature_kernel_zero_without_state_curvature():
@@ -206,7 +208,7 @@ def test_curvature_kernel_zero_without_state_curvature():
     q = build_q_kernel(problem, pair, grid)
     assert not q.is_zero
     m = assemble_m_kernel(problem, pair, fields, q, grid)
-    assert not m.values.any()
+    assert m.qm is not None and m.blocks == ()  # no block, so no GEMM
 
 
 def test_curvature_kernel_against_series_quadrature():
@@ -217,7 +219,11 @@ def test_curvature_kernel_against_series_quadrature():
     pair, fields = fields_for(problem, grid, control_value=1.0)
     q = build_q_kernel(problem, pair, grid)
     m = assemble_m_kernel(problem, pair, fields, q, grid)
-    assert np.max(np.abs(m.values - m.values.T)) == 0.0
+    [(L, w)] = m.blocks  # the tail block alone: lq has no instants
+    assert L is m.qm
+    M = L.T @ (L * w[:, None]) / grid.h**2
+    K = _quadratic_matrix(fields, m, grid)
+    assert np.max(np.abs(K - K.T)) == 0.0
 
     mpmath.mp.dps = 20
     gam = mpmath.gamma(0.5)
@@ -234,7 +240,7 @@ def test_curvature_kernel_against_series_quadrature():
             lambda t: q_series(t, tau[ia]) * q_series(t, tau[ib]),
             [max(tau[ia], tau[ib]), 1.0],
         ))
-        rel = abs(m.values[ia, ib] - exact) / abs(exact)
+        rel = abs(M[ia, ib] - exact) / abs(exact)
         assert rel <= 5e-2  # measured 3.1e-3 .. 5.0e-3
 
 
@@ -249,9 +255,9 @@ def test_quadratic_form_closed_value():
         q = build_q_kernel(problem, pair, grid)
         m = assemble_m_kernel(problem, pair, fields, q, grid)
         v = Trajectory.constant(1.0, grid, "midpoints")
-        qf = quadratic_form(fields, m, q, v, grid)
+        qf = quadratic_form(fields, m, v, grid)
         assert qf == pytest.approx(sign * 16.0 / 3.0, abs=1e-2)  # measured off 1.5e-5
-        zero = quadratic_form(fields, m, q, Trajectory.constant(0.0, grid, "midpoints"), grid)
+        zero = quadratic_form(fields, m, Trajectory.constant(0.0, grid, "midpoints"), grid)
         assert zero == 0.0
 
 
@@ -262,9 +268,9 @@ def test_quadratic_form_requires_midpoint_variation():
     q = build_q_kernel(problem, pair, grid)
     m = assemble_m_kernel(problem, pair, fields, q, grid)
     with pytest.raises(ValueError, match="midpoints"):
-        quadratic_form(fields, m, q, Trajectory.constant(1.0, grid), grid)
+        quadratic_form(fields, m, Trajectory.constant(1.0, grid), grid)
     with pytest.raises(ValueError, match="midpoints"):
-        quadratic_form(fields, m, q,
+        quadratic_form(fields, m,
                        Trajectory.constant(1.0, make_grid(1.0, 16), "midpoints"), grid)
 
 
@@ -274,6 +280,12 @@ def quadratic_setups():
     yield ProblemSpec(alpha=0.5, T=1.0, eta=parse_expression("1"),
                       f=parse_expression("y + u"),
                       g=parse_expression("y^2 + 0.5*y*u")), 0.5
+    # instant curvature on a non-zero Q exercises the instant rows of M,
+    # one instant on a node and one between nodes
+    yield ProblemSpec(alpha=0.5, T=1.0, eta=parse_expression("1"),
+                      f=parse_expression("0.5*y + u"), g=parse_expression("u^2"),
+                      instant_costs=(InstantCost(0.5, parse_expression("y^2")),
+                                     InstantCost(0.7301, parse_expression("sin(y)")))), 0.5
 
 
 def test_matrix_and_functional_forms_agree():
@@ -283,11 +295,11 @@ def test_matrix_and_functional_forms_agree():
         pair, fields = fields_for(problem, grid, control_value=value)
         q = build_q_kernel(problem, pair, grid)
         m = assemble_m_kernel(problem, pair, fields, q, grid)
-        K = _quadratic_matrix(fields, m, q, grid)
+        K = _quadratic_matrix(fields, m, grid)
         for _ in range(20):
             vv = rng.uniform(-1.0, 1.0, grid.n)
             v = Trajectory(grid, "midpoints", vv)
-            functional = quadratic_form(fields, m, q, v, grid)
+            functional = quadratic_form(fields, m, v, grid)
             assert abs(float(vv @ K @ vv) - functional) <= 1e-10 * (1.0 + abs(functional))
 
 
@@ -299,8 +311,8 @@ def test_quadratic_form_scales_quadratically():
     m = assemble_m_kernel(problem, pair, fields, q, grid)
     v = Trajectory.from_expression("sin(3*t)", grid, "midpoints")
     v3 = Trajectory(grid, "midpoints", 3.0 * v.values)
-    qf = quadratic_form(fields, m, q, v, grid)
-    assert quadratic_form(fields, m, q, v3, grid) == pytest.approx(9.0 * qf, abs=1e-10 * (1 + abs(qf)))
+    qf = quadratic_form(fields, m, v, grid)
+    assert quadratic_form(fields, m, v3, grid) == pytest.approx(9.0 * qf, abs=1e-10 * (1 + abs(qf)))
 
 
 # --- second-order verdicts ---------------------------------------------------------
@@ -378,14 +390,31 @@ def test_nonsingular_control_is_inconclusive():
 
 
 def test_asymmetric_kernel_is_a_numerical_failure():
-    problem = builtin_problem("sing_quad", {"c": 1.0})
-    grid = make_grid(1.0, 16)
-    pair, fields = fields_for(problem, grid)
-    q = build_q_kernel(problem, pair, grid)
-    skewed = MKernel(grid, np.triu(np.ones((grid.n, grid.n))))
     with pytest.raises(KernelAsymmetryError, match="quadratic form asymmetry"):
-        _quadratic_matrix(fields, skewed, q, grid)
+        _symmetrized(np.triu(np.ones((16, 16))), "quadratic form")
+    nan = np.eye(16)
+    nan[3, 5] = nan[5, 3] = np.nan
+    with pytest.raises(KernelAsymmetryError, match="asymmetry nan"):
+        _symmetrized(nan, "quadratic form")  # fails closed
     assert issubclass(KernelAsymmetryError, NumericsError)
+
+
+def test_response_matrix_is_built_once_per_pair(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return midpoint_apply_matrix(*args)
+
+    monkeypatch.setattr(svoc.optimality, "midpoint_apply_matrix", counted)
+    problem, value = list(quadratic_setups())[1]  # cross curvature: M and C both read QM
+    grid = make_grid(1.0, 32)
+    pair, fields = fields_for(problem, grid, control_value=value)
+    assert second_order_test(problem, pair, fields, grid, tol=1e9).verdict != "inconclusive"
+    assert len(calls) == 1
+    calls.clear()
+    fd_expansion_check(problem, pair, Trajectory.from_expression("cos(2*t)", grid))
+    assert len(calls) == 1
 
 
 def test_curvature_kernel_grid_mismatch_rejected():

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +10,6 @@ from svoc.quadrature import (
     singular_integral,
     singular_weights,
     trapezoid,
-    trapezoid_weights,
 )
 from svoc.state import Trajectory
 
@@ -129,36 +126,6 @@ def test_midpoint_head_and_tail_are_mirror_images():
     assert np.array_equal(mw.tail_row(5), mw.mu[:3])
     with pytest.raises(IndexError):
         mw.tail_row(8)
-
-
-@given(alphas, cells)
-@settings(deadline=None, max_examples=60)
-def test_trapezoid_rows_telescope(alpha, n):
-    g = make_grid(1.0, n)
-    tw = trapezoid_weights(alpha, g)
-    for k in (1, n // 2, n):
-        if k == 0:
-            continue
-        assert tw.row(k).sum() == pytest.approx(g.nodes[k] ** alpha / alpha, rel=1e-12)
-
-
-def test_trapezoid_diagonal_weight():
-    g = make_grid(1.0, 8)
-    alpha = 0.5
-    tw = trapezoid_weights(alpha, g)
-    assert tw.diagonal == pytest.approx(g.h**alpha / (alpha * (alpha + 1.0)), rel=1e-14)
-    with pytest.raises(IndexError):
-        tw.row(0)
-
-
-def test_trapezoid_exact_on_linear_integrand():
-    # product-trapezoid integrates s (t - s)^(alpha-1) exactly
-    alpha = 0.5
-    g = make_grid(1.0, 8)
-    tw = trapezoid_weights(alpha, g)
-    t1 = g.nodes[8]
-    exact = t1 ** (alpha + 1.0) * math.gamma(alpha) / math.gamma(alpha + 2.0)
-    assert tw.row(8) @ g.nodes == pytest.approx(exact, rel=1e-13)
 
 
 def test_composite_trapezoid():

@@ -437,6 +437,19 @@ def test_midpoint_apply_matrix_closed_form():
     assert rel <= 1e-4  # measured 1.59e-5
 
 
+@pytest.mark.parametrize("n", [2, 3, 33, 200])
+def test_midpoint_apply_matrix_matches_the_gather(n, monkeypatch):
+    # the Toeplitz view of mu gives the matrix the n x n index gather gave
+    problem = builtin_problem("paper_example")
+    grid = make_grid(1.0, n)
+    u = Trajectory.constant(0.3, grid)
+    q = build_q_kernel(problem, (solve_state(problem, u, grid), u), grid)
+    got = midpoint_apply_matrix(q, grid)
+    d = np.subtract.outer(np.arange(n), np.arange(n)).clip(min=0)
+    monkeypatch.setattr(svoc.resolvent, "_lagged", lambda v, rows, cols: v[d])
+    assert np.array_equal(got, midpoint_apply_matrix(q, grid))
+
+
 def test_node_apply_row_closed_form():
     problem = builtin_problem("paper_example")
     grid = make_grid(1.0, 256)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svoc.errors import NewtonError, StateBlowupError
+from svoc.errors import StateBlowupError
 from svoc.oracle import linear_analytic_solution
 from svoc.problem import builtin_problem
 from svoc.quadrature import make_grid
@@ -49,8 +49,6 @@ def test_solver_demands_matching_node_control():
         solve_state(BENCH, Trajectory.constant(0.0, grid, "midpoints"), grid)
     with pytest.raises(ValueError, match="different grid"):
         solve_state(BENCH, Trajectory.constant(0.0, make_grid(1.0, 4)), grid)
-    with pytest.raises(ValueError, match="scheme"):
-        solve_state(BENCH, Trajectory.constant(0.0, grid), grid, scheme="simpson")
 
 
 # --- marching accuracy --------------------------------------------------------
@@ -73,33 +71,6 @@ def test_linear_problem_matches_series_solution():
     ref = linear_analytic_solution(1.0, 0.5, grid.nodes)
     rel = np.max(np.abs(y.values - ref)) / np.max(np.abs(ref))
     assert rel <= 3e-2  # measured 2.30e-2 at n = 512
-
-
-def test_trapezoid_scheme_is_sharper():
-    problem = builtin_problem("abel_linear", {"lam": 1.0})
-    grid = make_grid(1.0, 512)
-    u = Trajectory.constant(0.0, grid)
-    ref = linear_analytic_solution(1.0, 0.5, grid.nodes)
-    rect = solve_state(problem, u, grid)
-    trap = solve_state(problem, u, grid, scheme="trapezoid")
-    scale = np.max(np.abs(ref))
-    err_rect = np.max(np.abs(rect.values - ref)) / scale
-    err_trap = np.max(np.abs(trap.values - ref)) / scale
-    assert err_trap <= 3e-4  # measured 8.47e-5
-    assert err_trap < 0.05 * err_rect
-
-
-def test_trapezoid_newton_failure_is_reported():
-    # f_y = K cancels the implicit coefficient when K = 1/diagonal
-    grid = make_grid(1.0, 2)
-    from svoc.quadrature import trapezoid_weights
-    from svoc.problem import ProblemSpec
-    from svoc.expr import parse_expression
-    K = 1.0 / trapezoid_weights(0.5, grid).diagonal
-    problem = ProblemSpec(alpha=0.5, T=1.0, eta=parse_expression("1"),
-                          f=parse_expression(f"{K!r}*y"), g=parse_expression("0"))
-    with pytest.raises(NewtonError):
-        solve_state(problem, Trajectory.constant(0.0, grid), grid, scheme="trapezoid")
 
 
 def test_blowup_raises_with_location():
