@@ -30,17 +30,18 @@ from .state import Trajectory, evaluate_cost, solve_state
 # Grid budget, checked before anything is allocated.  Per grid, a command
 # makes a fixed number of O(N^2) passes (marches and tail quadratures) and
 # holds a fixed number of dense (N+1)^2 float64 tables at its peak.  Tracemalloc
-# peaks at N = 256, 512 and 1024, in tables, on `paper_example`, whose Q takes
-# the general path: 22.5, 15.5 and 15.0 for `check --order 2` (with a tol that
-# makes the test apply) and 21.9, 15.5 and 15.0 for `verify`; at N = 256 the
-# 3.4 MiB of band masks and factors that `resolvent._product_table` holds at
-# any N still show.  `check --order 1` holds O(N): 0.5 and 0.07 tables at
-# N = 256 and 512.  A kernel that separates in t marches in O(N log^2 N)
-# instead, and a convolution linearization (f_y constant, f_u free of t) builds
-# the resolvent and Q in O(N^2) flops, so that both commands peak at 7.2, 7.2
-# and 7.1 tables on `lq`; but the budget is checked before the problem is
-# loaded, so it charges every kernel the O(N^2) row loop and the general
-# resolvent and Q.
+# peaks at N = 256, 512 and 1024, in tables, on `paper_example` at control 0.3,
+# whose Q takes the general path (one product table and two marches): 18.9,
+# 12.5 and 12.0 for `check --order 2` (with a tol that makes the test apply)
+# and 19.5, 12.5 and 12.0 for `verify`; at N = 256 the 3.4 MiB of band masks
+# and factors that `resolvent._product_table` holds at any N still show.
+# `check --order 1` holds O(N): 0.5 and 0.07 tables at N = 256 and 512.  A
+# kernel that separates in t marches in O(N log^2 N) instead, and a
+# convolution linearization (f_y constant, f_u free of t) builds Q in O(N^2)
+# flops, so that on `lq` (a=0.7, b=-1.2, r=1.3, control 0.4) `verify` peaks
+# at 7.8, 7.2 and 7.1 tables and `check --order 2` at 7.2, 7.2 and 7.1; but
+# the budget is checked before the problem is loaded, so it charges every
+# kernel the O(N^2) row loop and the general Q.
 WORK_BUDGET = 2**34   # sum of (N+1)^2 over a command's passes: `solve` up to N ~ 2^17
 DENSE_BUDGET = 2**31  # bytes of dense tables held at once
 _PASSES_TABLES = {

@@ -97,19 +97,25 @@ def hamiltonian_fields(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory]
                        psi: AdjointTrajectory, grid: Grid) -> HamiltonianFields:
     """H and its (u, y) partials on midpoints along the pair, one `_tail_field`
     each: O(N^2) time and O(N) memory, or O(N) evaluations and one correlation
-    when f's partial ignores t."""
+    when f's partial ignores t.  A non-finite field raises NumericsError
+    naming the field and its first bad midpoint."""
     b = problem.bundle
 
-    def field(f_part, g_part) -> Trajectory:
+    def field(name, f_part, g_part) -> Trajectory:
         vals = _tail_field(problem, pair, grid, f_part, g_part, psi.psi.values)
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise NumericsError(f"Hamiltonian field {name} is not finite at midpoint {k}"
+                                f" (t = {grid.midpoints[k]:g})")
         return Trajectory(grid, "midpoints", vals)
 
     return HamiltonianFields(
-        h=field(b.f, b.g),
-        h_u=field(b.f_u, b.g_u),
-        h_uu=field(b.f_uu, b.g_uu),
-        h_yy=field(b.f_yy, b.g_yy),
-        h_yu=field(b.f_yu, b.g_yu),
+        h=field("H", b.f, b.g),
+        h_u=field("H_u", b.f_u, b.g_u),
+        h_uu=field("H_uu", b.f_uu, b.g_uu),
+        h_yy=field("H_yy", b.f_yy, b.g_yy),
+        h_yu=field("H_yu", b.f_yu, b.g_yu),
     )
 
 

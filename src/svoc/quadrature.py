@@ -67,11 +67,6 @@ class SingularWeights:
             raise IndexError(f"row index {k} outside 0..{self.grid.n}")
         return self.omega[k:0:-1]
 
-    def weight(self, k: int, j: int) -> float:
-        if not 0 <= j < k <= self.grid.n:
-            raise IndexError(f"need 0 <= j < k <= n, got j={j}, k={k}")
-        return float(self.omega[k - j])
-
     def dense(self) -> np.ndarray:
         """Full lower-triangular (n+1, n+1) matrix; for tests and small n."""
         n = self.grid.n
@@ -88,23 +83,6 @@ def singular_weights(alpha: float, grid: Grid) -> SingularWeights:
     omega = np.zeros(grid.n + 1)
     omega[1:] = grid.h**alpha * (d[1:] ** alpha - d[:-1] ** alpha) / alpha
     return SingularWeights(alpha, grid, omega)
-
-
-def singular_integral(values, weights: SingularWeights, k: int) -> float:
-    """Approximate int_0^{t_k} phi(s)(t_k - s)^(alpha-1) ds from node samples.
-
-    Accepts a plain array of node values or any trajectory object carrying
-    node-placed samples in a ``values`` attribute.
-    """
-    placement = getattr(values, "placement", "nodes")
-    if placement != "nodes":
-        raise ValueError(f"need node samples, got placement {placement!r}")
-    values = np.asarray(getattr(values, "values", values), dtype=float)
-    if values.shape != (weights.grid.n + 1,):
-        raise ValueError(f"expected {weights.grid.n + 1} node values, got {values.shape}")
-    if k == 0:
-        return 0.0
-    return float(weights.row(k) @ values[:k])
 
 
 @dataclass(frozen=True)
@@ -126,18 +104,6 @@ class MidpointWeights:
     alpha: float
     grid: Grid
     mu: np.ndarray
-
-    def tail_row(self, k: int) -> np.ndarray:
-        """Weights on phi(tau_k), ..., phi(tau_{n-1}); a view."""
-        if not 0 <= k < self.grid.n:
-            raise IndexError(f"midpoint index {k} outside 0..{self.grid.n - 1}")
-        return self.mu[: self.grid.n - k]
-
-    def head_row(self, k: int) -> np.ndarray:
-        """Weights on phi(tau_0), ..., phi(tau_k)."""
-        if not 0 <= k < self.grid.n:
-            raise IndexError(f"midpoint index {k} outside 0..{self.grid.n - 1}")
-        return self.mu[k::-1]
 
 
 def midpoint_weights(alpha: float, grid: Grid) -> MidpointWeights:

@@ -1,33 +1,43 @@
 """Resolvent and response kernels for linear weakly singular Volterra operators.
 
-For a kernel A(t,s)(t-s)^(alpha-1) the resolvent is stored in split form
+Both kernels solve a second-kind equation with a right kernel B and a left
+kernel L,
 
-    Phi(t,s) = A(t,s) (t-s)^(alpha-1) + R(t,s),
+    K(t,s) = L(t,s)(t-s)^(alpha-1) + int_s^t B(t,tau)(t-tau)^(alpha-1) K(tau,s) dtau,
 
-with R bounded off the diagonal and obtained by marching the fixed-point
-relation column by column.  The doubly singular cell integrals
+and are stored in split form K = L(t,s)(t-s)^(alpha-1) + R(t,s), with R
+bounded off the diagonal and obtained by marching
 
-    int A(t,tau)(t-tau)^(alpha-1) [A(tau,s)(tau-s)^(alpha-1)] dtau
+    R(t,s) = int B(t,tau)(t-tau)^(alpha-1) [L(tau,s)(tau-s)^(alpha-1) + R(tau,s)] dtau.
+
+B = L = A gives the resolvent Phi of the kernel A(t,s)(t-s)^(alpha-1); B = f_y
+and L = f_u along a reference pair give the response kernel Q, marched from
+its own equation (the variational equation) with no resolvent built.  The
+doubly singular cell integrals
+
+    int B(t,tau)(t-tau)^(alpha-1) [L(tau,s)(tau-s)^(alpha-1)] dtau
 
 are split at each cell midpoint: on each half the factor whose pole is nearer
 is integrated in closed form while the other factor and the smooth data are
 sampled at the half's midpoint.
 
-Cost: O(N^2) flops for a constant A, O(N^3) otherwise, and O(N^2) memory.
-A constant A makes the operator a convolution: R[k, c] depends on k - c
-alone, so one column of the doubly singular table is built, O(N^2), and each
-pass of the march over it is one `linear_march`, O(N log^2 N); when f_u does
-not read t either, Q's regular part is f_u(s) times one such column.
-Otherwise the doubly singular part does not depend on R, so it is assembled up front as one table, in blocks of B rows
-and B columns, mostly of matrix products (BLAS).  Elementwise work is left
-only where the half-cell choice switches: in a band of about B cells per
-block, and in the row block's own cells within the two column blocks next to
-the diagonal; both are masked into one batched product per block.  The own
-cells of the column blocks further left take one choice throughout and are
-added a row at a time, one gemv per half, so that no product reaches a cell
-j >= k and a non-finite sample is reported at the cell where a row-by-row
-quadrature first meets it.  The march over R is sequential, one gemv per
-row, so the Python-level work is O(N) rows plus O((N/B)^2) blocks.
+Cost: O(N^2) flops for a constant B, O(N^3) otherwise, and O(N^2) memory.
+A constant B with a constant L (the resolvent of a constant A), or with an L
+that reads s only (Q when f_y is a constant and f_u does not read t), makes
+the operator a convolution: R[k, c] is L's value at t_c times a function of
+k - c, so one column of the doubly singular table is built, O(N^2), and each
+pass of the march over it is one `linear_march`, O(N log^2 N).  Otherwise
+the doubly singular part does not depend on R, so it is assembled up front
+as one table, in square blocks of `_BLOCK` rows and columns, mostly of
+matrix products (BLAS).  Elementwise work is left only where the half-cell
+choice switches: in a band of about `_BLOCK` cells per block, and in the row block's own cells
+within the two column blocks next to the diagonal; both are masked into one
+batched product per block.  The own cells of the column blocks further left
+take one choice throughout and are added a row at a time, one gemv per half,
+so that no product reaches a cell j >= k and a non-finite sample is reported
+at the cell where a row-by-row quadrature first meets it.  The two marches
+over R are sequential, one gemv per row, so the Python-level work is O(N)
+rows plus O((N/_BLOCK)^2) blocks, and Q costs what the resolvent costs.
 """
 
 from __future__ import annotations
@@ -206,16 +216,12 @@ def _band_mask(rows: int, cols: int, width: int, split0: int, own0: int) -> np.n
                           axis=1)
 
 
-def _product_table(tb: _HalfCellTables, right: tuple, left: tuple,
-                   bounded: Optional[np.ndarray] = None) -> np.ndarray:
+def _product_table(tb: _HalfCellTables, right: tuple, left: tuple) -> np.ndarray:
     """Doubly singular product quadrature for every row k and column c < k,
 
         P[k, c] ~ int_{t_c}^{t_k} B(t_k,tau)(t_k-tau)^(alpha-1) L(tau,t_c)(tau-t_c)^(alpha-1) dtau,
 
     with B sampled in `right` and L in `left`; entries with c >= k are zero.
-    `bounded`, the regular part Rp of a resolvent, adds the same integral with
-    Rp(t_k, tau) in place of the first factor: only the left pole is singular
-    there, so both halves integrate the left factor exactly.
 
     Each (row block, column block) takes, per half, one matrix product over
     the cells j < k0 below the row block where both halves' choices are
@@ -225,10 +231,10 @@ def _product_table(tb: _HalfCellTables, right: tuple, left: tuple,
     block's own cells j >= k0.  Both halves of that go through one batched
     product whose left-kernel factor has the choice, and j < k, masked in.
     In the column blocks further left every own cell is right-exact on both
-    halves; those cells, and the bounded part's own cells, are added one row
-    at a time, a gemv per half over all those columns.  So no product reaches
-    a cell j >= k, and a non-finite sample first shows in each row at the
-    column where a row-by-row quadrature would first meet it.
+    halves; those cells are added one row at a time, a gemv per half over all
+    those columns.  So no product reaches a cell j >= k, and a non-finite
+    sample first shows in each row at the column where a row-by-row
+    quadrature would first meet it.
     """
     n = tb.grid.n
     bl1, br1, bl2, br2 = tb.column_factors(*left)
@@ -267,17 +273,9 @@ def _product_table(tb: _HalfCellTables, right: tuple, left: tuple,
                 if c1 > k0:
                     acc[kk <= np.arange(c0, c1)] = 0.0
                 out[k0:k1, c0:c1] = acc
-            if bounded is not None:
-                rb = bounded[k0:k1, :k1]
-                rp1 = 0.75 * rb[:, :-1] + 0.25 * rb[:, 1:]
-                rp2 = 0.25 * rb[:, :-1] + 0.75 * rb[:, 1:]
-                # bl is zero for j < c, so columns c >= k0 have no cell j < k0
-                out[k0:k1, :k0] += rp1[:, :k0] @ bl1[:k0, :k0] + rp2[:, :k0] @ bl2[:k0, :k0]
             for k in range(k0 + 1, k1):  # own cells k0 <= j < k, one row at a time
                 r, j = k - k0, slice(k0, k)
                 out[k, :cfar] += xr1[r, j] @ br1[j, :cfar] + xr2[r, j] @ br2[j, :cfar]
-                if bounded is not None:
-                    out[k, :k] += rp1[r, j] @ bl1[j, :k] + rp2[r, j] @ bl2[j, :k]
     return out
 
 
@@ -367,10 +365,10 @@ def _guard_column(lo: int, values: np.ndarray) -> None:
         raise KernelAssemblyError(lo + int(np.argmax(bad)), 0)
 
 
-def _constant_resolvent(tb: _HalfCellTables, a: float, unit: np.ndarray) -> np.ndarray:
+def _constant_resolvent(tb: _HalfCellTables, a: float, b: float) -> np.ndarray:
     """r with R[k, c] = r[k - c] and r[0] = r[1] (the diagonal extension):
-    the regular part of the resolvent of the constant kernel A = a, unit
-    being `tb.unit_product()`.
+    the regular part `_solve` gives for the constant right kernel a and the
+    constant left kernel b, whose product table is a b `tb.unit_product()`.
 
     On a Toeplitz table `_march` gives row k, column c the value of row
     k - c, column 0, so both passes run over one column.  Row m reads r[1]
@@ -383,7 +381,7 @@ def _constant_resolvent(tb: _HalfCellTables, a: float, unit: np.ndarray) -> np.n
     y, w = tb.constant_smooth_weights(a)
     ones = np.ones((1, tb.grid.n + 1))
     with np.errstate(invalid="ignore", over="ignore"):
-        p = a * a * unit
+        p = a * b * tb.unit_product()
         shifted = w.copy()
         shifted[1] += w[0]  # row k - 1 in place of row k
         d = p + y * p[1]
@@ -399,17 +397,36 @@ def _constant_resolvent(tb: _HalfCellTables, a: float, unit: np.ndarray) -> np.n
     return r
 
 
-def build_resolvent(A: KernelFn, alpha: float, grid: Grid, *,
-                    right: Optional[tuple] = None) -> RegularizedKernel:
+def _solve(tb: _HalfCellTables, right: tuple, left: tuple) -> np.ndarray:
+    """Regular part R of the second-kind equation with right kernel B,
+    sampled in `right`, and left kernel L, sampled in `left`:
+
+        R(t,s) = int_s^t B(t,tau)(t-tau)^(alpha-1) [L(tau,s)(tau-s)^(alpha-1) + R(tau,s)] dtau.
+
+    B = L = A gives the resolvent of A; B = f_y and L = f_u give Q.  The
+    doubly singular part does not depend on R, so it is one product table,
+    and R is marched over it twice: one Gauss-Seidel sweep over the completed
+    table replaces the in-march zero/extension entries near the diagonal,
+    where the first pass is roughest; the update is contractive along the
+    causal ordering.  B enters only through `right`.
+    """
+    n = tb.grid.n
+    P = _product_table(tb, right, left)
+    y1, w = tb.smooth_weights(*right)
+    R = np.zeros((n + 1, n + 1))
+    _march(R, P, y1, w, last_row_known=False)
+    _march(R, P, y1, w, last_row_known=True)
+    return R
+
+
+def build_resolvent(A: KernelFn, alpha: float, grid: Grid) -> RegularizedKernel:
     """Resolvent of the operator with kernel A(t,s)(t-s)^(alpha-1).
 
     A must accept broadcasting array arguments (t, s) and be finite on the
     closed triangle s <= t; values outside it are never used.  A kernel that
     returns a 0-d value is taken as constant, and its R, Toeplitz, is marched
-    as one column.  `right` takes `_right_samples(A, grid)` when the caller
-    holds them already.
+    as one column.
     """
-    n = grid.n
     c = _node_samples(A, grid)
     a = _constant_value(A, grid)
     left = None if a is not None else _left_samples(A, grid)
@@ -418,18 +435,9 @@ def build_resolvent(A: KernelFn, alpha: float, grid: Grid, *,
 
     tb = _HalfCellTables(alpha, grid)
     if a is not None:
-        r = _constant_resolvent(tb, a, tb.unit_product())
-        return RegularizedKernel(alpha, grid, c, _causal_table(r), c_fn=A)
-    if right is None:
-        right = _right_samples(A, grid)
-    P = _product_table(tb, right, left)  # R-independent doubly singular part
-    y1, w = tb.smooth_weights(*right)
-    R = np.zeros((n + 1, n + 1))
-    _march(R, P, y1, w, last_row_known=False)
-    # one Gauss-Seidel sweep over the completed table replaces the in-march
-    # zero/extension entries near the diagonal, where the first pass is
-    # roughest; the update is contractive along the causal ordering
-    _march(R, P, y1, w, last_row_known=True)
+        R = _causal_table(_constant_resolvent(tb, a, a))
+    else:
+        R = _solve(tb, _right_samples(A, grid), left)
     return RegularizedKernel(alpha, grid, c, R, c_fn=A)
 
 
@@ -501,33 +509,20 @@ def _pair_fn(expression, y_star: np.ndarray, u_star: np.ndarray, grid: Grid) -> 
     return fn
 
 
-def _constant_q_table(tb: _HalfCellTables, a: float, g: np.ndarray) -> np.ndarray:
-    """`build_q_kernel`'s table for f_y = a and f_u = g(s) along the pair:
-    Q[k, c] = g[c] q[k - c] below the diagonal, zero on and above it, q[m]
-    being column 0 of the product table with a unit left factor plus the
-    bounded term on the resolvent's r."""
-    n = tb.grid.n
-    p = tb.unit_product()
-    r = _constant_resolvent(tb, a, p)
-    with np.errstate(invalid="ignore", over="ignore"):
-        q = a * p
-        # the bounded term: R at the two half-cell midpoints of the cell at
-        # lag e = k - j >= 1 against the exact left weights, a convolution
-        q[1:] += (np.convolve(0.75 * r[1:] + 0.25 * r[:-1], tb.wl1)[:n]
-                  + np.convolve(0.25 * r[1:] + 0.75 * r[:-1], tb.wl2)[:n])
-        return _causal_table(q, g, 1)
-
-
 def build_q_kernel(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
                    grid: Grid) -> RegularizedKernel:
     """Kernel Q with Y1(t) = int_0^t Q(t,s) v(s) ds for every variation v.
 
-    Q(t,s) = f_u(t,s,y*(s),u*(s)) (t-s)^(alpha-1)
-             + int_s^t Phi(t,tau) f_u(tau,s,y*(s),u*(s)) (tau-s)^(alpha-1) dtau,
+    Q solves the variational equation
 
-    Phi being the resolvent of f_y along the pair.  When f_y is a constant
-    and f_u does not read t, Phi depends on t - s only and Q's regular part
-    is f_u(s) times a function of t - s: O(N^2) instead of O(N^3).
+        Q(t,s) = f_u(t,s) (t-s)^(alpha-1) + int_s^t f_y(t,tau) (t-tau)^(alpha-1) Q(tau,s) dtau,
+
+    f_y and f_u read y* and u* at their second time argument.  Its regular
+    part is marched from this equation by `_solve`, with f_y as the right
+    kernel and f_u as the left one; no resolvent is built.  The regular part
+    is zero when f_y's samples all vanish.  When f_y is a constant and f_u
+    does not read t, the regular part is f_u(s) times a function of t - s,
+    marched as one column: O(N^2) instead of O(N^3).
     """
     y_star, u_star = pair
     alpha = problem.alpha
@@ -545,18 +540,22 @@ def build_q_kernel(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
     a = _constant_value(a_fn, grid) if t_free and not b.f_y.free_vars() else None
     if a is not None:
         c = np.tril(np.broadcast_to(g, (n + 1, n + 1)))
-        R = None if a == 0.0 else _constant_q_table(_HalfCellTables(alpha, grid), a, g)
+        flat = a == 0.0
     else:
         c = _node_samples(c_fn, grid)
         left = _left_samples(c_fn, grid)
         if not (c.any() or left[0].any() or left[1].any()):
             return RegularizedKernel.zero(alpha, grid, c_fn)
         right = _right_samples(a_fn, grid)
-        phi = build_resolvent(a_fn, alpha, grid, right=right)
-        R = None if phi.is_zero else _product_table(_HalfCellTables(alpha, grid), right, left,
-                                                    bounded=phi.regular)
-    if R is None:
+        flat = not (right[0].any() or right[1].any())
+    if flat:
         return RegularizedKernel(alpha, grid, c, np.zeros((n + 1, n + 1)), c_fn=c_fn)
+    tb = _HalfCellTables(alpha, grid)
+    if a is None:
+        return RegularizedKernel(alpha, grid, c, _solve(tb, right, left), c_fn=c_fn)
+    # Q[k, c] = g[c] q[k - c], q marched with the unit left kernel
+    with np.errstate(invalid="ignore", over="ignore"):
+        R = _causal_table(_constant_resolvent(tb, a, 1.0), g, 1)
     bad = ~np.isfinite(R)
     if bad.any():
         raise KernelAssemblyError(*divmod(int(np.argmax(bad)), n + 1))

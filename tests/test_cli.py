@@ -291,6 +291,20 @@ def test_non_finite_quadratic_form_is_a_numerical_failure(tmp_path, capsys):
     assert line.startswith("numerical failure: ")
 
 
+@pytest.mark.parametrize("command", [["check"], ["check", "--order", "2"],
+                                     ["verify", "--direction=1"]])
+def test_non_finite_hamiltonian_field_is_a_numerical_failure(tmp_path, capsys, command):
+    # g = 1e307 y u: the field H_u overflows, the state and the costate do not
+    spec_path = tmp_path / "p.json"
+    spec_path.write_text(json.dumps({"alpha": 0.5, "T": 1.0, "eta": "1",
+                                     "f": "0.5*y + 30*u", "g": "1e307*y*u"}))
+    code = run([*command, "--problem", str(spec_path), "--control", "0.1", "--n", "8"],
+               tmp_path)
+    assert code == 2
+    [line] = error_lines(capsys)
+    assert line.startswith("numerical failure: Hamiltonian field H_u is not finite at midpoint")
+
+
 # (command, N, order) of every README command and benchmark workload
 SHIPPED_GRIDS = [
     ("solve", 256, 1), ("adjoint", 128, 1), ("check", 256, 1), ("check", 512, 2),

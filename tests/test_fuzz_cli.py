@@ -60,7 +60,7 @@ JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=
 
 
 @st.composite
-def problem_files(draw):
+def problem_files(draw, damaged=True):
     data = {
         "alpha": draw(st.sampled_from([0.5, 0.3, 0.9])),
         "T": draw(st.sampled_from([1.0, 2.0])),
@@ -74,7 +74,7 @@ def problem_files(draw):
             "h": st.sampled_from(["y", "y^2", "1/y", "log(y)", "y/y", "y^0.5"])}), max_size=2))
     if draw(st.booleans()):
         data["control_bounds"] = [-1.0, 1.0]
-    damage = draw(st.integers(0, 7))
+    damage = draw(st.integers(0, 7)) if damaged else 0
     if damage == 6:
         data[draw(st.sampled_from(sorted(data)))] = draw(JUNK)
     elif damage == 7:
@@ -89,7 +89,8 @@ def test_affine_kernels_take_the_linear_state_march(f):
     assert split is not None and _slopes(split) is not None
 
 
-CONTROLS = ["0", "0.3", "t", "sin(3*t)", "1/0", "t^0.5", "(-1)^0.5", "2^1e5", "log(t)",
+FINITE_CONTROLS = ["0", "0.3", "t", "sin(3*t)"]
+CONTROLS = [*FINITE_CONTROLS, "1/0", "t^0.5", "(-1)^0.5", "2^1e5", "log(t)",
             "abs(t - 0.5)", "y"]
 COMMANDS = [["solve"], ["adjoint"], ["check", "--order", "1"], ["check", "--order", "2"],
             ["check", "--order", "2", "--tol", "1e9"], ["verify", "--direction=cos(t)"]]
@@ -125,6 +126,21 @@ def test_problem_files_keep_the_exit_code_contract(tmp_path_factory, data, comma
     code, lines = run(argv, out, budget=0 if tight else None)
     if tight:  # refused before the problem file is read
         assert code == 1 and "too large" in lines[0]
+
+
+@FUZZ
+@given(problem_files(damaged=False), st.sampled_from(COMMANDS),
+       st.sampled_from(FINITE_CONTROLS), st.integers(2, 64))
+def test_finite_controls_fail_only_as_numerical_failures(tmp_path_factory, data, command,
+                                                         control, n):
+    # on a valid file and a finite control, a non-finite intermediate is a
+    # numerical failure (exit 2), never the usage error of a bad trajectory
+    out = tmp_path_factory.mktemp("finite")
+    path = out / "problem.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    _, lines = run([*command, "--problem", str(path), f"--control={control}", "--n", str(n)],
+                   out)
+    assert not any("trajectory values must be finite" in line for line in lines), lines
 
 
 TOKENS = ["solve", "adjoint", "check", "verify", "converge", "list-problems", "bogus",

@@ -7,11 +7,9 @@ from svoc.quadrature import (
     Grid,
     make_grid,
     midpoint_weights,
-    singular_integral,
     singular_weights,
     trapezoid,
 )
-from svoc.state import Trajectory
 
 alphas = st.floats(0.1, 0.9)
 cells = st.integers(2, 80)
@@ -34,7 +32,7 @@ def test_make_grid_validation():
 def test_first_weight_alpha_half():
     # alpha = 1/2, h = 1/4: omega[1] = h^0.5 / 0.5 = 2 * 0.5 = 1
     w = singular_weights(0.5, make_grid(1.0, 4))
-    assert w.weight(1, 0) == pytest.approx(1.0, abs=1e-15)
+    assert w.omega[1] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_full_row_sum_alpha_half():
@@ -67,8 +65,6 @@ def test_weights_positive_and_decreasing(alpha, n):
 def test_weight_index_guards():
     w = singular_weights(0.5, make_grid(1.0, 4))
     with pytest.raises(IndexError):
-        w.weight(3, 3)
-    with pytest.raises(IndexError):
         w.row(5)
 
 
@@ -86,20 +82,8 @@ def test_linear_integrand_converges():
     # int_0^1 s (1 - s)^(-1/2) ds = 4/3
     g = make_grid(1.0, 4096)
     w = singular_weights(0.5, g)
-    approx = singular_integral(g.nodes, w, g.n)
+    approx = w.row(g.n) @ g.nodes[: g.n]
     assert approx == pytest.approx(4.0 / 3.0, abs=1e-3)
-
-
-def test_singular_integral_accepts_trajectories():
-    g = make_grid(1.0, 16)
-    w = singular_weights(0.5, g)
-    y = Trajectory.from_expression("t", g)
-    assert singular_integral(y, w, 16) == singular_integral(y.values, w, 16)
-    assert singular_integral(y.values, w, 0) == 0.0
-    with pytest.raises(ValueError, match="placement"):
-        singular_integral(Trajectory.constant(1.0, g, "midpoints"), w, 16)
-    with pytest.raises(ValueError, match="node values"):
-        singular_integral(np.ones(5), w, 3)
 
 
 def test_singular_weights_alpha_guard():
@@ -114,18 +98,23 @@ def test_midpoint_rows_telescope(alpha, n):
     mw = midpoint_weights(alpha, g)
     tau = g.midpoints
     for k in (0, n // 2, n - 1):
-        head = mw.head_row(k).sum()
-        tail = mw.tail_row(k).sum()
+        head = mw.mu[k::-1].sum()  # weights mu[k - j] on phi(tau_j), j = 0..k
+        tail = mw.mu[: n - k].sum()  # weights mu[j - k] on phi(tau_j), j = k..n-1
         assert head == pytest.approx(tau[k] ** alpha / alpha, rel=1e-12)
         assert tail == pytest.approx((g.T - tau[k]) ** alpha / alpha, rel=1e-12)
 
 
 def test_midpoint_head_and_tail_are_mirror_images():
-    mw = midpoint_weights(0.5, make_grid(1.0, 8))
-    assert np.array_equal(mw.head_row(5), mw.mu[5::-1])
-    assert np.array_equal(mw.tail_row(5), mw.mu[:3])
-    with pytest.raises(IndexError):
-        mw.tail_row(8)
+    # the head rule at tau_k reads phi(tau_j) with mu[k - j], the tail rule at
+    # tau_m with mu[j - m]: reflected in time, tau_j -> T - tau_j, they agree
+    n = 8
+    mu = midpoint_weights(0.5, make_grid(1.0, n)).mu
+    phi = np.random.default_rng(8).standard_normal(n)
+    for k in range(n):
+        j, m = np.arange(k + 1), n - 1 - k
+        head = mu[k - j] @ phi[j]
+        tail = mu[np.arange(m, n) - m] @ phi[::-1][m:]
+        assert head == pytest.approx(tail, rel=1e-14)
 
 
 def test_composite_trapezoid():

@@ -132,8 +132,10 @@ def test_assembly_failure_names_the_cell():
 # --- reference: the same quadrature, one row at a time ---------------------------
 
 class RowReference:
-    """The resolvent and Q quadrature evaluated row by row with explicit
-    half-cell masks: a slow, independent statement of the weights."""
+    """The quadrature of the second-kind equation with right kernel B and left
+    kernel L, evaluated row by row with explicit half-cell masks: a slow,
+    independent statement of the weights.  B = L = A gives the resolvent of A,
+    B = f_y and L = f_u gives Q."""
 
     def __init__(self, alpha, grid):
         n, h = grid.n, grid.h
@@ -148,16 +150,18 @@ class RowReference:
         self.wl1, self.wl2 = ((ph - pa[:-1]) / alpha)[d], ((pa[1:] - ph) / alpha)[d]
         self.q1d, self.q3d = self.q1[d], self.q3[d]
 
-    def samples(self, fn):
+    def samples(self, right_fn, left_fn):
+        """Left samples of L and right samples of B."""
         n, h, t = self.n, self.grid.h, self.grid.nodes
         cells = t[:-1]
         below = np.tril(np.ones((n, n), dtype=bool))
         rows = np.arange(n + 1)[:, None] > np.arange(n)[None, :]
-        grab = lambda tt, ss, keep: np.where(keep, np.broadcast_to(fn(tt, ss), keep.shape), 0.0)
-        return (grab(cells[:, None] + 0.25 * h, t[None, :-1], below),
-                grab(cells[:, None] + 0.75 * h, t[None, :-1], below),
-                grab(t[:, None], cells[None, :] + 0.25 * h, rows),
-                grab(t[:, None], cells[None, :] + 0.75 * h, rows))
+        grab = lambda fn, tt, ss, keep: np.where(keep, np.broadcast_to(fn(tt, ss), keep.shape),
+                                                 0.0)
+        return (grab(left_fn, cells[:, None] + 0.25 * h, t[None, :-1], below),
+                grab(left_fn, cells[:, None] + 0.75 * h, t[None, :-1], below),
+                grab(right_fn, t[:, None], cells[None, :] + 0.25 * h, rows),
+                grab(right_fn, t[:, None], cells[None, :] + 0.75 * h, rows))
 
     def product_row(self, k, left1, left2, right1, right2):
         j, c = np.arange(k)[:, None], np.arange(k)[None, :]
@@ -184,8 +188,8 @@ class RowReference:
         R[np.arange(n), np.arange(n)] = R[np.arange(1, n + 1), np.arange(n)]
         R[n, n] = R[n, n - 1]
 
-    def resolvent(self, fn):
-        smp = self.samples(fn)
+    def resolvent(self, right_fn, left_fn):
+        smp = self.samples(right_fn, left_fn)
         R = np.zeros((self.n + 1, self.n + 1))
         for known in (False, True):
             for k in range(1, self.n + 1):
@@ -194,14 +198,14 @@ class RowReference:
         return R
 
     def residual(self, fn, R):
-        smp = self.samples(fn)
+        smp = self.samples(fn, fn)
         return max(float(np.max(np.abs(self.product_row(k, *smp)
                                         + self.regular_row(k, R, *smp[2:], True) - R[k, :k])))
                    for k in range(1, self.n + 1))
 
-    def first_failure(self, fn):
+    def first_failure(self, right_fn, left_fn):
         """The cell the first pass of the march stops at, or None."""
-        smp = self.samples(fn)
+        smp = self.samples(right_fn, left_fn)
         R = np.zeros((self.n + 1, self.n + 1))
         for k in range(1, self.n + 1):
             row = self.product_row(k, *smp) + self.regular_row(k, R, *smp[2:], False)
@@ -209,23 +213,6 @@ class RowReference:
                 return k, int(np.argmax(~np.isfinite(row)))
             R[k, :k] = row
         return None
-
-    def q_table(self, a_fn, c_fn, Rp):
-        """Q's regular part before the diagonal is filled in."""
-        g1, g2, _, _ = self.samples(c_fn)
-        _, _, a1, a2 = self.samples(a_fn)
-        out = np.zeros((self.n + 1, self.n + 1))
-        for k in range(1, self.n + 1):
-            rp1 = 0.75 * Rp[k, :k] + 0.25 * Rp[k, 1 : k + 1]
-            rp2 = 0.25 * Rp[k, :k] + 0.75 * Rp[k, 1 : k + 1]
-            out[k, :k] = (self.product_row(k, g1, g2, a1, a2)
-                          + rp1 @ (g1 * self.wl1)[:k, :k] + rp2 @ (g2 * self.wl2)[:k, :k])
-        return out
-
-    def q_regular(self, a_fn, c_fn, Rp):
-        out = self.q_table(a_fn, c_fn, Rp)
-        self.extend_diagonal(out)
-        return out
 
 
 def pair_coefficients(problem, y, u, grid):
@@ -249,7 +236,7 @@ def test_blocked_assembly_matches_row_reference(alpha, n):
     ref = RowReference(alpha, grid)
     kernel = lambda t, s: 0.3 + 0.5 * np.sin(2 * t) * np.cos(s) + 0.2 * t * s
     phi = build_resolvent(kernel, alpha, grid)
-    R = ref.resolvent(kernel)
+    R = ref.resolvent(kernel, kernel)
     assert _max_rel(phi.regular, R) <= 1e-12
     res, res_ref = resolvent_residual(phi, kernel, grid), ref.residual(kernel, R)
     assert abs(res - res_ref) <= 1e-12 * res_ref
@@ -261,7 +248,7 @@ def test_blocked_assembly_matches_row_reference(alpha, n):
     y = solve_state(problem, u, grid)
     q = build_q_kernel(problem, (y, u), grid)
     a_fn, c_fn = pair_coefficients(problem, y, u, grid)
-    assert _max_rel(q.regular, ref.q_regular(a_fn, c_fn, ref.resolvent(a_fn))) <= 1e-12
+    assert _max_rel(q.regular, ref.resolvent(a_fn, c_fn)) <= 1e-12
 
 
 # Non-finite samples on a grid of five row blocks (B = 32).  A left sample
@@ -307,7 +294,7 @@ def test_resolvent_failure_names_the_reference_cell(side, first, second, frac, v
         return np.where(hit, value, 0.3 + 0.5 * np.sin(2 * t) * np.cos(s) + 0.2 * t * s)
 
     with np.errstate(all="ignore"):
-        assert RowReference(0.5, grid).first_failure(kernel) == cell
+        assert RowReference(0.5, grid).first_failure(kernel, kernel) == cell
     assert _assembly_failure(lambda: build_resolvent(kernel, 0.5, grid)) == cell
 
 
@@ -327,10 +314,8 @@ def test_response_kernel_failure_names_the_reference_cell(first, second, frac, c
     y = Trajectory.from_expression("1 + 0.5*t", grid)
     u = Trajectory.from_expression("0.5 + sin(3*t)", grid)
     a_fn, c_fn = pair_coefficients(problem, y, u, grid)
-    ref = RowReference(0.5, grid)
     with np.errstate(all="ignore"):
-        table = ref.q_table(a_fn, c_fn, ref.resolvent(a_fn))
-    assert divmod(int(np.argmax(~np.isfinite(table))), FAIL_N + 1) == cell
+        assert RowReference(0.5, grid).first_failure(a_fn, c_fn) == cell
     assert _assembly_failure(lambda: build_q_kernel(problem, (y, u), grid)) == cell
 
 
@@ -546,6 +531,51 @@ def test_path_selection(monkeypatch):
     for problem in t_reading:
         with pytest.raises(AssertionError, match="general"):
             build_q_kernel(problem, (y, u), grid)
+
+
+def test_response_kernel_is_marched_from_its_own_equation(monkeypatch):
+    # one product table on the general path, none on the constant one, and
+    # never a resolvent
+    tables = []
+    product_table = svoc.resolvent._product_table
+
+    def counted(*args):
+        tables.append(args)
+        return product_table(*args)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("resolvent built for Q")
+
+    monkeypatch.setattr(svoc.resolvent, "_product_table", counted)
+    monkeypatch.setattr(svoc.resolvent, "build_resolvent", refuse)
+    grid = make_grid(1.0, 2 * _BLOCK + 5)
+    u = Trajectory.from_expression("0.5 + 0.3*t", grid)
+    y = Trajectory.from_expression("1 + 0.5*t", grid)
+    q = build_q_kernel(builtin_problem("paper_example"), (y, u), grid)
+    assert len(tables) == 1 and q.regular.any()
+    lq = builtin_problem("lq", {"a": 0.5, "b": 1.0, "r": 1.0})
+    q = build_q_kernel(lq, (y, u), grid)
+    assert len(tables) == 1 and q.regular.any()
+
+
+# errors of the earlier two-stage assembly (the resolvent of f_y, then a
+# second product table for Phi o f_u) at N = 256: the direct march may not
+# be worse by more than 1 %
+@pytest.mark.parametrize("alpha,before", [(0.25, 0.1254711), (0.5, 1.357696e-2),
+                                          (0.8, 1.442633e-3)])
+def test_response_kernel_route_accuracy(alpha, before):
+    # criterion 3 a second way: Q applied to v against the march of Y1
+    problem = ProblemSpec(alpha, 1.0, parse_expression("1 + t"),
+                          parse_expression("(0.4 + 0.3*t*s)*y*cos(u) + sin(t - s)*u"),
+                          parse_expression("y^2"))
+    grid = make_grid(1.0, 256)
+    u = Trajectory.from_expression("0.5 + sin(3*t)", grid)
+    y = solve_state(problem, u, grid)
+    v = Trajectory.from_expression("cos(2*t)", grid)
+    direct = solve_y1(problem, (y, u), v, grid)
+    routed = apply_kernel_nodes(build_q_kernel(problem, (y, u), grid), v, grid)
+    rel = np.max(np.abs(routed.values - direct.values)) / np.max(np.abs(direct.values))
+    assert rel <= 1.01 * before  # measured 8.85e-2, 1.350e-2, 1.4438e-3
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1e150])
