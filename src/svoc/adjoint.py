@@ -90,11 +90,24 @@ def _factors(split, tau: np.ndarray, ym: np.ndarray, um: np.ndarray):
             np.array([evaluate_on(b, env, tau.shape) for _, b in split]))
 
 
+def _tail_sums(x: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """sum_{j>=k} mu[j-k] x[i, j] for every row i of x and every k, by one
+    FFT correlation per row; of length at least 2n - 1, so that the
+    wrapped-around lags j - k < 0 only meet the zero padding of mu."""
+    from numpy.fft import irfft, rfft
+
+    n = x.shape[-1]
+    size = 1 << (2 * n - 1).bit_length()
+    spectrum, kernel = rfft(x, size), rfft(mu, size)
+    spectrum *= np.conjugate(kernel, out=kernel)
+    return irfft(spectrum, size)[..., :n]
+
+
 def _tail_field(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory], grid: Grid,
                 f_part, g_part, phi: np.ndarray) -> np.ndarray:
     """sum_{j>=k} mu[j-k] f_part(tau_j, tau_k, y*_k, u*_k) phi_j - g_part(tau_k, ...)
     minus f_part's instant rows, per midpoint k: the costate right-hand side for
-    (f_y, g_y), H and its partials for f, g and their partials.  One
+    (f_y, g_y), H and its partials for f, g and their partials.  One FFT
     correlation per term when f_part separates, else O(N^2) row by row; O(N)
     memory either way."""
     y_star, u_star = pair
@@ -105,8 +118,7 @@ def _tail_field(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory], grid:
     with np.errstate(all="ignore"):
         if split is not None:
             a, b = _factors(split, tau, ym, um)
-            tail = np.sum([bi * np.correlate(ai * phi, mu, "full")[n - 1 :]
-                           for ai, bi in zip(a, b)], axis=0)
+            tail = np.sum(b * _tail_sums(a * phi, mu), axis=0)
         else:
             tail = np.array([mu[: n - k] @ (_tail_row(f_part, tau, ym, um, k) * phi[k:])
                              for k in range(n)])

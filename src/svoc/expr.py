@@ -62,6 +62,11 @@ class ScalarExpr:
         raise NotImplementedError
 
     def diff(self, var: str) -> "ScalarExpr":
+        """Partial derivative; exactly zero on a subtree that does not read var,
+        even where its value overflows."""
+        return self._diff(var) if var in self.free_vars() else Num(0.0)
+
+    def _diff(self, var: str) -> "ScalarExpr":
         raise NotImplementedError
 
     def free_vars(self) -> frozenset[str]:
@@ -87,9 +92,6 @@ class Num(ScalarExpr):
     def evaluate(self, **env):
         return self.value
 
-    def diff(self, var):
-        return Num(0.0)
-
     def __str__(self):
         if self.value < 0:
             # negative literal binds like a unary minus when re-parsed
@@ -110,8 +112,8 @@ class Var(ScalarExpr):
             raise ExpressionError(f"no value supplied for variable '{self.name}'") from None
         return value
 
-    def diff(self, var):
-        return Num(1.0) if self.name == var else Num(0.0)
+    def _diff(self, var):
+        return Num(1.0)
 
     def free_vars(self):
         return frozenset((self.name,))
@@ -128,7 +130,7 @@ class Neg(ScalarExpr):
     def evaluate(self, **env):
         return -self.child.evaluate(**env)
 
-    def diff(self, var):
+    def _diff(self, var):
         return _neg(self.child.diff(var))
 
     def free_vars(self):
@@ -147,7 +149,7 @@ class Add(ScalarExpr):
     def evaluate(self, **env):
         return self.left.evaluate(**env) + self.right.evaluate(**env)
 
-    def diff(self, var):
+    def _diff(self, var):
         return _add(self.left.diff(var), self.right.diff(var))
 
     def free_vars(self):
@@ -166,7 +168,7 @@ class Sub(ScalarExpr):
     def evaluate(self, **env):
         return self.left.evaluate(**env) - self.right.evaluate(**env)
 
-    def diff(self, var):
+    def _diff(self, var):
         return _sub(self.left.diff(var), self.right.diff(var))
 
     def free_vars(self):
@@ -185,7 +187,7 @@ class Mul(ScalarExpr):
     def evaluate(self, **env):
         return self.left.evaluate(**env) * self.right.evaluate(**env)
 
-    def diff(self, var):
+    def _diff(self, var):
         return _add(
             _mul(self.left.diff(var), self.right),
             _mul(self.left, self.right.diff(var)),
@@ -207,7 +209,7 @@ class Div(ScalarExpr):
     def evaluate(self, **env):
         return _real(self.left.evaluate(**env)) / self.right.evaluate(**env)
 
-    def diff(self, var):
+    def _diff(self, var):
         num = _sub(
             _mul(self.left.diff(var), self.right),
             _mul(self.left, self.right.diff(var)),
@@ -230,7 +232,7 @@ class Pow(ScalarExpr):
     def evaluate(self, **env):
         return _real(self.base.evaluate(**env)) ** self.exponent.evaluate(**env)
 
-    def diff(self, var):
+    def _diff(self, var):
         if isinstance(self.exponent, Num):
             # d(a^c) = c*a^(c-1)*a'
             c = self.exponent.value
@@ -264,7 +266,7 @@ class Call(ScalarExpr):
     def evaluate(self, **env):
         return FUNCTIONS[self.func](self.arg.evaluate(**env))
 
-    def diff(self, var):
+    def _diff(self, var):
         inner = self.arg.diff(var)
         if self.func == "sqrt":
             outer = _div(Num(1.0), _mul(Num(2.0), Call("sqrt", self.arg)))

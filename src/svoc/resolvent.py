@@ -567,7 +567,8 @@ def midpoint_apply_matrix(kernel: RegularizedKernel, grid: Grid) -> np.ndarray:
     """Matrix QM with (QM v)_k ~ int_0^{tau_k} kernel(tau_k, s) v(s) ds for v
     sampled on midpoints: the singular coefficient is integrated exactly per
     cell, the regular part gets plain cell weights (half on the partial
-    diagonal cell)."""
+    diagonal cell).  A coefficient that ignores t is sampled once per
+    column."""
     n, h = grid.n, grid.h
     if kernel.grid != grid:
         raise ValueError("kernel grid mismatch")
@@ -576,16 +577,21 @@ def midpoint_apply_matrix(kernel: RegularizedKernel, grid: Grid) -> np.ndarray:
     if kernel.c_fn is None:
         raise ValueError("kernel lacks an off-lattice coefficient evaluator")
     tau = grid.midpoints
-    tri = np.tril(np.ones((n, n), dtype=bool))
-    cmid = _sample(kernel.c_fn, tau[:, None], tau[None, :], (n, n), tri)
-    mu = midpoint_weights(kernel.alpha, grid).mu
+    tri = np.tri(n, dtype=bool)
+    with np.errstate(all="ignore"):
+        # one row of samples, or one value, when the coefficient ignores t
+        c = np.asarray(kernel.c_fn(tau[:, None], tau[None, :]), dtype=float)
+    qm = np.zeros((n, n))
+    np.multiply(c, _lagged(midpoint_weights(kernel.alpha, grid).mu, n, n), out=qm, where=tri)
     R = kernel.regular
-    rmid = 0.25 * (R[:n, :n] + R[1:, :n] + R[:n, 1:] + R[1:, 1:])
-    idx = np.arange(n)
-    rmid[idx, idx] = R[idx + 1, idx]
-    wgt = np.tril(np.full((n, n), h))
-    wgt[idx, idx] = 0.5 * h
-    return np.where(tri, cmid * _lagged(mu, n, n) + rmid * wgt, 0.0)
+    # the mean of the cell's four corners times the cell weight h
+    rmid = R[:n, :n] + R[1:, :n]
+    rmid += R[:n, 1:]
+    rmid += R[1:, 1:]
+    rmid *= 0.25
+    rmid *= h
+    np.fill_diagonal(rmid, R[1:, :n].diagonal() * (0.5 * h))
+    return np.add(qm, rmid, out=qm, where=tri)
 
 
 def node_apply_row(kernel: RegularizedKernel, node_index: int, grid: Grid) -> np.ndarray:

@@ -106,6 +106,21 @@ def test_second_derivatives_fold_constants():
     assert str(zero) == "0"
 
 
+@pytest.mark.parametrize("source, var, want", [
+    ("sin(1e308^2)*y + s", "y", "sin(1e+308^2)"),
+    ("exp(1e308^2)*u - 1e308^2*s", "u", "exp(1e+308^2)"),
+    ("(1e308^2)^y", "u", "0"),
+    ("abs(u)*log(1e308^2) + y", "y", "1"),
+])
+def test_derivative_of_a_subtree_without_the_variable_is_zero(source, var, want):
+    # 2*1e308 overflows, so the chain rule on 1e308^2 alone gives inf*0 = nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = differentiate(parse_expression(source), var)
+    assert str(d) == want
+    assert var not in d.free_vars()
+
+
 def test_differentiate_only_accepts_state_and_control():
     e = parse_expression("t*y")
     with pytest.raises(ExpressionError, match="y or u"):

@@ -12,7 +12,7 @@ import json
 import os
 from unittest import mock
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from svoc import cli
@@ -84,6 +84,7 @@ def problem_files(draw, damaged=True):
 
 @FUZZ
 @given(affine_kernels())
+@example("(t)*((sin((1e308^2)))*y + s)")  # an overflowing constant once left d/dy reading y
 def test_affine_kernels_take_the_linear_state_march(f):
     split = separate(parse_expression(f))
     assert split is not None and _slopes(split) is not None

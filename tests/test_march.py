@@ -8,22 +8,25 @@ multi-term, affine-in-y and non-separable kernels.  Failures must name the
 row the row loop names.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from svoc import state
-from svoc.adjoint import (AdjointTrajectory, _instant_rows, adjoint_residual, snap_instants,
-                          solve_adjoint)
+from svoc.adjoint import (AdjointTrajectory, _instant_rows, _tail_sums, adjoint_residual,
+                          snap_instants, solve_adjoint)
 from svoc.errors import AdjointStepError, StateBlowupError
 from svoc.expr import parse_expression, separate
 from svoc.optimality import hamiltonian_fields
 from svoc.problem import InstantCost, ProblemSpec, builtin_problem
-from svoc.quadrature import (LINEAR_LEAF, causal_march, linear_march, make_grid,
-                             midpoint_weights, singular_weights)
+from svoc.quadrature import (DIRECT, LEAF_CHUNK, LINEAR_LEAF, causal_march, linear_march,
+                             make_grid, midpoint_weights, singular_weights)
 from svoc.state import BLOWUP_LIMIT, Trajectory, evaluate_on, solve_state, solve_y1, solve_y2
 
 GRIDS = [2, 3, 127, 128, 129, 257, 1000]
 TOL = 1e-13
+SPAN = LEAF_CHUNK * LINEAR_LEAF  # rows whose leaves a linear march inverts as one batch
 
 
 # --- the row-loop reference -----------------------------------------------------
@@ -319,6 +322,35 @@ def test_non_finite_linear_factor_is_reported_at_the_row_loop_index(crossing):
     assert got.value.index == want.value.index == int(1000 * crossing) + 2
 
 
+@pytest.mark.parametrize("f, c", [("{c}*y", 4), ("{c}*t*y*u", 12),
+                                  ("{c}*(1 + t)*y*u + sin(t)*s*u^2", 6)])
+def test_linear_blowup_past_the_first_chunk_is_reported_at_the_row_loop_index(f, c):
+    # blows up at rows 566, 885 and 581 of 1000, in the second chunk of leaves
+    problem = custom(0.5, "1", f.format(c=c), "y")
+    grid = make_grid(1.0, 1000)
+    u = Trajectory.constant(0.5, grid)
+    with pytest.raises(StateBlowupError) as want:
+        ref_state(problem, u.values, grid)
+    with pytest.raises(StateBlowupError) as got:
+        solve_state(problem, u, grid)
+    assert SPAN < got.value.index == want.value.index
+
+
+@pytest.mark.parametrize("crossing", [0.5105, 0.5745, 0.7005])
+def test_non_finite_factor_past_the_first_chunk_is_reported_at_the_row_loop_index(crossing):
+    # the first nan sample sits on row 511, the last row of the first chunk,
+    # on row 575, the last row of the second chunk's first leaf, and on row 701
+    problem = custom(0.5, "1 + t", f"y*sqrt({crossing!r} - s)", "y")
+    grid = make_grid(1.0, 1000)
+    u = Trajectory.constant(0.0, grid)
+    with np.errstate(all="ignore"):
+        with pytest.raises(StateBlowupError) as want:
+            ref_state(problem, u.values, grid)
+        with pytest.raises(StateBlowupError) as got:
+            solve_state(problem, u, grid)
+    assert SPAN <= got.value.index == want.value.index == int(1000 * crossing) + 2
+
+
 @pytest.mark.parametrize("order, f", [(1, "3.2*y*u + u"), (1, "3.4*y*u + u"),
                                       (2, "2.2*y*u + u + 40*y^2"), (2, "2.4*y*u + u + 40*y^2")])
 def test_response_blowup_is_reported_at_the_row_loop_index(order, f):
@@ -348,7 +380,8 @@ def forward_substitution(w, a, b, g, d, s):
 
 
 @pytest.mark.parametrize("m", [1, 3])
-@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 128, 129, 700])
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 128, 129, 700,
+                               SPAN - 1, SPAN, SPAN + 1, 2 * SPAN, 2 * SPAN + 1])
 def test_linear_march_matches_forward_substitution(n, m):
     rng = np.random.default_rng(10 * n + m)
     w = rng.uniform(-1.0, 1.0, n) / max(n, 1) ** 0.5
@@ -359,9 +392,63 @@ def test_linear_march_matches_forward_substitution(n, m):
     assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
 
 
+@pytest.mark.parametrize("where", ["a", "b", "g", "d", "s"])
+@pytest.mark.parametrize("row", [SPAN - 1, SPAN, SPAN + 1, 2 * SPAN + 70])
+def test_linear_march_names_the_first_non_finite_row(where, row):
+    # a nan coefficient on one row; the row loop's first non-finite x is
+    # that row, or the next one for b and g, which only later rows read
+    n, m = 3 * SPAN, 2
+    rng = np.random.default_rng(row)
+    w = rng.uniform(-1.0, 1.0, n) / n**0.5
+    coeff = {"a": rng.standard_normal((m, n)), "b": rng.standard_normal((m, n)),
+             "g": rng.standard_normal((m, n)), "d": rng.standard_normal(n),
+             "s": rng.uniform(0.5, 1.5, n)}
+    coeff[where][..., row] = np.nan
+    with np.errstate(invalid="ignore"):
+        want = int(np.argmax(~np.isfinite(forward_substitution(w, *coeff.values()))))
+    assert want == row + (where in "bg")
+
+    def guard(lo, x):
+        bad = ~np.isfinite(x)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise StateBlowupError(lo + i, x[i])
+
+    with pytest.raises(StateBlowupError) as got:
+        linear_march(w, *coeff.values(), guard)
+    assert got.value.index == want
+
+
+def test_linear_march_memory_stays_linear():
+    # the t*y*u state at N = 16384; the one-leaf-at-a-time solve peaked at 1.55 MB
+    grid = make_grid(1.0, 16384)
+    t = grid.nodes
+    w = singular_weights(0.5, grid).omega
+    args = (w, t[None, :], (0.3 + 0.2 * np.sin(2.0 * t))[None, :], 0.0, 1.0 + t * np.sqrt(t),
+            1.0, state._guard_rows)
+    linear_march(*args)
+    tracemalloc.start()
+    try:
+        linear_march(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.55e6
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 1536, 4097])
+def test_tail_sums_match_the_direct_correlation(n):
+    rng = np.random.default_rng(n)
+    x, mu = rng.standard_normal((3, n)), rng.uniform(0.0, 1.0, n)
+    want = np.array([np.correlate(row, mu, "full")[n - 1 :] for row in x])
+    assert np.max(np.abs(_tail_sums(x, mu) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def test_causal_march_matches_direct_sums():
+    # past 4 DIRECT rows the halves reach later rows by dense products, FFTs
+    # and, where the end cuts a block short, direct sums
     rng = np.random.default_rng(7)
-    for n in (1, 2, 128, 129, 256, 257, 700):
+    for n in (1, 2, 128, 129, 256, 257, 700, 4 * DIRECT + 1, 8 * DIRECT + 77, 2000):
         w = rng.standard_normal(n)
         x = rng.standard_normal((n, 2))
         seen = np.zeros((n, 2))
