@@ -127,6 +127,32 @@ def _tail_field(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory], grid:
     return tail - evaluate_on(g_part, {"t": tau, "y": ym, "u": um}, tau.shape) - inst.sum(axis=0)
 
 
+def _first_bad_term(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory], grid: Grid,
+                    f_part, g_part, phi: np.ndarray) -> int | None:
+    """The first midpoint at which a term `_tail_field` samples is not finite:
+    a separable factor (a_i phi at the later time, b_i at the earlier one), a
+    row of the row loop, g_part or an instant row; None when every term is
+    finite and only their sums overflow.  A tail sum carries a bad term to
+    every midpoint before it, and an FFT correlation to every midpoint, so the
+    field alone cannot say where the term went bad."""
+    y_star, u_star = pair
+    n, tau = grid.n, grid.midpoints
+    ym, um = y_star.midpoint_values(), u_star.midpoint_values()
+    split = separate(f_part)
+    with np.errstate(all="ignore"):
+        if split is not None:
+            a, b = _factors(split, tau, ym, um)
+            bad = ~(np.isfinite(a * phi).all(axis=0) & np.isfinite(b).all(axis=0))
+        else:
+            bad = np.array([not np.isfinite(_tail_row(f_part, tau, ym, um, k) * phi[k:]).all()
+                            for k in range(n)])
+        bad |= ~np.isfinite(evaluate_on(g_part, {"t": tau, "y": ym, "u": um}, tau.shape))
+        inst = _instant_rows(problem, grid, f_part, y_star.values, ym, um,
+                             snap_instants(problem, grid))
+        bad |= ~np.isfinite(inst).all(axis=0)
+    return int(np.argmax(bad)) if bad.any() else None
+
+
 def solve_adjoint(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
                   grid: Grid) -> AdjointTrajectory:
     """March the costate backward from the horizon.

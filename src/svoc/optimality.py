@@ -23,6 +23,13 @@ a table: h^2 v^T M v = sum_k h H_yy(tau_k) (QM v)_k^2 - sum_i h_yy^i (q_i . v)^2
 with q_i the row of Q at instant i's node.  QF[v] thus costs O(N^2), and the
 matrix of the form is K = L^T W L + diag(h H_uu) + C + C^T, with L the factor
 rows, W their weights and C = diag(h H_yu) QM.
+
+The verdict reads lambda_max(K).  An eigenvector is needed only when it exceeds
+the tolerance, as the improving direction.  When the Gershgorin bound
+max_i (K_ii + sum_{j != i} |K_ij|) <= tol proves that it cannot, eigenvalues
+alone are computed (`eigvalsh`); otherwise, or if that lambda_max still lands
+above tol, `eigh` runs.  On a diagonal K both routes return its entries exactly;
+otherwise their lambda_max differ at roundoff, about eps max|K|.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .adjoint import AdjointTrajectory, _tail_field, snap_instants
+from .adjoint import AdjointTrajectory, _first_bad_term, _tail_field, snap_instants
 from .errors import KernelAsymmetryError, NumericsError
 from .problem import ProblemSpec
 from .quadrature import Grid
@@ -98,14 +105,17 @@ def hamiltonian_fields(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory]
     """H and its (u, y) partials on midpoints along the pair, one `_tail_field`
     each: O(N^2) time and O(N) memory, or O(N) evaluations and one correlation
     when f's partial ignores t.  A non-finite field raises NumericsError
-    naming the field and its first bad midpoint."""
+    naming the field and the first midpoint whose sampled term is not finite,
+    or, when only a sum overflowed, the field's first bad midpoint."""
     b = problem.bundle
 
     def field(name, f_part, g_part) -> Trajectory:
         vals = _tail_field(problem, pair, grid, f_part, g_part, psi.psi.values)
         bad = ~np.isfinite(vals)
         if bad.any():
-            k = int(np.argmax(bad))
+            k = _first_bad_term(problem, pair, grid, f_part, g_part, psi.psi.values)
+            if k is None:
+                k = int(np.argmax(bad))
             raise NumericsError(f"Hamiltonian field {name} is not finite at midpoint {k}"
                                 f" (t = {grid.midpoints[k]:g})")
         return Trajectory(grid, "midpoints", vals)
@@ -130,11 +140,16 @@ def detect_singular(fields: HamiltonianFields, tol: float | None = None) -> Sing
 
 
 def _symmetrized(A: np.ndarray, what: str) -> np.ndarray:
-    """0.5 (A + A^T), after checking that A was symmetric up to roundoff."""
-    asym = float(np.max(np.abs(A - A.T)))
-    if not asym <= 1e-12 * (1.0 + float(np.max(np.abs(A)))):  # also catches nan
+    """0.5 (A + A^T), after checking that A was symmetric up to roundoff; one
+    n x n buffer holds |A - A^T| and then the result."""
+    out = np.subtract(A, A.T)
+    asym = float(np.abs(out, out=out).max())
+    scale = max(float(A.max()), -float(A.min()))
+    if not asym <= 1e-12 * (1.0 + scale):  # also catches nan
         raise KernelAsymmetryError(f"{what} asymmetry {asym:.3e} exceeds tolerance")
-    return 0.5 * (A + A.T)
+    np.add(A, A.T, out=out)
+    out *= 0.5
+    return out
 
 
 def assemble_m_kernel(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
@@ -198,6 +213,13 @@ def _quadratic_matrix(fields: HamiltonianFields, m: MKernel, grid: Grid) -> np.n
     return _symmetrized(K, "quadratic form")
 
 
+def _gershgorin_bound(K: np.ndarray) -> float:
+    """max_i (K_ii + sum_{j != i} |K_ij|), which no eigenvalue of K exceeds
+    (Gershgorin); |K| lives only for its row sums."""
+    d = np.diagonal(K)
+    return float(np.max(d - np.abs(d) + np.abs(K).sum(axis=1)))
+
+
 def second_order_test(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
                       fields: HamiltonianFields, grid: Grid,
                       tol: float | None = None) -> SecondOrderReport:
@@ -205,8 +227,11 @@ def second_order_test(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
 
     fields are the Hamiltonian fields along the pair.  Builds K, takes its
     extreme eigenvalue, and returns the eigenvector as an improving direction
-    when the form can be made positive.  If the control is not singular the
-    test does not apply and the verdict is inconclusive.
+    when the form can be made positive.  When K's Gershgorin bound is at most
+    tol the verdict can only be holds, and eigenvalues alone are computed; the
+    verdict always comes from a computed eigenvalue, and the direction always
+    from `eigh`.  If the control is not singular the test does not apply and
+    the verdict is inconclusive.
     """
     verdict = detect_singular(fields, tol)
     if not verdict.singular:
@@ -215,6 +240,10 @@ def second_order_test(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
     q = build_q_kernel(problem, pair, grid)
     m = assemble_m_kernel(problem, pair, fields, q, grid)
     K = _quadratic_matrix(fields, m, grid)
+    if _gershgorin_bound(K) <= verdict.tol:
+        lam = float(np.linalg.eigvalsh(K)[-1])
+        if lam <= verdict.tol:
+            return SecondOrderReport("holds", lam, verdict.tol, verdict.sup_hu, K, None)
     eigenvalues, eigenvectors = np.linalg.eigh(K)
     lam = float(eigenvalues[-1])
     direction = None

@@ -305,6 +305,33 @@ def test_non_finite_hamiltonian_field_is_a_numerical_failure(tmp_path, capsys, c
     assert line.startswith("numerical failure: Hamiltonian field H_u is not finite at midpoint")
 
 
+def test_non_finite_hamiltonian_term_names_its_own_midpoint(tmp_path, capsys):
+    # the outer factor 1/(t - 0.625) has its pole on midpoint 2; the tail sums
+    # carry it to every midpoint, so the field alone would name midpoint 0
+    spec_path = tmp_path / "p.json"
+    spec_path.write_text(json.dumps({"alpha": 0.5, "T": 1.0, "eta": "1",
+                                     "f": "0.3*y + u^2/(t - 0.625)", "g": "y^2"}))
+    code = run(["check", "--problem", str(spec_path), "--control=0.1", "--n", "4"], tmp_path)
+    assert code == 2
+    assert error_lines(capsys) == [
+        "numerical failure: Hamiltonian field H is not finite at midpoint 2 (t = 0.625)"]
+
+
+@pytest.mark.parametrize("c", ["1", "-1"])
+def test_second_order_outputs_do_not_depend_on_the_eigensolver_route(tmp_path, monkeypatch, c):
+    argv = ["check", "--order", "2", "--problem", "sing_quad", "--param", f"c={c}",
+            "--control=0", "--n", "256"]
+    assert run(argv, tmp_path / "bound") == 0
+    # without the Gershgorin certificate every verdict comes from eigh
+    monkeypatch.setattr(svoc.optimality, "_gershgorin_bound", lambda K: np.inf)
+    assert run(argv, tmp_path / "eigh") == 0
+    names = sorted(p.name for p in (tmp_path / "bound").iterdir())
+    assert "second_order.json" in names and ("direction.csv" in names) == (c == "-1")
+    assert names == sorted(p.name for p in (tmp_path / "eigh").iterdir())
+    for name in names:
+        assert (tmp_path / "bound" / name).read_bytes() == (tmp_path / "eigh" / name).read_bytes()
+
+
 # (command, N, order) of every README command and benchmark workload
 SHIPPED_GRIDS = [
     ("solve", 256, 1), ("adjoint", 128, 1), ("check", 256, 1), ("check", 512, 2),

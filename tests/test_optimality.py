@@ -389,6 +389,112 @@ def test_nonsingular_control_is_inconclusive():
     assert report.sup_hu > 1.0
 
 
+EIGH, EIGVALSH = np.linalg.eigh, np.linalg.eigvalsh
+
+
+def counted_eigensolvers(monkeypatch, eigvalsh=None):
+    """Count calls of np.linalg.eigh and eigvalsh; eigvalsh may be replaced."""
+    calls = {"eigh": 0, "eigvalsh": 0}
+
+    def eigh(K):
+        calls["eigh"] += 1
+        return EIGH(K)
+
+    def counted_eigvalsh(K):
+        calls["eigvalsh"] += 1
+        return (eigvalsh or EIGVALSH)(K)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    return calls
+
+
+def sing_quad_report(c, n=256, tol=None):
+    problem = builtin_problem("sing_quad", {"c": c})
+    grid = make_grid(1.0, n)
+    pair, fields = fields_for(problem, grid)
+    return second_order_test(problem, pair, fields, grid, tol)
+
+
+def test_holds_within_the_gershgorin_bound_takes_eigenvalues_alone(monkeypatch):
+    calls = counted_eigensolvers(monkeypatch)
+    report = sing_quad_report(1.0)
+    assert report.verdict == "holds"
+    assert calls == {"eigh": 0, "eigvalsh": 1}
+    assert report.lambda_max == float(EIGH(report.matrix)[0][-1])  # K is diagonal: exact
+
+
+def test_violation_takes_one_eigh_and_keeps_its_direction(monkeypatch):
+    calls = counted_eigensolvers(monkeypatch)
+    report = sing_quad_report(-1.0)
+    assert report.verdict == "violated"
+    assert calls == {"eigh": 1, "eigvalsh": 0}
+    values, vectors = EIGH(report.matrix)
+    vec = vectors[:, -1]
+    assert report.lambda_max == float(values[-1])
+    assert np.array_equal(report.violating_direction.values,
+                          vec / vec[int(np.argmax(np.abs(vec)))])
+
+
+def test_non_diagonal_form_below_the_bound_matches_eigh(monkeypatch):
+    # paper_example at u = 0.3: K is dense, and tol = 1e9 lies far above its
+    # Gershgorin bound; eigvalsh and eigh differ only at roundoff
+    problem = builtin_problem("paper_example")
+    grid = make_grid(1.0, 256)
+    pair, fields = fields_for(problem, grid, control_value=0.3)
+    calls = counted_eigensolvers(monkeypatch)
+    report = second_order_test(problem, pair, fields, grid, tol=1e9)
+    assert report.verdict == "holds"
+    assert calls == {"eigh": 0, "eigvalsh": 1}
+    assert np.count_nonzero(report.matrix - np.diag(np.diagonal(report.matrix))) > 0
+    reference = float(EIGH(report.matrix)[0][-1])
+    assert abs(report.lambda_max - reference) <= 1e-12 * float(np.max(np.abs(report.matrix)))
+
+
+def test_form_above_the_bound_takes_eigh_even_when_it_holds(monkeypatch):
+    # y* = 0 and psi = 0 at u = 0, so the control is singular; the instant
+    # curvature adds -2 q q^T to K = -2h I: lambda_max = -2h <= tol, while
+    # the Gershgorin bound lies above tol
+    problem = ProblemSpec(alpha=0.5, T=1.0, eta=parse_expression("0"),
+                          f=parse_expression("0.5*y + u"), g=parse_expression("u^2"),
+                          instant_costs=(InstantCost(0.5, parse_expression("y^2")),))
+    grid = make_grid(1.0, 64)
+    pair, fields = fields_for(problem, grid)
+    calls = counted_eigensolvers(monkeypatch)
+    report = second_order_test(problem, pair, fields, grid)
+    assert svoc.optimality._gershgorin_bound(report.matrix) > report.tol
+    assert report.verdict == "holds"
+    assert calls == {"eigh": 1, "eigvalsh": 0}
+    assert report.lambda_max == float(EIGH(report.matrix)[0][-1])
+    assert report.lambda_max == pytest.approx(-2.0 * grid.h, rel=1e-12)
+
+
+def test_eigenvalue_above_tol_falls_back_to_eigh(monkeypatch):
+    # an eigvalsh that lands above tol (in practice only within roundoff of
+    # it) hands the verdict to eigh
+    calls = counted_eigensolvers(monkeypatch, eigvalsh=lambda K: np.array([1.0]))
+    report = sing_quad_report(1.0)
+    assert calls == {"eigh": 1, "eigvalsh": 1}
+    assert report.verdict == "holds"
+    assert report.lambda_max == float(EIGH(report.matrix)[0][-1]) < 0.0
+
+
+def test_symmetrizing_takes_one_temporary():
+    n = 512
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((n, n))
+    A += A.T
+    A[1, 2] += 1e-15  # asymmetric at roundoff, inside the tolerance
+    tracemalloc.start()
+    try:
+        S = _symmetrized(A, "quadratic form")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(S, 0.5 * (A + A.T))
+    assert peak < 1.1 * A.nbytes
+
+
 def test_asymmetric_kernel_is_a_numerical_failure():
     with pytest.raises(KernelAsymmetryError, match="quadratic form asymmetry"):
         _symmetrized(np.triu(np.ones((16, 16))), "quadratic form")
