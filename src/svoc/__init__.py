@@ -18,8 +18,7 @@ from .optimality import (HamiltonianFields, MKernel, SecondOrderReport, Singular
 from .problem import (BUILTIN_SIGNATURES, DerivativeBundle, InstantCost, ProblemSpec,
                       ProblemValidationError, builtin_problem, load_problem_file,
                       problem_to_dict)
-from .quadrature import (Grid, MidpointWeights, SingularWeights, make_grid, midpoint_weights,
-                         singular_weights, trapezoid)
+from .quadrature import Grid, make_grid, midpoint_weights, singular_weights, trapezoid
 from .resolvent import RegularizedKernel, build_q_kernel, build_resolvent
 from .state import (CostBreakdown, Trajectory, evaluate_cost, solve_state,
                     solve_y1, solve_y2)
@@ -30,9 +29,9 @@ __all__ = [
     "AdjointStepError", "AdjointTrajectory", "BUILTIN_SIGNATURES", "ConvergenceReport",
     "CostBreakdown", "DerivativeBundle", "ExpansionReport", "ExpressionError", "Grid",
     "HamiltonianFields", "InstantCost", "InstantSnap", "KernelAssemblyError", "MKernel",
-    "MidpointWeights", "NonSmoothWarning", "NumericsError",
+    "NonSmoothWarning", "NumericsError",
     "ProblemSpec", "ProblemValidationError", "RegularizedKernel", "ScalarExpr",
-    "SecondOrderReport", "SeriesError", "SingularVerdict", "SingularWeights",
+    "SecondOrderReport", "SeriesError", "SingularVerdict",
     "StateBlowupError", "Trajectory", "VariationalReport", "adjoint_residual",
     "assemble_m_kernel", "build_q_kernel", "build_resolvent", "builtin_problem",
     "convergence_study", "detect_singular", "differentiate", "evaluate_cost",

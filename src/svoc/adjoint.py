@@ -104,53 +104,45 @@ def _tail_sums(x: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
 
 def _tail_field(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory], grid: Grid,
-                f_part, g_part, phi: np.ndarray) -> np.ndarray:
+                f_part, g_part, phi: np.ndarray) -> tuple[np.ndarray, int | None]:
     """sum_{j>=k} mu[j-k] f_part(tau_j, tau_k, y*_k, u*_k) phi_j - g_part(tau_k, ...)
     minus f_part's instant rows, per midpoint k: the costate right-hand side for
     (f_y, g_y), H and its partials for f, g and their partials.  One FFT
     correlation per term when f_part separates, else O(N^2) row by row; O(N)
-    memory either way."""
+    memory either way.
+
+    Also returns where a non-finite field fails, None when it is finite: the
+    first midpoint with a sampled term that is not finite (a separable factor,
+    a_i phi at the later time or b_i at the earlier one, a row of the row loop,
+    g_part or an instant row), else the field's first bad midpoint (only sums
+    overflowed).  A tail sum carries a bad term to every midpoint before it, and
+    an FFT correlation to every midpoint.  As mu > 0, a bad term makes its
+    row's sum bad, so the row loop tests a row's terms only then."""
     y_star, u_star = pair
     n, tau = grid.n, grid.midpoints
     ym, um = y_star.midpoint_values(), u_star.midpoint_values()
-    mu = midpoint_weights(problem.alpha, grid).mu
+    mu = midpoint_weights(problem.alpha, grid)
     split = separate(f_part)
     with np.errstate(all="ignore"):
         if split is not None:
             a, b = _factors(split, tau, ym, um)
-            tail = np.sum(b * _tail_sums(a * phi, mu), axis=0)
+            x = a * phi
+            bad = ~(np.isfinite(x).all(axis=0) & np.isfinite(b).all(axis=0))
+            tail = np.sum(b * _tail_sums(x, mu), axis=0)
         else:
-            tail = np.array([mu[: n - k] @ (_tail_row(f_part, tau, ym, um, k) * phi[k:])
-                             for k in range(n)])
+            tail, bad = np.empty(n), np.zeros(n, dtype=bool)
+            for k in range(n):
+                terms = _tail_row(f_part, tau, ym, um, k) * phi[k:]
+                tail[k] = mu[: n - k] @ terms
+                bad[k] = not np.isfinite(tail[k]) and not np.isfinite(terms).all()
     snaps = snap_instants(problem, grid)
     inst = _instant_rows(problem, grid, f_part, y_star.values, ym, um, snaps)
-    return tail - evaluate_on(g_part, {"t": tau, "y": ym, "u": um}, tau.shape) - inst.sum(axis=0)
-
-
-def _first_bad_term(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory], grid: Grid,
-                    f_part, g_part, phi: np.ndarray) -> int | None:
-    """The first midpoint at which a term `_tail_field` samples is not finite:
-    a separable factor (a_i phi at the later time, b_i at the earlier one), a
-    row of the row loop, g_part or an instant row; None when every term is
-    finite and only their sums overflow.  A tail sum carries a bad term to
-    every midpoint before it, and an FFT correlation to every midpoint, so the
-    field alone cannot say where the term went bad."""
-    y_star, u_star = pair
-    n, tau = grid.n, grid.midpoints
-    ym, um = y_star.midpoint_values(), u_star.midpoint_values()
-    split = separate(f_part)
-    with np.errstate(all="ignore"):
-        if split is not None:
-            a, b = _factors(split, tau, ym, um)
-            bad = ~(np.isfinite(a * phi).all(axis=0) & np.isfinite(b).all(axis=0))
-        else:
-            bad = np.array([not np.isfinite(_tail_row(f_part, tau, ym, um, k) * phi[k:]).all()
-                            for k in range(n)])
-        bad |= ~np.isfinite(evaluate_on(g_part, {"t": tau, "y": ym, "u": um}, tau.shape))
-        inst = _instant_rows(problem, grid, f_part, y_star.values, ym, um,
-                             snap_instants(problem, grid))
-        bad |= ~np.isfinite(inst).all(axis=0)
-    return int(np.argmax(bad)) if bad.any() else None
+    g = evaluate_on(g_part, {"t": tau, "y": ym, "u": um}, tau.shape)
+    field = tail - g - inst.sum(axis=0)
+    bad |= ~(np.isfinite(g) & np.isfinite(inst).all(axis=0))
+    if not bad.any():
+        bad = ~np.isfinite(field)
+    return field, (int(np.argmax(bad)) if bad.any() else None)
 
 
 def solve_adjoint(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
@@ -170,7 +162,7 @@ def solve_adjoint(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
     ym = y_star.midpoint_values()
     um = u_star.midpoint_values()
     b = problem.bundle
-    mu = midpoint_weights(problem.alpha, grid).mu
+    mu = midpoint_weights(problem.alpha, grid)
     snaps = snap_instants(problem, grid)
     inst = _instant_rows(problem, grid, b.f_y, y_star.values, ym, um, snaps)
     known = evaluate_on(b.g_y, {"t": tau, "y": ym, "u": um}, tau.shape) + inst.sum(axis=0)
@@ -208,4 +200,4 @@ def adjoint_residual(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
                      adj: AdjointTrajectory, grid: Grid) -> float:
     """Max absolute defect of psi under one re-application of the equation."""
     b, psi = problem.bundle, adj.psi.values
-    return float(np.max(np.abs(_tail_field(problem, pair, grid, b.f_y, b.g_y, psi) - psi)))
+    return float(np.max(np.abs(_tail_field(problem, pair, grid, b.f_y, b.g_y, psi)[0] - psi)))

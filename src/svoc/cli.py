@@ -81,6 +81,16 @@ def _parse_param(text: str) -> tuple[str, float]:
         raise argparse.ArgumentTypeError(f"bad numeric value in {text!r}") from exc
 
 
+def _parse_tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from exc
+    if not 0.0 <= tol < np.inf:  # also catches nan
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and non-negative, got {text!r}")
+    return tol
+
+
 class _UsageError(Exception):
     pass
 
@@ -122,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="first/second-order necessary-condition test")
     common(p)
     p.add_argument("--order", type=int, choices=(1, 2), default=1)
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_parse_tolerance, default=None,
                    help="singularity tolerance (default scales with the problem)")
 
     p = sub.add_parser("verify", help="finite-difference validation of the expansion")

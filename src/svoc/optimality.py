@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .adjoint import AdjointTrajectory, _first_bad_term, _tail_field, snap_instants
+from .adjoint import AdjointTrajectory, _tail_field, snap_instants
 from .errors import KernelAsymmetryError, NumericsError
 from .problem import ProblemSpec
 from .quadrature import Grid
@@ -110,12 +110,8 @@ def hamiltonian_fields(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory]
     b = problem.bundle
 
     def field(name, f_part, g_part) -> Trajectory:
-        vals = _tail_field(problem, pair, grid, f_part, g_part, psi.psi.values)
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            k = _first_bad_term(problem, pair, grid, f_part, g_part, psi.psi.values)
-            if k is None:
-                k = int(np.argmax(bad))
+        vals, k = _tail_field(problem, pair, grid, f_part, g_part, psi.psi.values)
+        if k is not None:
             raise NumericsError(f"Hamiltonian field {name} is not finite at midpoint {k}"
                                 f" (t = {grid.midpoints[k]:g})")
         return Trajectory(grid, "midpoints", vals)

@@ -2,7 +2,7 @@
 
 All integrals carry a factor (t - s)^(alpha - 1) with 0 < alpha < 1, so the
 kernel factor is integrated exactly over each cell and only the smooth factor
-is sampled.  Weights depend on k - j alone, hence one table per grid.
+is sampled.  Weights depend on k - j alone, hence one array per grid.
 """
 
 from __future__ import annotations
@@ -46,49 +46,27 @@ def make_grid(T: float, n: int) -> Grid:
     return Grid(float(T), int(n))
 
 
-@dataclass(frozen=True)
-class SingularWeights:
-    """Rectangle-rule weights for int_0^{t_k} phi(s) (t_k - s)^(alpha-1) ds.
+def singular_weights(alpha: float, grid: Grid) -> np.ndarray:
+    """Rectangle-rule weights omega for int_0^{t_k} phi(s) (t_k - s)^(alpha-1) ds.
 
     phi is sampled at the left endpoint of each cell; the singular factor is
     integrated exactly, giving weight omega[k - j] on phi(t_j):
 
-        omega[d] = h^alpha (d^alpha - (d-1)^alpha) / alpha,   d >= 1.
+        omega[d] = h^alpha (d^alpha - (d-1)^alpha) / alpha,   d >= 1,
 
-    Row sums telescope to t_k^alpha / alpha exactly.
+    and omega[0] = 0.  Row k, the weights on phi(t_0), ..., phi(t_{k-1}), is
+    omega[k:0:-1]; row sums telescope to t_k^alpha / alpha exactly.
     """
-
-    alpha: float
-    grid: Grid
-    omega: np.ndarray
-
-    def row(self, k: int) -> np.ndarray:
-        """Weights on phi(t_0), ..., phi(t_{k-1}); a view, do not mutate."""
-        if not 0 <= k <= self.grid.n:
-            raise IndexError(f"row index {k} outside 0..{self.grid.n}")
-        return self.omega[k:0:-1]
-
-    def dense(self) -> np.ndarray:
-        """Full lower-triangular (n+1, n+1) matrix; for tests and small n."""
-        n = self.grid.n
-        w = np.zeros((n + 1, n + 1))
-        for k in range(1, n + 1):
-            w[k, :k] = self.row(k)
-        return w
-
-
-def singular_weights(alpha: float, grid: Grid) -> SingularWeights:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     d = np.arange(grid.n + 1, dtype=float)
     omega = np.zeros(grid.n + 1)
     omega[1:] = grid.h**alpha * (d[1:] ** alpha - d[:-1] ** alpha) / alpha
-    return SingularWeights(alpha, grid, omega)
+    return omega
 
 
-@dataclass(frozen=True)
-class MidpointWeights:
-    """Midpoint-rule weights for singular integrals anchored at a midpoint.
+def midpoint_weights(alpha: float, grid: Grid) -> np.ndarray:
+    """Midpoint-rule weights mu for singular integrals anchored at a midpoint.
 
     One table serves both orientations.  With mu[0] = (h/2)^alpha / alpha and
     mu[d] = h^alpha ((d + 1/2)^alpha - (d - 1/2)^alpha) / alpha:
@@ -101,13 +79,6 @@ class MidpointWeights:
 
     Row sums telescope to (T - tau_k)^alpha / alpha and tau_k^alpha / alpha.
     """
-
-    alpha: float
-    grid: Grid
-    mu: np.ndarray
-
-
-def midpoint_weights(alpha: float, grid: Grid) -> MidpointWeights:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     h = grid.h
@@ -115,7 +86,7 @@ def midpoint_weights(alpha: float, grid: Grid) -> MidpointWeights:
     mu = np.empty(grid.n)
     mu[0] = (0.5 * h) ** alpha / alpha
     mu[1:] = h**alpha * ((d[1:] + 0.5) ** alpha - (d[1:] - 0.5) ** alpha) / alpha
-    return MidpointWeights(alpha, grid, mu)
+    return mu
 
 
 LEAF = 128  # rows a stepped march runs one by one between convolutions

@@ -5,8 +5,8 @@ kernel L,
 
     K(t,s) = L(t,s)(t-s)^(alpha-1) + int_s^t B(t,tau)(t-tau)^(alpha-1) K(tau,s) dtau,
 
-and are stored in split form K = L(t,s)(t-s)^(alpha-1) + R(t,s), with R
-bounded off the diagonal and obtained by marching
+and are stored in split form K = L(t,s)(t-s)^(alpha-1) + R(t,s), L as its
+function and R, bounded off the diagonal, as node samples obtained by marching
 
     R(t,s) = int B(t,tau)(t-tau)^(alpha-1) [L(tau,s)(tau-s)^(alpha-1) + R(tau,s)] dtau.
 
@@ -68,34 +68,21 @@ def _sample(fn: KernelFn, t, s, shape: tuple, keep: np.ndarray) -> np.ndarray:
 class RegularizedKernel:
     """Singular-plus-regular storage of a two-time kernel.
 
-    sing_coeff[k, j] samples the coefficient of (t-s)^(alpha-1) at node pairs
-    (t_k, t_j); regular[k, j] samples the bounded remainder on the closed lower
-    triangle, with the diagonal filled by constant extension from below so that
-    interpolation near the diagonal never reads garbage.  c_fn evaluates the
-    singular coefficient off the node lattice.  The zero kernel that `zero`
-    builds holds neither table.
+    c_fn evaluates the coefficient of (t-s)^(alpha-1) at any (t, s), and each
+    route samples it where it reads it; regular[k, j] samples the bounded
+    remainder at node pairs (t_k, t_j) on the closed lower triangle, with the
+    diagonal filled by constant extension from below so that interpolation
+    near the diagonal never reads garbage.  The zero kernel holds no table.
     """
 
     alpha: float
     grid: Grid
-    sing_coeff: Optional[np.ndarray]
+    c_fn: KernelFn
     regular: Optional[np.ndarray]
-    c_fn: Optional[KernelFn] = None
-    is_zero: bool = False
 
-    @classmethod
-    def zero(cls, alpha: float, grid: Grid,
-             c_fn: Optional[KernelFn] = None) -> "RegularizedKernel":
-        return cls(alpha, grid, None, None, c_fn=c_fn, is_zero=True)
-
-    def value(self, k: int, j: int) -> float:
-        """Pointwise kernel value at (t_k, t_j), j < k."""
-        if not 0 <= j < k <= self.grid.n:
-            raise IndexError(f"need 0 <= j < k <= n, got j={j}, k={k}")
-        if self.is_zero:
-            return 0.0
-        dt = (k - j) * self.grid.h
-        return float(self.sing_coeff[k, j] * dt ** (self.alpha - 1.0) + self.regular[k, j])
+    @property
+    def is_zero(self) -> bool:
+        return self.regular is None
 
 
 _BLOCK = 32  # rows and columns per block of the doubly singular tables
@@ -427,24 +414,25 @@ def build_resolvent(A: KernelFn, alpha: float, grid: Grid) -> RegularizedKernel:
     returns a 0-d value is taken as constant, and its R, Toeplitz, is marched
     as one column.
     """
-    c = _node_samples(A, grid)
     a = _constant_value(A, grid)
     left = None if a is not None else _left_samples(A, grid)
-    if not (c.any() or (left is not None and (left[0].any() or left[1].any()))):
-        return RegularizedKernel(alpha, grid, c, np.zeros_like(c), c_fn=A, is_zero=True)
+    if not (_node_samples(A, grid).any() or (left and (left[0].any() or left[1].any()))):
+        return RegularizedKernel(alpha, grid, A, None)
 
     tb = _HalfCellTables(alpha, grid)
     if a is not None:
         R = _causal_table(_constant_resolvent(tb, a, a))
     else:
         R = _solve(tb, _right_samples(A, grid), left)
-    return RegularizedKernel(alpha, grid, c, R, c_fn=A)
+    return RegularizedKernel(alpha, grid, A, R)
 
 
 def resolvent_residual(phi: RegularizedKernel, A: KernelFn, grid: Grid) -> float:
     """Max defect of the stored regular part under one re-application of the
     fixed-point quadrature using the completed table (diagonal extensions in
     place of the in-march zeros); measures the dropped edge terms."""
+    if phi.is_zero:
+        return 0.0
     tb = _HalfCellTables(phi.alpha, grid)
     right = _right_samples(A, grid)
     P = _product_table(tb, right, _left_samples(A, grid))
@@ -458,19 +446,19 @@ def resolvent_residual(phi: RegularizedKernel, A: KernelFn, grid: Grid) -> float
 
 
 def _apply_nodes(kernel: RegularizedKernel, values: np.ndarray) -> np.ndarray:
-    """(Kv)_k = int_0^{t_k} kernel(t_k, s) v(s) ds with node samples of v:
-    product rectangles on the singular part, trapezoid on the regular part."""
+    """(Kv)_k = int_0^{t_k} kernel(t_k, s) v(s) ds with node samples of v and
+    of c_fn: product rectangles on the singular part, trapezoid on the regular."""
     grid = kernel.grid
     n, h = grid.n, grid.h
     if kernel.is_zero:
         return np.zeros(n + 1)
-    w = singular_weights(kernel.alpha, grid).dense()
+    w = _causal_table(singular_weights(kernel.alpha, grid))
     trap = np.tril(np.full((n + 1, n + 1), h))
     idx = np.arange(n + 1)
     trap[:, 0] = 0.5 * h
     trap[idx, idx] = 0.5 * h
     trap[0, 0] = 0.0
-    return (kernel.sing_coeff * w) @ values + (kernel.regular * trap) @ values
+    return (_node_samples(kernel.c_fn, grid) * w) @ values + (kernel.regular * trap) @ values
 
 
 def represent_solution(phi: RegularizedKernel, eta: Trajectory, grid: Grid) -> Trajectory:
@@ -536,23 +524,21 @@ def build_q_kernel(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
     if t_free:
         g = _sample(c_fn, 0.0, grid.nodes, (n + 1,), True)
         if not g.any():
-            return RegularizedKernel.zero(alpha, grid, c_fn)
+            return RegularizedKernel(alpha, grid, c_fn, None)
     a = _constant_value(a_fn, grid) if t_free and not b.f_y.free_vars() else None
     if a is not None:
-        c = np.tril(np.broadcast_to(g, (n + 1, n + 1)))
         flat = a == 0.0
     else:
-        c = _node_samples(c_fn, grid)
         left = _left_samples(c_fn, grid)
-        if not (c.any() or left[0].any() or left[1].any()):
-            return RegularizedKernel.zero(alpha, grid, c_fn)
+        if not (_node_samples(c_fn, grid).any() or left[0].any() or left[1].any()):
+            return RegularizedKernel(alpha, grid, c_fn, None)
         right = _right_samples(a_fn, grid)
         flat = not (right[0].any() or right[1].any())
     if flat:
-        return RegularizedKernel(alpha, grid, c, np.zeros((n + 1, n + 1)), c_fn=c_fn)
+        return RegularizedKernel(alpha, grid, c_fn, np.zeros((n + 1, n + 1)))
     tb = _HalfCellTables(alpha, grid)
     if a is None:
-        return RegularizedKernel(alpha, grid, c, _solve(tb, right, left), c_fn=c_fn)
+        return RegularizedKernel(alpha, grid, c_fn, _solve(tb, right, left))
     # Q[k, c] = g[c] q[k - c], q marched with the unit left kernel
     with np.errstate(invalid="ignore", over="ignore"):
         R = _causal_table(_constant_resolvent(tb, a, 1.0), g, 1)
@@ -560,7 +546,7 @@ def build_q_kernel(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
     if bad.any():
         raise KernelAssemblyError(*divmod(int(np.argmax(bad)), n + 1))
     _extend_diagonal(R)
-    return RegularizedKernel(alpha, grid, c, R, c_fn=c_fn)
+    return RegularizedKernel(alpha, grid, c_fn, R)
 
 
 def midpoint_apply_matrix(kernel: RegularizedKernel, grid: Grid) -> np.ndarray:
@@ -574,15 +560,13 @@ def midpoint_apply_matrix(kernel: RegularizedKernel, grid: Grid) -> np.ndarray:
         raise ValueError("kernel grid mismatch")
     if kernel.is_zero:
         return np.zeros((n, n))
-    if kernel.c_fn is None:
-        raise ValueError("kernel lacks an off-lattice coefficient evaluator")
     tau = grid.midpoints
     tri = np.tri(n, dtype=bool)
     with np.errstate(all="ignore"):
         # one row of samples, or one value, when the coefficient ignores t
         c = np.asarray(kernel.c_fn(tau[:, None], tau[None, :]), dtype=float)
     qm = np.zeros((n, n))
-    np.multiply(c, _lagged(midpoint_weights(kernel.alpha, grid).mu, n, n), out=qm, where=tri)
+    np.multiply(c, _lagged(midpoint_weights(kernel.alpha, grid), n, n), out=qm, where=tri)
     R = kernel.regular
     # the mean of the cell's four corners times the cell weight h
     rmid = R[:n, :n] + R[1:, :n]
@@ -603,13 +587,10 @@ def node_apply_row(kernel: RegularizedKernel, node_index: int, grid: Grid) -> np
     i = node_index
     if kernel.is_zero or i == 0:
         return out
-    if kernel.c_fn is None:
-        raise ValueError("kernel lacks an off-lattice coefficient evaluator")
     tau = grid.midpoints[:i]
-    w = singular_weights(kernel.alpha, grid)
     with np.errstate(all="ignore"):
         csamp = np.broadcast_to(
             np.asarray(kernel.c_fn(grid.nodes[i], tau), dtype=float), (i,))
     rsamp = 0.5 * (kernel.regular[i, :i] + kernel.regular[i, 1 : i + 1])
-    out[:i] = csamp * w.row(i) + rsamp * grid.h
+    out[:i] = csamp * singular_weights(kernel.alpha, grid)[i:0:-1] + rsamp * grid.h
     return out

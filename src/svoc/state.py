@@ -140,7 +140,7 @@ def solve_state(problem: ProblemSpec, control: Trajectory, grid: Grid) -> Trajec
     if split is None:
         for k in range(1, grid.n + 1):
             env = {"t": t[k], "s": t[:k], "y": y[:k], "u": u[:k]}
-            y[k] = eta[k] + w.row(k) @ evaluate_on(f, env, (k,))
+            y[k] = eta[k] + w[k:0:-1] @ evaluate_on(f, env, (k,))
             _guard(k, y[k])
         return Trajectory(grid, "nodes", y)
     # f = sum_i a_i(t) b_i(s, y, u)
@@ -152,7 +152,7 @@ def solve_state(problem: ProblemSpec, control: Trajectory, grid: Grid) -> Trajec
         with np.errstate(all="ignore"):
             B = np.array([evaluate_on(e, env, t.shape) for e in slopes])
             G = np.array([evaluate_on(b, {**env, "y": 0.0}, t.shape) for _, b in split])
-        y = linear_march(w.omega, outer, B, G, eta, 1.0, _guard_rows)
+        y = linear_march(w, outer, B, G, eta, 1.0, _guard_rows)
     else:
         # one new sample of each b_i per row
         inner = [b for _, b in split]
@@ -163,7 +163,7 @@ def solve_state(problem: ProblemSpec, control: Trajectory, grid: Grid) -> Trajec
                 _guard(k, y[k])
             return [b.evaluate(s=t[k], y=y[k], u=u[k]) for b in inner]
 
-        causal_march(w.omega, len(inner), step)
+        causal_march(w, len(inner), step)
     return Trajectory(grid, "nodes", y)
 
 
@@ -212,14 +212,14 @@ def _march_response(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
             c, *samples = (evaluate_on(split.get(a, _ZERO), env, t.shape) for split in splits)
             coeff.append(c)
             src.append(source(slice(None), *samples))
-        z = linear_march(w.omega, _outer_samples(outer, t), np.array(coeff), np.array(src),
+        z = linear_march(w, _outer_samples(outer, t), np.array(coeff), np.array(src),
                          0.0, 1.0, _guard_rows)
     else:
         z = np.zeros(grid.n + 1)
         for k in range(1, grid.n + 1):
             env = {"t": t[k], "s": t[:k], "y": y_star.values[:k], "u": u_star.values[:k]}
             coeff, *samples = (evaluate_on(e, env, (k,)) for e in exprs)
-            z[k] = w.row(k) @ (coeff * z[:k] + source(slice(0, k), *samples))
+            z[k] = w[k:0:-1] @ (coeff * z[:k] + source(slice(0, k), *samples))
             _guard(k, z[k])
     return Trajectory(grid, "nodes", z)
 

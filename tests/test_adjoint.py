@@ -102,7 +102,7 @@ def test_directional_derivative_duality():
 
 def test_degenerate_backward_step_is_reported():
     grid = make_grid(1.0, 4)
-    K = 1.0 / float(midpoint_weights(0.5, grid).mu[0])
+    K = 1.0 / float(midpoint_weights(0.5, grid)[0])
     problem = ProblemSpec(alpha=0.5, T=1.0, eta=parse_expression("1"),
                           f=parse_expression(f"{K!r}*y"), g=parse_expression("y"))
     pair = (Trajectory.constant(1.0, grid), Trajectory.constant(0.0, grid))

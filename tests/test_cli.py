@@ -191,6 +191,26 @@ def error_lines(capsys):
     return capsys.readouterr().err.strip().splitlines()
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+def test_tolerance_must_be_finite_and_non_negative(tmp_path, capsys, tol):
+    out = tmp_path / "out"
+    code = run_command(["check", "--order", "2", "--problem", "sing_quad", "--param", "c=1",
+                        "--control", "0", "--n", "16", f"--tol={tol}", "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: svoc check: argument --tol: tolerance must be finite and non-negative,"
+        f" got {tol!r}"]
+    assert not out.exists()
+
+
+def test_zero_tolerance_is_valid(tmp_path):
+    assert run(["check", "--order", "2", "--problem", "sing_quad", "--param", "c=1",
+                "--control", "0", "--n", "16", "--tol", "0"], tmp_path) == 0
+    assert json.loads((tmp_path / "check.json").read_text())["tol"] == 0.0
+
+
 def test_non_finite_cost_is_a_numerical_failure(tmp_path, capsys):
     spec_path = tmp_path / "p.json"
     spec_path.write_text(json.dumps({"alpha": 0.5, "T": 1.0, "eta": "1", "f": "y",
@@ -306,15 +326,18 @@ def test_non_finite_hamiltonian_field_is_a_numerical_failure(tmp_path, capsys, c
 
 
 def test_non_finite_hamiltonian_term_names_its_own_midpoint(tmp_path, capsys):
-    # the outer factor 1/(t - 0.625) has its pole on midpoint 2; the tail sums
-    # carry it to every midpoint, so the field alone would name midpoint 0
-    spec_path = tmp_path / "p.json"
-    spec_path.write_text(json.dumps({"alpha": 0.5, "T": 1.0, "eta": "1",
-                                     "f": "0.3*y + u^2/(t - 0.625)", "g": "y^2"}))
-    code = run(["check", "--problem", str(spec_path), "--control=0.1", "--n", "4"], tmp_path)
-    assert code == 2
-    assert error_lines(capsys) == [
-        "numerical failure: Hamiltonian field H is not finite at midpoint 2 (t = 0.625)"]
+    # a pole on midpoint 2.  In t (the first f, which separates) the tail sums
+    # carry it to every midpoint, so the field alone would name midpoint 0; in
+    # s (the second f, which takes the row loop) it stays in row 2
+    for f in ("0.3*y + u^2/(t - 0.625)", "0.3*y + sin(t*s)*u^2/(s - 0.625)"):
+        spec_path = tmp_path / "p.json"
+        spec_path.write_text(json.dumps({"alpha": 0.5, "T": 1.0, "eta": "1", "f": f,
+                                         "g": "y^2"}))
+        code = run(["check", "--problem", str(spec_path), "--control=0.1", "--n", "4"],
+                   tmp_path)
+        assert code == 2, f
+        assert error_lines(capsys) == [
+            "numerical failure: Hamiltonian field H is not finite at midpoint 2 (t = 0.625)"], f
 
 
 @pytest.mark.parametrize("c", ["1", "-1"])

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from svoc import state
-from svoc.adjoint import (AdjointTrajectory, _instant_rows, _tail_sums, adjoint_residual,
-                          snap_instants, solve_adjoint)
+from svoc.adjoint import (AdjointTrajectory, _instant_rows, _tail_field, _tail_sums,
+                          adjoint_residual, snap_instants, solve_adjoint)
 from svoc.errors import AdjointStepError, StateBlowupError
 from svoc.expr import parse_expression, separate
 from svoc.optimality import hamiltonian_fields
@@ -44,7 +44,7 @@ def ref_state(problem, u, grid):
     y[0] = eta[0]
     for k in range(1, grid.n + 1):
         env = {"t": t[k], "s": t[:k], "y": y[:k], "u": u[:k]}
-        y[k] = eta[k] + w.row(k) @ evaluate_on(problem.f, env, (k,))
+        y[k] = eta[k] + w[k:0:-1] @ evaluate_on(problem.f, env, (k,))
         ref_guard(k, y[k])
     return y
 
@@ -57,7 +57,7 @@ def ref_response(problem, pair, grid, exprs, source):
     for k in range(1, grid.n + 1):
         env = {"t": t[k], "s": t[:k], "y": y[:k], "u": u[:k]}
         coeff, *samples = (evaluate_on(e, env, (k,)) for e in (problem.bundle.f_y, *exprs))
-        z[k] = w.row(k) @ (coeff * z[:k] + source(slice(0, k), *samples))
+        z[k] = w[k:0:-1] @ (coeff * z[:k] + source(slice(0, k), *samples))
         ref_guard(k, z[k])
     return z
 
@@ -79,7 +79,7 @@ def ref_y2(problem, pair, v, z1, grid):
 def midpoint_data(problem, pair, grid):
     y_star, u_star = pair
     return (grid.midpoints, y_star.midpoint_values(), u_star.midpoint_values(),
-            midpoint_weights(problem.alpha, grid).mu)
+            midpoint_weights(problem.alpha, grid))
 
 
 def ref_row(expression, tau, ym, um, k):
@@ -232,6 +232,19 @@ def test_marches_match_the_row_loop(kernel, n):
 
 # --- failures at the same row ---------------------------------------------------
 
+@pytest.mark.parametrize("f", ["(s - 0.375)/(s - 0.625)",  # separates
+                               "(2 + sin(t*s))*(s - 0.375)/(s - 0.625)"])  # the row loop
+def test_tail_field_names_the_first_non_finite_term_not_the_first_overflowing_sum(f):
+    # with phi = 1.5e308, row 0's terms are finite but their sum overflows;
+    # the pole in s on midpoint 2 gives the first term that is not finite
+    grid = make_grid(1.0, 4)
+    pair = (Trajectory.constant(1.0, grid), Trajectory.constant(0.0, grid))
+    field, first_bad = _tail_field(custom(0.5, "1", "y", "y"), pair, grid, parse_expression(f),
+                                   parse_expression("0"), np.full(grid.n, 1.5e308))
+    assert not np.isfinite(field[0])
+    assert first_bad == 2
+
+
 @pytest.mark.parametrize("f", ["{c}*y^2", "{c}*(1 + t)*y^2*(1 + u)",
                                "{c}*(sin(t) + 1)*y^2 + {c}*t*y*u"])
 @pytest.mark.parametrize("c", [0.3, 0.4])
@@ -266,7 +279,7 @@ def test_non_finite_sample_is_reported_at_the_row_loop_index(crossing):
 def assert_backward_failure_at_the_row_loop_index(f, gap):
     # 1 - mu_0 f_y is gap where u = 1, i.e. below t = 0.5
     grid = make_grid(1.0, 1000)
-    K = (1.0 - gap) / float(midpoint_weights(0.5, grid).mu[0])
+    K = (1.0 - gap) / float(midpoint_weights(0.5, grid)[0])
     problem = custom(0.5, "1", f.format(K=K), "y^2")
     u = Trajectory(grid, "nodes", np.where(grid.nodes <= 0.5, 1.0, 0.0))
     pair = (Trajectory.constant(1.0, grid), u)
@@ -423,7 +436,7 @@ def test_linear_march_memory_stays_linear():
     # the t*y*u state at N = 16384; the one-leaf-at-a-time solve peaked at 1.55 MB
     grid = make_grid(1.0, 16384)
     t = grid.nodes
-    w = singular_weights(0.5, grid).omega
+    w = singular_weights(0.5, grid)
     args = (w, t[None, :], (0.3 + 0.2 * np.sin(2.0 * t))[None, :], 0.0, 1.0 + t * np.sqrt(t),
             1.0, state._guard_rows)
     linear_march(*args)

@@ -103,7 +103,7 @@ def dense_fields(problem, pair, psi_vals, grid):
     ym = y_star.midpoint_values()
     um = u_star.midpoint_values()
     b = problem.bundle
-    mu = midpoint_weights(problem.alpha, grid).mu
+    mu = midpoint_weights(problem.alpha, grid)
     snaps = snap_instants(problem, grid)
     d = np.subtract.outer(np.arange(n), np.arange(n))
     W = np.where(d >= 0, mu[d.clip(min=0)], 0.0)

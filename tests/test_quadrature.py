@@ -10,6 +10,7 @@ from svoc.quadrature import (
     singular_weights,
     trapezoid,
 )
+from svoc.resolvent import _causal_table
 
 alphas = st.floats(0.1, 0.9)
 cells = st.integers(2, 80)
@@ -32,14 +33,14 @@ def test_make_grid_validation():
 def test_first_weight_alpha_half():
     # alpha = 1/2, h = 1/4: omega[1] = h^0.5 / 0.5 = 2 * 0.5 = 1
     w = singular_weights(0.5, make_grid(1.0, 4))
-    assert w.omega[1] == pytest.approx(1.0, abs=1e-15)
+    assert w[1] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_full_row_sum_alpha_half():
     # row n integrates (T - s)^(-1/2) over [0, T]: 2 sqrt(T) = 2 at T = 1
     g = make_grid(1.0, 4)
     w = singular_weights(0.5, g)
-    assert w.row(4).sum() == pytest.approx(2.0, abs=1e-14)
+    assert w[4:0:-1].sum() == pytest.approx(2.0, abs=1e-14)
 
 
 @given(alphas, cells)
@@ -51,30 +52,25 @@ def test_row_sums_telescope(alpha, n):
         if k == 0:
             continue
         exact = g.nodes[k] ** alpha / alpha
-        assert w.row(k).sum() == pytest.approx(exact, rel=1e-13)
+        assert w[k:0:-1].sum() == pytest.approx(exact, rel=1e-13)
 
 
 @given(alphas, cells)
 @settings(deadline=None, max_examples=40)
 def test_weights_positive_and_decreasing(alpha, n):
-    w = singular_weights(alpha, make_grid(1.0, n)).omega[1:]
+    w = singular_weights(alpha, make_grid(1.0, n))[1:]
     assert np.all(w > 0)
     assert np.all(np.diff(w) <= 1e-15)
 
 
-def test_weight_index_guards():
-    w = singular_weights(0.5, make_grid(1.0, 4))
-    with pytest.raises(IndexError):
-        w.row(5)
-
-
 def test_dense_matches_rows():
+    # the dense weight table the node route of the resolvent applies
     g = make_grid(1.0, 6)
     w = singular_weights(0.3, g)
-    dense = w.dense()
+    dense = _causal_table(w)
     assert dense.shape == (7, 7)
     for k in range(1, 7):
-        assert np.array_equal(dense[k, :k], w.row(k))
+        assert np.array_equal(dense[k, :k], w[k:0:-1])
     assert np.all(dense[np.triu_indices(7)] == 0.0)
 
 
@@ -82,7 +78,7 @@ def test_linear_integrand_converges():
     # int_0^1 s (1 - s)^(-1/2) ds = 4/3
     g = make_grid(1.0, 4096)
     w = singular_weights(0.5, g)
-    approx = w.row(g.n) @ g.nodes[: g.n]
+    approx = w[g.n : 0 : -1] @ g.nodes[: g.n]
     assert approx == pytest.approx(4.0 / 3.0, abs=1e-3)
 
 
@@ -95,11 +91,11 @@ def test_singular_weights_alpha_guard():
 @settings(deadline=None, max_examples=60)
 def test_midpoint_rows_telescope(alpha, n):
     g = make_grid(1.0, n)
-    mw = midpoint_weights(alpha, g)
+    mu = midpoint_weights(alpha, g)
     tau = g.midpoints
     for k in (0, n // 2, n - 1):
-        head = mw.mu[k::-1].sum()  # weights mu[k - j] on phi(tau_j), j = 0..k
-        tail = mw.mu[: n - k].sum()  # weights mu[j - k] on phi(tau_j), j = k..n-1
+        head = mu[k::-1].sum()  # weights mu[k - j] on phi(tau_j), j = 0..k
+        tail = mu[: n - k].sum()  # weights mu[j - k] on phi(tau_j), j = k..n-1
         assert head == pytest.approx(tau[k] ** alpha / alpha, rel=1e-12)
         assert tail == pytest.approx((g.T - tau[k]) ** alpha / alpha, rel=1e-12)
 
@@ -108,7 +104,7 @@ def test_midpoint_head_and_tail_are_mirror_images():
     # the head rule at tau_k reads phi(tau_j) with mu[k - j], the tail rule at
     # tau_m with mu[j - m]: reflected in time, tau_j -> T - tau_j, they agree
     n = 8
-    mu = midpoint_weights(0.5, make_grid(1.0, n)).mu
+    mu = midpoint_weights(0.5, make_grid(1.0, n))
     phi = np.random.default_rng(8).standard_normal(n)
     for k in range(n):
         j, m = np.arange(k + 1), n - 1 - k

@@ -17,6 +17,7 @@ from svoc.quadrature import make_grid
 from svoc.resolvent import (
     _BLOCK,
     _HalfCellTables,
+    _node_samples,
     apply_kernel_nodes,
     build_q_kernel,
     build_resolvent,
@@ -32,7 +33,7 @@ def kernel_sup(phi, grid):
     """Max sampled |Phi| over the strict lower triangle."""
     k, j = np.tril_indices(grid.n + 1, k=-1)
     dt = (k - j) * grid.h
-    vals = phi.sing_coeff[k, j] * dt ** (phi.alpha - 1.0) + phi.regular[k, j]
+    vals = _node_samples(phi.c_fn, grid)[k, j] * dt ** (phi.alpha - 1.0) + phi.regular[k, j]
     return float(np.max(np.abs(vals)))
 
 
@@ -40,7 +41,8 @@ def test_zero_kernel_short_circuits():
     grid = make_grid(1.0, 32)
     phi = build_resolvent(lambda t, s: 0.0, 0.5, grid)
     assert phi.is_zero
-    assert not phi.regular.any() and not phi.sing_coeff.any()
+    assert phi.regular is None
+    assert resolvent_residual(phi, lambda t, s: 0.0, grid) == 0.0
     eta = Trajectory.from_expression("1 + t^2", grid)
     rep = represent_solution(phi, eta, grid)
     assert np.array_equal(rep.values, eta.values)
@@ -51,17 +53,6 @@ def test_zero_free_term_maps_to_zero():
     phi = build_resolvent(lambda t, s: 0.5, 0.5, grid)
     rep = represent_solution(phi, Trajectory.constant(0.0, grid), grid)
     assert np.max(np.abs(rep.values)) == 0.0
-
-
-def test_kernel_value_decomposition_and_guards():
-    grid = make_grid(1.0, 16)
-    phi = build_resolvent(lambda t, s: 0.5, 0.5, grid)
-    k, j = 10, 3
-    dt = (k - j) * grid.h
-    expect = phi.sing_coeff[k, j] * dt**-0.5 + phi.regular[k, j]
-    assert phi.value(k, j) == pytest.approx(expect, rel=1e-15)
-    with pytest.raises(IndexError):
-        phi.value(3, 3)
 
 
 def test_neumann_series_oracle():
@@ -91,6 +82,9 @@ def test_constant_kernel_resolvent_is_toeplitz(lam):
     for n in (24, 2 * _BLOCK + 5):
         grid = make_grid(1.0, n)
         phi = build_resolvent(array_constant(lam), 0.5, grid)
+        if lam == 0.0:
+            assert phi.is_zero and phi.regular is None
+            continue
         R = phi.regular
         scale = 1.0 + float(np.max(np.abs(R)))
         k, j = np.tril_indices(n + 1, -1)
@@ -347,7 +341,7 @@ def test_zero_response_kernel_is_decided_from_node_values(monkeypatch):
     quad = builtin_problem("sing_quad", {"c": 1.0})
     q = build_q_kernel(quad, (solve_state(quad, u, grid), u), grid)
     assert q.is_zero
-    assert q.sing_coeff is None and q.regular is None
+    assert q.regular is None
 
 
 def test_zero_response_kernel_holds_no_table():
@@ -363,7 +357,7 @@ def test_zero_response_kernel_holds_no_table():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert q.is_zero and q.value(n, 0) == 0.0
+    assert q.is_zero and q.regular is None
     assert peak < (n + 1) ** 2 * 8
 
 
@@ -379,7 +373,7 @@ def test_response_kernel_closed_form_when_state_factor_drops():
     assert not q.regular.any()
     tri = np.tril(np.ones((grid.n + 1, grid.n + 1), dtype=bool))
     expect = np.outer(grid.nodes, y.values)
-    assert np.max(np.abs(np.where(tri, q.sing_coeff - expect, 0.0))) <= 1e-12
+    assert np.max(np.abs(np.where(tri, _node_samples(q.c_fn, grid) - expect, 0.0))) <= 1e-12
 
 
 def test_response_kernel_reproduces_first_response_exactly_when_resolvent_vanishes():
@@ -494,7 +488,7 @@ def test_constant_kernel_path_matches_general_path(n, alpha, a, general_path):
     grid = make_grid(1.0, n)
     fast = build_resolvent(lambda t, s: a, alpha, grid)
     general = build_resolvent(array_constant(a), alpha, grid)
-    assert np.array_equal(fast.sing_coeff, general.sing_coeff)
+    assert np.array_equal(_node_samples(fast.c_fn, grid), _node_samples(general.c_fn, grid))
     assert _max_rel(fast.regular, general.regular) <= 1e-12  # measured 8.5e-15
 
     # f_u constant, and f_u reading s (directly and through a varying u*)
@@ -507,7 +501,7 @@ def test_constant_kernel_path_matches_general_path(n, alpha, a, general_path):
     general_path()
     for problem, q in zip(problems, fast):
         ref = build_q_kernel(problem, (y, u), grid)
-        assert np.array_equal(q.sing_coeff, ref.sing_coeff)
+        assert np.array_equal(_node_samples(q.c_fn, grid), _node_samples(ref.c_fn, grid))
         assert _max_rel(q.regular, ref.regular) <= 1e-12  # measured 8.8e-15
 
 
