@@ -26,10 +26,15 @@ rows, W their weights and C = diag(h H_yu) QM.
 
 The verdict reads lambda_max(K).  An eigenvector is needed only when it exceeds
 the tolerance, as the improving direction.  When the Gershgorin bound
-max_i (K_ii + sum_{j != i} |K_ij|) <= tol proves that it cannot, eigenvalues
-alone are computed (`eigvalsh`); otherwise, or if that lambda_max still lands
-above tol, `eigh` runs.  On a diagonal K both routes return its entries exactly;
-otherwise their lambda_max differ at roundoff, about eps max|K|.
+max_i (K_ii + sum_{j != i} |K_ij|) <= tol proves that it cannot, no direction
+can be reported and lambda_max alone is needed: a K with no off-diagonal
+non-zero (Q = 0, so K = diag(h H_uu)) gives it as its largest diagonal entry,
+with no eigensolver, and any other K by eigenvalues alone (`eigvalsh`).
+Otherwise, or if that lambda_max still lands above tol, `eigh` runs, and a
+violation takes its direction from it.  A diagonal K's lambda_max is exact; the
+eigensolvers return the same bits whenever LAPACK need not rescale K (max|K|
+between about 1e-146 and 1e145).  On any other K `eigvalsh` and `eigh` differ
+at roundoff, about eps max|K|.
 """
 
 from __future__ import annotations
@@ -195,17 +200,22 @@ def quadratic_form(fields: HamiltonianFields, m: MKernel, v: Trajectory, grid: G
 
 
 def _quadratic_matrix(fields: HamiltonianFields, m: MKernel, grid: Grid) -> np.ndarray:
-    """Symmetric K with v^T K v = QF[v] for every midpoint sample vector."""
+    """Symmetric K with v^T K v = QF[v] for every midpoint sample vector.
+    Without blocks or a cross term K is the diagonal diag(h H_uu), symmetric
+    as built, and is returned as it is."""
     h = grid.h
     K = np.diag(fields.h_uu.values * h)
+    cross = m.qm is not None and np.any(fields.h_yu.values)
     for L, w in m.blocks:
         K += L.T @ (L * w[:, None])
-    if m.qm is not None and np.any(fields.h_yu.values):
+    if cross:
         C = (fields.h_yu.values * h)[:, None] * m.qm
         K += C
         K += C.T
     if not np.isfinite(K).all():
         raise NumericsError("quadratic form matrix is not finite")
+    if not (m.blocks or cross):
+        return K
     return _symmetrized(K, "quadratic form")
 
 
@@ -216,6 +226,12 @@ def _gershgorin_bound(K: np.ndarray) -> float:
     return float(np.max(d - np.abs(d) + np.abs(K).sum(axis=1)))
 
 
+def _is_diagonal(K: np.ndarray) -> bool:
+    """True when K has no off-diagonal non-zero, decided from the entries
+    themselves (a rounded row sum would read tiny entries as zero)."""
+    return np.count_nonzero(K) == np.count_nonzero(np.diagonal(K))
+
+
 def second_order_test(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
                       fields: HamiltonianFields, grid: Grid,
                       tol: float | None = None) -> SecondOrderReport:
@@ -224,10 +240,11 @@ def second_order_test(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
     fields are the Hamiltonian fields along the pair.  Builds K, takes its
     extreme eigenvalue, and returns the eigenvector as an improving direction
     when the form can be made positive.  When K's Gershgorin bound is at most
-    tol the verdict can only be holds, and eigenvalues alone are computed; the
-    verdict always comes from a computed eigenvalue, and the direction always
-    from `eigh`.  If the control is not singular the test does not apply and
-    the verdict is inconclusive.
+    tol the verdict can only be holds, and lambda_max alone is taken: as the
+    largest entry of a diagonal K, with no eigensolver, and from `eigvalsh` for
+    any other K.  The verdict always comes from a computed eigenvalue, and a
+    violation's direction always from `eigh`.  If the control is not singular
+    the test does not apply and the verdict is inconclusive.
     """
     verdict = detect_singular(fields, tol)
     if not verdict.singular:
@@ -237,7 +254,10 @@ def second_order_test(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
     m = assemble_m_kernel(problem, pair, fields, q, grid)
     K = _quadratic_matrix(fields, m, grid)
     if _gershgorin_bound(K) <= verdict.tol:
-        lam = float(np.linalg.eigvalsh(K)[-1])
+        if _is_diagonal(K):
+            lam = float(np.diagonal(K).max())
+        else:
+            lam = float(np.linalg.eigvalsh(K)[-1])
         if lam <= verdict.tol:
             return SecondOrderReport("holds", lam, verdict.tol, verdict.sup_hu, K, None)
     eigenvalues, eigenvectors = np.linalg.eigh(K)

@@ -10,6 +10,7 @@ symbolically once and reused everywhere.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -86,8 +87,8 @@ class ProblemSpec:
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise ProblemValidationError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not self.T > 0.0:
-            raise ProblemValidationError(f"horizon must be positive, got {self.T}")
+        if not 0.0 < self.T < math.inf:
+            raise ProblemValidationError(f"horizon must be positive and finite, got {self.T}")
         _check_vars("eta", self.eta, _PERMITTED["eta"])
         _check_vars("f", self.f, _PERMITTED["f"])
         _check_vars("g", self.g, _PERMITTED["g"])

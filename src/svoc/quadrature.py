@@ -7,6 +7,7 @@ is sampled.  Weights depend on k - j alone, hence one array per grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -39,8 +40,8 @@ class Grid:
 
 
 def make_grid(T: float, n: int) -> Grid:
-    if not T > 0.0:
-        raise ValueError(f"horizon must be positive, got {T}")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {T}")
     if n < 2:
         raise ValueError(f"need at least 2 cells, got {n}")
     return Grid(float(T), int(n))

@@ -411,19 +411,19 @@ def build_resolvent(A: KernelFn, alpha: float, grid: Grid) -> RegularizedKernel:
 
     A must accept broadcasting array arguments (t, s) and be finite on the
     closed triangle s <= t; values outside it are never used.  A kernel that
-    returns a 0-d value is taken as constant, and its R, Toeplitz, is marched
-    as one column.
+    returns a 0-d value is taken as constant: that value alone decides whether
+    it is zero, and its R, Toeplitz, is marched as one column.
     """
     a = _constant_value(A, grid)
-    left = None if a is not None else _left_samples(A, grid)
-    if not (_node_samples(A, grid).any() or (left and (left[0].any() or left[1].any()))):
-        return RegularizedKernel(alpha, grid, A, None)
-
-    tb = _HalfCellTables(alpha, grid)
     if a is not None:
-        R = _causal_table(_constant_resolvent(tb, a, a))
-    else:
-        R = _solve(tb, _right_samples(A, grid), left)
+        if a == 0.0:
+            return RegularizedKernel(alpha, grid, A, None)
+        R = _causal_table(_constant_resolvent(_HalfCellTables(alpha, grid), a, a))
+        return RegularizedKernel(alpha, grid, A, R)
+    left = _left_samples(A, grid)
+    if not (_node_samples(A, grid).any() or left[0].any() or left[1].any()):
+        return RegularizedKernel(alpha, grid, A, None)
+    R = _solve(_HalfCellTables(alpha, grid), _right_samples(A, grid), left)
     return RegularizedKernel(alpha, grid, A, R)
 
 

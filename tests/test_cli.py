@@ -344,15 +344,32 @@ def test_non_finite_hamiltonian_term_names_its_own_midpoint(tmp_path, capsys):
 def test_second_order_outputs_do_not_depend_on_the_eigensolver_route(tmp_path, monkeypatch, c):
     argv = ["check", "--order", "2", "--problem", "sing_quad", "--param", f"c={c}",
             "--control=0", "--n", "256"]
-    assert run(argv, tmp_path / "bound") == 0
+    assert run(argv, tmp_path / "diagonal") == 0
+    # a diagonal K taken as dense: lambda_max from eigvalsh
+    monkeypatch.setattr(svoc.optimality, "_is_diagonal", lambda K: False)
+    assert run(argv, tmp_path / "eigvalsh") == 0
     # without the Gershgorin certificate every verdict comes from eigh
     monkeypatch.setattr(svoc.optimality, "_gershgorin_bound", lambda K: np.inf)
     assert run(argv, tmp_path / "eigh") == 0
-    names = sorted(p.name for p in (tmp_path / "bound").iterdir())
+    names = sorted(p.name for p in (tmp_path / "diagonal").iterdir())
     assert "second_order.json" in names and ("direction.csv" in names) == (c == "-1")
-    assert names == sorted(p.name for p in (tmp_path / "eigh").iterdir())
-    for name in names:
-        assert (tmp_path / "bound" / name).read_bytes() == (tmp_path / "eigh" / name).read_bytes()
+    for route in ("eigvalsh", "eigh"):
+        assert names == sorted(p.name for p in (tmp_path / route).iterdir())
+        for name in names:
+            assert ((tmp_path / "diagonal" / name).read_bytes()
+                    == (tmp_path / route / name).read_bytes()), (route, name)
+
+
+def test_infinite_horizon_is_a_validation_error(tmp_path, capsys):
+    spec_path = tmp_path / "p.json"
+    spec_path.write_text('{"alpha": 0.5, "T": 1e999, "eta": "1", "f": "0.5*y + u", "g": "y^2"}')
+    for problem in (["--problem", "sing_quad", "--param", "c=1", "--param", "T=inf"],
+                    ["--problem", str(spec_path)]):
+        out = tmp_path / "out"
+        code = run_command(["solve", *problem, "--control", "0", "--n", "8", "--out", str(out)])
+        assert code == 1, problem
+        assert error_lines(capsys) == ["error: horizon must be positive and finite, got inf"]
+        assert not out.exists()
 
 
 # (command, N, order) of every README command and benchmark workload

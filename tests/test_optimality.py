@@ -417,10 +417,16 @@ def sing_quad_report(c, n=256, tol=None):
 
 
 def test_holds_within_the_gershgorin_bound_takes_eigenvalues_alone(monkeypatch):
+    # Q = 0, so K = diag(h H_uu): lambda_max is its largest entry, read with
+    # no eigensolver and no symmetrizing pass
+    def refuse(*args):
+        raise AssertionError("diagonal K symmetrized")
+
+    monkeypatch.setattr(svoc.optimality, "_symmetrized", refuse)
     calls = counted_eigensolvers(monkeypatch)
     report = sing_quad_report(1.0)
     assert report.verdict == "holds"
-    assert calls == {"eigh": 0, "eigvalsh": 1}
+    assert calls == {"eigh": 0, "eigvalsh": 0}
     assert report.lambda_max == float(EIGH(report.matrix)[0][-1])  # K is diagonal: exact
 
 
@@ -471,12 +477,32 @@ def test_form_above_the_bound_takes_eigh_even_when_it_holds(monkeypatch):
 
 def test_eigenvalue_above_tol_falls_back_to_eigh(monkeypatch):
     # an eigvalsh that lands above tol (in practice only within roundoff of
-    # it) hands the verdict to eigh
-    calls = counted_eigensolvers(monkeypatch, eigvalsh=lambda K: np.array([1.0]))
-    report = sing_quad_report(1.0)
+    # it) hands the verdict to eigh; a dense K, as a diagonal one takes no
+    # eigvalsh
+    problem = builtin_problem("paper_example")
+    grid = make_grid(1.0, 256)
+    pair, fields = fields_for(problem, grid, control_value=0.3)
+    calls = counted_eigensolvers(monkeypatch, eigvalsh=lambda K: np.array([2e9]))
+    report = second_order_test(problem, pair, fields, grid, tol=1e9)
     assert calls == {"eigh": 1, "eigvalsh": 1}
     assert report.verdict == "holds"
-    assert report.lambda_max == float(EIGH(report.matrix)[0][-1]) < 0.0
+    assert report.lambda_max == float(EIGH(report.matrix)[0][-1]) < 1e9
+
+
+def test_tiny_off_diagonal_entries_are_not_diagonal(monkeypatch):
+    # entries of 1e-300 vanish in a rounded row sum, but not in the test
+    # that sends K to eigvalsh
+    K = sing_quad_report(1.0).matrix.copy()
+    K[0, 1] = K[1, 0] = 1e-300
+    K[5, 2] = K[2, 5] = -1e-300
+    assert np.all(np.abs(K).sum(axis=1) - np.abs(np.diagonal(K)) == 0.0)
+    assert not svoc.optimality._is_diagonal(K)
+    monkeypatch.setattr(svoc.optimality, "_quadratic_matrix", lambda fields, m, grid: K)
+    calls = counted_eigensolvers(monkeypatch)
+    report = sing_quad_report(1.0)
+    assert calls == {"eigh": 0, "eigvalsh": 1}
+    assert report.verdict == "holds"
+    assert report.lambda_max == float(EIGVALSH(K)[-1])
 
 
 def test_symmetrizing_takes_one_temporary():

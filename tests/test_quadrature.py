@@ -24,8 +24,9 @@ def test_grid_geometry():
 
 
 def test_make_grid_validation():
-    with pytest.raises(ValueError, match="horizon"):
-        make_grid(0.0, 4)
+    for T in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="horizon"):
+            make_grid(T, 4)
     with pytest.raises(ValueError, match="at least 2"):
         make_grid(1.0, 1)
 

@@ -48,6 +48,20 @@ def test_zero_kernel_short_circuits():
     assert np.array_equal(rep.values, eta.values)
 
 
+def test_constant_kernel_takes_no_node_table(monkeypatch):
+    # the value of a constant kernel decides whether it is zero
+    grid = make_grid(1.0, 64)
+    reference = build_resolvent(lambda t, s: 0.5, 0.5, grid).regular
+
+    def refuse(fn, grid):
+        raise AssertionError("node table sampled")
+
+    monkeypatch.setattr(svoc.resolvent, "_node_samples", refuse)
+    assert build_resolvent(lambda t, s: 0.0, 0.5, grid).is_zero
+    assert build_resolvent(lambda t, s: -0.0, 0.5, grid).is_zero
+    assert np.array_equal(build_resolvent(lambda t, s: 0.5, 0.5, grid).regular, reference)
+
+
 def test_zero_free_term_maps_to_zero():
     grid = make_grid(1.0, 32)
     phi = build_resolvent(lambda t, s: 0.5, 0.5, grid)
