@@ -53,10 +53,6 @@ class AdjointTrajectory:
     instant_terms: np.ndarray  # shape (num instants, num midpoints)
     snaps: tuple[InstantSnap, ...]
 
-    @property
-    def values(self) -> np.ndarray:
-        return self.psi.values
-
 
 def _instant_rows(problem: ProblemSpec, grid: Grid, expression,
                   y_nodes: np.ndarray, ym: np.ndarray, um: np.ndarray,

@@ -19,7 +19,7 @@ import numpy as np
 from .adjoint import solve_adjoint
 from .errors import NumericsError
 from .expr import ExpressionError, parse_expression
-from .oracle import convergence_study, fd_expansion_check, variational_fd_check
+from .oracle import convergence_study, fd_expansion_check
 from .optimality import detect_singular, hamiltonian_fields, second_order_test
 from .problem import (BUILTIN_SIGNATURES, ProblemSpec, ProblemValidationError,
                       builtin_problem, load_problem_file)
@@ -28,7 +28,8 @@ from .reports import dump_json, table_csv, trajectory_csv
 from .state import Trajectory, evaluate_cost, solve_state
 
 # Grid budget, checked before anything is allocated.  Per grid, a command
-# makes a fixed number of O(N^2) passes (marches and tail quadratures) and
+# makes a fixed number of O(N^2) passes (marches and tail quadratures; `verify`
+# makes 12: y*, three perturbed states, costate, five fields, Y1 and Y2) and
 # holds a fixed number of dense (N+1)^2 float64 tables at its peak.  Tracemalloc
 # peaks at N = 256, 512 and 1024, in tables, on `paper_example` at control 0.3,
 # whose Q takes the general path (one product table and two marches): 18.9,
@@ -49,7 +50,7 @@ _PASSES_TABLES = {
     ("adjoint", 1): (2, 0),
     ("check", 1): (8, 0),
     ("check", 2): (8, 17),
-    ("verify", 1): (15, 17),
+    ("verify", 1): (12, 17),
     ("converge", 1): (1, 0),
 }
 
@@ -292,7 +293,7 @@ def _cmd_verify(args) -> int:
     start = time.perf_counter()
     y = solve_state(problem, control, grid)
     expansion = fd_expansion_check(problem, (y, control), direction)
-    variational = variational_fd_check(problem, (y, control), direction)
+    variational = expansion.variational
     elapsed = time.perf_counter() - start
     report = _identity(problem, args)
     report.update(

@@ -239,12 +239,13 @@ def second_order_test(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
 
     fields are the Hamiltonian fields along the pair.  Builds K, takes its
     extreme eigenvalue, and returns the eigenvector as an improving direction
-    when the form can be made positive.  When K's Gershgorin bound is at most
-    tol the verdict can only be holds, and lambda_max alone is taken: as the
-    largest entry of a diagonal K, with no eigensolver, and from `eigvalsh` for
-    any other K.  The verdict always comes from a computed eigenvalue, and a
-    violation's direction always from `eigh`.  If the control is not singular
-    the test does not apply and the verdict is inconclusive.
+    when the form can be made positive.  A diagonal K has lambda_max as its
+    largest entry, read with no eigensolver.  For any other K whose Gershgorin
+    bound is at most tol the verdict can only be holds, and lambda_max alone is
+    taken from `eigvalsh`.  The verdict always comes from a computed
+    eigenvalue, and a violation's direction always from `eigh`.  If the
+    control is not singular the test does not apply and the verdict is
+    inconclusive.
     """
     verdict = detect_singular(fields, tol)
     if not verdict.singular:
@@ -253,13 +254,13 @@ def second_order_test(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
     q = build_q_kernel(problem, pair, grid)
     m = assemble_m_kernel(problem, pair, fields, q, grid)
     K = _quadratic_matrix(fields, m, grid)
-    if _gershgorin_bound(K) <= verdict.tol:
-        if _is_diagonal(K):
-            lam = float(np.diagonal(K).max())
-        else:
-            lam = float(np.linalg.eigvalsh(K)[-1])
-        if lam <= verdict.tol:
-            return SecondOrderReport("holds", lam, verdict.tol, verdict.sup_hu, K, None)
+    lam = np.inf
+    if _is_diagonal(K):
+        lam = float(np.diagonal(K).max())
+    elif _gershgorin_bound(K) <= verdict.tol:
+        lam = float(np.linalg.eigvalsh(K)[-1])
+    if lam <= verdict.tol:
+        return SecondOrderReport("holds", lam, verdict.tol, verdict.sup_hu, K, None)
     eigenvalues, eigenvectors = np.linalg.eigh(K)
     lam = float(eigenvalues[-1])
     direction = None

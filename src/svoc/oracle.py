@@ -2,7 +2,8 @@
 
 Nothing here reuses the model shortcuts it validates: cost differences come
 only from forward solves, analytic solutions come from series summation, and
-ratio tables measure Taylor orders directly.
+ratio tables measure Taylor orders directly.  One sweep of forward solves at
+u* + delta v, marched by `variational_fd_check`, serves both expansion checks.
 """
 
 from __future__ import annotations
@@ -102,6 +103,7 @@ class ExpansionReport:
     ratios: tuple[float, ...]  # residual(delta/2) / residual(delta), NaN when exact
     hu_pairing: float          # int H_u v dt
     qf: float
+    variational: VariationalReport  # the check whose states gave delta_j
 
 
 def _check_deltas(deltas) -> tuple[float, ...]:
@@ -131,10 +133,10 @@ def fd_expansion_check(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory]
     m = assemble_m_kernel(problem, pair, fields, q, grid)
     qf = quadratic_form(fields, m, v_mid, grid)
 
+    variational = variational_fd_check(problem, pair, v, deltas)
     rows = []
-    for delta in deltas:
+    for delta, y_pert in zip(deltas, variational.states):
         u_pert = Trajectory(grid, "nodes", u_star.values + delta * v.values)
-        y_pert = solve_state(problem, u_pert, grid)
         dj = evaluate_cost(problem, y_pert, u_pert, grid).total - base
         model1 = -delta * hu_pairing
         model2 = model1 - 0.5 * delta**2 * qf
@@ -145,7 +147,7 @@ def fd_expansion_check(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory]
             ratios.append(float("nan"))
         else:
             ratios.append(b.residual / a.residual)
-    return ExpansionReport(tuple(rows), tuple(ratios), hu_pairing, qf)
+    return ExpansionReport(tuple(rows), tuple(ratios), hu_pairing, qf, variational)
 
 
 @dataclass(frozen=True)
@@ -157,22 +159,23 @@ class VariationalReport:
     ratio2: tuple[float, ...]  # e2(d) / e2(d/2), ~4 at second order
     exact1: bool               # errors at the roundoff floor: identity exact
     exact2: bool
+    states: tuple[Trajectory, ...]  # y(u* + d v), one per delta
 
 
 def variational_fd_check(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
                          v: Trajectory, deltas=DEFAULT_DELTAS) -> VariationalReport:
     """Taylor-order measurement of the first- and second-order responses on the
-    pair's grid."""
+    pair's grid; the states y(u* + delta v) are marched first and returned."""
     deltas = _check_deltas(deltas)
     y_star, u_star = pair
     grid = y_star.grid
+    u_perts = [u_star.values + d * v.values for d in deltas]
+    states = tuple(solve_state(problem, Trajectory(grid, "nodes", u), grid) for u in u_perts)
     y1 = solve_y1(problem, pair, v, grid)
     y2 = solve_y2(problem, pair, v, y1, grid)
     scale = 1.0 + float(np.max(np.abs(y_star.values)))
     e1, e2 = [], []
-    for delta in deltas:
-        u_pert = Trajectory(grid, "nodes", u_star.values + delta * v.values)
-        y_pert = solve_state(problem, u_pert, grid)
+    for delta, y_pert in zip(deltas, states):
         diff = (y_pert.values - y_star.values) / delta
         e1.append(float(np.max(np.abs(diff - y1.values))))
         e2.append(float(np.max(np.abs(diff - y1.values - 0.5 * delta * y2.values))))
@@ -186,8 +189,7 @@ def variational_fd_check(problem: ProblemSpec, pair: tuple[Trajectory, Trajector
     return VariationalReport(
         deltas, tuple(e1), tuple(e2), ratio_table(e1), ratio_table(e2),
         exact1=max(e1) <= EXACT_FLOOR * scale,
-        exact2=max(e2) <= EXACT_FLOOR * scale,
-    )
+        exact2=max(e2) <= EXACT_FLOOR * scale, states=states)
 
 
 @dataclass(frozen=True)

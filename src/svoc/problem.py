@@ -136,10 +136,6 @@ class ProblemSpec:
             instants=instants,
         )
 
-    @property
-    def params_dict(self) -> dict[str, float]:
-        return dict(self.params)
-
 
 # --- builtin registry -------------------------------------------------------
 
@@ -172,8 +168,8 @@ BUILTIN_SIGNATURES: dict[str, tuple[tuple[str, ...], dict[str, float], str]] = {
 def builtin_problem(name: str, params: dict[str, float] | None = None) -> ProblemSpec:
     """Instantiate one of the registered problems.
 
-    Raises ProblemValidationError for unknown names, missing parameters, or
-    parameters the problem does not take.
+    Raises ProblemValidationError for unknown names, missing parameters,
+    parameters the problem does not take, or a non-finite coefficient.
     """
     if name not in BUILTIN_SIGNATURES:
         known = ", ".join(sorted(BUILTIN_SIGNATURES))
@@ -190,6 +186,9 @@ def builtin_problem(name: str, params: dict[str, float] | None = None) -> Proble
         )
     values = {**optional, **given}
     record = tuple(sorted((k, float(v)) for k, v in values.items()))
+    for key, value in record:
+        if key not in ("alpha", "T") and not math.isfinite(value):  # written into f or g
+            raise ProblemValidationError(f"parameter '{key}' must be finite, got {value}")
 
     if name == "paper_example":
         return ProblemSpec(

@@ -298,8 +298,8 @@ def test_verify_marches_reference_state_once(tmp_path, monkeypatch):
                 "--param", "r=1", "--control", "1", "--direction", "cos(2*t)",
                 "--n", "32"], tmp_path)
     assert code == 0
-    # y* once, then three perturbed marches for each of the two checks
-    assert len(state_calls) == 7
+    # y* once, then three perturbed marches that both checks read
+    assert len(state_calls) == 4
 
 
 def test_non_finite_quadratic_form_is_a_numerical_failure(tmp_path, capsys):
@@ -358,6 +358,28 @@ def test_second_order_outputs_do_not_depend_on_the_eigensolver_route(tmp_path, m
         for name in names:
             assert ((tmp_path / "diagonal" / name).read_bytes()
                     == (tmp_path / route / name).read_bytes()), (route, name)
+
+
+@pytest.mark.parametrize("c, verdict", [("1", "holds"), ("-1", "violated")])
+def test_diagonal_form_takes_no_gershgorin_bound(tmp_path, monkeypatch, c, verdict):
+    # Q = 0 on sing_quad, so K is diagonal and its verdict needs no |K|
+    def refuse(K):
+        raise AssertionError("Gershgorin bound of a diagonal K")
+
+    monkeypatch.setattr(svoc.optimality, "_gershgorin_bound", refuse)
+    code = run(["check", "--order", "2", "--problem", "sing_quad", "--param", f"c={c}",
+                "--control=0", "--n", "64"], tmp_path)
+    assert code == 0
+    assert json.loads((tmp_path / "second_order.json").read_text())["verdict"] == verdict
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_builtin_parameter_is_a_validation_error(tmp_path, capsys, value):
+    for argv, key in ((["solve", "--problem", "lq", "--param", f"a={value}", "--param", "b=1",
+                        "--param", "r=1", "--control", "0", "--n", "8"], "a"),
+                      (["converge", f"--lambda={value}", "--ns", "8"], "lam")):
+        assert run(argv, tmp_path) == 1, argv
+        assert error_lines(capsys) == [f"error: parameter '{key}' must be finite, got {value}"]
 
 
 def test_infinite_horizon_is_a_validation_error(tmp_path, capsys):

@@ -249,6 +249,30 @@ def test_variational_check_measures_orders_on_curved_dynamics():
         assert 3.0 <= r <= 5.0
 
 
+@pytest.mark.parametrize("name, params, control", [
+    ("lq", {"a": 0.5, "b": 1.0, "r": 1.0}, 1.0),
+    ("paper_example", {}, 0.3),
+])
+def test_expansion_check_returns_the_variational_check_it_read(name, params, control):
+    # fd_expansion_check marches no state of its own: its cost differences come
+    # from the states of the variational check it returns, which matches a
+    # standalone check bit for bit on every field verify.json writes
+    problem = builtin_problem(name, params)
+    grid = make_grid(1.0, 128)
+    u = Trajectory.constant(control, grid)
+    pair = (solve_state(problem, u, grid), u)
+    v = Trajectory.from_expression("cos(3*t)", grid)
+    inner = fd_expansion_check(problem, pair, v).variational
+    alone = variational_fd_check(problem, pair, v)
+    for key in ("deltas", "e1", "e2", "ratio1", "ratio2", "exact1", "exact2"):
+        assert np.asarray(getattr(inner, key), float).tobytes() == \
+            np.asarray(getattr(alone, key), float).tobytes(), key
+    assert len(inner.states) == len(inner.deltas)
+    for delta, state in zip(inner.deltas, inner.states):
+        u_pert = Trajectory(grid, "nodes", u.values + delta * v.values)
+        assert state.values.tobytes() == solve_state(problem, u_pert, grid).values.tobytes()
+
+
 # --- stability and projection ------------------------------------------------------
 
 def test_free_term_perturbations_stay_bounded():

@@ -33,7 +33,7 @@ def test_paper_example_data():
 def test_builtin_params_recorded_sorted():
     p = builtin_problem("lq", {"r": 1.0, "a": 0.5, "b": 2.0})
     assert p.params == (("T", 1.0), ("a", 0.5), ("alpha", 0.5), ("b", 2.0), ("r", 1.0))
-    assert p.params_dict["b"] == 2.0
+    assert dict(p.params)["b"] == 2.0
 
 
 def test_builtin_optional_params():
