@@ -25,7 +25,7 @@ from .problem import (BUILTIN_SIGNATURES, ProblemSpec, ProblemValidationError,
                       builtin_problem, load_problem_file)
 from .quadrature import make_grid
 from .reports import dump_json, table_csv, trajectory_csv
-from .state import Trajectory, evaluate_cost, solve_state
+from .state import Trajectory, evaluate_cost, evaluate_on, solve_state
 
 # Grid budget, checked before anything is allocated.  Per grid, a command
 # makes a fixed number of O(N^2) passes (marches and tail quadratures; `verify`
@@ -167,7 +167,11 @@ def _control(expression: str, grid, what: str = "control") -> Trajectory:
     extra = expr.free_vars() - {"t"}
     if extra:
         raise ProblemValidationError(f"{what} may only reference t, found {sorted(extra)}")
-    return Trajectory.from_expression(expr, grid)
+    values = evaluate_on(expr, {"t": grid.nodes}, grid.nodes.shape)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise ProblemValidationError(f"{what} is not finite at t = {grid.nodes[np.argmax(bad)]:g}")
+    return Trajectory(grid, "nodes", values)
 
 
 def _out_dir(args) -> Path:

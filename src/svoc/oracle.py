@@ -196,7 +196,7 @@ def variational_fd_check(problem: ProblemSpec, pair: tuple[Trajectory, Trajector
 class ConvergenceRow:
     n: int
     error: float  # relative sup error against the series solution
-    order: float  # log2(e(N)/e(2N)), NaN on the first row
+    order: float  # log2(e_prev/e) / log2(N/N_prev) against the previous row, NaN on the first
 
 
 @dataclass(frozen=True)
@@ -208,19 +208,21 @@ class ConvergenceReport:
 
 def convergence_study(lam: float, alpha: float, ns, T: float = 1.0) -> ConvergenceReport:
     """Sup-error table for the linear problem against its series solution."""
-    rows = []
-    prev_err = None
+    ns = [int(n) for n in ns]
+    if any(n <= prev for prev, n in zip(ns, ns[1:])):
+        raise ValueError(f"grid sizes must be strictly increasing, got {ns}")
+    rows, prev_n, prev_err = [], None, None
     for n in ns:
-        n = int(n)
         problem = builtin_problem("abel_linear", {"lam": lam, "alpha": alpha, "T": T})
         grid = make_grid(T, n)
         control = Trajectory.constant(0.0, grid)
         y = solve_state(problem, control, grid)
         ref = linear_analytic_solution(lam, alpha, grid.nodes)
         err = float(np.max(np.abs(y.values - ref)) / np.max(np.abs(ref)))
-        order = float("nan") if prev_err is None else math.log2(prev_err / err) if err > 0 else float("inf")
+        order = float("nan") if prev_err is None else (
+            math.log2(prev_err / err) / math.log2(n / prev_n) if err > 0 else float("inf"))
         rows.append(ConvergenceRow(n, err, order))
-        prev_err = err
+        prev_n, prev_err = n, err
     return ConvergenceReport(lam, alpha, tuple(rows))
 
 

@@ -283,9 +283,11 @@ def load_problem_file(path: str | Path) -> ProblemSpec:
 
     def number(key: str, source) -> float:
         try:
-            return float(source)
-        except (TypeError, ValueError) as exc:
-            raise ProblemValidationError(f"{path}: '{key}' must be a number") from exc
+            if type(source) in (int, float):  # a JSON number, not a bool or a string
+                return float(source)
+        except OverflowError:  # an integer literal past float range
+            pass
+        raise ProblemValidationError(f"{path}: '{key}' must be a number")
 
     entries = data.get("instant_costs", [])
     if not isinstance(entries, list):

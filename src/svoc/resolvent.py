@@ -21,23 +21,22 @@ are split at each cell midpoint: on each half the factor whose pole is nearer
 is integrated in closed form while the other factor and the smooth data are
 sampled at the half's midpoint.
 
-Cost: O(N^2) flops for a constant B, O(N^3) otherwise, and O(N^2) memory.
-A constant B with a constant L (the resolvent of a constant A), or with an L
-that reads s only (Q when f_y is a constant and f_u does not read t), makes
-the operator a convolution: R[k, c] is L's value at t_c times a function of
-k - c, so one column of the doubly singular table is built, O(N^2), and each
-pass of the march over it is one `linear_march`, O(N log^2 N).  Otherwise
-the doubly singular part does not depend on R, so it is assembled up front
-as one table, in square blocks of `_BLOCK` rows and columns, mostly of
-matrix products (BLAS).  Elementwise work is left only where the half-cell
-choice switches: in a band of about `_BLOCK` cells per block, and in the row block's own cells
-within the two column blocks next to the diagonal; both are masked into one
-batched product per block.  The own cells of the column blocks further left
-take one choice throughout and are added a row at a time, one gemv per half,
-so that no product reaches a cell j >= k and a non-finite sample is reported
-at the cell where a row-by-row quadrature first meets it.  The two marches
-over R are sequential, one gemv per row, so the Python-level work is O(N)
-rows plus O((N/_BLOCK)^2) blocks, and Q costs what the resolvent costs.
+Cost: O(N^2) memory, and O(N^3) flops except for Q when f_y is a constant and
+f_u does not read t.  That Q is a convolution: R[k, c] is f_u's value at t_c
+times a function of k - c, so one column of the doubly singular table is built,
+O(N^2), and each pass of the march over it is one `linear_march`, O(N log^2 N).
+Every resolvent, constant or not, and every other Q take the general solver:
+the doubly singular part does not depend on R, so it is assembled up front as
+one table, in square blocks of `_BLOCK` rows and columns, mostly of matrix
+products (BLAS).  Elementwise work is left only where the half-cell choice
+switches: in a band of about `_BLOCK` cells per block, and in the row block's
+own cells within the two column blocks next to the diagonal; both are masked
+into one batched product per block.  The own cells of the column blocks further
+left take one choice throughout and are added a row at a time, one gemv per
+half, so that no product reaches a cell j >= k and a non-finite sample is
+reported at the cell where a row-by-row quadrature first meets it.  The two
+marches over R are sequential, one gemv per row, so the Python-level work is
+O(N) rows plus O((N/_BLOCK)^2) blocks, and Q costs what the resolvent costs.
 """
 
 from __future__ import annotations
@@ -352,10 +351,10 @@ def _guard_column(lo: int, values: np.ndarray) -> None:
         raise KernelAssemblyError(lo + int(np.argmax(bad)), 0)
 
 
-def _constant_resolvent(tb: _HalfCellTables, a: float, b: float) -> np.ndarray:
+def _constant_resolvent(tb: _HalfCellTables, a: float) -> np.ndarray:
     """r with R[k, c] = r[k - c] and r[0] = r[1] (the diagonal extension):
     the regular part `_solve` gives for the constant right kernel a and the
-    constant left kernel b, whose product table is a b `tb.unit_product()`.
+    unit left kernel, whose product table is a `tb.unit_product()`.
 
     On a Toeplitz table `_march` gives row k, column c the value of row
     k - c, column 0, so both passes run over one column.  Row m reads r[1]
@@ -368,7 +367,7 @@ def _constant_resolvent(tb: _HalfCellTables, a: float, b: float) -> np.ndarray:
     y, w = tb.constant_smooth_weights(a)
     ones = np.ones((1, tb.grid.n + 1))
     with np.errstate(invalid="ignore", over="ignore"):
-        p = a * b * tb.unit_product()
+        p = a * tb.unit_product()
         shifted = w.copy()
         shifted[1] += w[0]  # row k - 1 in place of row k
         d = p + y * p[1]
@@ -406,25 +405,27 @@ def _solve(tb: _HalfCellTables, right: tuple, left: tuple) -> np.ndarray:
     return R
 
 
+def _build(alpha: float, grid: Grid, right_fn: KernelFn, left_fn: KernelFn) -> RegularizedKernel:
+    """The kernel with right kernel B = right_fn and left kernel L = left_fn: no
+    table when L's samples all vanish, a zero R when B's do, `_solve` otherwise."""
+    left = _left_samples(left_fn, grid)
+    if not (_node_samples(left_fn, grid).any() or left[0].any() or left[1].any()):
+        return RegularizedKernel(alpha, grid, left_fn, None)
+    right = _right_samples(right_fn, grid)
+    if not (right[0].any() or right[1].any()):
+        return RegularizedKernel(alpha, grid, left_fn, np.zeros((grid.n + 1, grid.n + 1)))
+    R = _solve(_HalfCellTables(alpha, grid), right, left)
+    return RegularizedKernel(alpha, grid, left_fn, R)
+
+
 def build_resolvent(A: KernelFn, alpha: float, grid: Grid) -> RegularizedKernel:
     """Resolvent of the operator with kernel A(t,s)(t-s)^(alpha-1).
 
     A must accept broadcasting array arguments (t, s) and be finite on the
-    closed triangle s <= t; values outside it are never used.  A kernel that
-    returns a 0-d value is taken as constant: that value alone decides whether
-    it is zero, and its R, Toeplitz, is marched as one column.
+    closed triangle s <= t; values outside it are never used.  Every A, a
+    constant one too, is solved by `_solve` with B = L = A, O(N^3).
     """
-    a = _constant_value(A, grid)
-    if a is not None:
-        if a == 0.0:
-            return RegularizedKernel(alpha, grid, A, None)
-        R = _causal_table(_constant_resolvent(_HalfCellTables(alpha, grid), a, a))
-        return RegularizedKernel(alpha, grid, A, R)
-    left = _left_samples(A, grid)
-    if not (_node_samples(A, grid).any() or left[0].any() or left[1].any()):
-        return RegularizedKernel(alpha, grid, A, None)
-    R = _solve(_HalfCellTables(alpha, grid), _right_samples(A, grid), left)
-    return RegularizedKernel(alpha, grid, A, R)
+    return _build(alpha, grid, A, A)
 
 
 def resolvent_residual(phi: RegularizedKernel, A: KernelFn, grid: Grid) -> float:
@@ -510,7 +511,7 @@ def build_q_kernel(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
     kernel and f_u as the left one; no resolvent is built.  The regular part
     is zero when f_y's samples all vanish.  When f_y is a constant and f_u
     does not read t, the regular part is f_u(s) times a function of t - s,
-    marched as one column: O(N^2) instead of O(N^3).
+    marched as one column by `_constant_resolvent`: O(N^2) instead of O(N^3).
     """
     y_star, u_star = pair
     alpha = problem.alpha
@@ -526,22 +527,13 @@ def build_q_kernel(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
         if not g.any():
             return RegularizedKernel(alpha, grid, c_fn, None)
     a = _constant_value(a_fn, grid) if t_free and not b.f_y.free_vars() else None
-    if a is not None:
-        flat = a == 0.0
-    else:
-        left = _left_samples(c_fn, grid)
-        if not (_node_samples(c_fn, grid).any() or left[0].any() or left[1].any()):
-            return RegularizedKernel(alpha, grid, c_fn, None)
-        right = _right_samples(a_fn, grid)
-        flat = not (right[0].any() or right[1].any())
-    if flat:
-        return RegularizedKernel(alpha, grid, c_fn, np.zeros((n + 1, n + 1)))
-    tb = _HalfCellTables(alpha, grid)
     if a is None:
-        return RegularizedKernel(alpha, grid, c_fn, _solve(tb, right, left))
+        return _build(alpha, grid, a_fn, c_fn)
+    if a == 0.0:
+        return RegularizedKernel(alpha, grid, c_fn, np.zeros((n + 1, n + 1)))
     # Q[k, c] = g[c] q[k - c], q marched with the unit left kernel
     with np.errstate(invalid="ignore", over="ignore"):
-        R = _causal_table(_constant_resolvent(tb, a, 1.0), g, 1)
+        R = _causal_table(_constant_resolvent(_HalfCellTables(alpha, grid), a), g, 1)
     bad = ~np.isfinite(R)
     if bad.any():
         raise KernelAssemblyError(*divmod(int(np.argmax(bad)), n + 1))

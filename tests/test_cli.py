@@ -131,6 +131,32 @@ def test_converge_table(tmp_path):
     assert errors[0] > errors[1] > errors[2]
 
 
+def test_converge_order_reads_the_grid_ratio(tmp_path):
+    # a first-order scheme: a 4x refinement is one order, not two
+    assert run(["converge", "--lambda", "1", "--ns", "256,1024"], tmp_path) == 0
+    order = read_csv(tmp_path / "converge.csv")[1, 2]
+    assert 0.7 <= order <= 1.2
+
+
+@pytest.mark.parametrize("ns", ["512,256", "512,512"])
+def test_converge_grid_sizes_must_increase(tmp_path, capsys, ns):
+    assert run(["converge", "--lambda", "1", "--ns", ns], tmp_path) == 1
+    assert error_lines(capsys) == [
+        f"error: grid sizes must be strictly increasing, got [{ns.replace(',', ', ')}]"]
+
+
+@pytest.mark.parametrize("control, direction, message", [
+    ("1/t", "1", "control is not finite at t = 0"),
+    ("0.4", "log(t)", "direction is not finite at t = 0"),
+    ("0.4", "1/(t - 0.5)", "direction is not finite at t = 0.5"),
+])
+def test_non_finite_control_names_itself(tmp_path, capsys, control, direction, message):
+    argv = ["verify", "--problem", "paper_example", f"--control={control}",
+            f"--direction={direction}", "--n", "16"]
+    assert run(argv, tmp_path) == 1
+    assert error_lines(capsys) == [f"error: {message}"]
+
+
 def test_problem_file_matches_builtin(tmp_path):
     spec_path = tmp_path / "benchmark.json"
     spec_path.write_text(json.dumps(problem_to_dict(builtin_problem("paper_example"))))
@@ -244,9 +270,9 @@ def test_malformed_problem_file_is_a_validation_error(tmp_path, capsys, extra):
      "error: svoc solve: the following arguments are required: --control"),
     (["no-such-command"], "error: svoc: argument command: invalid choice"),
     (["solve", "--problem", "paper_example", "--control=1/0", "--n", "8"],
-     "error: trajectory values must be finite"),
+     "error: control is not finite at t = 0"),
     (["solve", "--problem", "paper_example", "--control=(-1)^0.5", "--n", "8"],
-     "error: trajectory values must be finite"),
+     "error: control is not finite at t = 0"),
     (["solve", "--problem", "sing_quad", "--param", "c=1e308", "--control=1e10", "--n", "8"],
      "numerical failure: state left the trusted range at node index 1"),
 ])

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -175,6 +176,24 @@ def test_file_bad_bounds(tmp_path):
         "control_bounds": [1.0],
     })
     with pytest.raises(ProblemValidationError, match="control_bounds"):
+        load_problem_file(path)
+
+
+@pytest.mark.parametrize("value", [True, "0.5", None, 10**400],
+                         ids=["true", "string", "null", "int-past-float-range"])
+@pytest.mark.parametrize("key", ["alpha", "T", "instant_costs[0].t", "control_bounds[0]"])
+def test_file_number_must_be_a_json_number(tmp_path, key, value):
+    # float() would take true as 1 and "0.5" as 0.5
+    data = {"alpha": 0.5, "T": 1.0, "eta": "1", "f": "y", "g": "0",
+            "instant_costs": [{"t": 0.5, "h": "y"}], "control_bounds": [-1.0, 2.0]}
+    if key in ("alpha", "T"):
+        data[key] = value
+    elif key.startswith("instant"):
+        data["instant_costs"][0]["t"] = value
+    else:
+        data["control_bounds"][0] = value
+    path = write_problem(tmp_path, data)
+    with pytest.raises(ProblemValidationError, match=re.escape(f"'{key}' must be a number")):
         load_problem_file(path)
 
 

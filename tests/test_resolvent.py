@@ -48,20 +48,6 @@ def test_zero_kernel_short_circuits():
     assert np.array_equal(rep.values, eta.values)
 
 
-def test_constant_kernel_takes_no_node_table(monkeypatch):
-    # the value of a constant kernel decides whether it is zero
-    grid = make_grid(1.0, 64)
-    reference = build_resolvent(lambda t, s: 0.5, 0.5, grid).regular
-
-    def refuse(fn, grid):
-        raise AssertionError("node table sampled")
-
-    monkeypatch.setattr(svoc.resolvent, "_node_samples", refuse)
-    assert build_resolvent(lambda t, s: 0.0, 0.5, grid).is_zero
-    assert build_resolvent(lambda t, s: -0.0, 0.5, grid).is_zero
-    assert np.array_equal(build_resolvent(lambda t, s: 0.5, 0.5, grid).regular, reference)
-
-
 def test_zero_free_term_maps_to_zero():
     grid = make_grid(1.0, 32)
     phi = build_resolvent(lambda t, s: 0.5, 0.5, grid)
@@ -83,8 +69,8 @@ def test_neumann_series_oracle():
 
 
 def array_constant(a):
-    """The constant kernel a as an array-returning function, which takes the
-    general (non-Toeplitz) path of `build_resolvent`."""
+    """The constant kernel a as an array-returning function, which
+    `_constant_value` does not read as a constant."""
     return lambda t, s: np.full(np.broadcast(t, s).shape, float(a))
 
 
@@ -92,7 +78,7 @@ def array_constant(a):
 @settings(deadline=None, max_examples=15)
 def test_constant_kernel_resolvent_is_toeplitz(lam):
     # the general assembly of a constant kernel, also across several row
-    # blocks: the invariant the column march of a constant kernel rests on
+    # blocks: the invariant Q's column march for a constant f_y rests on
     for n in (24, 2 * _BLOCK + 5):
         grid = make_grid(1.0, n)
         phi = build_resolvent(array_constant(lam), 0.5, grid)
@@ -499,11 +485,13 @@ def general_path(monkeypatch):
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.8])
 @pytest.mark.parametrize("n", [2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5, 384])
 def test_constant_kernel_path_matches_general_path(n, alpha, a, general_path):
+    # the resolvent has one path, so a scalar and an array constant agree bit
+    # for bit; Q's column march agrees with its general branch to rounding
     grid = make_grid(1.0, n)
-    fast = build_resolvent(lambda t, s: a, alpha, grid)
+    scalar = build_resolvent(lambda t, s: a, alpha, grid)
     general = build_resolvent(array_constant(a), alpha, grid)
-    assert np.array_equal(_node_samples(fast.c_fn, grid), _node_samples(general.c_fn, grid))
-    assert _max_rel(fast.regular, general.regular) <= 1e-12  # measured 8.5e-15
+    assert np.array_equal(_node_samples(scalar.c_fn, grid), _node_samples(general.c_fn, grid))
+    assert np.array_equal(scalar.regular, general.regular)
 
     # f_u constant, and f_u reading s (directly and through a varying u*)
     y = Trajectory.from_expression("1 + 0.5*t", grid)
@@ -527,9 +515,9 @@ def test_path_selection(monkeypatch):
     grid = make_grid(1.0, 48)
     u = Trajectory.from_expression("0.5 + 0.3*t", grid)
     y = Trajectory.from_expression("1 + 0.5*t", grid)
-    build_resolvent(lambda t, s: 0.5, 0.5, grid)
-    with pytest.raises(AssertionError, match="general"):
-        build_resolvent(array_constant(0.5), 0.5, grid)
+    for A in (lambda t, s: 0.5, array_constant(0.5)):
+        with pytest.raises(AssertionError, match="general"):
+            build_resolvent(A, 0.5, grid)
 
     lq = builtin_problem("lq", {"a": 0.5, "b": 1.0, "r": 1.0})
     assert not build_q_kernel(lq, (y, u), grid).is_zero
@@ -586,11 +574,32 @@ def test_response_kernel_route_accuracy(alpha, before):
     assert rel <= 1.01 * before  # measured 8.85e-2, 1.350e-2, 1.4438e-3
 
 
-@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1e150])
-def test_constant_kernel_failure_names_the_general_cell(value):
+def test_constant_resolvent_takes_the_general_solver(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("column march")
+
+    grid = make_grid(1.0, 48)
+    reference = build_resolvent(array_constant(0.5), 0.5, grid).regular
+    monkeypatch.setattr(svoc.resolvent, "_constant_resolvent", refuse)
+    assert np.array_equal(build_resolvent(lambda t, s: 0.5, 0.5, grid).regular, reference)
+
+
+@pytest.mark.parametrize("literal", ["1e308*10", "-1e308*10", "(1e308*10 - 1e308*10)", "1e150"],
+                         ids=["inf", "-inf", "nan", "1e+150"])
+def test_constant_kernel_failure_names_the_general_cell(literal, general_path):
+    # a constant f_y that overflows in its literal or in the march: Q's column
+    # march names the cell its general branch names
     grid = make_grid(1.0, 2 * _BLOCK + 5)
-    cell = _assembly_failure(lambda: build_resolvent(array_constant(value), 0.5, grid))
-    assert _assembly_failure(lambda: build_resolvent(lambda t, s: value, 0.5, grid)) == cell
+    y = Trajectory.from_expression("1 + 0.5*t", grid)
+    u = Trajectory.from_expression("0.5 + sin(3*t)", grid)
+    problems = [ProblemSpec(0.5, 1.0, parse_expression("1"),
+                            parse_expression(f"{literal}*y + {f_u}"), parse_expression("y^2"))
+                for f_u in ("1.3*u", "(1 + s^2)*u")]
+    cells = [_assembly_failure(lambda: build_q_kernel(problem, (y, u), grid))
+             for problem in problems]
+    general_path()
+    assert [_assembly_failure(lambda: build_q_kernel(problem, (y, u), grid))
+            for problem in problems] == cells
 
 
 def test_verify_on_the_constant_kernel_path_matches_the_general_path(tmp_path, general_path):
