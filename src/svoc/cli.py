@@ -8,6 +8,7 @@ wall-clock timing goes to stdout only, never into files.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -147,6 +148,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated grid sizes")
     p.add_argument("--out", default=".")
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every command reads, built once: parsing leaves it as it
+    is, while a parser built per command is cyclic garbage that piles up
+    between full collections."""
+    return build_parser()
 
 
 def _load_problem(args) -> ProblemSpec:
@@ -365,7 +374,7 @@ _DISPATCH = {
 
 def _run(argv) -> int:
     try:
-        args = build_parser().parse_args(list(argv))
+        args = _parser().parse_args(list(argv))
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
     except _UsageError as exc:

@@ -4,6 +4,11 @@ Nothing here reuses the model shortcuts it validates: cost differences come
 only from forward solves, analytic solutions come from series summation, and
 ratio tables measure Taylor orders directly.  One sweep of forward solves at
 u* + delta v, marched by `variational_fd_check`, serves both expansion checks.
+When those states and Y1 march one operator they are the columns of one
+linear march, which factors each leaf once for all of them.  The check stays
+independent: each column takes the products its own march takes, from the
+same leaf inverses each march would form for itself, so each state is the
+forward solve bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from .optimality import assemble_m_kernel, hamiltonian_fields, quadratic_form
 from .problem import ProblemSpec, builtin_problem
 from .quadrature import make_grid
 from .resolvent import build_q_kernel
-from .state import Trajectory, evaluate_cost, solve_state, solve_y1, solve_y2
+from .state import Trajectory, _march_sweep, evaluate_cost, solve_state, solve_y2
 
 DEFAULT_DELTAS = (1e-2, 5e-3, 2.5e-3)
 EXACT_FLOOR = 1e-10  # below this the identity holds exactly and ratios are noise
@@ -108,10 +113,14 @@ class ExpansionReport:
 
 def _check_deltas(deltas) -> tuple[float, ...]:
     deltas = tuple(float(d) for d in deltas)
-    if not deltas or any(d <= 0 for d in deltas):
-        raise ValueError("deltas must be positive")
-    if list(deltas) != sorted(deltas, reverse=True):
-        raise ValueError("deltas must be decreasing")
+    if not deltas:
+        raise ValueError("deltas must be positive and finite, got none")
+    for d in deltas:
+        if not 0.0 < d < math.inf:  # also catches nan
+            raise ValueError(f"deltas must be positive and finite, got {d}")
+    for d, after in zip(deltas, deltas[1:]):
+        if not after < d:
+            raise ValueError(f"deltas must be strictly decreasing, got {after} after {d}")
     return deltas
 
 
@@ -167,11 +176,9 @@ def variational_fd_check(problem: ProblemSpec, pair: tuple[Trajectory, Trajector
     """Taylor-order measurement of the first- and second-order responses on the
     pair's grid; the states y(u* + delta v) are marched first and returned."""
     deltas = _check_deltas(deltas)
-    y_star, u_star = pair
+    y_star = pair[0]
     grid = y_star.grid
-    u_perts = [u_star.values + d * v.values for d in deltas]
-    states = tuple(solve_state(problem, Trajectory(grid, "nodes", u), grid) for u in u_perts)
-    y1 = solve_y1(problem, pair, v, grid)
+    states, y1 = _march_sweep(problem, pair, v, deltas, grid)
     y2 = solve_y2(problem, pair, v, y1, grid)
     scale = 1.0 + float(np.max(np.abs(y_star.values)))
     e1, e2 = [], []

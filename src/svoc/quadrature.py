@@ -107,25 +107,27 @@ def _toeplitz(w: np.ndarray, first: int, size: int) -> np.ndarray:
     return sliding_window_view(column[::-1], size)[::-1].copy()
 
 
-def _leaf_schedule(w: np.ndarray, m: int, leaf: int):
+def _leaf_schedule(w: np.ndarray, m: int, leaf: int, lead: tuple = ()):
     """Yield (lo, hi, acc, p) for the leaves [lo, hi) of len(w) rows in order.
 
-    Before the next leaf is requested the caller fills p[lo:hi] (m values a
-    row); acc[k] then holds the part of sum_{j<k} w[k - j] p[j] from rows
-    before row k's own leaf.  Divide and conquer (Hairer, Lubich & Schlichte,
-    SIAM J. Sci. Stat. Comput. 6 (1985)): once the rows so far fill the first
-    half of an aligned block of 2^i leaves, that half adds its part to the
-    block's second half.  A half of at most DIRECT rows does so by one dense
-    product with its Toeplitz table of w, a longer one by one FFT
-    convolution, unless the end of the rows leaves at most DIRECT rows of
-    the second half: those take direct sums.  O(m N log^2 N) time, O(m N)
-    memory; w[0] is never read.
+    p and acc have shape lead + (len(w), m): row k of every lane sits at
+    [..., k, :].  Before the next leaf is requested the caller fills
+    p[..., lo:hi, :] (m values a row); acc[..., k, :] then holds the part of
+    sum_{j<k} w[k - j] p[..., j, :] from rows before row k's own leaf.  Divide
+    and conquer (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6
+    (1985)): once the rows so far fill the first half of an aligned block of
+    2^i leaves, that half adds its part to the block's second half.  A half
+    of at most DIRECT rows does so by one dense product with its Toeplitz
+    table of w, a longer one by one FFT convolution, unless the end of the
+    rows leaves at most DIRECT rows of the second half: those take direct
+    sums.  Each lane takes the same products as it would alone.  O(m N log^2 N)
+    time a lane, O(m N) memory; w[0] is never read.
     """
     from numpy.fft import irfft, rfft
 
     n = len(w)
-    p = np.zeros((n, m))
-    acc = np.zeros((n, m))
+    p = np.zeros((*lead, n, m))
+    acc = np.zeros((*lead, n, m))
     tables = {}
     for lo in range(0, n, leaf):
         hi = min(lo + leaf, n)
@@ -136,24 +138,26 @@ def _leaf_schedule(w: np.ndarray, m: int, leaf: int):
         while hi % (2 * half) == 0:
             half *= 2
         size, end = 2 * half, min(hi + half, n)
-        block = p[hi - half : hi]
+        block = p[..., hi - half : hi, :]
         if half <= DIRECT:
             # rows hi + r read w[half + r - c] from row hi - half + c
             if size not in tables:
                 tables[size] = _toeplitz(w, half, half)
-            acc[hi:end] += tables[size][: end - hi] @ block
+            acc[..., hi:end, :] += tables[size][: end - hi] @ block
         elif end - hi <= DIRECT:
             # a block the end cuts short: direct sums for its few rows
-            for i in range(m):
-                acc[hi:end, i] += np.convolve(w[1 : half + end - hi], block[:, i], "valid")
+            for i in np.ndindex(*lead, m):
+                lane = (*i[:-1], slice(None), i[-1])
+                acc[..., hi:end, :][lane] += np.convolve(w[1 : half + end - hi], block[lane],
+                                                         "valid")
         else:
             # rows hi..end-1 read w[1 : size] only, so a length-size
             # cyclic convolution wraps nothing onto them
             if size not in tables:
                 tables[size] = rfft(w[:size], size)[:, None]
-            spectrum = rfft(block, size, axis=0)
+            spectrum = rfft(block, size, axis=-2)
             spectrum *= tables[size]
-            acc[hi:end] += irfft(spectrum, size, axis=0)[half : half + end - hi]
+            acc[..., hi:end, :] += irfft(spectrum, size, axis=-2)[..., half : half + end - hi, :]
 
 
 def causal_march(w: np.ndarray, m: int, step) -> None:
@@ -193,68 +197,92 @@ def _invert_unit_lower(a: np.ndarray) -> None:
         s *= 2
 
 
+def _term_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the trailing axis of terms; one term is its own sum."""
+    return x[..., 0] if x.shape[-1] == 1 else np.sum(x, axis=-1)
+
+
 def linear_march(w: np.ndarray, a: np.ndarray, b: np.ndarray, g, d, s, guard) -> np.ndarray:
     """Solve, for k = 0, ..., len(w) - 1,
 
         x_k = s_k (d_k + sum_i a[i, k] sum_{j<k} w[k - j] (b[i, j] x_j + g[i, j])),
 
     with a, b of shape (m, len(w)); g, d and s broadcast to their shapes.
+    g and d may carry a leading axis of R columns, g of shape
+    (R, m, len(w)) and d of shape (R, len(w)); x then has shape (R, len(w)),
+    one solution per column, and every column shares a, b, s and w.  Each
+    column takes the products it would take alone (the products loop over
+    the columns, never span them), so it equals the march of that column
+    alone bit for bit.
+
     Each leaf of LINEAR_LEAF rows is one lower-triangular system
     (I - diag(s) sum_i diag(a_i) T diag(b_i)) x = rhs, T the Toeplitz table of
-    w.  Its matrix does not depend on x, so the matrices of LEAF_CHUNK
-    consecutive leaves are inverted as one batch and applied at once to the
-    x-free part of rhs, s d + diag(s) sum_i diag(a_i) T g_i.  Inside the
-    march a leaf then costs one matrix-vector product with the part of rhs
-    that earlier leaves give through `_leaf_schedule`.  a[:, 0] and w[0] are
-    never read.
+    w.  Its matrix depends on neither x nor the column, so the matrices of
+    LEAF_CHUNK consecutive leaves are inverted once as one batch and applied
+    at once to the x-free part of every column's rhs,
+    s d + diag(s) sum_i diag(a_i) T g_i.  Inside the march a leaf then costs
+    one matrix-vector product a column with the part of rhs that earlier
+    leaves give through `_leaf_schedule`.  With a single term (m = 1) the
+    matrix is an outer product and no sum over terms is taken: a product
+    over one term is one rounding either way.  a[:, 0] and w[0] are never
+    read.
 
     guard(lo, values) raises at the first unusable entry of values, which
-    belong to rows lo, lo + 1, ...  When it raises on a solved leaf, the leaf
-    is marched again row by row, so the error names the row a row loop names
+    belong to rows lo, lo + 1, ... of one column; a leaf's columns are
+    guarded in order.  When it raises on a solved leaf, that column's leaf is
+    marched again row by row, so the error names the row a row loop names
     (an inverse mixes the rows of its leaf once one of them is not finite,
-    but never the rows of two leaves).
+    but never the rows of two leaves or two columns).
     """
     n, m = len(w), len(a)
+    g, d = np.asarray(g, dtype=float), np.asarray(d, dtype=float)
+    batched = g.ndim == 3 or d.ndim == 2
+    cols = len(g) if g.ndim == 3 else len(d) if d.ndim == 2 else 1
     size, span = LINEAR_LEAF, LINEAR_LEAF * LEAF_CHUNK
     toeplitz = _toeplitz(w, 0, size)
-    s, d, g = np.broadcast_to(s, (n,)), np.broadcast_to(d, (n,)), np.broadcast_to(g, b.shape)
-    x = np.zeros(n)
+    s = np.broadcast_to(s, (n,))
+    d, g = np.broadcast_to(d, (cols, n)), np.broadcast_to(g, (cols, *b.shape))
+    x = np.zeros((cols, n))
     # one chunk of span rows as LEAF_CHUNK leaves, zero past row n - 1:
-    # s a, b and g (m values a row) and s d
-    sa, bt, gt = (np.zeros((LEAF_CHUNK, size, m)) for _ in range(3))
-    sd = np.zeros((LEAF_CHUNK, size))
+    # s a and b (m values a row), and per column g (m values a row) and s d
+    sa, bt = np.zeros((LEAF_CHUNK, size, m)), np.zeros((LEAF_CHUNK, size, m))
+    gt, sd = np.zeros((cols, LEAF_CHUNK, size, m)), np.zeros((cols, LEAF_CHUNK, size))
     with np.errstate(all="ignore"):
-        for lo, hi, acc, p in _leaf_schedule(w, m, size):
+        for lo, hi, acc, p in _leaf_schedule(w, m, size, (cols,)):
             c, r = lo % span // size, hi - lo
             if c == 0:
                 rows = slice(lo, min(lo + span, n))
                 for buf, values in ((sa, s[rows, None] * a[:, rows].T), (bt, b[:, rows].T),
-                                    (gt, g[:, rows].T), (sd, s[rows] * d[rows])):
-                    flat = buf.reshape(span, -1)
-                    flat[: len(values)] = values.reshape(len(values), -1)
-                    flat[len(values) :] = 0.0
+                                    (gt, g[:, :, rows].transpose(0, 2, 1)),
+                                    (sd, (s[rows] * d[:, rows])[..., None])):
+                    flat = buf.reshape(*values.shape[:-2], span, -1)
+                    flat[..., : values.shape[-2], :] = values
+                    flat[..., values.shape[-2] :, :] = 0.0
                 if lo == 0:
                     sa[0, 0] = 0.0
-                inv = sa @ bt.transpose(0, 2, 1)
+                inv = sa * bt.transpose(0, 2, 1) if m == 1 else sa @ bt.transpose(0, 2, 1)
                 inv *= toeplitz
                 _invert_unit_lower(inv)
-                known = sd + np.sum(sa * (toeplitz @ gt), axis=2)
+                known = sd + _term_sum(sa * (toeplitz @ gt))
                 base = (inv @ known[..., None])[..., 0]
-            xl = x[lo:hi]
-            xl[:] = base[c, :r] + inv[c, :r, :r] @ np.sum(sa[c, :r] * acc[lo:hi], axis=1)
-            try:
-                guard(lo, xl)
-            except NumericsError:
-                for j in range(r):
-                    xl[j] = sd[c, j] + sa[c, j] @ (acc[lo + j] + w[j:0:-1] @ p[lo : lo + j])
-                    guard(lo + j, xl[j : j + 1])
-                    p[lo + j] = bt[c, j] * xl[j] + gt[c, j]
-            p[lo:hi] = bt[c, :r] * xl[:, None] + gt[c, :r]
+            xl = x[:, lo:hi]
+            earlier = _term_sum(sa[c, :r] * acc[:, lo:hi])  # the part of rhs from earlier leaves
+            xl[:] = base[:, c, :r] + (inv[c, :r, :r] @ earlier[..., None])[..., 0]
+            for col, xc in enumerate(xl):
+                try:
+                    guard(lo, xc)
+                except NumericsError:
+                    for j in range(r):
+                        xc[j] = sd[col, c, j] + sa[c, j] @ (acc[col, lo + j]
+                                                             + w[j:0:-1] @ p[col, lo : lo + j])
+                        guard(lo + j, xc[j : j + 1])
+                        p[col, lo + j] = bt[c, j] * xc[j] + gt[col, c, j]
+            p[:, lo:hi] = bt[c, :r] * xl[..., None] + gt[:, c, :r]
             if c == LEAF_CHUNK - 1:
                 # free the inverses while the schedule's longest convolutions
                 # run: those of halves of LEAF_CHUNK leaves or more, at chunk ends
                 inv = base = None
-    return x
+    return x if batched else x[0]
 
 
 def trapezoid(values: np.ndarray, h: float) -> float:

@@ -124,46 +124,54 @@ def _slopes(split) -> list[ScalarExpr] | None:
     return None if any("y" in e.free_vars() for e in slopes) else slopes
 
 
+def _linear_state(split, u: np.ndarray, grid: Grid):
+    """Operands (outer, B, G) of the state march at control samples u for the
+    split of f when every inner factor is b_i = B_i(s, u) y + G_i(s, u);
+    None otherwise."""
+    slopes = _slopes(split)
+    if slopes is None:
+        return None
+    t = grid.nodes
+    env = {"s": t, "u": u}
+    with np.errstate(all="ignore"):
+        B = np.array([evaluate_on(e, env, t.shape) for e in slopes])
+        G = np.array([evaluate_on(b, {**env, "y": 0.0}, t.shape) for _, b in split])
+    return _outer_samples([a for a, _ in split], t), B, G
+
+
 def solve_state(problem: ProblemSpec, control: Trajectory, grid: Grid) -> Trajectory:
     """March the state equation forward; the rectangle scheme makes it explicit."""
     _require_nodes("control", control, grid)
     t = grid.nodes
     u = control.values
     eta = evaluate_on(problem.eta, {"t": t}, t.shape)
+    _guard(0, eta[0])
+    w = singular_weights(problem.alpha, grid)
+    f = problem.f
+    split = separate(f)
+    linear = None if split is None else _linear_state(split, u, grid)
+    if linear is not None:
+        # f affine in y: one triangular solve per leaf
+        return Trajectory(grid, "nodes", linear_march(w, *linear, eta, 1.0, _guard_rows))
     y = np.zeros(grid.n + 1)
     y[0] = eta[0]
-    _guard(0, y[0])
-
-    f = problem.f
-    w = singular_weights(problem.alpha, grid)
-    split = separate(f)
     if split is None:
         for k in range(1, grid.n + 1):
             env = {"t": t[k], "s": t[:k], "y": y[:k], "u": u[:k]}
             y[k] = eta[k] + w[k:0:-1] @ evaluate_on(f, env, (k,))
             _guard(k, y[k])
         return Trajectory(grid, "nodes", y)
-    # f = sum_i a_i(t) b_i(s, y, u)
+    # f = sum_i a_i(t) b_i(s, y, u): one new sample of each b_i per row
     outer = _outer_samples([a for a, _ in split], t)
-    slopes = _slopes(split)
-    if slopes is not None:
-        # every b_i = B_i(s, u) y + G_i(s, u): one triangular solve per leaf
-        env = {"s": t, "u": u}
-        with np.errstate(all="ignore"):
-            B = np.array([evaluate_on(e, env, t.shape) for e in slopes])
-            G = np.array([evaluate_on(b, {**env, "y": 0.0}, t.shape) for _, b in split])
-        y = linear_march(w, outer, B, G, eta, 1.0, _guard_rows)
-    else:
-        # one new sample of each b_i per row
-        inner = [b for _, b in split]
+    inner = [b for _, b in split]
 
-        def step(k, c):
-            if k:
-                y[k] = eta[k] + outer[:, k] @ c
-                _guard(k, y[k])
-            return [b.evaluate(s=t[k], y=y[k], u=u[k]) for b in inner]
+    def step(k, c):
+        if k:
+            y[k] = eta[k] + outer[:, k] @ c
+            _guard(k, y[k])
+        return [b.evaluate(s=t[k], y=y[k], u=u[k]) for b in inner]
 
-        causal_march(w, len(inner), step)
+    causal_march(w, len(inner), step)
     return Trajectory(grid, "nodes", y)
 
 
@@ -185,63 +193,143 @@ def evaluate_cost(problem: ProblemSpec, y: Trajectory, u: Trajectory, grid: Grid
     return CostBreakdown(running, tuple(instants), total)
 
 
+def _require_pair(pair: tuple[Trajectory, Trajectory], grid: Grid) -> None:
+    _require_nodes("reference state", pair[0], grid)
+    _require_nodes("reference control", pair[1], grid)
+
+
+def _linear_response(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory], grid: Grid,
+                     exprs: tuple[ScalarExpr, ...], source):
+    """Operands (outer, coeff, src) of the response march of `_march_response`
+    when f_y and every expression separate; None otherwise.  Each distinct
+    outer factor a(t) gets its own coefficient and source from the inner
+    factors paired with it, sampled once on the nodes."""
+    splits = [separate(e) for e in (problem.bundle.f_y, *exprs)]
+    if any(split is None for split in splits):
+        return None
+    splits = [dict(split) for split in splits]
+    outer = list(dict.fromkeys(a for split in splits for a in split))
+    t = grid.nodes
+    env = {"s": t, "y": pair[0].values, "u": pair[1].values}
+    coeff, src = [], []
+    for a in outer:
+        c, *samples = (evaluate_on(split.get(a, _ZERO), env, t.shape) for split in splits)
+        coeff.append(c)
+        src.append(source(slice(None), *samples))
+    return _outer_samples(outer, t), np.array(coeff), np.array(src)
+
+
 def _march_response(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
                     grid: Grid, exprs: tuple[ScalarExpr, ...], source) -> Trajectory:
     """March z_k = sum_{j<k} w[k-j] (f_y z_j + source_j) along the pair, z_0 = 0.
 
     source(sl, *samples) builds the source on the node slice sl from samples of
     exprs there and must be linear in the samples.  When every expression
-    separates, each distinct outer factor a(t) gets its own coefficient and
-    source from the inner factors paired with it, the samples are taken once
-    and `linear_march` solves a leaf of rows at a time; otherwise the samples
-    are taken per row.
+    separates, `linear_march` solves a leaf of rows at a time on the operands
+    of `_linear_response`; otherwise the samples are taken per row.
     """
-    y_star, u_star = pair
-    _require_nodes("reference state", y_star, grid)
-    _require_nodes("reference control", u_star, grid)
-    t = grid.nodes
+    _require_pair(pair, grid)
     w = singular_weights(problem.alpha, grid)
+    linear = _linear_response(problem, pair, grid, exprs, source)
+    if linear is not None:
+        return Trajectory(grid, "nodes", linear_march(w, *linear, 0.0, 1.0, _guard_rows))
+    t = grid.nodes
+    y_star, u_star = pair
     exprs = (problem.bundle.f_y, *exprs)
-    splits = [separate(e) for e in exprs]
-    if all(split is not None for split in splits):
-        splits = [dict(split) for split in splits]
-        outer = list(dict.fromkeys(a for split in splits for a in split))
-        env = {"s": t, "y": y_star.values, "u": u_star.values}
-        coeff, src = [], []
-        for a in outer:
-            c, *samples = (evaluate_on(split.get(a, _ZERO), env, t.shape) for split in splits)
-            coeff.append(c)
-            src.append(source(slice(None), *samples))
-        z = linear_march(w, _outer_samples(outer, t), np.array(coeff), np.array(src),
-                         0.0, 1.0, _guard_rows)
-    else:
-        z = np.zeros(grid.n + 1)
-        for k in range(1, grid.n + 1):
-            env = {"t": t[k], "s": t[:k], "y": y_star.values[:k], "u": u_star.values[:k]}
-            coeff, *samples = (evaluate_on(e, env, (k,)) for e in exprs)
-            z[k] = w[k:0:-1] @ (coeff * z[:k] + source(slice(0, k), *samples))
-            _guard(k, z[k])
+    z = np.zeros(grid.n + 1)
+    for k in range(1, grid.n + 1):
+        env = {"t": t[k], "s": t[:k], "y": y_star.values[:k], "u": u_star.values[:k]}
+        coeff, *samples = (evaluate_on(e, env, (k,)) for e in exprs)
+        z[k] = w[k:0:-1] @ (coeff * z[:k] + source(slice(0, k), *samples))
+        _guard(k, z[k])
     return Trajectory(grid, "nodes", z)
+
+
+def _y1_terms(problem: ProblemSpec, v: Trajectory):
+    """Y1's expressions and source for `_march_response`: f_u v."""
+    vv = v.values
+    return (problem.bundle.f_u,), lambda sl, fu: fu * vv[sl]
 
 
 def solve_y1(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
              v: Trajectory, grid: Grid) -> Trajectory:
     """First-order response of the state to a control variation v."""
     _require_nodes("variation", v, grid)
-    vv = v.values
-    return _march_response(problem, pair, grid, (problem.bundle.f_u,),
-                           lambda sl, fu: fu * vv[sl])
+    return _march_response(problem, pair, grid, *_y1_terms(problem, v))
 
 
 def solve_y2(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
              v: Trajectory, y1: Trajectory, grid: Grid) -> Trajectory:
-    """Second-order response; sources quadratic in (Y1, v) under the same weights."""
+    """Second-order response; sources quadratic in (Y1, v) under the same weights.
+
+    When f_yy, f_yu and f_uu are all identically zero (f linear in (y, u))
+    every source vanishes, so Y2 solves a homogeneous equation and is zero
+    without a march.
+    """
     _require_nodes("variation", v, grid)
     _require_nodes("first-order response", y1, grid)
     b = problem.bundle
+    if all(e == _ZERO for e in (b.f_yy, b.f_yu, b.f_uu)):
+        _require_pair(pair, grid)
+        return Trajectory(grid, "nodes", np.zeros(grid.n + 1))
     vv, z1 = v.values, y1.values
 
     def source(sl, fyy, fyu, fuu):
         return fyy * z1[sl] ** 2 + 2.0 * fyu * z1[sl] * vv[sl] + fuu * vv[sl] ** 2
 
     return _march_response(problem, pair, grid, (b.f_yy, b.f_yu, b.f_uu), source)
+
+
+def _shared_columns(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory], v: Trajectory,
+                    u_perts: list[np.ndarray], grid: Grid):
+    """Operands (a, b, g, d) of one `linear_march` whose columns are the
+    states at the controls u_perts and then Y1 along the pair.  None when an
+    input is off the grid's nodes or a control is not finite, or when some
+    column is no linear march or samples other outer factors or slopes than
+    Y1 does."""
+    if not (all(x.grid == grid and x.placement == "nodes" for x in (*pair, v))
+            and np.all(np.isfinite(u_perts))):
+        return None
+    split = separate(problem.f)
+    y1 = None if split is None else _linear_response(problem, pair, grid, *_y1_terms(problem, v))
+    if y1 is None:
+        return None
+    a, b, src = y1
+    g = []
+    for u in u_perts:
+        op = _linear_state(split, u, grid)
+        # byte-equal samples: one operator, hence bit-identical columns
+        if op is None or op[0].tobytes() != a.tobytes() or op[1].tobytes() != b.tobytes():
+            return None
+        g.append(op[2])
+    t = grid.nodes
+    d = np.zeros((len(g) + 1, grid.n + 1))
+    d[:-1] = evaluate_on(problem.eta, {"t": t}, t.shape)
+    return a, b, np.array([*g, src]), d
+
+
+def _march_sweep(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory], v: Trajectory,
+                 deltas: tuple[float, ...], grid: Grid):
+    """The states y(u* + d v), one per d in deltas, and Y1 along the pair.
+
+    When f separates with inner factors affine in y whose slopes read no u,
+    every state and Y1 march one operator: the same outer factors and, as
+    f_y, the same slopes.  When their samples agree byte for byte they are
+    the columns of one `linear_march`, which inverts each leaf once for all
+    of them, and each column equals its own march bit for bit.  Otherwise,
+    or when that march fails, the states are marched one by one in the order
+    of deltas and then Y1, so a failure is the one those marches raise.
+    """
+    y_star, u_star = pair
+    u_perts = [u_star.values + d * v.values for d in deltas]
+    shared = _shared_columns(problem, pair, v, u_perts, grid)
+    if shared is not None:
+        try:
+            x = linear_march(singular_weights(problem.alpha, grid), *shared, 1.0, _guard_rows)
+        except NumericsError:
+            pass  # the marches below raise it again, in their order
+        else:
+            return (tuple(Trajectory(grid, "nodes", row) for row in x[:-1]),
+                    Trajectory(grid, "nodes", x[-1]))
+    states = tuple(solve_state(problem, Trajectory(grid, "nodes", u), grid) for u in u_perts)
+    return states, solve_y1(problem, pair, v, grid)

@@ -9,7 +9,10 @@ import svoc.cli
 import svoc.optimality
 import svoc.state
 from svoc.cli import run_command
+from svoc.errors import StateBlowupError
 from svoc.problem import builtin_problem, problem_to_dict
+from svoc.quadrature import make_grid
+from svoc.state import Trajectory, solve_state, solve_y1
 
 
 def run(args, tmp_path, extra=()):
@@ -55,6 +58,16 @@ def test_outputs_are_byte_deterministic(tmp_path):
                      "--n", "32", "--out", str(out)])
     assert (a / "state.csv").read_bytes() == (b / "state.csv").read_bytes()
     assert (a / "cost.json").read_bytes() == (b / "cost.json").read_bytes()
+
+
+def test_commands_in_one_process_share_no_arguments(tmp_path):
+    # one parser serves every command; a repeated option's values stay with
+    # the command that gave them
+    assert run(["solve", "--problem", "lq", "--param", "a=0.5", "--param", "b=1",
+                "--param", "r=1", "--control", "0", "--n", "8"], tmp_path / "a") == 0
+    assert run(["solve", "--problem", "paper_example", "--control", "0", "--n", "8"],
+               tmp_path / "b") == 0
+    assert svoc.cli._parser() is svoc.cli._parser()
 
 
 def test_adjoint_command(tmp_path):
@@ -318,14 +331,52 @@ def test_second_order_check_solves_costate_and_fields_once(tmp_path, monkeypatch
     assert len(fields_calls) == 1
 
 
+def count_columns(monkeypatch):
+    """Wrap the state layer's linear_march; return the column count of each call."""
+    original = svoc.state.linear_march
+    columns = []
+
+    def counted(w, a, b, g, d, s, guard):
+        columns.append(len(d) if np.ndim(d) == 2 else 1)
+        return original(w, a, b, g, d, s, guard)
+
+    monkeypatch.setattr(svoc.state, "linear_march", counted)
+    return columns
+
+
 def test_verify_marches_reference_state_once(tmp_path, monkeypatch):
     state_calls = count_calls(monkeypatch, svoc.state, "solve_state")
+    y1_calls = count_calls(monkeypatch, svoc.state, "solve_y1")
+    columns = count_columns(monkeypatch)
     code = run(["verify", "--problem", "lq", "--param", "a=0.5", "--param", "b=1",
                 "--param", "r=1", "--control", "1", "--direction", "cos(2*t)",
                 "--n", "32"], tmp_path)
     assert code == 0
-    # y* once, then three perturbed marches that both checks read
-    assert len(state_calls) == 4
+    # y* once; the three perturbed states that both checks read and Y1 are
+    # the columns of one march, and Y2 of the linear lq needs none
+    assert len(state_calls) == 1 and not y1_calls
+    assert columns == [1, 4]
+
+
+def test_sweep_failure_names_the_first_perturbed_state(tmp_path, capsys):
+    # Y1 leaves the trusted range at an earlier node than y(u* + 0.01 v), so
+    # the shared march fails on Y1's column; verify still names the state's
+    # node, the failure of the first march a one-by-one sweep runs
+    problem = builtin_problem("lq", {"a": 0.5, "b": 1.0, "r": 1.0})
+    grid = make_grid(1.0, 256)
+    u = Trajectory.constant(1.0, grid)
+    pair = (solve_state(problem, u, grid), u)
+    v = Trajectory.from_expression("1e10*exp(30*t)", grid)
+    with pytest.raises(StateBlowupError) as y1_failure:
+        solve_y1(problem, pair, v, grid)
+    with pytest.raises(StateBlowupError) as state_failure:
+        solve_state(problem, Trajectory(grid, "nodes", u.values + 0.01 * v.values), grid)
+    assert y1_failure.value.index < state_failure.value.index
+    code = run(["verify", "--problem", "lq", "--param", "a=0.5", "--param", "b=1",
+                "--param", "r=1", "--control", "1", "--direction", "1e10*exp(30*t)",
+                "--n", "256"], tmp_path)
+    assert code == 2
+    assert error_lines(capsys) == [f"numerical failure: {state_failure.value}"]
 
 
 def test_non_finite_quadratic_form_is_a_numerical_failure(tmp_path, capsys):

@@ -405,6 +405,47 @@ def test_linear_march_matches_forward_substitution(n, m):
     assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
 
 
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 128, 129, 700,
+                               SPAN - 1, SPAN, SPAN + 1, 2 * SPAN, 2 * SPAN + 1])
+def test_linear_march_columns_equal_their_own_marches(n, m):
+    # four columns of g and d share a, b, s and w; each takes the products
+    # it takes alone, so it equals its own march bit for bit
+    rng = np.random.default_rng(10 * n + m)
+    w = rng.uniform(-1.0, 1.0, n) / max(n, 1) ** 0.5
+    a, b = rng.standard_normal((2, m, n))
+    g, d, s = rng.standard_normal((4, m, n)), rng.standard_normal((4, n)), rng.uniform(0.5, 1.5, n)
+    got = linear_march(w, a, b, g, d, s, lambda lo, x: None)
+    assert got.shape == (4, n)
+    for col in range(4):
+        alone = linear_march(w, a, b, g[col], d[col], s, lambda lo, x: None)
+        assert got[col].tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("rows, named", [((SPAN + 70, SPAN + 65), 1), ((SPAN + 70, SPAN - 10), 2)])
+def test_linear_march_names_the_first_bad_leaf_then_the_first_bad_column(rows, named):
+    # column 1 turns non-finite at rows[0], column 2 at rows[1]: the march
+    # guards a leaf's columns in order, so it names column 1's row when both
+    # rows share a leaf and column 2's when that sits in an earlier leaf
+    n, m = 2 * SPAN, 2
+    rng = np.random.default_rng(rows[1])
+    w = rng.uniform(-1.0, 1.0, n) / n**0.5
+    a, b = rng.standard_normal((2, m, n))
+    g, d = rng.standard_normal((3, m, n)), rng.standard_normal((3, n))
+    d[1, rows[0]] = d[2, rows[1]] = np.nan
+
+    def guard(lo, x):
+        bad = ~np.isfinite(x)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise StateBlowupError(lo + i, x[i])
+
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(StateBlowupError) as got:
+            linear_march(w, a, b, g, d, 1.0, guard)
+    assert got.value.index == rows[named - 1]
+
+
 @pytest.mark.parametrize("where", ["a", "b", "g", "d", "s"])
 @pytest.mark.parametrize("row", [SPAN - 1, SPAN, SPAN + 1, 2 * SPAN + 70])
 def test_linear_march_names_the_first_non_finite_row(where, row):

@@ -6,7 +6,9 @@ import pytest
 
 from svoc.errors import SeriesError
 from svoc.expr import parse_expression
+from svoc import state
 from svoc.oracle import (
+    DEFAULT_DELTAS,
     convergence_study,
     fd_expansion_check,
     linear_analytic_solution,
@@ -16,7 +18,7 @@ from svoc.oracle import (
 )
 from svoc.problem import ProblemSpec, builtin_problem
 from svoc.quadrature import make_grid
-from svoc.state import Trajectory, solve_state
+from svoc.state import Trajectory, solve_state, solve_y1
 
 
 # --- series evaluator ---------------------------------------------------------
@@ -178,6 +180,14 @@ def test_delta_sweep_validation():
         fd_expansion_check(problem, (solve_state(problem, u, grid), u), v, deltas=(0.1, -0.05))
     with pytest.raises(ValueError, match="decreasing"):
         fd_expansion_check(problem, (solve_state(problem, u, grid), u), v, deltas=(0.05, 0.1))
+    # equal deltas would give a Taylor ratio of 1; nan and inf would fail
+    # later as a non-finite trajectory
+    with pytest.raises(ValueError, match=r"strictly decreasing, got 0\.01 after 0\.01"):
+        fd_expansion_check(problem, (solve_state(problem, u, grid), u), v, deltas=(0.01, 0.01))
+    with pytest.raises(ValueError, match="positive and finite, got nan"):
+        fd_expansion_check(problem, (solve_state(problem, u, grid), u), v, deltas=(math.nan,))
+    with pytest.raises(ValueError, match="positive and finite, got inf"):
+        fd_expansion_check(problem, (solve_state(problem, u, grid), u), v, deltas=(math.inf, 0.1))
 
 
 def test_first_order_pairing_direct():
@@ -247,6 +257,35 @@ def test_variational_check_measures_orders_on_curved_dynamics():
         assert 1.5 <= r <= 2.5
     for r in report.ratio2:
         assert 3.0 <= r <= 5.0
+
+
+@pytest.mark.parametrize("name, params, control, columns", [
+    ("lq", {"a": 0.5, "b": -1.2, "r": 1.0}, 0.4, [4]),
+    ("sing_quad", {"c": 1.0}, 0.2, [4]),
+    ("paper_example", {}, 0.3, []),  # the slope is u, so every state has its own operator
+])
+def test_sweep_shares_one_march_when_the_operators_agree(monkeypatch, name, params, control,
+                                                          columns):
+    # the perturbed states and Y1 are the columns of one march when they
+    # sample the same operator, and each equals its own march bit for bit
+    problem = builtin_problem(name, params)
+    grid = make_grid(1.0, 700)
+    u = Trajectory.constant(control, grid)
+    pair = (solve_state(problem, u, grid), u)
+    v = Trajectory.from_expression("cos(3*t)", grid)
+    march, seen = state.linear_march, []
+
+    def counted(w, a, b, g, d, s, guard):
+        seen.append(len(d) if np.ndim(d) == 2 else 1)
+        return march(w, a, b, g, d, s, guard)
+
+    monkeypatch.setattr(state, "linear_march", counted)
+    states, y1 = state._march_sweep(problem, pair, v, DEFAULT_DELTAS, grid)
+    assert [c for c in seen if c > 1] == columns
+    for delta, y in zip(DEFAULT_DELTAS, states):
+        alone = solve_state(problem, Trajectory(grid, "nodes", u.values + delta * v.values), grid)
+        assert y.values.tobytes() == alone.values.tobytes()
+    assert y1.values.tobytes() == solve_y1(problem, pair, v, grid).values.tobytes()
 
 
 @pytest.mark.parametrize("name, params, control", [

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from svoc import state
 from svoc.errors import StateBlowupError
 from svoc.oracle import linear_analytic_solution
 from svoc.problem import builtin_problem
@@ -180,12 +181,14 @@ def test_second_response_closed_form():
     assert np.max(np.abs(y2.values - 4.0 * np.sqrt(grid.nodes))) <= 1e-12
 
 
-def test_second_response_vanishes_for_linear_dynamics():
+def test_second_response_vanishes_for_linear_dynamics(monkeypatch):
+    # f_yy = f_yu = f_uu = 0: every source vanishes, so Y2 takes no march
     problem = builtin_problem("lq", {"a": 0.5, "b": 1.0, "r": 1.0})
     grid = make_grid(1.0, 64)
     u = Trajectory.constant(1.0, grid)
     y = solve_state(problem, u, grid)
     v = Trajectory.from_expression("sin(t)", grid)
     y1 = solve_y1(problem, (y, u), v, grid)
+    monkeypatch.setattr(state, "_march_response", None)
     y2 = solve_y2(problem, (y, u), v, y1, grid)
     assert np.max(np.abs(y2.values)) == 0.0
