@@ -9,7 +9,8 @@ The costate satisfies
 with the convention that the first argument of f (and its partials) is always
 the later time, so every evaluation stays inside the kernel's domain.  psi
 lives on midpoints: instant times sit on nodes, so the (t_i - t)^(alpha-1)
-factor is never evaluated at its pole.
+factor is never evaluated at its pole.  When f separates the march and every
+tail sum run on the terms of `ProblemSpec.terms`, else row by row.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdjointStepError
-from .expr import separate
 from .problem import ProblemSpec
 from .quadrature import Grid, linear_march, midpoint_weights
-from .state import Trajectory, _outer_samples, evaluate_on
+from .state import Trajectory, _term_samples, evaluate_on
 
 
 @dataclass(frozen=True)
@@ -78,14 +78,6 @@ def _tail_row(expression, tau: np.ndarray, ym: np.ndarray, um: np.ndarray,
     return evaluate_on(expression, env, (len(tau) - k,))
 
 
-def _factors(split, tau: np.ndarray, ym: np.ndarray, um: np.ndarray):
-    """(a, b) of a split along the pair: a_i(tau_j) and b_i(tau_k, y*_k, u*_k),
-    one row per term."""
-    env = {"s": tau, "y": ym, "u": um}
-    return (_outer_samples([a for a, _ in split], tau),
-            np.array([evaluate_on(b, env, tau.shape) for _, b in split]))
-
-
 def _tail_sums(x: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """sum_{j>=k} mu[j-k] x[i, j] for every row i of x and every k, by one
     FFT correlation per row; of length at least 2n - 1, so that the
@@ -100,12 +92,12 @@ def _tail_sums(x: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
 
 def _tail_field(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory], grid: Grid,
-                f_part, g_part, phi: np.ndarray) -> tuple[np.ndarray, int | None]:
+                part: str, phi: np.ndarray) -> tuple[np.ndarray, int | None]:
     """sum_{j>=k} mu[j-k] f_part(tau_j, tau_k, y*_k, u*_k) phi_j - g_part(tau_k, ...)
-    minus f_part's instant rows, per midpoint k: the costate right-hand side for
-    (f_y, g_y), H and its partials for f, g and their partials.  One FFT
-    correlation per term when f_part separates, else O(N^2) row by row; O(N)
-    memory either way.
+    minus f_part's instant rows, per midpoint k, for the partials "f" + part
+    and "g" + part: H and its partials, or for "_y" the costate right-hand
+    side.  One FFT correlation per term of `ProblemSpec.terms` when f
+    separates, else O(N^2) row by row; O(N) memory either way.
 
     Also returns where a non-finite field fails, None when it is finite: the
     first midpoint with a sampled term that is not finite (a separable factor,
@@ -118,10 +110,10 @@ def _tail_field(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory], grid:
     n, tau = grid.n, grid.midpoints
     ym, um = y_star.midpoint_values(), u_star.midpoint_values()
     mu = midpoint_weights(problem.alpha, grid)
-    split = separate(f_part)
+    f_part, g_part = getattr(problem.bundle, "f" + part), getattr(problem.bundle, "g" + part)
     with np.errstate(all="ignore"):
-        if split is not None:
-            a, b = _factors(split, tau, ym, um)
+        if problem.terms is not None:
+            a, (b,) = _term_samples(problem, tau, {"s": tau, "y": ym, "u": um}, (part,))
             x = a * phi
             bad = ~(np.isfinite(x).all(axis=0) & np.isfinite(b).all(axis=0))
             tail = np.sum(b * _tail_sums(x, mu), axis=0)
@@ -146,7 +138,7 @@ def solve_adjoint(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
     """March the costate backward from the horizon.
 
     The diagonal half cell couples psi_k to itself linearly; the step fails if
-    its coefficient degenerates.  When f_y separates the march runs on the
+    its coefficient degenerates.  When f separates the march runs on the
     reversed index, where its tail sums are causal sums, and `linear_march`
     solves a leaf of rows at a time.
     """
@@ -163,10 +155,9 @@ def solve_adjoint(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
     inst = _instant_rows(problem, grid, b.f_y, y_star.values, ym, um, snaps)
     known = evaluate_on(b.g_y, {"t": tau, "y": ym, "u": um}, tau.shape) + inst.sum(axis=0)
     denom = 1.0 - mu[0] * evaluate_on(b.f_y, {"t": tau, "s": tau, "y": ym, "u": um}, tau.shape)
-    split = separate(b.f_y)
-    if split is not None:
+    if problem.terms is not None:
         # on the reversed index r = n - 1 - k: psi_k = (tail - known_k) / denom_k
-        a, coeff = _factors(split, tau, ym, um)
+        a, (coeff,) = _term_samples(problem, tau, {"s": tau, "y": ym, "u": um}, ("_y",))
         rev = slice(None, None, -1)
 
         def guard(lo, x):
@@ -176,9 +167,11 @@ def solve_adjoint(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
                 i = int(np.argmax(bad))
                 raise AdjointStepError(k[i], denom[k[i]])
 
-        with np.errstate(divide="ignore"):
-            psi = linear_march(mu, coeff[:, rev], a[:, rev], 0.0, -known[rev],
-                               1.0 / denom[rev], guard)[rev]
+        with np.errstate(all="ignore"):
+            # the row scale 1 / denom_k multiplies each row's factors and free term
+            scale = 1.0 / denom[rev]
+            coeff, known = scale * coeff[:, rev], scale * -known[rev]
+            psi = linear_march(mu, coeff, a[:, rev], 0.0, known, guard)[rev]
     else:
         psi = np.zeros(n)
         for k in range(n - 1, -1, -1):
@@ -195,5 +188,5 @@ def solve_adjoint(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
 def adjoint_residual(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
                      adj: AdjointTrajectory, grid: Grid) -> float:
     """Max absolute defect of psi under one re-application of the equation."""
-    b, psi = problem.bundle, adj.psi.values
-    return float(np.max(np.abs(_tail_field(problem, pair, grid, b.f_y, b.g_y, psi)[0] - psi)))
+    psi = adj.psi.values
+    return float(np.max(np.abs(_tail_field(problem, pair, grid, "_y", psi)[0] - psi)))

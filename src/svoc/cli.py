@@ -388,6 +388,9 @@ def _run(argv) -> int:
     except (NumericsError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:  # every walk of an expression tree or of JSON recurses
+        print("error: input nested too deeply (an expression or the problem file)", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return 3

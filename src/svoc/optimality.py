@@ -112,21 +112,19 @@ def hamiltonian_fields(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory]
     when f's partial ignores t.  A non-finite field raises NumericsError
     naming the field and the first midpoint whose sampled term is not finite,
     or, when only a sum overflowed, the field's first bad midpoint."""
-    b = problem.bundle
-
-    def field(name, f_part, g_part) -> Trajectory:
-        vals, k = _tail_field(problem, pair, grid, f_part, g_part, psi.psi.values)
+    def field(name, part) -> Trajectory:
+        vals, k = _tail_field(problem, pair, grid, part, psi.psi.values)
         if k is not None:
             raise NumericsError(f"Hamiltonian field {name} is not finite at midpoint {k}"
                                 f" (t = {grid.midpoints[k]:g})")
         return Trajectory(grid, "midpoints", vals)
 
     return HamiltonianFields(
-        h=field("H", b.f, b.g),
-        h_u=field("H_u", b.f_u, b.g_u),
-        h_uu=field("H_uu", b.f_uu, b.g_uu),
-        h_yy=field("H_yy", b.f_yy, b.g_yy),
-        h_yu=field("H_yu", b.f_yu, b.g_yu),
+        h=field("H", ""),
+        h_u=field("H_u", "_u"),
+        h_uu=field("H_uu", "_uu"),
+        h_yy=field("H_yy", "_yy"),
+        h_yu=field("H_yu", "_yu"),
     )
 
 

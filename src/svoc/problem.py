@@ -4,18 +4,21 @@ A problem instance bundles the singularity exponent alpha, the horizon T, the
 free term eta(t), the kernel integrand f(t, s, y, u), the running cost
 g(t, y, u) and finitely many instant costs h_i(y) charged at times t_i.
 First and second partial derivatives with respect to (y, u) are produced
-symbolically once and reused everywhere.
+symbolically once and reused everywhere: those of f and g in `bundle`, and
+f's split sum_i a_i(t) b_i(s, y, u) with those of every b_i in `terms`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
-from .expr import ExpressionError, ScalarExpr, differentiate, parse_expression
+from .expr import (ExpressionError, NonSmoothWarning, ScalarExpr, differentiate,
+                   parse_expression, separate)
 
 # variables each declared expression may reference
 _PERMITTED = {
@@ -60,6 +63,19 @@ class DerivativeBundle:
     g_yu: ScalarExpr
     g_uu: ScalarExpr
     instants: tuple[InstantDerivs, ...]
+
+
+@dataclass(frozen=True)
+class Term:
+    """A term a(t) b(s, y, u) of f's split with b's partials: sum_i a_i b_i_y = f_y, ..."""
+
+    a: ScalarExpr
+    b: ScalarExpr
+    b_y: ScalarExpr
+    b_u: ScalarExpr
+    b_yy: ScalarExpr
+    b_yu: ScalarExpr
+    b_uu: ScalarExpr
 
 
 def _check_vars(name: str, expression: ScalarExpr, allowed: frozenset[str]) -> None:
@@ -135,6 +151,23 @@ class ProblemSpec:
             g_uu=differentiate(g_u, "u"),
             instants=instants,
         )
+
+    @cached_property
+    def terms(self) -> tuple[Term, ...] | None:
+        """f's split sum_i a_i(t) b_i(s, y, u), each b_i with its partials; None
+        when f does not separate in t.  The abs warning is left to the bundle,
+        so a state solve, which reads only this table, gives none."""
+        split = separate(self.f)
+        if split is None:
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonSmoothWarning)
+            terms = []
+            for a, b in split:
+                b_y, b_u = differentiate(b, "y"), differentiate(b, "u")
+                terms.append(Term(a, b, b_y, b_u, differentiate(b_y, "y"),
+                                  differentiate(b_y, "u"), differentiate(b_u, "u")))
+        return tuple(terms)
 
 
 # --- builtin registry -------------------------------------------------------

@@ -202,25 +202,26 @@ def _term_sum(x: np.ndarray) -> np.ndarray:
     return x[..., 0] if x.shape[-1] == 1 else np.sum(x, axis=-1)
 
 
-def linear_march(w: np.ndarray, a: np.ndarray, b: np.ndarray, g, d, s, guard) -> np.ndarray:
+def linear_march(w: np.ndarray, a: np.ndarray, b: np.ndarray, g, d, guard) -> np.ndarray:
     """Solve, for k = 0, ..., len(w) - 1,
 
-        x_k = s_k (d_k + sum_i a[i, k] sum_{j<k} w[k - j] (b[i, j] x_j + g[i, j])),
+        x_k = d_k + sum_i a[i, k] sum_{j<k} w[k - j] (b[i, j] x_j + g[i, j]),
 
-    with a, b of shape (m, len(w)); g, d and s broadcast to their shapes.
+    with a, b of shape (m, len(w)); g and d broadcast to their shapes.  A
+    row scale s_k multiplying the right-hand side enters as s a and s d.
     g and d may carry a leading axis of R columns, g of shape
     (R, m, len(w)) and d of shape (R, len(w)); x then has shape (R, len(w)),
-    one solution per column, and every column shares a, b, s and w.  Each
+    one solution per column, and every column shares a, b and w.  Each
     column takes the products it would take alone (the products loop over
     the columns, never span them), so it equals the march of that column
     alone bit for bit.
 
     Each leaf of LINEAR_LEAF rows is one lower-triangular system
-    (I - diag(s) sum_i diag(a_i) T diag(b_i)) x = rhs, T the Toeplitz table of
+    (I - sum_i diag(a_i) T diag(b_i)) x = rhs, T the Toeplitz table of
     w.  Its matrix depends on neither x nor the column, so the matrices of
     LEAF_CHUNK consecutive leaves are inverted once as one batch and applied
     at once to the x-free part of every column's rhs,
-    s d + diag(s) sum_i diag(a_i) T g_i.  Inside the march a leaf then costs
+    d + sum_i diag(a_i) T g_i.  Inside the march a leaf then costs
     one matrix-vector product a column with the part of rhs that earlier
     leaves give through `_leaf_schedule`.  With a single term (m = 1) the
     matrix is an outer product and no sum over terms is taken: a product
@@ -240,40 +241,39 @@ def linear_march(w: np.ndarray, a: np.ndarray, b: np.ndarray, g, d, s, guard) ->
     cols = len(g) if g.ndim == 3 else len(d) if d.ndim == 2 else 1
     size, span = LINEAR_LEAF, LINEAR_LEAF * LEAF_CHUNK
     toeplitz = _toeplitz(w, 0, size)
-    s = np.broadcast_to(s, (n,))
     d, g = np.broadcast_to(d, (cols, n)), np.broadcast_to(g, (cols, *b.shape))
     x = np.zeros((cols, n))
     # one chunk of span rows as LEAF_CHUNK leaves, zero past row n - 1:
-    # s a and b (m values a row), and per column g (m values a row) and s d
-    sa, bt = np.zeros((LEAF_CHUNK, size, m)), np.zeros((LEAF_CHUNK, size, m))
-    gt, sd = np.zeros((cols, LEAF_CHUNK, size, m)), np.zeros((cols, LEAF_CHUNK, size))
+    # a and b (m values a row), and per column g (m values a row) and d
+    at, bt = np.zeros((LEAF_CHUNK, size, m)), np.zeros((LEAF_CHUNK, size, m))
+    gt, dt = np.zeros((cols, LEAF_CHUNK, size, m)), np.zeros((cols, LEAF_CHUNK, size))
     with np.errstate(all="ignore"):
         for lo, hi, acc, p in _leaf_schedule(w, m, size, (cols,)):
             c, r = lo % span // size, hi - lo
             if c == 0:
                 rows = slice(lo, min(lo + span, n))
-                for buf, values in ((sa, s[rows, None] * a[:, rows].T), (bt, b[:, rows].T),
+                for buf, values in ((at, a[:, rows].T), (bt, b[:, rows].T),
                                     (gt, g[:, :, rows].transpose(0, 2, 1)),
-                                    (sd, (s[rows] * d[:, rows])[..., None])):
+                                    (dt, d[:, rows, None])):
                     flat = buf.reshape(*values.shape[:-2], span, -1)
                     flat[..., : values.shape[-2], :] = values
                     flat[..., values.shape[-2] :, :] = 0.0
                 if lo == 0:
-                    sa[0, 0] = 0.0
-                inv = sa * bt.transpose(0, 2, 1) if m == 1 else sa @ bt.transpose(0, 2, 1)
+                    at[0, 0] = 0.0
+                inv = at * bt.transpose(0, 2, 1) if m == 1 else at @ bt.transpose(0, 2, 1)
                 inv *= toeplitz
                 _invert_unit_lower(inv)
-                known = sd + _term_sum(sa * (toeplitz @ gt))
+                known = dt + _term_sum(at * (toeplitz @ gt))
                 base = (inv @ known[..., None])[..., 0]
             xl = x[:, lo:hi]
-            earlier = _term_sum(sa[c, :r] * acc[:, lo:hi])  # the part of rhs from earlier leaves
+            earlier = _term_sum(at[c, :r] * acc[:, lo:hi])  # the part of rhs from earlier leaves
             xl[:] = base[:, c, :r] + (inv[c, :r, :r] @ earlier[..., None])[..., 0]
             for col, xc in enumerate(xl):
                 try:
                     guard(lo, xc)
                 except NumericsError:
                     for j in range(r):
-                        xc[j] = sd[col, c, j] + sa[c, j] @ (acc[col, lo + j]
+                        xc[j] = dt[col, c, j] + at[c, j] @ (acc[col, lo + j]
                                                              + w[j:0:-1] @ p[col, lo : lo + j])
                         guard(lo + j, xc[j : j + 1])
                         p[col, lo + j] = bt[c, j] * xc[j] + gt[col, c, j]

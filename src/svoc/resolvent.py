@@ -372,13 +372,13 @@ def _constant_resolvent(tb: _HalfCellTables, a: float) -> np.ndarray:
         shifted[1] += w[0]  # row k - 1 in place of row k
         d = p + y * p[1]
         d[:2] = 0.0, p[1]
-        r = linear_march(shifted, ones, ones, 0.0, d, 1.0, _guard_column)
+        r = linear_march(shifted, ones, ones, 0.0, d, _guard_column)
         # Gauss-Seidel sweep: row k reads its own first-pass row and, for
         # m = 1, the first-pass r[1] as diagonal extension
         r1 = p[1] + (y[1] + w[0]) * r[1]
         d = p + y * r1 + w[0] * r
         d[:2] = 0.0, r1
-        r = linear_march(w, ones, ones, 0.0, d, 1.0, _guard_column)
+        r = linear_march(w, ones, ones, 0.0, d, _guard_column)
     r[0] = r[1]
     return r
 

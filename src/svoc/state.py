@@ -6,18 +6,18 @@ The state equation is
 
 discretized by product rectangles with left-endpoint sampling, which makes the
 march explicit.  The first- and second-order variational solutions along a
-reference pair use the same weight table.
+reference pair use the same weight table.  When f separates every march reads
+the terms of `ProblemSpec.terms`, else each takes the O(N^2) row loop.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericsError, StateBlowupError
-from .expr import NonSmoothWarning, Num, ScalarExpr, differentiate, parse_expression, separate
+from .expr import Num, ScalarExpr, parse_expression
 from .problem import ProblemSpec
 from .quadrature import Grid, causal_march, linear_march, singular_weights, trapezoid
 
@@ -114,29 +114,19 @@ def _outer_samples(factors, times: np.ndarray) -> np.ndarray:
         return np.array([evaluate_on(a, {"t": times}, times.shape) for a in factors])
 
 
-def _slopes(split) -> list[ScalarExpr] | None:
-    """d b_i / dy for the inner factors b_i of a split when none of them reads
-    y, that is when every b_i is affine in y; else None."""
-    with warnings.catch_warnings():
-        # d abs(u)/dy is exactly zero; the warning about abs is for the bundle
-        warnings.simplefilter("ignore", NonSmoothWarning)
-        slopes = [differentiate(b, "y") for _, b in split]
-    return None if any("y" in e.free_vars() for e in slopes) else slopes
-
-
-def _linear_state(split, u: np.ndarray, grid: Grid):
-    """Operands (outer, B, G) of the state march at control samples u for the
-    split of f when every inner factor is b_i = B_i(s, u) y + G_i(s, u);
-    None otherwise."""
-    slopes = _slopes(split)
-    if slopes is None:
-        return None
-    t = grid.nodes
-    env = {"s": t, "u": u}
+def _term_samples(problem: ProblemSpec, times: np.ndarray, env: dict, parts: tuple[str, ...]):
+    """(a, tables) for the terms a_i(t) b_i of `problem.terms` that have some
+    partial "b" + part, part in parts, not identically zero: a_i on times, one
+    row a term, and for each part its partials under env, one row a term.
+    A term left out costs no sample, so a pole of its a_i cannot meet a zero
+    partial as 0 * inf; with every term left out the tables have no rows."""
+    terms = [term for term in problem.terms
+             if any(getattr(term, "b" + part) != _ZERO for part in parts)]
+    shape = (len(terms), len(times))
     with np.errstate(all="ignore"):
-        B = np.array([evaluate_on(e, env, t.shape) for e in slopes])
-        G = np.array([evaluate_on(b, {**env, "y": 0.0}, t.shape) for _, b in split])
-    return _outer_samples([a for a, _ in split], t), B, G
+        tables = [np.array([evaluate_on(getattr(term, "b" + part), env, times.shape)
+                            for term in terms]).reshape(shape) for part in parts]
+    return _outer_samples([term.a for term in terms], times).reshape(shape), tables
 
 
 def solve_state(problem: ProblemSpec, control: Trajectory, grid: Grid) -> Trajectory:
@@ -147,23 +137,23 @@ def solve_state(problem: ProblemSpec, control: Trajectory, grid: Grid) -> Trajec
     eta = evaluate_on(problem.eta, {"t": t}, t.shape)
     _guard(0, eta[0])
     w = singular_weights(problem.alpha, grid)
-    f = problem.f
-    split = separate(f)
-    linear = None if split is None else _linear_state(split, u, grid)
-    if linear is not None:
-        # f affine in y: one triangular solve per leaf
-        return Trajectory(grid, "nodes", linear_march(w, *linear, eta, 1.0, _guard_rows))
+    terms = problem.terms
+    if terms is not None and not any("y" in term.b_y.free_vars() for term in terms):
+        # every b_i = B_i(s, u) y + G_i(s, u), B_i = b_y: one triangular solve per leaf
+        a, (slopes, free) = _term_samples(problem, t, {"s": t, "y": 0.0, "u": u}, ("_y", ""))
+        return Trajectory(grid, "nodes", linear_march(w, a, slopes, free, eta, _guard_rows))
     y = np.zeros(grid.n + 1)
     y[0] = eta[0]
-    if split is None:
+    if terms is None:
+        f = problem.f
         for k in range(1, grid.n + 1):
             env = {"t": t[k], "s": t[:k], "y": y[:k], "u": u[:k]}
             y[k] = eta[k] + w[k:0:-1] @ evaluate_on(f, env, (k,))
             _guard(k, y[k])
         return Trajectory(grid, "nodes", y)
     # f = sum_i a_i(t) b_i(s, y, u): one new sample of each b_i per row
-    outer = _outer_samples([a for a, _ in split], t)
-    inner = [b for _, b in split]
+    outer = _outer_samples([term.a for term in terms], t)
+    inner = [term.b for term in terms]
 
     def step(k, c):
         if k:
@@ -198,44 +188,26 @@ def _require_pair(pair: tuple[Trajectory, Trajectory], grid: Grid) -> None:
     _require_nodes("reference control", pair[1], grid)
 
 
-def _linear_response(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory], grid: Grid,
-                     exprs: tuple[ScalarExpr, ...], source):
-    """Operands (outer, coeff, src) of the response march of `_march_response`
-    when f_y and every expression separate; None otherwise.  Each distinct
-    outer factor a(t) gets its own coefficient and source from the inner
-    factors paired with it, sampled once on the nodes."""
-    splits = [separate(e) for e in (problem.bundle.f_y, *exprs)]
-    if any(split is None for split in splits):
-        return None
-    splits = [dict(split) for split in splits]
-    outer = list(dict.fromkeys(a for split in splits for a in split))
-    t = grid.nodes
-    env = {"s": t, "y": pair[0].values, "u": pair[1].values}
-    coeff, src = [], []
-    for a in outer:
-        c, *samples = (evaluate_on(split.get(a, _ZERO), env, t.shape) for split in splits)
-        coeff.append(c)
-        src.append(source(slice(None), *samples))
-    return _outer_samples(outer, t), np.array(coeff), np.array(src)
-
-
 def _march_response(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
-                    grid: Grid, exprs: tuple[ScalarExpr, ...], source) -> Trajectory:
+                    grid: Grid, parts: tuple[str, ...], source) -> Trajectory:
     """March z_k = sum_{j<k} w[k-j] (f_y z_j + source_j) along the pair, z_0 = 0.
 
-    source(sl, *samples) builds the source on the node slice sl from samples of
-    exprs there and must be linear in the samples.  When every expression
-    separates, `linear_march` solves a leaf of rows at a time on the operands
-    of `_linear_response`; otherwise the samples are taken per row.
+    source(sl, *samples) builds the source on the node slice sl from samples
+    there of the partials of f named by parts ("_u" for f_u, ...) and must be
+    linear in the samples.  When f separates, `linear_march` solves a leaf of
+    rows at a time, each term's b_y as coefficient and its partials in parts
+    as samples; otherwise the bundle's partials are sampled per row.
     """
     _require_pair(pair, grid)
     w = singular_weights(problem.alpha, grid)
-    linear = _linear_response(problem, pair, grid, exprs, source)
-    if linear is not None:
-        return Trajectory(grid, "nodes", linear_march(w, *linear, 0.0, 1.0, _guard_rows))
     t = grid.nodes
+    if problem.terms is not None:
+        env = {"s": t, "y": pair[0].values, "u": pair[1].values}
+        a, (coeff, *samples) = _term_samples(problem, t, env, ("_y", *parts))
+        return Trajectory(grid, "nodes", linear_march(w, a, coeff, source(slice(None), *samples),
+                                                      0.0, _guard_rows))
     y_star, u_star = pair
-    exprs = (problem.bundle.f_y, *exprs)
+    exprs = [getattr(problem.bundle, "f" + part) for part in ("_y", *parts)]
     z = np.zeros(grid.n + 1)
     for k in range(1, grid.n + 1):
         env = {"t": t[k], "s": t[:k], "y": y_star.values[:k], "u": u_star.values[:k]}
@@ -245,17 +217,12 @@ def _march_response(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
     return Trajectory(grid, "nodes", z)
 
 
-def _y1_terms(problem: ProblemSpec, v: Trajectory):
-    """Y1's expressions and source for `_march_response`: f_u v."""
-    vv = v.values
-    return (problem.bundle.f_u,), lambda sl, fu: fu * vv[sl]
-
-
 def solve_y1(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
              v: Trajectory, grid: Grid) -> Trajectory:
     """First-order response of the state to a control variation v."""
     _require_nodes("variation", v, grid)
-    return _march_response(problem, pair, grid, *_y1_terms(problem, v))
+    vv = v.values
+    return _march_response(problem, pair, grid, ("_u",), lambda sl, fu: fu * vv[sl])
 
 
 def solve_y2(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
@@ -277,55 +244,55 @@ def solve_y2(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
     def source(sl, fyy, fyu, fuu):
         return fyy * z1[sl] ** 2 + 2.0 * fyu * z1[sl] * vv[sl] + fuu * vv[sl] ** 2
 
-    return _march_response(problem, pair, grid, (b.f_yy, b.f_yu, b.f_uu), source)
+    return _march_response(problem, pair, grid, ("_yy", "_yu", "_uu"), source)
 
 
 def _shared_columns(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory], v: Trajectory,
                     u_perts: list[np.ndarray], grid: Grid):
     """Operands (a, b, g, d) of one `linear_march` whose columns are the
-    states at the controls u_perts and then Y1 along the pair.  None when an
-    input is off the grid's nodes or a control is not finite, or when some
-    column is no linear march or samples other outer factors or slopes than
-    Y1 does."""
-    if not (all(x.grid == grid and x.placement == "nodes" for x in (*pair, v))
-            and np.all(np.isfinite(u_perts))):
+    states at the controls u_perts and then Y1 along the pair, or None.
+
+    They share one operator when f separates, no slope b_y reads y or u, and
+    every term has a b_y or b_u not identically zero: then every march keeps
+    every term and samples the same outer factors and slopes.  Each column's
+    free part comes from the sampler call of its own march, so each equals
+    that march bit for bit.  None also when an input is off the grid's nodes
+    or a control is not finite."""
+    terms = problem.terms
+    if (terms is None
+            or any(term.b_y.free_vars() & {"y", "u"} or term.b_y == term.b_u == _ZERO
+                   for term in terms)
+            or not (all(x.grid == grid and x.placement == "nodes" for x in (*pair, v))
+                    and np.all(np.isfinite(u_perts)))):
         return None
-    split = separate(problem.f)
-    y1 = None if split is None else _linear_response(problem, pair, grid, *_y1_terms(problem, v))
-    if y1 is None:
-        return None
-    a, b, src = y1
-    g = []
-    for u in u_perts:
-        op = _linear_state(split, u, grid)
-        # byte-equal samples: one operator, hence bit-identical columns
-        if op is None or op[0].tobytes() != a.tobytes() or op[1].tobytes() != b.tobytes():
-            return None
-        g.append(op[2])
     t = grid.nodes
+    env = {"s": t, "y": pair[0].values, "u": pair[1].values}
+    a, (b, fu) = _term_samples(problem, t, env, ("_y", "_u"))
+    # G of each state march, sampled as solve_state samples it
+    g = [_term_samples(problem, t, {"s": t, "y": 0.0, "u": u}, ("_y", ""))[1][1]
+         for u in u_perts]
     d = np.zeros((len(g) + 1, grid.n + 1))
     d[:-1] = evaluate_on(problem.eta, {"t": t}, t.shape)
-    return a, b, np.array([*g, src]), d
+    return a, b, np.array([*g, fu * v.values]), d
 
 
 def _march_sweep(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory], v: Trajectory,
                  deltas: tuple[float, ...], grid: Grid):
     """The states y(u* + d v), one per d in deltas, and Y1 along the pair.
 
-    When f separates with inner factors affine in y whose slopes read no u,
-    every state and Y1 march one operator: the same outer factors and, as
-    f_y, the same slopes.  When their samples agree byte for byte they are
-    the columns of one `linear_march`, which inverts each leaf once for all
-    of them, and each column equals its own march bit for bit.  Otherwise,
-    or when that march fails, the states are marched one by one in the order
-    of deltas and then Y1, so a failure is the one those marches raise.
+    When `_shared_columns` finds one operator for every state and Y1 they
+    are the columns of one `linear_march`, which inverts each leaf once for
+    all of them, and each column equals its own march bit for bit.
+    Otherwise, or when that march fails, the states are marched one by one
+    in the order of deltas and then Y1, so a failure is the one those
+    marches raise.
     """
     y_star, u_star = pair
     u_perts = [u_star.values + d * v.values for d in deltas]
     shared = _shared_columns(problem, pair, v, u_perts, grid)
     if shared is not None:
         try:
-            x = linear_march(singular_weights(problem.alpha, grid), *shared, 1.0, _guard_rows)
+            x = linear_march(singular_weights(problem.alpha, grid), *shared, _guard_rows)
         except NumericsError:
             pass  # the marches below raise it again, in their order
         else:

@@ -6,6 +6,7 @@ import pytest
 
 import svoc.adjoint
 import svoc.cli
+import svoc.expr
 import svoc.optimality
 import svoc.state
 from svoc.cli import run_command
@@ -278,6 +279,9 @@ def test_malformed_problem_file_is_a_validation_error(tmp_path, capsys, extra):
     assert line.startswith("error: ")
 
 
+NESTING = "error: input nested too deeply (an expression or the problem file)"
+
+
 @pytest.mark.parametrize("argv, start", [
     (["solve", "--problem", "paper_example"],
      "error: svoc solve: the following arguments are required: --control"),
@@ -288,11 +292,29 @@ def test_malformed_problem_file_is_a_validation_error(tmp_path, capsys, extra):
      "error: control is not finite at t = 0"),
     (["solve", "--problem", "sing_quad", "--param", "c=1e308", "--control=1e10", "--n", "8"],
      "numerical failure: state left the trusted range at node index 1"),
+    # parentheses, unary minus, a power tower and a sum nested past the recursion limit
+    *((["solve", "--problem", "paper_example", f"--control={control}", "--n", "8"], NESTING)
+      for control in ("(" * 200 + "t" + ")" * 200, "-" * 5000 + "t", "t" + "^1" * 3000,
+                      "+".join(["t"] * 20000))),
 ])
 def test_failures_print_one_line(tmp_path, capsys, argv, start):
     assert run(argv, tmp_path) in (1, 2)
     [line] = error_lines(capsys)
     assert line.startswith(start)
+
+
+@pytest.mark.parametrize("text, command", [
+    (json.dumps({"alpha": 0.5, "T": 1.0, "eta": "1", "f": " + ".join(["y"] * 600), "g": "y^2"}),
+     ["check", "--order", "2"]),
+    ('{"alpha": ' + "[" * 100000 + "]" * 100000 + ', "T": 1, "eta": "1", "f": "y", "g": "y"}',
+     ["solve"]),
+], ids=["long-sum-kernel", "nested-json-array"])
+def test_deeply_nested_problem_file_is_one_line_error(tmp_path, capsys, text, command):
+    spec_path = tmp_path / "p.json"
+    spec_path.write_text(text)
+    code = run([*command, "--problem", str(spec_path), "--control=0", "--n", "8"], tmp_path)
+    assert code == 1
+    assert error_lines(capsys) == [NESTING]
 
 
 def test_warning_on_success_is_one_line(tmp_path, capsys):
@@ -331,14 +353,27 @@ def test_second_order_check_solves_costate_and_fields_once(tmp_path, monkeypatch
     assert len(fields_calls) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--problem", "paper_example", "--control", "0.3", "--direction", "cos(2*t)"],
+    ["verify", "--problem", "lq", "--param", "a=0.5", "--param", "b=1", "--param", "r=1",
+     "--control", "1", "--direction", "cos(2*t)"],
+    ["check", "--order", "2", "--problem", "paper_example", "--control=0", "--tol", "1e9"],
+])
+def test_a_command_splits_f_once(tmp_path, monkeypatch, argv):
+    # ProblemSpec.terms is the one split that every march and tail sum reads
+    calls = count_calls(monkeypatch, svoc.expr, "separate")
+    assert run([*argv, "--n", "32"], tmp_path) == 0
+    assert len(calls) == 1
+
+
 def count_columns(monkeypatch):
     """Wrap the state layer's linear_march; return the column count of each call."""
     original = svoc.state.linear_march
     columns = []
 
-    def counted(w, a, b, g, d, s, guard):
+    def counted(w, a, b, g, d, guard):
         columns.append(len(d) if np.ndim(d) == 2 else 1)
-        return original(w, a, b, g, d, s, guard)
+        return original(w, a, b, g, d, guard)
 
     monkeypatch.setattr(svoc.state, "linear_march", counted)
     return columns

@@ -16,8 +16,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from svoc import cli
-from svoc.expr import parse_expression, separate
-from svoc.state import _slopes
+from svoc.expr import parse_expression
+from svoc.problem import ProblemSpec
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None,
                 suppress_health_check=list(HealthCheck))
@@ -86,8 +86,10 @@ def problem_files(draw, damaged=True):
 @given(affine_kernels())
 @example("(t)*((sin((1e308^2)))*y + s)")  # an overflowing constant once left d/dy reading y
 def test_affine_kernels_take_the_linear_state_march(f):
-    split = separate(parse_expression(f))
-    assert split is not None and _slopes(split) is not None
+    problem = ProblemSpec(alpha=0.5, T=1.0, eta=parse_expression("1"), f=parse_expression(f),
+                          g=parse_expression("0"))
+    assert problem.terms is not None
+    assert not any("y" in term.b_y.free_vars() for term in problem.terms)
 
 
 FINITE_CONTROLS = ["0", "0.3", "t", "sin(3*t)"]

@@ -17,7 +17,7 @@ from svoc import state
 from svoc.adjoint import (AdjointTrajectory, _instant_rows, _tail_field, _tail_sums,
                           adjoint_residual, snap_instants, solve_adjoint)
 from svoc.errors import AdjointStepError, StateBlowupError
-from svoc.expr import parse_expression, separate
+from svoc.expr import parse_expression
 from svoc.optimality import hamiltonian_fields
 from svoc.problem import InstantCost, ProblemSpec, builtin_problem
 from svoc.quadrature import (DIRECT, LEAF_CHUNK, LINEAR_LEAF, causal_march, linear_march,
@@ -137,6 +137,9 @@ KERNELS = {
                    "0.2 - 0.1*cos(3*t)"),
     "non_separable": (lambda: custom(0.6, "1", "sin(t*s)*y*u + 0.5*exp(-t*s)*y", "y^2 + t*u^2",
                                      [(0.5, "y")]), "0.4 + 0.1*t"),
+    # f does not separate though f_y does: every march and field takes the row loop
+    "mixed": (lambda: custom(0.5, "1", "0.3*y + sin(t*s)*u^2", "y^2 + u^2", [(0.5, "y")]),
+              "0.3 + 0.2*sin(2*t)"),
     # affine in y, with outer factors singular at t = 0, which no row reads
     "singular_outer": (lambda: custom(0.5, "1", "0.3*y*u/sqrt(t) + s*u/t", "y^2 + u^2",
                                       [(0.5, "y")]), "0.5 - t"),
@@ -174,13 +177,10 @@ def state_path(problem):
 
 def test_kernels_take_the_intended_path():
     for name, (make, _) in KERNELS.items():
-        b = make().bundle
-        parts = (b.f, b.f_y, b.f_u, b.f_yy, b.f_yu, b.f_uu)
-        separated = [separate(e) is not None for e in parts]
-        assert all(separated) if name != "non_separable" else not any(separated[:3])
-    assert len(separate(KERNELS["multi_term"][0]().f)) == 3
-    assert len(separate(KERNELS["single_term"][0]().f)) == 1
-    assert len(separate(KERNELS["affine_multi_term"][0]().f)) == 4
+        assert (make().terms is None) == (name in ("non_separable", "mixed")), name
+    assert len(KERNELS["multi_term"][0]().terms) == 3
+    assert len(KERNELS["single_term"][0]().terms) == 1
+    assert len(KERNELS["affine_multi_term"][0]().terms) == 4
 
     linear = [builtin_problem("paper_example"), builtin_problem("lq", {"a": 0.5, "b": 1, "r": 1}),
               builtin_problem("sing_quad", {"c": -1}), builtin_problem("abel_linear", {"lam": 0.8}),
@@ -190,6 +190,7 @@ def test_kernels_take_the_intended_path():
     stepped = [KERNELS["t_free"][0](), KERNELS["multi_term"][0](), custom(0.5, "1", "0.3*y^2", "y")]
     assert [state_path(p) for p in stepped] == ["stepped"] * len(stepped)
     assert state_path(KERNELS["non_separable"][0]()) == "row loop"
+    assert state_path(KERNELS["mixed"][0]()) == "row loop"
 
 
 def assert_close(got, want):
@@ -239,8 +240,8 @@ def test_tail_field_names_the_first_non_finite_term_not_the_first_overflowing_su
     # the pole in s on midpoint 2 gives the first term that is not finite
     grid = make_grid(1.0, 4)
     pair = (Trajectory.constant(1.0, grid), Trajectory.constant(0.0, grid))
-    field, first_bad = _tail_field(custom(0.5, "1", "y", "y"), pair, grid, parse_expression(f),
-                                   parse_expression("0"), np.full(grid.n, 1.5e308))
+    field, first_bad = _tail_field(custom(0.5, "1", f, "0"), pair, grid, "",
+                                   np.full(grid.n, 1.5e308))
     assert not np.isfinite(field[0])
     assert first_bad == 2
 
@@ -400,7 +401,7 @@ def test_linear_march_matches_forward_substitution(n, m):
     w = rng.uniform(-1.0, 1.0, n) / max(n, 1) ** 0.5
     a, b, g = (rng.standard_normal((m, n)) for _ in range(3))
     d, s = rng.standard_normal(n), rng.uniform(0.5, 1.5, n)
-    got = linear_march(w, a, b, g, d, s, lambda lo, x: None)
+    got = linear_march(w, s * a, b, g, s * d, lambda lo, x: None)
     want = forward_substitution(w, a, b, g, d, s)
     assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
 
@@ -415,10 +416,10 @@ def test_linear_march_columns_equal_their_own_marches(n, m):
     w = rng.uniform(-1.0, 1.0, n) / max(n, 1) ** 0.5
     a, b = rng.standard_normal((2, m, n))
     g, d, s = rng.standard_normal((4, m, n)), rng.standard_normal((4, n)), rng.uniform(0.5, 1.5, n)
-    got = linear_march(w, a, b, g, d, s, lambda lo, x: None)
+    got = linear_march(w, s * a, b, g, s * d, lambda lo, x: None)
     assert got.shape == (4, n)
     for col in range(4):
-        alone = linear_march(w, a, b, g[col], d[col], s, lambda lo, x: None)
+        alone = linear_march(w, s * a, b, g[col], s * d[col], lambda lo, x: None)
         assert got[col].tobytes() == alone.tobytes()
 
 
@@ -442,7 +443,7 @@ def test_linear_march_names_the_first_bad_leaf_then_the_first_bad_column(rows, n
 
     with np.errstate(invalid="ignore"):
         with pytest.raises(StateBlowupError) as got:
-            linear_march(w, a, b, g, d, 1.0, guard)
+            linear_march(w, a, b, g, d, guard)
     assert got.value.index == rows[named - 1]
 
 
@@ -468,8 +469,9 @@ def test_linear_march_names_the_first_non_finite_row(where, row):
             i = int(np.argmax(bad))
             raise StateBlowupError(lo + i, x[i])
 
+    a, b, g, d, s = coeff.values()
     with pytest.raises(StateBlowupError) as got:
-        linear_march(w, *coeff.values(), guard)
+        linear_march(w, s * a, b, g, s * d, guard)
     assert got.value.index == want
 
 
@@ -479,7 +481,7 @@ def test_linear_march_memory_stays_linear():
     t = grid.nodes
     w = singular_weights(0.5, grid)
     args = (w, t[None, :], (0.3 + 0.2 * np.sin(2.0 * t))[None, :], 0.0, 1.0 + t * np.sqrt(t),
-            1.0, state._guard_rows)
+            state._guard_rows)
     linear_march(*args)
     tracemalloc.start()
     try:

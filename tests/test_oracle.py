@@ -16,7 +16,7 @@ from svoc.oracle import (
     project_control,
     variational_fd_check,
 )
-from svoc.problem import ProblemSpec, builtin_problem
+from svoc.problem import BUILTIN_SIGNATURES, ProblemSpec, builtin_problem
 from svoc.quadrature import make_grid
 from svoc.state import Trajectory, solve_state, solve_y1
 
@@ -263,21 +263,29 @@ def test_variational_check_measures_orders_on_curved_dynamics():
     ("lq", {"a": 0.5, "b": -1.2, "r": 1.0}, 0.4, [4]),
     ("sing_quad", {"c": 1.0}, 0.2, [4]),
     ("paper_example", {}, 0.3, []),  # the slope is u, so every state has its own operator
+    # the splits of f_y and f_u name other outer factors than f's split does:
+    # 0.3*(1 + t)/(1 + t)^2 for 1/(1 + t), and (2 + t)/(2 + t)^2 for 1/(2 + t)
+    ("0.3*y/(1 + t) + u", {}, 0.4, [4]),
+    ("(1 + t)*y + u/(2 + t)", {}, 0.4, [4]),
 ])
 def test_sweep_shares_one_march_when_the_operators_agree(monkeypatch, name, params, control,
                                                           columns):
     # the perturbed states and Y1 are the columns of one march when they
     # sample the same operator, and each equals its own march bit for bit
-    problem = builtin_problem(name, params)
+    if name in BUILTIN_SIGNATURES:
+        problem = builtin_problem(name, params)
+    else:
+        problem = ProblemSpec(alpha=0.5, T=1.0, eta=parse_expression("1"),
+                              f=parse_expression(name), g=parse_expression("y^2"))
     grid = make_grid(1.0, 700)
     u = Trajectory.constant(control, grid)
     pair = (solve_state(problem, u, grid), u)
     v = Trajectory.from_expression("cos(3*t)", grid)
     march, seen = state.linear_march, []
 
-    def counted(w, a, b, g, d, s, guard):
+    def counted(w, a, b, g, d, guard):
         seen.append(len(d) if np.ndim(d) == 2 else 1)
-        return march(w, a, b, g, d, s, guard)
+        return march(w, a, b, g, d, guard)
 
     monkeypatch.setattr(state, "linear_march", counted)
     states, y1 = state._march_sweep(problem, pair, v, DEFAULT_DELTAS, grid)
