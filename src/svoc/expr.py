@@ -58,6 +58,10 @@ class ScalarExpr:
 
     precedence: ClassVar[int] = 9
 
+    def __post_init__(self):
+        # a node's variables from its children's, once: free_vars never walks
+        object.__setattr__(self, "_free", self._names())
+
     def evaluate(self, **env):
         raise NotImplementedError
 
@@ -70,6 +74,10 @@ class ScalarExpr:
         raise NotImplementedError
 
     def free_vars(self) -> frozenset[str]:
+        """The variables the subtree reads."""
+        return self._free
+
+    def _names(self) -> frozenset[str]:
         return frozenset()
 
     def __str__(self) -> str:  # pragma: no cover - overridden everywhere
@@ -115,7 +123,7 @@ class Var(ScalarExpr):
     def _diff(self, var):
         return Num(1.0)
 
-    def free_vars(self):
+    def _names(self):
         return frozenset((self.name,))
 
     def __str__(self):
@@ -133,7 +141,7 @@ class Neg(ScalarExpr):
     def _diff(self, var):
         return _neg(self.child.diff(var))
 
-    def free_vars(self):
+    def _names(self):
         return self.child.free_vars()
 
     def __str__(self):
@@ -152,7 +160,7 @@ class Add(ScalarExpr):
     def _diff(self, var):
         return _add(self.left.diff(var), self.right.diff(var))
 
-    def free_vars(self):
+    def _names(self):
         return self.left.free_vars() | self.right.free_vars()
 
     def __str__(self):
@@ -171,7 +179,7 @@ class Sub(ScalarExpr):
     def _diff(self, var):
         return _sub(self.left.diff(var), self.right.diff(var))
 
-    def free_vars(self):
+    def _names(self):
         return self.left.free_vars() | self.right.free_vars()
 
     def __str__(self):
@@ -193,7 +201,7 @@ class Mul(ScalarExpr):
             _mul(self.left, self.right.diff(var)),
         )
 
-    def free_vars(self):
+    def _names(self):
         return self.left.free_vars() | self.right.free_vars()
 
     def __str__(self):
@@ -216,7 +224,7 @@ class Div(ScalarExpr):
         )
         return _div(num, _pow(self.right, Num(2.0)))
 
-    def free_vars(self):
+    def _names(self):
         return self.left.free_vars() | self.right.free_vars()
 
     def __str__(self):
@@ -249,7 +257,7 @@ class Pow(ScalarExpr):
             ),
         )
 
-    def free_vars(self):
+    def _names(self):
         return self.base.free_vars() | self.exponent.free_vars()
 
     def __str__(self):
@@ -290,7 +298,7 @@ class Call(ScalarExpr):
             raise ExpressionError(f"unknown function '{self.func}'")
         return _mul(outer, inner)
 
-    def free_vars(self):
+    def _names(self):
         return self.arg.free_vars()
 
     def __str__(self):

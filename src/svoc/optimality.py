@@ -17,12 +17,13 @@ to stay non-positive.  The cross term's inner integral runs over s in [0, t]
 with the outer factor v(t) H_yu(t); this is the ordering consistent with the
 first-order response representation, and reports record it.
 
-Every term reads the midpoint response matrix QM, (QM v)_k ~ int_0^{tau_k}
-Q(tau_k, s) v(s) ds, built once per pair.  M is kept as its factors, never as
-a table: h^2 v^T M v = sum_k h H_yy(tau_k) (QM v)_k^2 - sum_i h_yy^i (q_i . v)^2
-with q_i the row of Q at instant i's node.  QF[v] thus costs O(N^2), and the
-matrix of the form is K = L^T W L + diag(h H_uu) + C + C^T, with L the factor
-rows, W their weights and C = diag(h H_yu) QM.
+QF[v] reads Q through one product (QM v)_k ~ int_0^{tau_k} Q(tau_k, s) v(s) ds,
+taken without forming the midpoint response matrix QM.  M is kept as its
+factors, never as a table: h^2 v^T M v = sum_k h H_yy(tau_k) (QM v)_k^2
+- sum_i h_yy^i (q_i . v)^2 with q_i the row of Q at instant i's node.  QF[v]
+thus costs O(N^2), and O(N) memory when Q is a convolution.  Only the matrix
+of the form tabulates QM, once per pair: K = L^T W L + diag(h H_uu) + C + C^T,
+with L the factor rows, W their weights and C = diag(h H_yu) QM.
 
 The verdict reads lambda_max(K).  An eigenvector is needed only when it exceeds
 the tolerance, as the improving direction.  When the Gershgorin bound
@@ -48,7 +49,8 @@ from .adjoint import AdjointTrajectory, _tail_field, snap_instants
 from .errors import KernelAsymmetryError, NumericsError
 from .problem import ProblemSpec
 from .quadrature import Grid
-from .resolvent import RegularizedKernel, build_q_kernel, midpoint_apply_matrix, node_apply_row
+from .resolvent import (RegularizedKernel, _midpoint_product, build_q_kernel,
+                        midpoint_apply_matrix, node_apply_row)
 from .state import Trajectory
 
 CROSS_TERM_CONVENTION = (
@@ -77,15 +79,17 @@ class SingularVerdict:
 
 @dataclass(frozen=True, eq=False)
 class MKernel:
-    """The aggregated curvature kernel as its factors: h^2 M is the sum of
-    L^T diag(w) L over blocks (L, w), QM with weights h H_yy and Q's node rows
-    at the instants with weights -h_yy^i.  A block whose weights all vanish is
-    left out.  qm is QM itself, which the cross term reads too; None when Q
-    is zero."""
+    """The aggregated curvature kernel as its factors: h^2 M is
+    QM^T diag(tail) QM plus rows^T diag(weights) rows, with QM Q's midpoint
+    response matrix, tail = h H_yy and rows Q's node rows at the instants
+    with curvature, weighted -h_yy^i.  q is None when Q is zero, tail None
+    when H_yy vanishes; the cross term reads q too."""
 
     grid: Grid
-    qm: Optional[np.ndarray]
-    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
+    q: Optional[RegularizedKernel]
+    tail: Optional[np.ndarray]
+    rows: np.ndarray
+    weights: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,60 +163,62 @@ def assemble_m_kernel(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
         M(a, b) = int_{max(a,b)}^T Q(t,a) H_yy(t) Q(t,b) dt
                   - sum_i 1[a < t_i] 1[b < t_i] Q(t_i,a) h_yy^i(y*(t_i)) Q(t_i,b),
 
-    as its factors (see MKernel): one `midpoint_apply_matrix`, and one
-    `node_apply_row` per instant with curvature.
+    as its factors (see MKernel): Q itself, and one `node_apply_row` per
+    instant with curvature.
     """
     if q.grid != grid:
         raise ValueError("kernel grid mismatch")
     if q.is_zero:
-        return MKernel(grid, None, ())
-    qm = midpoint_apply_matrix(q, grid)
-    blocks = []
+        return MKernel(grid, None, None, np.zeros((0, grid.n)), np.zeros(0))
     tail = grid.h * fields.h_yy.values
-    if np.any(tail):
-        blocks.append((qm, tail))
     rows, weights = [], []
     for snap, ic in zip(snap_instants(problem, grid), problem.bundle.instants):
         coeff = float(ic.h_yy.evaluate(y=pair[0].values[snap.node_index]))
         if coeff != 0.0:
             rows.append(node_apply_row(q, snap.node_index, grid))
             weights.append(-coeff)
-    if rows:
-        blocks.append((np.array(rows), np.array(weights)))
-    return MKernel(grid, qm, tuple(blocks))
+    return MKernel(grid, q, tail if np.any(tail) else None,
+                   np.array(rows).reshape(-1, grid.n), np.array(weights))
 
 
 def quadratic_form(fields: HamiltonianFields, m: MKernel, v: Trajectory, grid: Grid) -> float:
     """The second-order form QF[v] for a variation sampled on midpoints, in
-    O(N^2) from the factors of M."""
+    O(N^2) from the factors of M and one product of Q with v."""
     if v.placement != "midpoints" or v.grid != grid or m.grid != grid:
         raise ValueError("variation, kernels, and grid must match on midpoints")
     h = grid.h
     vv = v.values
     out = h * float(np.dot(fields.h_uu.values, vv**2))
-    for L, w in m.blocks:
-        out += float(np.dot(w, (L @ vv) ** 2))
-    if m.qm is not None and np.any(fields.h_yu.values):
-        out += 2.0 * h * float(np.dot(vv * fields.h_yu.values, m.qm @ vv))
+    cross = m.q is not None and np.any(fields.h_yu.values)
+    qv = _midpoint_product(m.q, vv) if m.tail is not None or cross else None
+    if m.tail is not None:
+        out += float(np.dot(m.tail, qv**2))
+    if len(m.rows):
+        out += float(np.dot(m.weights, (m.rows @ vv) ** 2))
+    if cross:
+        out += 2.0 * h * float(np.dot(vv * fields.h_yu.values, qv))
     return out
 
 
 def _quadratic_matrix(fields: HamiltonianFields, m: MKernel, grid: Grid) -> np.ndarray:
-    """Symmetric K with v^T K v = QF[v] for every midpoint sample vector.
-    Without blocks or a cross term K is the diagonal diag(h H_uu), symmetric
-    as built, and is returned as it is."""
+    """Symmetric K with v^T K v = QF[v] for every midpoint sample vector; QM
+    is tabulated here, once.  Without curvature rows or a cross term K is the
+    diagonal diag(h H_uu), symmetric as built, and is returned as it is."""
     h = grid.h
     K = np.diag(fields.h_uu.values * h)
-    cross = m.qm is not None and np.any(fields.h_yu.values)
-    for L, w in m.blocks:
-        K += L.T @ (L * w[:, None])
+    cross = m.q is not None and np.any(fields.h_yu.values)
+    qm = midpoint_apply_matrix(m.q, grid) if m.tail is not None or cross else None
+    if m.tail is not None:
+        K += qm.T @ (qm * m.tail[:, None])
+    if len(m.rows):
+        K += m.rows.T @ (m.rows * m.weights[:, None])
     if cross:
-        C = (fields.h_yu.values * h)[:, None] * m.qm
+        C = (fields.h_yu.values * h)[:, None] * qm
         K += C
         K += C.T
     if not np.isfinite(K).all():
         raise NumericsError("quadratic form matrix is not finite")
-    if not (m.blocks or cross):
+    if not (m.tail is not None or len(m.rows) or cross):
         return K
     return _symmetrized(K, "quadratic form")
 

@@ -141,7 +141,7 @@ def fd_expansion_check(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory]
     q = build_q_kernel(problem, pair, grid)
     m = assemble_m_kernel(problem, pair, fields, q, grid)
     qf = quadratic_form(fields, m, v_mid, grid)
-    del q, m  # Q's node table and M's QM are O(N^2), and the sweep reads neither
+    del q, m  # a general Q's node table is O(N^2), and the sweep reads neither
 
     variational = variational_fd_check(problem, pair, v, deltas)
     rows = []

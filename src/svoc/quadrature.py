@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -38,6 +38,11 @@ class Grid:
         """tau_k = (k + 1/2) h for k = 0..n-1 (length n)."""
         return (np.arange(self.n) + 0.5) * self.h
 
+    @cached_property
+    def _weights(self) -> dict:
+        """Weight arrays by (rule, alpha), each with its march tables."""
+        return {}
+
 
 def make_grid(T: float, n: int) -> Grid:
     if not 0.0 < T < math.inf:
@@ -47,6 +52,23 @@ def make_grid(T: float, n: int) -> Grid:
     return Grid(float(T), int(n))
 
 
+def _once_per_grid(rule):
+    """Memoize a weight rule (alpha, grid) -> array on the grid, where it is
+    built once, kept read-only (every march on the grid shares it) and
+    dropped with the grid, beside the dict of march tables that
+    `weight_tables` hands out for it."""
+    @wraps(rule)
+    def weights(alpha: float, grid: Grid) -> np.ndarray:
+        key = (rule.__name__, alpha)
+        if key not in grid._weights:
+            w = rule(alpha, grid)
+            w.flags.writeable = False
+            grid._weights[key] = w, {}
+        return grid._weights[key][0]
+    return weights
+
+
+@_once_per_grid
 def singular_weights(alpha: float, grid: Grid) -> np.ndarray:
     """Rectangle-rule weights omega for int_0^{t_k} phi(s) (t_k - s)^(alpha-1) ds.
 
@@ -66,6 +88,7 @@ def singular_weights(alpha: float, grid: Grid) -> np.ndarray:
     return omega
 
 
+@_once_per_grid
 def midpoint_weights(alpha: float, grid: Grid) -> np.ndarray:
     """Midpoint-rule weights mu for singular integrals anchored at a midpoint.
 
@@ -90,6 +113,16 @@ def midpoint_weights(alpha: float, grid: Grid) -> np.ndarray:
     return mu
 
 
+def weight_tables(w: np.ndarray, grid: Grid) -> dict:
+    """Where marches over w keep w's Toeplitz and FFT tables: the grid's dict
+    for w when w is one of its weight arrays, so each table is built once per
+    grid, and a new dict for any other w."""
+    for array, tables in grid._weights.values():
+        if array is w:
+            return tables
+    return {}
+
+
 LEAF = 128  # rows a stepped march runs one by one between convolutions
 LINEAR_LEAF = 64  # rows a linear march solves as one triangular system
 LEAF_CHUNK = 8  # leaves of a linear march whose systems are inverted as one batch
@@ -107,7 +140,7 @@ def _toeplitz(w: np.ndarray, first: int, size: int) -> np.ndarray:
     return sliding_window_view(column[::-1], size)[::-1].copy()
 
 
-def _leaf_schedule(w: np.ndarray, m: int, leaf: int, lead: tuple = ()):
+def _leaf_schedule(w: np.ndarray, m: int, leaf: int, lead: tuple, tables: dict):
     """Yield (lo, hi, acc, p) for the leaves [lo, hi) of len(w) rows in order.
 
     p and acc have shape lead + (len(w), m): row k of every lane sits at
@@ -121,14 +154,14 @@ def _leaf_schedule(w: np.ndarray, m: int, leaf: int, lead: tuple = ()):
     table of w, a longer one by one FFT convolution, unless the end of the
     rows leaves at most DIRECT rows of the second half: those take direct
     sums.  Each lane takes the same products as it would alone.  O(m N log^2 N)
-    time a lane, O(m N) memory; w[0] is never read.
+    time a lane, O(m N) memory; w[0] is never read.  The tables of w are kept
+    in `tables` by kind and size, for the next march over w.
     """
     from numpy.fft import irfft, rfft
 
     n = len(w)
     p = np.zeros((*lead, n, m))
     acc = np.zeros((*lead, n, m))
-    tables = {}
     for lo in range(0, n, leaf):
         hi = min(lo + leaf, n)
         yield lo, hi, acc, p
@@ -141,9 +174,9 @@ def _leaf_schedule(w: np.ndarray, m: int, leaf: int, lead: tuple = ()):
         block = p[..., hi - half : hi, :]
         if half <= DIRECT:
             # rows hi + r read w[half + r - c] from row hi - half + c
-            if size not in tables:
-                tables[size] = _toeplitz(w, half, half)
-            acc[..., hi:end, :] += tables[size][: end - hi] @ block
+            if ("dense", size) not in tables:
+                tables["dense", size] = _toeplitz(w, half, half)
+            acc[..., hi:end, :] += tables["dense", size][: end - hi] @ block
         elif end - hi <= DIRECT:
             # a block the end cuts short: direct sums for its few rows
             for i in np.ndindex(*lead, m):
@@ -153,14 +186,14 @@ def _leaf_schedule(w: np.ndarray, m: int, leaf: int, lead: tuple = ()):
         else:
             # rows hi..end-1 read w[1 : size] only, so a length-size
             # cyclic convolution wraps nothing onto them
-            if size not in tables:
-                tables[size] = rfft(w[:size], size)[:, None]
+            if ("fft", size) not in tables:
+                tables["fft", size] = rfft(w[:size], size)[:, None]
             spectrum = rfft(block, size, axis=-2)
-            spectrum *= tables[size]
+            spectrum *= tables["fft", size]
             acc[..., hi:end, :] += irfft(spectrum, size, axis=-2)[..., half : half + end - hi, :]
 
 
-def causal_march(w: np.ndarray, m: int, step) -> None:
+def causal_march(w: np.ndarray, m: int, step, tables: dict | None = None) -> None:
     """Run step(k, c) for k = 0, ..., len(w) - 1 in order, where
 
         c = sum_{j<k} w[k - j] p[j]   (m values),
@@ -171,9 +204,10 @@ def causal_march(w: np.ndarray, m: int, step) -> None:
     nonlinear in their unknown: the state when some inner factor of f is not
     affine in y.  `linear_march` solves the linear ones a leaf at a time: the
     costate, the responses Y1 and Y2 always, and the state when f is affine
-    in y.  Either way a failure names the row a row loop names.
+    in y.  Either way a failure names the row a row loop names.  `tables`
+    keeps w's tables across marches (see `weight_tables`).
     """
-    for lo, hi, acc, p in _leaf_schedule(w, m, LEAF):
+    for lo, hi, acc, p in _leaf_schedule(w, m, LEAF, (), {} if tables is None else tables):
         for k in range(lo, hi):
             p[k] = step(k, acc[k] + w[k - lo : 0 : -1] @ p[lo:k])
 
@@ -202,7 +236,8 @@ def _term_sum(x: np.ndarray) -> np.ndarray:
     return x[..., 0] if x.shape[-1] == 1 else np.sum(x, axis=-1)
 
 
-def linear_march(w: np.ndarray, a: np.ndarray, b: np.ndarray, g, d, guard) -> np.ndarray:
+def linear_march(w: np.ndarray, a: np.ndarray, b: np.ndarray, g, d, guard,
+                 tables: dict | None = None) -> np.ndarray:
     """Solve, for k = 0, ..., len(w) - 1,
 
         x_k = d_k + sum_i a[i, k] sum_{j<k} w[k - j] (b[i, j] x_j + g[i, j]),
@@ -234,13 +269,20 @@ def linear_march(w: np.ndarray, a: np.ndarray, b: np.ndarray, g, d, guard) -> np
     marched again row by row, so the error names the row a row loop names
     (an inverse mixes the rows of its leaf once one of them is not finite,
     but never the rows of two leaves or two columns).
+
+    `tables` keeps w's leaf, dense Toeplitz and FFT tables across marches
+    over the same w (see `weight_tables`); the marches take the same
+    products either way.
     """
     n, m = len(w), len(a)
     g, d = np.asarray(g, dtype=float), np.asarray(d, dtype=float)
     batched = g.ndim == 3 or d.ndim == 2
     cols = len(g) if g.ndim == 3 else len(d) if d.ndim == 2 else 1
     size, span = LINEAR_LEAF, LINEAR_LEAF * LEAF_CHUNK
-    toeplitz = _toeplitz(w, 0, size)
+    tables = {} if tables is None else tables
+    if ("leaf", size) not in tables:
+        tables["leaf", size] = _toeplitz(w, 0, size)
+    toeplitz = tables["leaf", size]
     d, g = np.broadcast_to(d, (cols, n)), np.broadcast_to(g, (cols, *b.shape))
     x = np.zeros((cols, n))
     # one chunk of span rows as LEAF_CHUNK leaves, zero past row n - 1:
@@ -248,7 +290,7 @@ def linear_march(w: np.ndarray, a: np.ndarray, b: np.ndarray, g, d, guard) -> np
     at, bt = np.zeros((LEAF_CHUNK, size, m)), np.zeros((LEAF_CHUNK, size, m))
     gt, dt = np.zeros((cols, LEAF_CHUNK, size, m)), np.zeros((cols, LEAF_CHUNK, size))
     with np.errstate(all="ignore"):
-        for lo, hi, acc, p in _leaf_schedule(w, m, size, (cols,)):
+        for lo, hi, acc, p in _leaf_schedule(w, m, size, (cols,), tables):
             c, r = lo % span // size, hi - lo
             if c == 0:
                 rows = slice(lo, min(lo + span, n))

@@ -22,10 +22,14 @@ is integrated in closed form while the other factor and the smooth data are
 sampled at the half's midpoint.
 
 Cost: O(N^2) memory, and O(N^3) flops except for Q when f_y is a constant and
-f_u does not read t.  That Q is a convolution: R[k, c] is f_u's value at t_c
-times a function of k - c, so one column of the doubly singular table is built,
-O(N^2), and each pass of the march over it is one `linear_march`, O(N log^2 N).
-Every resolvent, constant or not, and every other Q take the general solver:
+f_u does not read t.  That Q is a convolution: R[k, c] = g[c] r[k - c], with g
+f_u's value at t_c, so one column of the doubly singular table is built,
+O(N^2) flops, and each pass of the march over it is one `linear_march`,
+O(N log^2 N).  Such a Q keeps r and g, O(N) memory, and builds its table only
+when something reads it: the product with a midpoint variation
+(`_midpoint_product`) and the node rows are causal convolutions and slices
+of r and g.  Every resolvent, constant or not, and every other Q take the
+general solver:
 the doubly singular part does not depend on R, so it is assembled up front as
 one table, in square blocks of `_BLOCK` rows and columns, mostly of matrix
 products (BLAS).  Elementwise work is left only where the half-cell choice
@@ -42,6 +46,7 @@ O(N) rows plus O((N/_BLOCK)^2) blocks, and Q costs what the resolvent costs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -68,20 +73,45 @@ class RegularizedKernel:
     """Singular-plus-regular storage of a two-time kernel.
 
     c_fn evaluates the coefficient of (t-s)^(alpha-1) at any (t, s), and each
-    route samples it where it reads it; regular[k, j] samples the bounded
-    remainder at node pairs (t_k, t_j) on the closed lower triangle, with the
-    diagonal filled by constant extension from below so that interpolation
-    near the diagonal never reads garbage.  The zero kernel holds no table.
+    route samples it where it reads it.  The bounded remainder R is held as
+    `table`, its samples R[k, j] at node pairs (t_k, t_j) on the closed lower
+    triangle, or, when it is a convolution, as its lag column r and node
+    factor g with R[k, c] = g[c] r[k - c] for c <= k < n + 1.  Either way the
+    diagonal is filled by constant extension from below, R[k, k] = R[k + 1, k]
+    (so r[0] = r[1], and R[n, n] = R[n, n - 1]), so that interpolation near
+    the diagonal never reads garbage.  `regular` is the table, built from r
+    and g on first read.  The zero kernel holds neither.
     """
 
     alpha: float
     grid: Grid
     c_fn: KernelFn
-    regular: Optional[np.ndarray]
+    table: Optional[np.ndarray] = None
+    r: Optional[np.ndarray] = None
+    g: Optional[np.ndarray] = None
 
     @property
     def is_zero(self) -> bool:
-        return self.regular is None
+        return self.table is None and self.r is None
+
+    @cached_property
+    def regular(self) -> Optional[np.ndarray]:
+        if self.r is None:
+            return self.table
+        with np.errstate(invalid="ignore", over="ignore"):
+            R = _causal_table(self.r, self.g, 1)
+        _extend_diagonal(R)
+        return R
+
+    def row(self, k: int) -> np.ndarray:
+        """R[k, :k + 1], read from r and g when R is a convolution."""
+        if self.r is None:
+            return self.table[k, : k + 1]
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = self.g[: k + 1] * self.r[k::-1]
+            if k == self.grid.n:
+                out[k] = self.g[k - 1] * self.r[1]
+        return out
 
 
 _BLOCK = 32  # rows and columns per block of the doubly singular tables
@@ -511,7 +541,10 @@ def build_q_kernel(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
     kernel and f_u as the left one; no resolvent is built.  The regular part
     is zero when f_y's samples all vanish.  When f_y is a constant and f_u
     does not read t, the regular part is f_u(s) times a function of t - s,
-    marched as one column by `_constant_resolvent`: O(N^2) instead of O(N^3).
+    marched as one column by `_constant_resolvent`: O(N^2) flops instead of
+    O(N^3), and the kernel holds that column and f_u's node values, O(N)
+    memory, until something reads its table.  A non-finite entry raises
+    KernelAssemblyError at the first such cell in row order.
     """
     y_star, u_star = pair
     alpha = problem.alpha
@@ -525,20 +558,70 @@ def build_q_kernel(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
     if t_free:
         g = _sample(c_fn, 0.0, grid.nodes, (n + 1,), True)
         if not g.any():
-            return RegularizedKernel(alpha, grid, c_fn, None)
+            return RegularizedKernel(alpha, grid, c_fn)
     a = _constant_value(a_fn, grid) if t_free and not b.f_y.free_vars() else None
     if a is None:
         return _build(alpha, grid, a_fn, c_fn)
-    if a == 0.0:
-        return RegularizedKernel(alpha, grid, c_fn, np.zeros((n + 1, n + 1)))
-    # Q[k, c] = g[c] q[k - c], q marched with the unit left kernel
+    if a == 0.0:  # a zero R, whatever g holds
+        return RegularizedKernel(alpha, grid, c_fn, r=np.zeros(n + 1), g=np.zeros(n + 1))
+    # R[k, c] = g[c] r[k - c], r marched with the unit left kernel
+    r = _constant_resolvent(_HalfCellTables(alpha, grid), a)
+    cell = _lag_failure(r, g)
+    if cell is not None:
+        raise KernelAssemblyError(*cell)
+    return RegularizedKernel(alpha, grid, c_fn, r=r, g=g)
+
+
+def _lag_failure(r: np.ndarray, g: np.ndarray) -> Optional[tuple[int, int]]:
+    """The first cell (k, c) in row order whose entry g[c] r[k - c], k > c,
+    is not finite, or None.  As |g[c] r[k - c]| <= max|g| max|r|, a finite
+    bound clears every entry in O(N); otherwise the table is scanned."""
     with np.errstate(invalid="ignore", over="ignore"):
-        R = _causal_table(_constant_resolvent(_HalfCellTables(alpha, grid), a), g, 1)
-    bad = ~np.isfinite(R)
-    if bad.any():
-        raise KernelAssemblyError(*divmod(int(np.argmax(bad)), n + 1))
-    _extend_diagonal(R)
-    return RegularizedKernel(alpha, grid, c_fn, R)
+        if np.isfinite(np.abs(r).max() * np.abs(g).max()):
+            return None
+        bad = ~np.isfinite(_causal_table(r, g, 1))
+    return divmod(int(np.argmax(bad)), len(r)) if bad.any() else None
+
+
+def _midpoint_product(kernel: RegularizedKernel, v: np.ndarray) -> np.ndarray:
+    """(QM v)_k for a midpoint sample vector v, with QM the matrix of
+    `midpoint_apply_matrix`, without forming QM.
+
+    With the diagonal extension R[k, k] = R[k + 1, k], the regular part of
+    row k is h/4 sum_{i <= k} (R[k, i] + R[k + 1, i]) (v_i + v_{i-1}),
+    v_{-1} = 0: the corner averages of cells i - 1 and i share their column-i
+    corners, and the half-weight diagonal cell is the i = k term.  From a
+    table that is two gemvs, less R[k + 1, k + 1] w_{k+1}, which the gemv on
+    row k + 1 reaches; from r and g it is one causal convolution of
+    r[m] + r[m + 1] with g (v_i + v_{i-1}).  The singular part is one causal
+    convolution of the midpoint weights with c v when the coefficient c
+    ignores t, and a product with c's lattice otherwise.
+    """
+    grid = kernel.grid
+    n, h = grid.n, grid.h
+    if kernel.is_zero:
+        return np.zeros(n)
+    tau = grid.midpoints
+    mu = midpoint_weights(kernel.alpha, grid)
+    with np.errstate(all="ignore"):
+        c = np.asarray(kernel.c_fn(tau[:, None], tau[None, :]), dtype=float)
+        if c.ndim < 2 or len(c) == 1:
+            out = np.convolve(mu, np.broadcast_to(c, (1, n))[0] * v)[:n]
+        else:
+            out = np.multiply(c, _lagged(mu, n, n), out=np.zeros((n, n)),
+                              where=np.tri(n, dtype=bool)) @ v
+        w = v.copy()
+        w[1:] += v[:-1]
+        if kernel.r is not None:
+            r = kernel.r
+            x = np.convolve(r[:-1] + r[1:], kernel.g[:n] * w)[:n]
+        else:
+            R = kernel.table
+            x = R[:n, :n] @ w
+            x += R[1:, :n] @ w
+            x[:-1] -= R.diagonal()[1:n] * w[1:]
+        out += 0.25 * h * x
+    return out
 
 
 def midpoint_apply_matrix(kernel: RegularizedKernel, grid: Grid) -> np.ndarray:
@@ -546,7 +629,8 @@ def midpoint_apply_matrix(kernel: RegularizedKernel, grid: Grid) -> np.ndarray:
     sampled on midpoints: the singular coefficient is integrated exactly per
     cell, the regular part gets plain cell weights (half on the partial
     diagonal cell).  A coefficient that ignores t is sampled once per
-    column."""
+    column.  The matrix reads R's table; `_midpoint_product` gives QM v
+    without either."""
     n, h = grid.n, grid.h
     if kernel.grid != grid:
         raise ValueError("kernel grid mismatch")
@@ -583,6 +667,7 @@ def node_apply_row(kernel: RegularizedKernel, node_index: int, grid: Grid) -> np
     with np.errstate(all="ignore"):
         csamp = np.broadcast_to(
             np.asarray(kernel.c_fn(grid.nodes[i], tau), dtype=float), (i,))
-    rsamp = 0.5 * (kernel.regular[i, :i] + kernel.regular[i, 1 : i + 1])
+    row = kernel.row(i)
+    rsamp = 0.5 * (row[:i] + row[1:])
     out[:i] = csamp * singular_weights(kernel.alpha, grid)[i:0:-1] + rsamp * grid.h
     return out

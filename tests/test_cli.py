@@ -1,5 +1,6 @@
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -371,9 +372,9 @@ def count_columns(monkeypatch):
     original = svoc.state.linear_march
     columns = []
 
-    def counted(w, a, b, g, d, guard):
+    def counted(w, a, b, g, d, guard, *tables):
         columns.append(len(d) if np.ndim(d) == 2 else 1)
-        return original(w, a, b, g, d, guard)
+        return original(w, a, b, g, d, guard, *tables)
 
     monkeypatch.setattr(svoc.state, "linear_march", counted)
     return columns
@@ -391,6 +392,23 @@ def test_verify_marches_reference_state_once(tmp_path, monkeypatch):
     # the columns of one march, and Y2 of the linear lq needs none
     assert len(state_calls) == 1 and not y1_calls
     assert columns == [1, 4]
+
+
+def test_verify_on_a_convolution_kernel_holds_no_response_table(tmp_path):
+    # lq's Q is a convolution: QF applies it to v, so no (N+1)^2 table of R
+    # or QM is built; what is left is the half-cell masks of the column march
+    # (3.15 tables when R and QM were tabulated)
+    n = 1024
+    argv = ["verify", "--problem", "lq", "--param", "a=0.7", "--param", "b=-1.2",
+            "--param", "r=1.3", "--control", "0.4", "--direction", "cos(3*t)", "--n", str(n)]
+    assert run(argv, tmp_path) == 0  # imports and lazy set-up outside the trace
+    tracemalloc.start()
+    try:
+        assert run(argv, tmp_path) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (n + 1) ** 2 * 8  # measured 1.22 tables
 
 
 def test_sweep_failure_names_the_first_perturbed_state(tmp_path, capsys):

@@ -24,7 +24,7 @@ from svoc.optimality import (
 from svoc.oracle import fd_expansion_check
 from svoc.problem import InstantCost, ProblemSpec, builtin_problem
 from svoc.quadrature import make_grid, midpoint_weights
-from svoc.resolvent import build_q_kernel, midpoint_apply_matrix
+from svoc.resolvent import _midpoint_product, build_q_kernel, midpoint_apply_matrix
 from svoc.state import Trajectory, evaluate_cost, evaluate_on, solve_state
 
 
@@ -196,7 +196,7 @@ def test_curvature_kernel_zero_when_response_kernel_is_zero():
     q = build_q_kernel(problem, pair, grid)
     assert q.is_zero
     m = assemble_m_kernel(problem, pair, fields, q, grid)
-    assert m.qm is None and m.blocks == ()
+    assert m.q is None and m.tail is None and not len(m.rows)
 
 
 def test_curvature_kernel_zero_without_state_curvature():
@@ -208,7 +208,7 @@ def test_curvature_kernel_zero_without_state_curvature():
     q = build_q_kernel(problem, pair, grid)
     assert not q.is_zero
     m = assemble_m_kernel(problem, pair, fields, q, grid)
-    assert m.qm is not None and m.blocks == ()  # no block, so no GEMM
+    assert m.q is q and m.tail is None and not len(m.rows)  # no factor, so no GEMM
 
 
 def test_curvature_kernel_against_series_quadrature():
@@ -219,9 +219,9 @@ def test_curvature_kernel_against_series_quadrature():
     pair, fields = fields_for(problem, grid, control_value=1.0)
     q = build_q_kernel(problem, pair, grid)
     m = assemble_m_kernel(problem, pair, fields, q, grid)
-    [(L, w)] = m.blocks  # the tail block alone: lq has no instants
-    assert L is m.qm
-    M = L.T @ (L * w[:, None]) / grid.h**2
+    assert m.q is q and not len(m.rows)  # the tail factor alone: lq has no instants
+    L = midpoint_apply_matrix(q, grid)
+    M = L.T @ (L * m.tail[:, None]) / grid.h**2
     K = _quadratic_matrix(fields, m, grid)
     assert np.max(np.abs(K - K.T)) == 0.0
 
@@ -286,6 +286,34 @@ def quadratic_setups():
                       f=parse_expression("0.5*y + u"), g=parse_expression("u^2"),
                       instant_costs=(InstantCost(0.5, parse_expression("y^2")),
                                      InstantCost(0.7301, parse_expression("sin(y)")))), 0.5
+
+
+def product_setups():
+    """(name, problem, control, path) for Q's product with a variation."""
+    yield "lq", builtin_problem("lq", {"a": 0.7, "b": -1.2, "r": 1.3}), 0.4, "convolution"
+    yield "paper_example", builtin_problem("paper_example"), 0.3, "table"
+    yield "sing_quad", builtin_problem("sing_quad", {"c": 1.0}), 0.2, "zero R"
+    for name, (problem, value) in zip(("cross", "instants"), list(quadratic_setups())[1:]):
+        yield name, problem, value, "convolution"
+    # a node factor g = f_u(s) that varies along the grid
+    yield "varying-g", ProblemSpec(alpha=0.5, T=1.0, eta=parse_expression("1"),
+                                   f=parse_expression("0.5*y + (1 + s^2)*u^2"),
+                                   g=parse_expression("y^2")), 0.3, "convolution"
+
+
+@pytest.mark.parametrize("n", [2, 3, 33, 384])
+@pytest.mark.parametrize("setup", [s[0] for s in product_setups()])
+def test_response_product_matches_the_response_matrix(setup, n):
+    [(problem, value, path)] = [s[1:] for s in product_setups() if s[0] == setup]
+    grid = make_grid(1.0, n)
+    u = Trajectory.constant(value, grid)
+    q = build_q_kernel(problem, (solve_state(problem, u, grid), u), grid)
+    assert {"convolution": q.r is not None and q.r.any(), "table": q.table is not None,
+            "zero R": q.r is not None and not q.r.any()}[path]
+    v = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+    want = midpoint_apply_matrix(q, grid) @ v
+    got = _midpoint_product(q, v)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_matrix_and_functional_forms_agree():
@@ -539,14 +567,14 @@ def test_response_matrix_is_built_once_per_pair(monkeypatch):
         return midpoint_apply_matrix(*args)
 
     monkeypatch.setattr(svoc.optimality, "midpoint_apply_matrix", counted)
-    problem, value = list(quadratic_setups())[1]  # cross curvature: M and C both read QM
+    problem, value = list(quadratic_setups())[1]  # cross curvature: M and C both read Q
     grid = make_grid(1.0, 32)
     pair, fields = fields_for(problem, grid, control_value=value)
     assert second_order_test(problem, pair, fields, grid, tol=1e9).verdict != "inconclusive"
     assert len(calls) == 1
     calls.clear()
     fd_expansion_check(problem, pair, Trajectory.from_expression("cos(2*t)", grid))
-    assert len(calls) == 1
+    assert len(calls) == 0  # QF applies Q to v; only K tabulates QM
 
 
 def test_curvature_kernel_grid_mismatch_rejected():

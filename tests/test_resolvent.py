@@ -17,7 +17,9 @@ from svoc.quadrature import make_grid
 from svoc.resolvent import (
     _BLOCK,
     _HalfCellTables,
+    _lag_failure,
     _node_samples,
+    RegularizedKernel,
     apply_kernel_nodes,
     build_q_kernel,
     build_resolvent,
@@ -642,3 +644,97 @@ def test_constant_kernel_response_memory():
         tracemalloc.stop()
     assert not q.is_zero
     assert peak <= 3 * (n + 1) ** 2 * 8  # measured 2.30 tables
+
+
+# --- Q as a convolution: its lag column r and node factor g ---------------------
+
+def convolution_kernels(n):
+    """Q on the convolution path (f_y constant, f_u free of t): lq, sing_quad
+    at u = 0.2 (a zero R), and a node factor that reads s."""
+    grid = make_grid(1.0, n)
+    problems = [builtin_problem("lq", {"a": 0.7, "b": -1.2, "r": 1.3}),
+                builtin_problem("sing_quad", {"c": 1.0}),
+                ProblemSpec(0.5, 1.0, parse_expression("1"),
+                            parse_expression("0.5*y + (1 + s^2)*u^2"), parse_expression("y^2"))]
+    u = Trajectory.from_expression("0.2 + 0.3*sin(2*t)", grid)
+    for problem in problems:
+        q = build_q_kernel(problem, (solve_state(problem, u, grid), u), grid)
+        assert q.r is not None and q.table is None
+        yield grid, q
+
+
+@pytest.mark.parametrize("n", [2, 3, 33, 200])
+def test_node_rows_read_from_the_lag_column_equal_the_table_rows(n):
+    for grid, q in convolution_kernels(n):
+        table = RegularizedKernel(q.alpha, grid, q.c_fn, table=q.regular)
+        for i in range(n + 1):
+            assert np.array_equal(q.row(i), q.regular[i, : i + 1])
+            assert np.array_equal(node_apply_row(q, i, grid), node_apply_row(table, i, grid))
+
+
+def test_convolution_kernel_builds_its_table_only_when_read(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("table built")
+
+    lq = builtin_problem("lq", {"a": 0.5, "b": 1.0, "r": 1.0})
+    grid = make_grid(1.0, 64)
+    u = Trajectory.constant(1.0, grid)
+    pair = (solve_state(lq, u, grid), u)
+    monkeypatch.setattr(svoc.resolvent, "_causal_table", refuse)
+    q = build_q_kernel(lq, pair, grid)
+    node_apply_row(q, grid.n, grid)
+    svoc.resolvent._midpoint_product(q, np.ones(grid.n))
+    with pytest.raises(AssertionError, match="table built"):
+        q.regular
+
+
+def reference_lag_failure(r, g):
+    """The first (k, c) in row order, k > c, with g[c] r[k - c] not finite."""
+    with np.errstate(all="ignore"):
+        for k in range(len(r)):
+            for c in range(k):
+                if not np.isfinite(g[c] * r[k - c]):
+                    return k, c
+    return None
+
+
+@pytest.mark.parametrize("case", ["clear", "nan-r", "inf-g", "last-g", "overflow", "overflow-late"])
+def test_lag_failure_names_the_first_bad_cell_of_the_table(case, monkeypatch):
+    rng = np.random.default_rng(5)
+    r, g = rng.uniform(-2.0, 2.0, 40), rng.uniform(-2.0, 2.0, 40)
+    r[0] = r[1]
+    if case == "nan-r":
+        r[7] = np.nan
+    elif case == "inf-g":
+        g[11] = -np.inf
+    elif case == "last-g":
+        g[-1] = np.inf  # column n, which no entry reads
+    elif case == "overflow":
+        r[30], g[2] = 1e160, 1e160
+    elif case == "overflow-late":
+        r[3], g[20], g[30] = 1e200, 1e120, -1e110
+    expected = reference_lag_failure(r, g)
+    assert _lag_failure(r, g) == expected
+    assert (expected is None) == (case in ("clear", "last-g"))
+    if case == "clear":  # a finite bound takes no table
+        monkeypatch.setattr(svoc.resolvent, "_causal_table", None)
+        assert _lag_failure(r, g) is None
+
+
+@pytest.mark.parametrize("f,cell", [
+    pytest.param("0.5*y + u/(s - 0.5)", (5, 4), id="non-finite-g"),
+    pytest.param("0.5*y + 1e306*exp(8*s)*u", (10, 9), id="overflow"),
+    pytest.param("2*y + 1e307*u", (2, 0), id="overflow-at-lag-2"),
+    pytest.param("0.5*y + u/(s - 1)", None, id="unread-last-node"),
+])
+def test_convolution_kernel_failure_names_the_table_cell(f, cell):
+    # the cells the table scan of the convolution path named before it kept r and g
+    problem = ProblemSpec(0.5, 1.0, parse_expression("1"), parse_expression(f),
+                          parse_expression("y^2"))
+    grid = make_grid(1.0, 8 if "/" in f else 16)
+    u = Trajectory.from_expression("1", grid)
+    y = Trajectory.from_expression("1 + 0.5*t", grid)
+    if cell is None:
+        assert np.isfinite(build_q_kernel(problem, (y, u), grid).regular).all()
+    else:
+        assert _assembly_failure(lambda: build_q_kernel(problem, (y, u), grid)) == cell
