@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import AdjointStepError
 from .problem import ProblemSpec
-from .quadrature import Grid, linear_march, midpoint_weights, weight_tables
+from .quadrature import Grid, linear_march, midpoint_weights
 from .state import Trajectory, _term_samples, evaluate_on
 
 
@@ -171,8 +171,7 @@ def solve_adjoint(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
             # the row scale 1 / denom_k multiplies each row's factors and free term
             scale = 1.0 / denom[rev]
             coeff, known = scale * coeff[:, rev], scale * -known[rev]
-            psi = linear_march(mu, coeff, a[:, rev], 0.0, known, guard,
-                               weight_tables(mu, grid))[rev]
+            psi = linear_march(mu, coeff, a[:, rev], 0.0, known, guard)[rev]
     else:
         psi = np.zeros(n)
         for k in range(n - 1, -1, -1):

@@ -31,21 +31,22 @@ from .state import Trajectory, evaluate_cost, evaluate_on, solve_state
 # Grid budget, checked before anything is allocated.  Per grid, a command
 # makes a fixed number of O(N^2) passes (marches and tail quadratures; `verify`
 # makes 12: y*, three perturbed states, costate, five fields, Y1 and Y2) and
-# holds a fixed number of dense (N+1)^2 float64 tables at its peak.  Tracemalloc
-# peaks at N = 256, 512 and 1024, in tables, on `paper_example` at control 0.3,
-# whose Q takes the general path (one product table and two marches): 18.6,
-# 11.7 and 11.1 for `check --order 2` (with a tol that makes the test apply)
-# and for `verify`; at N = 256 the 3.4 MiB of band masks and factors that
-# `resolvent._product_table` holds at any N still show.
-# `check --order 1` holds O(N): 0.5 and 0.07 tables at N = 256 and 512.  A
+# holds a fixed number of dense (N+1)^2 float64 tables at its peak.
+# Tracemalloc peaks at N = 256, 512 and 1024, in tables, as printed by
+# `scripts/peak_tables.py --ns 256,512,1024`: on `paper_example` at control
+# 0.3, whose Q takes the general path (one product table and two marches),
+# 17.9, 11.5 and 11.0 for `check --order 2` (with a tol that makes the test
+# apply) and for `verify`; at N = 256 the 3.4 MiB of band masks and factors
+# that `resolvent._product_table` holds at any N still show.
+# `check --order 1` holds O(N): 1.04 and 0.32 tables at N = 256 and 512.  A
 # kernel that separates in t marches in O(N log^2 N) instead, and a
 # convolution linearization (f_y constant, f_u free of t) builds Q in O(N^2)
 # flops and holds it in O(N), so that on `lq` (a=0.7, b=-1.2, r=1.3, control
 # 0.4) `verify`, which applies Q to the variation and tabulates neither R nor
-# QM, peaks at 2.19, 1.43 and 1.22 tables (the column march's half-cell
-# masks) and `check --order 2`, whose K reads QM, at 5.82, 5.22 and 5.06; but
-# the budget is checked before the problem is loaded, so it charges every
-# kernel the O(N^2) row loop and the general Q.
+# QM, peaks at 1.25, 0.41 and 0.12 tables, and `check --order 2`, whose K
+# reads QM but no table of R, at 4.46, 4.22 and 4.15; but the budget is
+# checked before the problem is loaded, so it charges every kernel the
+# O(N^2) row loop and the general Q.
 WORK_BUDGET = 2**34   # sum of (N+1)^2 over a command's passes: `solve` up to N ~ 2^17
 DENSE_BUDGET = 2**31  # bytes of dense tables held at once
 _PASSES_TABLES = {

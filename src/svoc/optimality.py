@@ -22,8 +22,9 @@ taken without forming the midpoint response matrix QM.  M is kept as its
 factors, never as a table: h^2 v^T M v = sum_k h H_yy(tau_k) (QM v)_k^2
 - sum_i h_yy^i (q_i . v)^2 with q_i the row of Q at instant i's node.  QF[v]
 thus costs O(N^2), and O(N) memory when Q is a convolution.  Only the matrix
-of the form tabulates QM, once per pair: K = L^T W L + diag(h H_uu) + C + C^T,
-with L the factor rows, W their weights and C = diag(h H_yu) QM.
+of the form tabulates QM, once per pair and, for a convolution Q, with no
+table of R: K = L^T W L + diag(h H_uu) + C + C^T, with L the factor rows, W
+their weights and C = diag(h H_yu) QM.
 
 The verdict reads lambda_max(K).  An eigenvector is needed only when it exceeds
 the tolerance, as the improving direction.  When the Gershgorin bound

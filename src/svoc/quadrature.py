@@ -40,7 +40,7 @@ class Grid:
 
     @cached_property
     def _weights(self) -> dict:
-        """Weight arrays by (rule, alpha), each with its march tables."""
+        """Weight arrays by (rule, alpha)."""
         return {}
 
 
@@ -55,16 +55,15 @@ def make_grid(T: float, n: int) -> Grid:
 def _once_per_grid(rule):
     """Memoize a weight rule (alpha, grid) -> array on the grid, where it is
     built once, kept read-only (every march on the grid shares it) and
-    dropped with the grid, beside the dict of march tables that
-    `weight_tables` hands out for it."""
+    dropped with the grid."""
     @wraps(rule)
     def weights(alpha: float, grid: Grid) -> np.ndarray:
         key = (rule.__name__, alpha)
         if key not in grid._weights:
             w = rule(alpha, grid)
             w.flags.writeable = False
-            grid._weights[key] = w, {}
-        return grid._weights[key][0]
+            grid._weights[key] = w
+        return grid._weights[key]
     return weights
 
 
@@ -113,16 +112,6 @@ def midpoint_weights(alpha: float, grid: Grid) -> np.ndarray:
     return mu
 
 
-def weight_tables(w: np.ndarray, grid: Grid) -> dict:
-    """Where marches over w keep w's Toeplitz and FFT tables: the grid's dict
-    for w when w is one of its weight arrays, so each table is built once per
-    grid, and a new dict for any other w."""
-    for array, tables in grid._weights.values():
-        if array is w:
-            return tables
-    return {}
-
-
 LEAF = 128  # rows a stepped march runs one by one between convolutions
 LINEAR_LEAF = 64  # rows a linear march solves as one triangular system
 LEAF_CHUNK = 8  # leaves of a linear march whose systems are inverted as one batch
@@ -140,7 +129,7 @@ def _toeplitz(w: np.ndarray, first: int, size: int) -> np.ndarray:
     return sliding_window_view(column[::-1], size)[::-1].copy()
 
 
-def _leaf_schedule(w: np.ndarray, m: int, leaf: int, lead: tuple, tables: dict):
+def _leaf_schedule(w: np.ndarray, m: int, leaf: int, lead: tuple):
     """Yield (lo, hi, acc, p) for the leaves [lo, hi) of len(w) rows in order.
 
     p and acc have shape lead + (len(w), m): row k of every lane sits at
@@ -154,12 +143,13 @@ def _leaf_schedule(w: np.ndarray, m: int, leaf: int, lead: tuple, tables: dict):
     table of w, a longer one by one FFT convolution, unless the end of the
     rows leaves at most DIRECT rows of the second half: those take direct
     sums.  Each lane takes the same products as it would alone.  O(m N log^2 N)
-    time a lane, O(m N) memory; w[0] is never read.  The tables of w are kept
-    in `tables` by kind and size, for the next march over w.
+    time a lane, O(m N) memory; w[0] is never read.  Each Toeplitz table and
+    spectrum of w is built once per march, by size, and dropped with it.
     """
     from numpy.fft import irfft, rfft
 
     n = len(w)
+    tables = {}
     p = np.zeros((*lead, n, m))
     acc = np.zeros((*lead, n, m))
     for lo in range(0, n, leaf):
@@ -193,7 +183,7 @@ def _leaf_schedule(w: np.ndarray, m: int, leaf: int, lead: tuple, tables: dict):
             acc[..., hi:end, :] += irfft(spectrum, size, axis=-2)[..., half : half + end - hi, :]
 
 
-def causal_march(w: np.ndarray, m: int, step, tables: dict | None = None) -> None:
+def causal_march(w: np.ndarray, m: int, step) -> None:
     """Run step(k, c) for k = 0, ..., len(w) - 1 in order, where
 
         c = sum_{j<k} w[k - j] p[j]   (m values),
@@ -204,10 +194,9 @@ def causal_march(w: np.ndarray, m: int, step, tables: dict | None = None) -> Non
     nonlinear in their unknown: the state when some inner factor of f is not
     affine in y.  `linear_march` solves the linear ones a leaf at a time: the
     costate, the responses Y1 and Y2 always, and the state when f is affine
-    in y.  Either way a failure names the row a row loop names.  `tables`
-    keeps w's tables across marches (see `weight_tables`).
+    in y.  Either way a failure names the row a row loop names.
     """
-    for lo, hi, acc, p in _leaf_schedule(w, m, LEAF, (), {} if tables is None else tables):
+    for lo, hi, acc, p in _leaf_schedule(w, m, LEAF, ()):
         for k in range(lo, hi):
             p[k] = step(k, acc[k] + w[k - lo : 0 : -1] @ p[lo:k])
 
@@ -236,8 +225,7 @@ def _term_sum(x: np.ndarray) -> np.ndarray:
     return x[..., 0] if x.shape[-1] == 1 else np.sum(x, axis=-1)
 
 
-def linear_march(w: np.ndarray, a: np.ndarray, b: np.ndarray, g, d, guard,
-                 tables: dict | None = None) -> np.ndarray:
+def linear_march(w: np.ndarray, a: np.ndarray, b: np.ndarray, g, d, guard) -> np.ndarray:
     """Solve, for k = 0, ..., len(w) - 1,
 
         x_k = d_k + sum_i a[i, k] sum_{j<k} w[k - j] (b[i, j] x_j + g[i, j]),
@@ -269,20 +257,13 @@ def linear_march(w: np.ndarray, a: np.ndarray, b: np.ndarray, g, d, guard,
     marched again row by row, so the error names the row a row loop names
     (an inverse mixes the rows of its leaf once one of them is not finite,
     but never the rows of two leaves or two columns).
-
-    `tables` keeps w's leaf, dense Toeplitz and FFT tables across marches
-    over the same w (see `weight_tables`); the marches take the same
-    products either way.
     """
     n, m = len(w), len(a)
     g, d = np.asarray(g, dtype=float), np.asarray(d, dtype=float)
     batched = g.ndim == 3 or d.ndim == 2
     cols = len(g) if g.ndim == 3 else len(d) if d.ndim == 2 else 1
     size, span = LINEAR_LEAF, LINEAR_LEAF * LEAF_CHUNK
-    tables = {} if tables is None else tables
-    if ("leaf", size) not in tables:
-        tables["leaf", size] = _toeplitz(w, 0, size)
-    toeplitz = tables["leaf", size]
+    toeplitz = _toeplitz(w, 0, size)
     d, g = np.broadcast_to(d, (cols, n)), np.broadcast_to(g, (cols, *b.shape))
     x = np.zeros((cols, n))
     # one chunk of span rows as LEAF_CHUNK leaves, zero past row n - 1:
@@ -290,7 +271,7 @@ def linear_march(w: np.ndarray, a: np.ndarray, b: np.ndarray, g, d, guard,
     at, bt = np.zeros((LEAF_CHUNK, size, m)), np.zeros((LEAF_CHUNK, size, m))
     gt, dt = np.zeros((cols, LEAF_CHUNK, size, m)), np.zeros((cols, LEAF_CHUNK, size))
     with np.errstate(all="ignore"):
-        for lo, hi, acc, p in _leaf_schedule(w, m, size, (cols,), tables):
+        for lo, hi, acc, p in _leaf_schedule(w, m, size, (cols,)):
             c, r = lo % span // size, hi - lo
             if c == 0:
                 rows = slice(lo, min(lo + span, n))

@@ -24,23 +24,25 @@ sampled at the half's midpoint.
 Cost: O(N^2) memory, and O(N^3) flops except for Q when f_y is a constant and
 f_u does not read t.  That Q is a convolution: R[k, c] = g[c] r[k - c], with g
 f_u's value at t_c, so one column of the doubly singular table is built,
-O(N^2) flops, and each pass of the march over it is one `linear_march`,
-O(N log^2 N).  Such a Q keeps r and g, O(N) memory, and builds its table only
-when something reads it: the product with a midpoint variation
+O(N^2) flops in row blocks of O(N) memory, and each pass of the march over it
+is one `linear_march`, O(N log^2 N).  Such a Q keeps r and g and holds O(N)
+beyond the n x n QM that K reads: the product with a midpoint variation
 (`_midpoint_product`) and the node rows are causal convolutions and slices
-of r and g.  Every resolvent, constant or not, and every other Q take the
-general solver:
-the doubly singular part does not depend on R, so it is assembled up front as
-one table, in square blocks of `_BLOCK` rows and columns, mostly of matrix
-products (BLAS).  Elementwise work is left only where the half-cell choice
-switches: in a band of about `_BLOCK` cells per block, and in the row block's
-own cells within the two column blocks next to the diagonal; both are masked
-into one batched product per block.  The own cells of the column blocks further
-left take one choice throughout and are added a row at a time, one gemv per
-half, so that no product reaches a cell j >= k and a non-finite sample is
-reported at the cell where a row-by-row quadrature first meets it.  The two
-marches over R are sequential, one gemv per row, so the Python-level work is
-O(N) rows plus O((N/_BLOCK)^2) blocks, and Q costs what the resolvent costs.
+of r and g, and QM takes its cell corners from lagged views of r times g.
+Only the node routes (`represent_solution`, `apply_kernel_nodes`) and
+`resolvent_residual` build R's table.  Every resolvent, constant or not, and
+every other Q take the general solver: the doubly singular part does not
+depend on R, so it is assembled up front as one table, in square blocks of
+`_BLOCK` rows and columns, mostly of matrix products (BLAS).  Elementwise
+work is left only where the half-cell choice switches: in a band of about
+`_BLOCK` cells per block, and in the row block's own cells within the two
+column blocks next to the diagonal; both are masked into one batched product
+per block.  The own cells of the column blocks further left take one choice
+throughout and are added a row at a time, one gemv per half, so that no
+product reaches a cell j >= k and a non-finite sample is reported at the cell
+where a row-by-row quadrature first meets it.  The two marches over R are
+sequential, one gemv per row, so the Python-level work is O(N) rows plus
+O((N/_BLOCK)^2) blocks, and Q costs what the resolvent costs.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import KernelAssemblyError
 from .problem import ProblemSpec
-from .quadrature import Grid, linear_march, midpoint_weights, singular_weights
+from .quadrature import LINEAR_LEAF, Grid, linear_march, midpoint_weights, singular_weights
 from .state import Trajectory
 
 KernelFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -80,7 +82,8 @@ class RegularizedKernel:
     diagonal is filled by constant extension from below, R[k, k] = R[k + 1, k]
     (so r[0] = r[1], and R[n, n] = R[n, n - 1]), so that interpolation near
     the diagonal never reads garbage.  `regular` is the table, built from r
-    and g on first read.  The zero kernel holds neither.
+    and g on first read, by the node routes and `resolvent_residual` only.
+    The zero kernel holds neither.
     """
 
     alpha: float
@@ -197,15 +200,30 @@ class _HalfCellTables:
         row k's sum over cells j < k of both halves, each taking the exact
         left weight where 2j < k (left half) or 2j < k - 1 (right half) and
         the exact right weight elsewhere.  For constant kernels b and l the
-        whole table is P[k, c] = b l p[k - c]."""
+        whole table is P[k, c] = b l p[k - c].
+
+        Rows go in blocks of LINEAR_LEAF.  Per half, a block [k0, k1) reads
+        the left-exact choice only on the cells j < (k1 - shift)/2, where
+        some row of it takes that choice, and the right-exact choice only
+        from (k0 - shift)/2 up to its last row's cells; the mask still decides
+        each cell.  So a block holds O(LINEAR_LEAF N) and the whole column
+        costs about N^2 multiply-adds.
+        """
         n = self.grid.n
-        k, j = np.arange(n + 1)[:, None], np.arange(n)
+        halves = ((self.near3, self.wl1, self.far1, self.q1, 0),
+                  (self.near1, self.wl2, self.far2, self.q3, 1))
         p = np.zeros(n + 1)
-        for near, exact_left, far, sampled, shift in ((self.near3, self.wl1, self.far1, self.q1, 0),
-                                                     (self.near1, self.wl2, self.far2, self.q3, 1)):
-            left = 2 * j < k - shift
-            # cells j >= k read the zero exact right weight at lag 0
-            p += np.where(left, near, 0.0) @ exact_left + np.where(left, 0.0, far) @ sampled
+        for k0 in range(0, n + 1, LINEAR_LEAF):
+            k1 = min(k0 + LINEAR_LEAF, n + 1)
+            k = np.arange(k0, k1)[:, None]
+            for near, exact_left, far, sampled, shift in halves:
+                left, right = (k1 - shift) // 2, max((k0 - shift) // 2, 0)
+                cells = slice(right, k1 - 1)
+                # cells j >= k read the zero exact right weight at lag 0
+                p[k0:k1] += (np.where(2 * np.arange(left) < k - shift, near[k0:k1, :left], 0.0)
+                             @ exact_left[:left]
+                             + np.where(2 * np.arange(right, k1 - 1) < k - shift, 0.0,
+                                        far[k0:k1, cells]) @ sampled[cells])
         return p
 
     def constant_smooth_weights(self, a: float) -> tuple[np.ndarray, np.ndarray]:
@@ -384,7 +402,8 @@ def _guard_column(lo: int, values: np.ndarray) -> None:
 def _constant_resolvent(tb: _HalfCellTables, a: float) -> np.ndarray:
     """r with R[k, c] = r[k - c] and r[0] = r[1] (the diagonal extension):
     the regular part `_solve` gives for the constant right kernel a and the
-    unit left kernel, whose product table is a `tb.unit_product()`.
+    unit left kernel, whose product table is a `tb.unit_product()`, one
+    column built in row blocks: O(N^2) flops and O(N) memory in all.
 
     On a Toeplitz table `_march` gives row k, column c the value of row
     k - c, column 0, so both passes run over one column.  Row m reads r[1]
@@ -543,8 +562,9 @@ def build_q_kernel(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
     does not read t, the regular part is f_u(s) times a function of t - s,
     marched as one column by `_constant_resolvent`: O(N^2) flops instead of
     O(N^3), and the kernel holds that column and f_u's node values, O(N)
-    memory, until something reads its table.  A non-finite entry raises
-    KernelAssemblyError at the first such cell in row order.
+    memory; its table is built only if the `regular` property is read.  A
+    non-finite entry raises KernelAssemblyError at the first such cell in
+    row order.
     """
     y_star, u_star = pair
     alpha = problem.alpha
@@ -629,8 +649,9 @@ def midpoint_apply_matrix(kernel: RegularizedKernel, grid: Grid) -> np.ndarray:
     sampled on midpoints: the singular coefficient is integrated exactly per
     cell, the regular part gets plain cell weights (half on the partial
     diagonal cell).  A coefficient that ignores t is sampled once per
-    column.  The matrix reads R's table; `_midpoint_product` gives QM v
-    without either."""
+    column.  The cell corners are read from R's table, or, for a
+    convolution, as products of lagged views of r with g, with no table of
+    R; `_midpoint_product` gives QM v without QM."""
     n, h = grid.n, grid.h
     if kernel.grid != grid:
         raise ValueError("kernel grid mismatch")
@@ -643,14 +664,28 @@ def midpoint_apply_matrix(kernel: RegularizedKernel, grid: Grid) -> np.ndarray:
         c = np.asarray(kernel.c_fn(tau[:, None], tau[None, :]), dtype=float)
     qm = np.zeros((n, n))
     np.multiply(c, _lagged(midpoint_weights(kernel.alpha, grid), n, n), out=qm, where=tri)
-    R = kernel.regular
     # the mean of the cell's four corners times the cell weight h
-    rmid = R[:n, :n] + R[1:, :n]
-    rmid += R[:n, 1:]
-    rmid += R[1:, 1:]
+    if kernel.r is None:
+        R = kernel.table
+        rmid = R[:n, :n] + R[1:, :n]
+        rmid += R[:n, 1:]
+        rmid += R[1:, 1:]
+        diagonal = R[1:, :n].diagonal()
+    else:
+        # R[k, c] = r[k - c] g[c], the same products the table holds; above
+        # the diagonal the views read r[0], and tri drops those cells
+        r, g = kernel.r, kernel.g
+        lag = _lagged(r, n + 1, n + 1)
+        with np.errstate(invalid="ignore", over="ignore"):
+            rmid = lag[:n, :n] * g[:n]
+            corner = lag[1:, :n] * g[:n]
+            rmid += corner
+            rmid += np.multiply(lag[:n, 1:], g[1:], out=corner)
+            rmid += np.multiply(lag[1:, 1:], g[1:], out=corner)
+            diagonal = r[1] * g[:n]
     rmid *= 0.25
     rmid *= h
-    np.fill_diagonal(rmid, R[1:, :n].diagonal() * (0.5 * h))
+    np.fill_diagonal(rmid, diagonal * (0.5 * h))
     return np.add(qm, rmid, out=qm, where=tri)
 
 

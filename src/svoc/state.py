@@ -19,8 +19,7 @@ import numpy as np
 from .errors import NumericsError, StateBlowupError
 from .expr import Num, ScalarExpr, parse_expression
 from .problem import ProblemSpec
-from .quadrature import (Grid, causal_march, linear_march, singular_weights, trapezoid,
-                         weight_tables)
+from .quadrature import Grid, causal_march, linear_march, singular_weights, trapezoid
 
 BLOWUP_LIMIT = 1e12
 
@@ -142,8 +141,7 @@ def solve_state(problem: ProblemSpec, control: Trajectory, grid: Grid) -> Trajec
     if terms is not None and not any("y" in term.b_y.free_vars() for term in terms):
         # every b_i = B_i(s, u) y + G_i(s, u), B_i = b_y: one triangular solve per leaf
         a, (slopes, free) = _term_samples(problem, t, {"s": t, "y": 0.0, "u": u}, ("_y", ""))
-        return Trajectory(grid, "nodes", linear_march(w, a, slopes, free, eta, _guard_rows,
-                                                        weight_tables(w, grid)))
+        return Trajectory(grid, "nodes", linear_march(w, a, slopes, free, eta, _guard_rows))
     y = np.zeros(grid.n + 1)
     y[0] = eta[0]
     if terms is None:
@@ -163,7 +161,7 @@ def solve_state(problem: ProblemSpec, control: Trajectory, grid: Grid) -> Trajec
             _guard(k, y[k])
         return [b.evaluate(s=t[k], y=y[k], u=u[k]) for b in inner]
 
-    causal_march(w, len(inner), step, weight_tables(w, grid))
+    causal_march(w, len(inner), step)
     return Trajectory(grid, "nodes", y)
 
 
@@ -207,7 +205,7 @@ def _march_response(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
         env = {"s": t, "y": pair[0].values, "u": pair[1].values}
         a, (coeff, *samples) = _term_samples(problem, t, env, ("_y", *parts))
         return Trajectory(grid, "nodes", linear_march(w, a, coeff, source(slice(None), *samples),
-                                                      0.0, _guard_rows, weight_tables(w, grid)))
+                                                      0.0, _guard_rows))
     y_star, u_star = pair
     exprs = [getattr(problem.bundle, "f" + part) for part in ("_y", *parts)]
     z = np.zeros(grid.n + 1)
@@ -295,7 +293,7 @@ def _march_sweep(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory], v: T
     if shared is not None:
         try:
             w = singular_weights(problem.alpha, grid)
-            x = linear_march(w, *shared, _guard_rows, weight_tables(w, grid))
+            x = linear_march(w, *shared, _guard_rows)
         except NumericsError:
             pass  # the marches below raise it again, in their order
         else:

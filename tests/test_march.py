@@ -22,7 +22,7 @@ from svoc.expr import parse_expression
 from svoc.optimality import hamiltonian_fields
 from svoc.problem import InstantCost, ProblemSpec, builtin_problem
 from svoc.quadrature import (DIRECT, LEAF_CHUNK, LINEAR_LEAF, causal_march, linear_march,
-                             make_grid, midpoint_weights, singular_weights, weight_tables)
+                             make_grid, midpoint_weights, singular_weights)
 from svoc.state import BLOWUP_LIMIT, Trajectory, evaluate_on, solve_state, solve_y1, solve_y2
 
 GRIDS = [2, 3, 127, 128, 129, 257, 1000]
@@ -501,14 +501,12 @@ def test_weight_arrays_are_built_once_per_grid():
         assert weights(0.3, grid) is not w
         other = weights(0.5, make_grid(1.0, 64))  # an equal grid keeps its own
         assert other is not w and np.array_equal(other, w)
-    assert weight_tables(singular_weights(0.5, grid), grid) is weight_tables(
-        singular_weights(0.5, grid), grid)
-    assert weight_tables(singular_weights(0.5, grid).copy(), grid) == {}
 
 
 @pytest.mark.parametrize("path,f", [("linear", "t*y*u"), ("stepped", "0.5*sin(y)*(1 + t) + u")])
-def test_marches_over_one_grid_build_each_table_once(path, f, monkeypatch):
-    # the leaf, dense Toeplitz and FFT tables of w: once per grid, not per march
+def test_each_march_builds_its_own_tables_once(path, f, monkeypatch):
+    # the leaf, dense Toeplitz and FFT tables of w: once per march, dropped
+    # with it, and a second march over the same grid takes the same products
     problem = ProblemSpec(0.5, 1.0, parse_expression("1"), parse_expression(f),
                           parse_expression("y^2"))
     assert state_path(problem) == path
@@ -521,13 +519,9 @@ def test_marches_over_one_grid_build_each_table_once(path, f, monkeypatch):
     first = solve_state(problem, u, grid)
     built = len(calls)
     assert built and len(set(calls)) == built
-    kinds = {key[0] for key in weight_tables(singular_weights(problem.alpha, grid), grid)}
-    assert kinds == ({"leaf", "dense", "fft"} if path == "linear" else {"dense", "fft"})
+    assert ((0, LINEAR_LEAF) in calls) == (path == "linear")
     again = solve_state(problem, u, grid)
-    assert len(calls) == built and again.values.tobytes() == first.values.tobytes()
-    fresh = make_grid(1.0, 1100)
-    alone = solve_state(problem, Trajectory(fresh, "nodes", u.values), fresh)
-    assert len(calls) == 2 * built and alone.values.tobytes() == first.values.tobytes()
+    assert calls[built:] == calls[:built] and again.values.tobytes() == first.values.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 63, 1536, 4097])

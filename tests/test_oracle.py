@@ -283,9 +283,9 @@ def test_sweep_shares_one_march_when_the_operators_agree(monkeypatch, name, para
     v = Trajectory.from_expression("cos(3*t)", grid)
     march, seen = state.linear_march, []
 
-    def counted(w, a, b, g, d, guard, *tables):
+    def counted(w, a, b, g, d, guard):
         seen.append(len(d) if np.ndim(d) == 2 else 1)
-        return march(w, a, b, g, d, guard, *tables)
+        return march(w, a, b, g, d, guard)
 
     monkeypatch.setattr(state, "linear_march", counted)
     states, y1 = state._march_sweep(problem, pair, v, DEFAULT_DELTAS, grid)

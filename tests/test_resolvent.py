@@ -448,6 +448,28 @@ def test_node_apply_row_closed_form():
 
 # --- constant kernels: the Toeplitz path -------------------------------------
 
+def dense_unit_product(tb):
+    """`_HalfCellTables.unit_product` from whole (N+1) x N masked tables: each
+    half's choice masked over every (row, cell) and one gemv per factor."""
+    n = tb.grid.n
+    k, j = np.arange(n + 1)[:, None], np.arange(n)
+    p = np.zeros(n + 1)
+    for near, exact_left, far, sampled, shift in ((tb.near3, tb.wl1, tb.far1, tb.q1, 0),
+                                                 (tb.near1, tb.wl2, tb.far2, tb.q3, 1)):
+        left = 2 * j < k - shift
+        p += np.where(left, near, 0.0) @ exact_left + np.where(left, 0.0, far) @ sampled
+    return p
+
+
+@pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 127, 128, 129, 384, 1025])
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
+def test_unit_product_in_row_blocks_matches_the_masked_tables(n, alpha):
+    tb = _HalfCellTables(alpha, make_grid(1.0, n))
+    want = dense_unit_product(tb)
+    got = tb.unit_product()
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))  # measured 4.0e-16
+
+
 @pytest.mark.parametrize("n", [2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5])
 def test_weight_tables_match_the_gathers(n):
     # the strided views give the tables the index gathers gave, bit for bit
@@ -672,6 +694,14 @@ def test_node_rows_read_from_the_lag_column_equal_the_table_rows(n):
             assert np.array_equal(node_apply_row(q, i, grid), node_apply_row(table, i, grid))
 
 
+@pytest.mark.parametrize("n", [2, 3, 33, 200])
+def test_midpoint_matrix_from_the_lag_column_equals_the_table_route(n):
+    # the same products of r and g in the same order as the table of R holds
+    for grid, q in convolution_kernels(n):
+        table = RegularizedKernel(q.alpha, grid, q.c_fn, table=q.regular)
+        assert np.array_equal(midpoint_apply_matrix(q, grid), midpoint_apply_matrix(table, grid))
+
+
 def test_convolution_kernel_builds_its_table_only_when_read(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("table built")
@@ -684,6 +714,7 @@ def test_convolution_kernel_builds_its_table_only_when_read(monkeypatch):
     q = build_q_kernel(lq, pair, grid)
     node_apply_row(q, grid.n, grid)
     svoc.resolvent._midpoint_product(q, np.ones(grid.n))
+    midpoint_apply_matrix(q, grid)
     with pytest.raises(AssertionError, match="table built"):
         q.regular
 

@@ -44,3 +44,13 @@ def test_output_digests_list_every_workload_command(tmp_path):
     for line in lines:
         assert line[3:] and all(re.fullmatch(r"[\w.]+=[0-9a-f]{64}", f) for f in line[3:])
     assert lines[0][3].startswith("verify.json=")
+
+
+def test_peak_tables_prints_every_command_and_grid(tmp_path):
+    done = run_script("peak_tables.py", ["--ns", "32,64"], tmp_path)
+    assert done.returncode == 0, done.stderr
+    rows = [line.rsplit(None, 2) for line in done.stdout.splitlines()[1:]]
+    assert [(label, n) for label, n, _ in rows] == [
+        (label, n) for label in ("verify lq", "verify paper_example", "check-2 lq",
+                                 "check-2 paper_example") for n in ("32", "64")]
+    assert all(float(tables) > 0 for _, _, tables in rows)
