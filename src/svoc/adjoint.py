@@ -22,7 +22,7 @@ import numpy as np
 from .errors import AdjointStepError
 from .problem import ProblemSpec
 from .quadrature import Grid, linear_march, midpoint_weights
-from .state import Trajectory, _term_samples, evaluate_on
+from .state import _ZERO, Trajectory, _term_samples, evaluate_on
 
 
 @dataclass(frozen=True)
@@ -92,45 +92,55 @@ def _tail_sums(x: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
 
 def _tail_field(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory], grid: Grid,
-                part: str, phi: np.ndarray) -> tuple[np.ndarray, int | None]:
-    """sum_{j>=k} mu[j-k] f_part(tau_j, tau_k, y*_k, u*_k) phi_j - g_part(tau_k, ...)
-    minus f_part's instant rows, per midpoint k, for the partials "f" + part
-    and "g" + part: H and its partials, or for "_y" the costate right-hand
-    side.  One FFT correlation per term of `ProblemSpec.terms` when f
-    separates, else O(N^2) row by row; O(N) memory either way.
+                parts: tuple[str, ...], phi: np.ndarray, snaps: tuple[InstantSnap, ...]
+                ) -> list[tuple[np.ndarray, int | None]]:
+    """Per part in parts, sum_{j>=k} mu[j-k] f_part(tau_j, tau_k, y*_k, u*_k) phi_j -
+    g_part(tau_k, ...) minus f_part's instant rows, per midpoint k (H's partials, or for
+    "_y" the costate right-hand side), from one pass over the pair.  When f separates
+    each a_i phi of the rows of `_term_samples` (the terms some part reads) is
+    FFT-correlated once, and a part sums b_i,part times those sums over its rows with
+    b_i,part not identically zero (no 0 * inf); else one O(N^2) row loop takes every
+    part.
 
-    Also returns where a non-finite field fails, None when it is finite: the
-    first midpoint with a sampled term that is not finite (a separable factor,
-    a_i phi at the later time or b_i at the earlier one, a row of the row loop,
-    g_part or an instant row), else the field's first bad midpoint (only sums
-    overflowed).  A tail sum carries a bad term to every midpoint before it, and
-    an FFT correlation to every midpoint.  As mu > 0, a bad term makes its
-    row's sum bad, so the row loop tests a row's terms only then."""
+    With each field comes where it fails, None when it is finite: the first midpoint
+    with a sampled term of its part that is not finite (a_i phi, b_i,part, a row of the
+    row loop, g_part or an instant row), else the field's first bad midpoint (only sums
+    overflowed), as a tail sum carries a bad term to every midpoint before it and a
+    correlation to every midpoint.  As mu > 0 a bad term makes its row's sum bad, so the
+    row loop tests a row's terms only then."""
     y_star, u_star = pair
     n, tau = grid.n, grid.midpoints
     ym, um = y_star.midpoint_values(), u_star.midpoint_values()
     mu = midpoint_weights(problem.alpha, grid)
-    f_part, g_part = getattr(problem.bundle, "f" + part), getattr(problem.bundle, "g" + part)
+    f_parts = [getattr(problem.bundle, "f" + part) for part in parts]
+    tails, bads = np.empty((len(parts), n)), np.zeros((len(parts), n), dtype=bool)
     with np.errstate(all="ignore"):
         if problem.terms is not None:
-            a, (b,) = _term_samples(problem, tau, {"s": tau, "y": ym, "u": um}, (part,))
+            reads = np.array([[getattr(term, "b" + part) != _ZERO for term in problem.terms]
+                              for part in parts])
+            a, tables = _term_samples(problem, tau, {"s": tau, "y": ym, "u": um}, parts)
             x = a * phi
-            bad = ~(np.isfinite(x).all(axis=0) & np.isfinite(b).all(axis=0))
-            tail = np.sum(b * _tail_sums(x, mu), axis=0)
+            sums = _tail_sums(x, mu)
+            for i, (keep, b) in enumerate(zip(reads[:, reads.any(axis=0)], tables)):
+                tails[i] = np.sum(b[keep] * sums[keep], axis=0)
+                bads[i] = ~(np.isfinite(x[keep]).all(axis=0) & np.isfinite(b[keep]).all(axis=0))
         else:
-            tail, bad = np.empty(n), np.zeros(n, dtype=bool)
             for k in range(n):
-                terms = _tail_row(f_part, tau, ym, um, k) * phi[k:]
-                tail[k] = mu[: n - k] @ terms
-                bad[k] = not np.isfinite(tail[k]) and not np.isfinite(terms).all()
-    snaps = snap_instants(problem, grid)
-    inst = _instant_rows(problem, grid, f_part, y_star.values, ym, um, snaps)
-    g = evaluate_on(g_part, {"t": tau, "y": ym, "u": um}, tau.shape)
-    field = tail - g - inst.sum(axis=0)
-    bad |= ~(np.isfinite(g) & np.isfinite(inst).all(axis=0))
-    if not bad.any():
-        bad = ~np.isfinite(field)
-    return field, (int(np.argmax(bad)) if bad.any() else None)
+                for i, f_part in enumerate(f_parts):
+                    terms = _tail_row(f_part, tau, ym, um, k) * phi[k:]
+                    tails[i, k] = mu[: n - k] @ terms
+                    bads[i, k] = not np.isfinite(tails[i, k]) and not np.isfinite(terms).all()
+    out = []
+    for part, f_part, tail, bad in zip(parts, f_parts, tails, bads):
+        inst = _instant_rows(problem, grid, f_part, y_star.values, ym, um, snaps)
+        g = evaluate_on(getattr(problem.bundle, "g" + part), {"t": tau, "y": ym, "u": um},
+                        tau.shape)
+        field = tail - g - inst.sum(axis=0)
+        bad |= ~(np.isfinite(g) & np.isfinite(inst).all(axis=0))
+        if not bad.any():
+            bad = ~np.isfinite(field)
+        out.append((field, int(np.argmax(bad)) if bad.any() else None))
+    return out
 
 
 def solve_adjoint(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
@@ -189,4 +199,5 @@ def adjoint_residual(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
                      adj: AdjointTrajectory, grid: Grid) -> float:
     """Max absolute defect of psi under one re-application of the equation."""
     psi = adj.psi.values
-    return float(np.max(np.abs(_tail_field(problem, pair, grid, "_y", psi)[0] - psi)))
+    [(field, _)] = _tail_field(problem, pair, grid, ("_y",), psi, adj.snaps)
+    return float(np.max(np.abs(field - psi)))

@@ -7,7 +7,8 @@ The pointwise Hamiltonian along a pair is
            - sum_i 1[t < t_i] f(t_i, t, y*(t), u*(t)) (t_i - t)^(alpha-1) h_y^i(y*(t_i)),
 
 its partials obtained by swapping f, g for the matching symbolic partials; the
-constant factor h_y^i never changes.  A control is singular when sup|H_u| sits
+constant factor h_y^i never changes.  Only H_u, H_uu, H_yy and H_yu are read,
+so H itself is never computed.  A control is singular when sup|H_u| sits
 below tolerance; the second-order necessary condition then requires the
 quadratic form
 
@@ -26,17 +27,10 @@ of the form tabulates QM, once per pair and, for a convolution Q, with no
 table of R: K = L^T W L + diag(h H_uu) + C + C^T, with L the factor rows, W
 their weights and C = diag(h H_yu) QM.
 
-The verdict reads lambda_max(K).  An eigenvector is needed only when it exceeds
-the tolerance, as the improving direction.  When the Gershgorin bound
-max_i (K_ii + sum_{j != i} |K_ij|) <= tol proves that it cannot, no direction
-can be reported and lambda_max alone is needed: a K with no off-diagonal
-non-zero (Q = 0, so K = diag(h H_uu)) gives it as its largest diagonal entry,
-with no eigensolver, and any other K by eigenvalues alone (`eigvalsh`).
-Otherwise, or if that lambda_max still lands above tol, `eigh` runs, and a
-violation takes its direction from it.  A diagonal K's lambda_max is exact; the
-eigensolvers return the same bits whenever LAPACK need not rescale K (max|K|
-between about 1e-146 and 1e145).  On any other K `eigvalsh` and `eigh` differ
-at roundoff, about eps max|K|.
+The verdict reads lambda_max(K) by the cheapest route `second_order_test`
+allows.  A diagonal K's lambda_max is exact; the eigensolvers return the same
+bits whenever LAPACK need not rescale K (max|K| between about 1e-146 and
+1e145), and on any other K `eigvalsh` and `eigh` differ by about eps max|K|.
 """
 
 from __future__ import annotations
@@ -61,9 +55,8 @@ CROSS_TERM_CONVENTION = (
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianFields:
-    """Hamiltonian and the partials the optimality tests need, on midpoints."""
+    """The partials of the Hamiltonian that the optimality tests read, on midpoints."""
 
-    h: Trajectory
     h_u: Trajectory
     h_uu: Trajectory
     h_yy: Trajectory
@@ -106,31 +99,23 @@ class SecondOrderReport:
 
 def default_tolerance(fields: HamiltonianFields) -> float:
     """Discretization noise scales with the problem's curvature magnitude."""
-    scale = float(np.max(np.abs(fields.h_uu.values))) * fields.h.grid.T
+    scale = float(np.max(np.abs(fields.h_uu.values))) * fields.h_uu.grid.T
     return 1e-6 * (1.0 + scale)
 
 
 def hamiltonian_fields(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
                        psi: AdjointTrajectory, grid: Grid) -> HamiltonianFields:
-    """H and its (u, y) partials on midpoints along the pair, one `_tail_field`
-    each: O(N^2) time and O(N) memory, or O(N) evaluations and one correlation
-    when f's partial ignores t.  A non-finite field raises NumericsError
-    naming the field and the first midpoint whose sampled term is not finite,
-    or, when only a sum overflowed, the field's first bad midpoint."""
-    def field(name, part) -> Trajectory:
-        vals, k = _tail_field(problem, pair, grid, part, psi.psi.values)
+    """H_u, H_uu, H_yy and H_yu (never H, which nothing reads) on midpoints
+    along the pair, from one `_tail_field` pass.  A non-finite field raises
+    NumericsError naming the first such field and the midpoint `_tail_field`
+    reports for it."""
+    parts = ("_u", "_uu", "_yy", "_yu")
+    fields = _tail_field(problem, pair, grid, parts, psi.psi.values, psi.snaps)
+    for part, (_, k) in zip(parts, fields):
         if k is not None:
-            raise NumericsError(f"Hamiltonian field {name} is not finite at midpoint {k}"
+            raise NumericsError(f"Hamiltonian field H{part} is not finite at midpoint {k}"
                                 f" (t = {grid.midpoints[k]:g})")
-        return Trajectory(grid, "midpoints", vals)
-
-    return HamiltonianFields(
-        h=field("H", ""),
-        h_u=field("H_u", "_u"),
-        h_uu=field("H_uu", "_uu"),
-        h_yy=field("H_yy", "_yy"),
-        h_yu=field("H_yu", "_yu"),
-    )
+    return HamiltonianFields(*(Trajectory(grid, "midpoints", vals) for vals, _ in fields))
 
 
 def detect_singular(fields: HamiltonianFields, tol: float | None = None) -> SingularVerdict:
@@ -244,13 +229,14 @@ def second_order_test(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
 
     fields are the Hamiltonian fields along the pair.  Builds K, takes its
     extreme eigenvalue, and returns the eigenvector as an improving direction
-    when the form can be made positive.  A diagonal K has lambda_max as its
-    largest entry, read with no eigensolver.  For any other K whose Gershgorin
-    bound is at most tol the verdict can only be holds, and lambda_max alone is
-    taken from `eigvalsh`.  The verdict always comes from a computed
-    eigenvalue, and a violation's direction always from `eigh`.  If the
-    control is not singular the test does not apply and the verdict is
-    inconclusive.
+    when the form can be made positive.  A diagonal K (Q = 0, so
+    K = diag(h H_uu)) has lambda_max as its largest entry, read with no
+    eigensolver.  For any other K whose Gershgorin bound
+    max_i (K_ii + sum_{j != i} |K_ij|) is at most tol the verdict can only be
+    holds, and lambda_max alone is taken from `eigvalsh`.  The verdict always
+    comes from a computed eigenvalue, and a violation's direction always from
+    `eigh`.  If the control is not singular the test does not apply and the
+    verdict is inconclusive.
     """
     verdict = detect_singular(fields, tol)
     if not verdict.singular:
@@ -268,12 +254,9 @@ def second_order_test(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
         return SecondOrderReport("holds", lam, verdict.tol, verdict.sup_hu, K, None)
     eigenvalues, eigenvectors = np.linalg.eigh(K)
     lam = float(eigenvalues[-1])
-    direction = None
-    if lam > verdict.tol:
-        vec = eigenvectors[:, -1]
-        peak = int(np.argmax(np.abs(vec)))
-        vec = vec / vec[peak]  # sup-norm one, peak positive: deterministic sign
-        direction = Trajectory(grid, "midpoints", vec)
-        return SecondOrderReport("violated", lam, verdict.tol, verdict.sup_hu,
-                                 K, direction)
-    return SecondOrderReport("holds", lam, verdict.tol, verdict.sup_hu, K, None)
+    if lam <= verdict.tol:
+        return SecondOrderReport("holds", lam, verdict.tol, verdict.sup_hu, K, None)
+    vec = eigenvectors[:, -1]
+    vec = vec / vec[int(np.argmax(np.abs(vec)))]  # sup-norm one, peak positive: one sign
+    return SecondOrderReport("violated", lam, verdict.tol, verdict.sup_hu, K,
+                             Trajectory(grid, "midpoints", vec))

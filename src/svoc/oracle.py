@@ -42,9 +42,16 @@ def mittag_leffler(alpha: float, z: float) -> float:
 
 
 def _mittag_leffler_series(alpha: float, z: np.ndarray) -> np.ndarray:
-    """mittag_leffler at every entry of z: one Kahan sum over the array, with
-    lgamma(n alpha + 1) once per series index and a stop test per entry.  Of
-    the entries that fail, the first one's error is raised."""
+    """mittag_leffler at every entry of z, raising the first failing entry's error."""
+    out, errors = _mittag_leffler_entries(alpha, z)
+    if errors:
+        raise errors[min(errors)]
+    return out
+
+
+def _mittag_leffler_entries(alpha: float, z: np.ndarray) -> tuple[np.ndarray, dict]:
+    """mittag_leffler at every entry of z, from that entry alone, and each failing
+    entry's error by index: one Kahan sum over z, lgamma(n alpha + 1) once per n."""
     if alpha <= 0.0:
         raise ValueError(f"exponent must be positive, got {alpha}")
     out = np.ones(z.shape)
@@ -82,15 +89,13 @@ def _mittag_leffler_series(alpha: float, z: np.ndarray) -> np.ndarray:
     for i in live:
         errors[int(i)] = SeriesError(
             f"no convergence in 10000 terms for alpha={alpha}, z={float(z[i])}")
-    if errors:
-        raise errors[min(errors)]
-    return out
+    return out, errors
 
 
 def linear_analytic_solution(lam: float, alpha: float, t: np.ndarray) -> np.ndarray:
-    """Solution of y = 1 + lam * int_0^t y(s) (t-s)^(alpha-1) ds."""
-    z = lam * math.gamma(alpha)
-    return _mittag_leffler_series(alpha, z * np.asarray(t, float) ** alpha)
+    """Solution E_alpha(lam Gamma(alpha) t^alpha) of
+    y = 1 + lam * int_0^t y(s) (t-s)^(alpha-1) ds."""
+    return _mittag_leffler_series(alpha, lam * math.gamma(alpha) * np.asarray(t, float) ** alpha)
 
 
 @dataclass(frozen=True)
@@ -151,13 +156,9 @@ def fd_expansion_check(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory]
         model1 = -delta * hu_pairing
         model2 = model1 - 0.5 * delta**2 * qf
         rows.append(ExpansionRow(delta, dj, model1, model2, dj - model2))
-    ratios = []
-    for a, b in zip(rows, rows[1:]):
-        if abs(a.residual) <= EXACT_FLOOR * (1.0 + abs(a.delta_j)):
-            ratios.append(float("nan"))
-        else:
-            ratios.append(b.residual / a.residual)
-    return ExpansionReport(tuple(rows), tuple(ratios), hu_pairing, qf, variational)
+    ratios = tuple(float("nan") if abs(a.residual) <= EXACT_FLOOR * (1.0 + abs(a.delta_j))
+                   else b.residual / a.residual for a, b in zip(rows, rows[1:]))
+    return ExpansionReport(tuple(rows), ratios, hu_pairing, qf, variational)
 
 
 @dataclass(frozen=True)
@@ -189,10 +190,8 @@ def variational_fd_check(problem: ProblemSpec, pair: tuple[Trajectory, Trajector
         e2.append(float(np.max(np.abs(diff - y1.values - 0.5 * delta * y2.values))))
 
     def ratio_table(errors):
-        out = []
-        for a, b in zip(errors, errors[1:]):
-            out.append(float("nan") if a <= EXACT_FLOOR * scale else a / b)
-        return tuple(out)
+        return tuple(float("nan") if a <= EXACT_FLOOR * scale else a / b
+                     for a, b in zip(errors, errors[1:]))
 
     return VariationalReport(
         deltas, tuple(e1), tuple(e2), ratio_table(e1), ratio_table(e2),
@@ -215,17 +214,25 @@ class ConvergenceReport:
 
 
 def convergence_study(lam: float, alpha: float, ns, T: float = 1.0) -> ConvergenceReport:
-    """Sup-error table for the linear problem against its series solution."""
+    """Sup-error table for the linear problem against its series solution, summed
+    once on all grids' nodes; after its march a grid raises its first failing node's error."""
     ns = [int(n) for n in ns]
     if any(n <= prev for prev, n in zip(ns, ns[1:])):
         raise ValueError(f"grid sizes must be strictly increasing, got {ns}")
+    if not ns:
+        return ConvergenceReport(lam, alpha, ())
+    problem = builtin_problem("abel_linear", {"lam": lam, "alpha": alpha, "T": T})
+    grids = [make_grid(T, n) for n in ns]
+    nodes = np.unique(np.concatenate([grid.nodes for grid in grids]))
+    series, errors = _mittag_leffler_entries(alpha, lam * math.gamma(alpha) * nodes**alpha)
     rows, prev_n, prev_err = [], None, None
-    for n in ns:
-        problem = builtin_problem("abel_linear", {"lam": lam, "alpha": alpha, "T": T})
-        grid = make_grid(T, n)
-        control = Trajectory.constant(0.0, grid)
-        y = solve_state(problem, control, grid)
-        ref = linear_analytic_solution(lam, alpha, grid.nodes)
+    for n, grid in zip(ns, grids):
+        y = solve_state(problem, Trajectory.constant(0.0, grid), grid)
+        at = np.searchsorted(nodes, grid.nodes)
+        failed = at[np.isin(at, list(errors))]
+        if failed.size:
+            raise errors[int(failed[0])]
+        ref = series[at]
         err = float(np.max(np.abs(y.values - ref)) / np.max(np.abs(ref)))
         order = float("nan") if prev_err is None else (
             math.log2(prev_err / err) / math.log2(n / prev_n) if err > 0 else float("inf"))

@@ -492,7 +492,7 @@ def test_non_finite_hamiltonian_term_names_its_own_midpoint(tmp_path, capsys):
                    tmp_path)
         assert code == 2, f
         assert error_lines(capsys) == [
-            "numerical failure: Hamiltonian field H is not finite at midpoint 2 (t = 0.625)"], f
+            "numerical failure: Hamiltonian field H_u is not finite at midpoint 2 (t = 0.625)"], f
 
 
 @pytest.mark.parametrize("c", ["1", "-1"])

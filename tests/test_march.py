@@ -13,11 +13,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import svoc.adjoint
 import svoc.quadrature
 from svoc import state
 from svoc.adjoint import (AdjointTrajectory, _instant_rows, _tail_field, _tail_sums,
                           adjoint_residual, snap_instants, solve_adjoint)
-from svoc.errors import AdjointStepError, StateBlowupError
+from svoc.errors import AdjointStepError, NumericsError, StateBlowupError
 from svoc.expr import parse_expression
 from svoc.optimality import hamiltonian_fields
 from svoc.problem import InstantCost, ProblemSpec, builtin_problem
@@ -220,7 +221,7 @@ def test_marches_match_the_row_loop(kernel, n):
 
     b = problem.bundle
     fields = hamiltonian_fields(problem, pair, adj, grid)
-    for name in ("", "_u", "_uu", "_yy", "_yu"):
+    for name in ("_u", "_uu", "_yy", "_yu"):
         want = ref_tail_field(problem, pair, grid, getattr(b, "f" + name),
                               getattr(b, "g" + name), adj.psi.values)
         assert_close(getattr(fields, "h" + name).values, want)
@@ -234,17 +235,123 @@ def test_marches_match_the_row_loop(kernel, n):
 
 # --- failures at the same row ---------------------------------------------------
 
-@pytest.mark.parametrize("f", ["(s - 0.375)/(s - 0.625)",  # separates
-                               "(2 + sin(t*s))*(s - 0.375)/(s - 0.625)"])  # the row loop
+@pytest.mark.parametrize("f", ["(s - 0.375)/(s - 0.625)*y",  # separates
+                               "(2 + sin(t*s))*(s - 0.375)/(s - 0.625)*y"])  # the row loop
 def test_tail_field_names_the_first_non_finite_term_not_the_first_overflowing_sum(f):
-    # with phi = 1.5e308, row 0's terms are finite but their sum overflows;
-    # the pole in s on midpoint 2 gives the first term that is not finite
+    # with phi = 1.5e308, row 0's terms of f_y are finite but their sum
+    # overflows; the pole in s on midpoint 2 gives the first term that is not finite
     grid = make_grid(1.0, 4)
     pair = (Trajectory.constant(1.0, grid), Trajectory.constant(0.0, grid))
-    field, first_bad = _tail_field(custom(0.5, "1", f, "0"), pair, grid, "",
-                                   np.full(grid.n, 1.5e308))
+    problem = custom(0.5, "1", f, "0")
+    [(field, first_bad)] = _tail_field(problem, pair, grid, ("_y",), np.full(grid.n, 1.5e308),
+                                       snap_instants(problem, grid))
     assert not np.isfinite(field[0])
     assert first_bad == 2
+
+
+# --- every Hamiltonian partial from one pass over the pair ------------------------
+
+HAMILTONIAN_PARTS = ("_u", "_uu", "_yy", "_yu")
+
+
+def one_part_tail_field(problem, pair, grid, part, phi):
+    """The field of one part with its own samples and its own correlation, and
+    where it fails: each Hamiltonian partial alone, as `_tail_field` took it
+    before the parts shared one pass."""
+    n = grid.n
+    tau, ym, um, mu = midpoint_data(problem, pair, grid)
+    f_part, g_part = getattr(problem.bundle, "f" + part), getattr(problem.bundle, "g" + part)
+    with np.errstate(all="ignore"):
+        if problem.terms is not None:
+            a, (b,) = state._term_samples(problem, tau, {"s": tau, "y": ym, "u": um}, (part,))
+            x = a * phi
+            bad = ~(np.isfinite(x).all(axis=0) & np.isfinite(b).all(axis=0))
+            tail = np.sum(b * _tail_sums(x, mu), axis=0)
+        else:
+            tail, bad = np.empty(n), np.zeros(n, dtype=bool)
+            for k in range(n):
+                terms = ref_row(f_part, tau, ym, um, k) * phi[k:]
+                tail[k] = mu[: n - k] @ terms
+                bad[k] = not np.isfinite(tail[k]) and not np.isfinite(terms).all()
+    inst = _instant_rows(problem, grid, f_part, pair[0].values, ym, um,
+                         snap_instants(problem, grid))
+    g = evaluate_on(g_part, {"t": tau, "y": ym, "u": um}, tau.shape)
+    field = tail - g - inst.sum(axis=0)
+    bad |= ~(np.isfinite(g) & np.isfinite(inst).all(axis=0))
+    if not bad.any():
+        bad = ~np.isfinite(field)
+    return field, (int(np.argmax(bad)) if bad.any() else None)
+
+
+def bits(x):
+    return np.ascontiguousarray(x, dtype=float).view(np.int64)
+
+
+def count_tail_sums(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _tail_sums(*args)
+
+    monkeypatch.setattr(svoc.adjoint, "_tail_sums", counted)
+    return calls
+
+
+ONE_PASS = {
+    "paper_example": (lambda: builtin_problem("paper_example"), "0.3 + 0.2*sin(2*t)"),
+    "lq": (lambda: builtin_problem("lq", {"a": 0.7, "b": -1.2, "r": 1.3}), "0.4"),
+    "sing_quad_c=1": (lambda: builtin_problem("sing_quad", {"c": 1}), "0"),
+    "sing_quad_c=-1": (lambda: builtin_problem("sing_quad", {"c": -1}), "0"),
+    "three_terms_two_instants": (lambda: custom(0.5, "1", "sin(t)*y + cos(t)*u^2 + t*y*u",
+                                                "y^2 + u^2", [(0.5, "y^2"), (1.0, "y")]),
+                                 "0.3 + 0.2*sin(2*t)"),
+    "non_separable": KERNELS["non_separable"],
+}
+
+
+@pytest.mark.parametrize("n", [3, 200])
+@pytest.mark.parametrize("case", sorted(ONE_PASS))
+def test_hamiltonian_fields_take_one_correlation_and_each_partials_own_bits(case, n,
+                                                                             monkeypatch):
+    make, control = ONE_PASS[case]
+    problem = make()
+    grid = make_grid(problem.T, n)
+    u = Trajectory.from_expression(control, grid)
+    pair = (solve_state(problem, u, grid), u)
+    adj = solve_adjoint(problem, pair, grid)
+    calls = count_tail_sums(monkeypatch)
+    fields = hamiltonian_fields(problem, pair, adj, grid)
+    assert len(calls) == (problem.terms is not None)  # the row loop correlates nothing
+    for part in HAMILTONIAN_PARTS:
+        want, first_bad = one_part_tail_field(problem, pair, grid, part, adj.psi.values)
+        assert first_bad is None
+        assert np.array_equal(bits(getattr(fields, "h" + part).values), bits(want)), part
+    [(field, first_bad)] = _tail_field(problem, pair, grid, ("_y",), adj.psi.values, adj.snaps)
+    want = one_part_tail_field(problem, pair, grid, "_y", adj.psi.values)
+    assert np.array_equal(bits(field), bits(want[0])) and first_bad == want[1] is None
+
+
+def test_a_pole_of_a_term_reaches_only_the_partials_that_read_it(monkeypatch):
+    # y*u/(t - 0.625) has a pole on midpoint 2 and b_uu = b_yy = 0, so H_u and
+    # H_yu fail there while H_yy (from 0.3*y^2 alone) and H_uu stay finite
+    problem = custom(0.5, "1", "0.3*y^2 + y*u/(t - 0.625)", "y^2 + u^2", [(0.5, "y")])
+    grid = make_grid(1.0, 4)
+    pair = (Trajectory.constant(1.0, grid), Trajectory.constant(0.2, grid))
+    psi = Trajectory(grid, "midpoints", np.cos(grid.midpoints))
+    snaps = snap_instants(problem, grid)
+    calls = count_tail_sums(monkeypatch)
+    got = _tail_field(problem, pair, grid, HAMILTONIAN_PARTS, psi.values, snaps)
+    assert len(calls) == 1
+    for part, (field, first_bad) in zip(HAMILTONIAN_PARTS, got):
+        want, want_bad = one_part_tail_field(problem, pair, grid, part, psi.values)
+        assert first_bad == want_bad, part
+        assert np.array_equal(bits(field), bits(want)), part
+    assert [first_bad for _, first_bad in got] == [2, None, None, 2]
+    adj = AdjointTrajectory(psi, np.zeros((1, grid.n)), snaps)
+    with pytest.raises(NumericsError, match=r"field H_u is not finite at midpoint 2 \(t = 0.625\)"):
+        hamiltonian_fields(problem, pair, adj, grid)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("f", ["{c}*y^2", "{c}*(1 + t)*y^2*(1 + u)",

@@ -45,7 +45,6 @@ def test_benchmark_fields_at_rest_control():
     (y, u), fields = fields_for(problem, grid)
     tau = grid.midpoints
     ym = y.midpoint_values()
-    assert np.max(np.abs(fields.h.values)) == 0.0
     expect_hu = -ym - ym / np.sqrt(1.0 - tau)
     assert np.max(np.abs(fields.h_u.values - expect_hu)) <= 1e-12
     verdict = detect_singular(fields)
@@ -89,7 +88,7 @@ def test_detection_with_explicit_gradient():
     assert detect_singular(fields, tol=3.0).singular  # loose tolerance flips it
 
 
-FIELD_PARTIALS = {"h": "", "h_u": "_u", "h_uu": "_uu", "h_yy": "_yy", "h_yu": "_yu",
+FIELD_PARTIALS = {"h_u": "_u", "h_uu": "_uu", "h_yy": "_yy", "h_yu": "_yu",
                   "costate_rhs": "_y"}
 
 
@@ -159,7 +158,7 @@ def test_fields_and_residual_match_dense_reference(case, n):
 
     fields = hamiltonian_fields(problem, pair, adj, grid)
     want = dense_fields(problem, pair, adj.psi.values, grid)
-    for name in ("h", "h_u", "h_uu", "h_yy", "h_yu"):
+    for name in ("h_u", "h_uu", "h_yy", "h_yu"):
         assert_close(getattr(fields, name).values, want[name])
 
     # off the solution, so the residual is O(1) rather than roundoff

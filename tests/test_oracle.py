@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from svoc.errors import SeriesError
+from svoc.errors import SeriesError, StateBlowupError
 from svoc.expr import parse_expression
 from svoc import state
 from svoc.oracle import (
@@ -125,6 +125,43 @@ def test_convergence_errors_decrease():
     assert math.isnan(report.rows[0].order)
     for row in report.rows[1:]:
         assert 0.7 <= row.order <= 1.2  # measured 0.92 / 0.97
+
+
+def grid_by_grid_study(lam, alpha, ns):
+    """The errors of convergence_study with the series run on each grid in
+    turn, after that grid's march: the loop the one shared series replaced."""
+    errors = []
+    for n in ns:
+        problem = builtin_problem("abel_linear", {"lam": lam, "alpha": alpha, "T": 1.0})
+        grid = make_grid(1.0, n)
+        y = solve_state(problem, Trajectory.constant(0.0, grid), grid)
+        ref = linear_analytic_solution(lam, alpha, grid.nodes)
+        errors.append(float(np.max(np.abs(y.values - ref)) / np.max(np.abs(ref))))
+    return errors
+
+
+@pytest.mark.parametrize("lam, alpha", [(0.8, 0.5), (-1.1, 0.3), (1.0, 0.8)])
+def test_convergence_errors_match_the_grid_by_grid_series(lam, alpha):
+    ns = [512, 1024, 2048, 4096]
+    report = convergence_study(lam, alpha, ns)
+    assert [row.error for row in report.rows] == grid_by_grid_study(lam, alpha, ns)
+
+
+# each series failure sits on the first grid, whose nodes hold the largest |z|
+@pytest.mark.parametrize("lam, alpha, ns, error", [
+    (1.0, 0.2, [4, 8, 16], SeriesError),           # the series sum overflows
+    (-1.1, 0.2, [16, 64, 256], SeriesError),       # a term overflows; march 2 would blow up
+    (-5.0, 0.3, [4, 8, 16], SeriesError),          # a term overflows; march 3 would blow up
+    (20.0, 0.2, [4, 8, 16], ValueError),           # |z| > 50; march 2 would blow up
+    (-20.0, 0.5, [16, 64, 256], StateBlowupError),  # march 1 blows up; the series would fail
+    (1.0, 0.3, [16, 64, 256], StateBlowupError),   # march 3 blows up; the series holds
+])
+def test_convergence_failures_match_the_grid_by_grid_series(lam, alpha, ns, error):
+    with pytest.raises(error) as want:
+        grid_by_grid_study(lam, alpha, ns)
+    with pytest.raises(error) as got:
+        convergence_study(lam, alpha, ns)
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
 
 
 # --- cost expansion -----------------------------------------------------------
