@@ -32,8 +32,8 @@ def run(n: int) -> None:
         y = solve_state(problem, u, grid)
         cost = evaluate_cost(problem, y, u, grid)
         err = np.max(np.abs(y.values - exact))
-        adj = solve_adjoint(problem, (y, u), grid)
-        fields = hamiltonian_fields(problem, (y, u), adj, grid)
+        psi = solve_adjoint(problem, (y, u), grid)
+        fields = hamiltonian_fields(problem, (y, u), psi, grid)
         verdict = detect_singular(fields)
         print(f"{label:10s}  J = {cost.total:+.12f}  state error = {err:.3e}  "
               f"sup|H_u| = {verdict.sup_hu:.4g} -> "

@@ -5,7 +5,7 @@ second-order necessary-condition tests, and finite-difference oracles
 that validate each identity independently.
 """
 
-from .adjoint import AdjointTrajectory, InstantSnap, adjoint_residual, solve_adjoint
+from .adjoint import InstantSnap, adjoint_residual, solve_adjoint
 from .errors import (AdjointStepError, KernelAssemblyError, NumericsError, SeriesError,
                      StateBlowupError)
 from .expr import ExpressionError, NonSmoothWarning, ScalarExpr, differentiate, parse_expression
@@ -26,7 +26,7 @@ from .state import (CostBreakdown, Trajectory, evaluate_cost, solve_state,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjointStepError", "AdjointTrajectory", "BUILTIN_SIGNATURES", "ConvergenceReport",
+    "AdjointStepError", "BUILTIN_SIGNATURES", "ConvergenceReport",
     "CostBreakdown", "DerivativeBundle", "ExpansionReport", "ExpressionError", "Grid",
     "HamiltonianFields", "InstantCost", "InstantSnap", "KernelAssemblyError", "MKernel",
     "NonSmoothWarning", "NumericsError", "ProblemSpec", "ProblemValidationError",

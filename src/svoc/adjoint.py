@@ -7,10 +7,13 @@ The costate satisfies
              - sum_i 1[t < t_i] f_y(t_i, t, y*(t), u*(t)) (t_i - t)^(alpha-1) h_y^i(y*(t_i)),
 
 with the convention that the first argument of f (and its partials) is always
-the later time, so every evaluation stays inside the kernel's domain.  psi
-lives on midpoints: instant times sit on nodes, so the (t_i - t)^(alpha-1)
-factor is never evaluated at its pole.  When f separates the march and every
-tail sum run on the terms of `ProblemSpec.terms`, else row by row.
+the later time, so every evaluation stays inside the kernel's domain.
+`solve_adjoint` returns psi as a plain midpoint `Trajectory`: instant times
+sit on nodes, so the (t_i - t)^(alpha-1) factor is never evaluated at its
+pole.  The Hamiltonian partials are the same sum with f_y, g_y swapped for
+other partials; one call evaluates each instant's h_y^i once for all the
+partials it reads.  When f separates the march and every tail sum run on the
+terms of `ProblemSpec.terms`, else row by row.
 """
 
 from __future__ import annotations
@@ -45,30 +48,26 @@ def snap_instants(problem: ProblemSpec, grid: Grid) -> tuple[InstantSnap, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, eq=False)
-class AdjointTrajectory:
-    """Costate on midpoints plus the singular instant-term samples that fed it."""
-
-    psi: Trajectory
-    instant_terms: np.ndarray  # shape (num instants, num midpoints)
-    snaps: tuple[InstantSnap, ...]
-
-
-def _instant_rows(problem: ProblemSpec, grid: Grid, expression,
-                  y_nodes: np.ndarray, ym: np.ndarray, um: np.ndarray,
-                  snaps: tuple[InstantSnap, ...]) -> np.ndarray:
-    """Rows 1[tau_k < t_i] expr(t_i, tau_k, y*_k, u*_k) (t_i - tau_k)^(alpha-1) h_y^i."""
+def _free_terms(problem: ProblemSpec, grid: Grid, y_nodes: np.ndarray, ym: np.ndarray,
+                um: np.ndarray, parts: tuple[str, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per part, g_part(tau_k, y*_k, u*_k) and the instant rows
+    1[tau_k < t_i] f_part(t_i, tau_k, y*_k, u*_k) (t_i - tau_k)^(alpha-1) h_y^i;
+    h_y^i, the live midpoints and the singular factor are formed once per instant."""
     tau = grid.midpoints
-    rows = np.zeros((len(snaps), grid.n))
-    for i, snap in enumerate(snaps):
-        hy = float(problem.bundle.instants[i].h_y.evaluate(y=y_nodes[snap.node_index]))
+    b = problem.bundle
+    out = [(evaluate_on(getattr(b, "g" + part), {"t": tau, "y": ym, "u": um}, tau.shape),
+            np.zeros((len(b.instants), grid.n))) for part in parts]
+    for i, snap in enumerate(snap_instants(problem, grid)):
+        hy = float(b.instants[i].h_y.evaluate(y=y_nodes[snap.node_index]))
         live = tau < snap.snapped_time
         if hy == 0.0 or not live.any():
             continue
         env = {"t": snap.snapped_time, "s": tau[live], "y": ym[live], "u": um[live]}
-        vals = evaluate_on(expression, env, tau[live].shape)
-        rows[i, live] = vals * (snap.snapped_time - tau[live]) ** (problem.alpha - 1.0) * hy
-    return rows
+        factor = (snap.snapped_time - tau[live]) ** (problem.alpha - 1.0)
+        for part, (_, rows) in zip(parts, out):
+            vals = evaluate_on(getattr(b, "f" + part), env, tau[live].shape)
+            rows[i, live] = vals * factor * hy
+    return out
 
 
 def _tail_row(expression, tau: np.ndarray, ym: np.ndarray, um: np.ndarray,
@@ -92,8 +91,7 @@ def _tail_sums(x: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
 
 def _tail_field(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory], grid: Grid,
-                parts: tuple[str, ...], phi: np.ndarray, snaps: tuple[InstantSnap, ...]
-                ) -> list[tuple[np.ndarray, int | None]]:
+                parts: tuple[str, ...], phi: np.ndarray) -> list[tuple[np.ndarray, int | None]]:
     """Per part in parts, sum_{j>=k} mu[j-k] f_part(tau_j, tau_k, y*_k, u*_k) phi_j -
     g_part(tau_k, ...) minus f_part's instant rows, per midpoint k (H's partials, or for
     "_y" the costate right-hand side), from one pass over the pair.  When f separates
@@ -130,11 +128,8 @@ def _tail_field(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory], grid:
                     terms = _tail_row(f_part, tau, ym, um, k) * phi[k:]
                     tails[i, k] = mu[: n - k] @ terms
                     bads[i, k] = not np.isfinite(tails[i, k]) and not np.isfinite(terms).all()
-    out = []
-    for part, f_part, tail, bad in zip(parts, f_parts, tails, bads):
-        inst = _instant_rows(problem, grid, f_part, y_star.values, ym, um, snaps)
-        g = evaluate_on(getattr(problem.bundle, "g" + part), {"t": tau, "y": ym, "u": um},
-                        tau.shape)
+    out, free = [], _free_terms(problem, grid, y_star.values, ym, um, parts)
+    for tail, bad, (g, inst) in zip(tails, bads, free):
         field = tail - g - inst.sum(axis=0)
         bad |= ~(np.isfinite(g) & np.isfinite(inst).all(axis=0))
         if not bad.any():
@@ -144,7 +139,7 @@ def _tail_field(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory], grid:
 
 
 def solve_adjoint(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
-                  grid: Grid) -> AdjointTrajectory:
+                  grid: Grid) -> Trajectory:
     """March the costate backward from the horizon.
 
     The diagonal half cell couples psi_k to itself linearly; the step fails if
@@ -161,9 +156,8 @@ def solve_adjoint(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
     um = u_star.midpoint_values()
     b = problem.bundle
     mu = midpoint_weights(problem.alpha, grid)
-    snaps = snap_instants(problem, grid)
-    inst = _instant_rows(problem, grid, b.f_y, y_star.values, ym, um, snaps)
-    known = evaluate_on(b.g_y, {"t": tau, "y": ym, "u": um}, tau.shape) + inst.sum(axis=0)
+    [(g, inst)] = _free_terms(problem, grid, y_star.values, ym, um, ("_y",))
+    known = g + inst.sum(axis=0)
     denom = 1.0 - mu[0] * evaluate_on(b.f_y, {"t": tau, "s": tau, "y": ym, "u": um}, tau.shape)
     if problem.terms is not None:
         # on the reversed index r = n - 1 - k: psi_k = (tail - known_k) / denom_k
@@ -192,12 +186,11 @@ def solve_adjoint(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
             psi[k] = (tail - known[k]) / denom[k]
             if not np.isfinite(psi[k]):
                 raise AdjointStepError(k, denom[k])
-    return AdjointTrajectory(Trajectory(grid, "midpoints", psi), inst, snaps)
+    return Trajectory(grid, "midpoints", psi)
 
 
 def adjoint_residual(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
-                     adj: AdjointTrajectory, grid: Grid) -> float:
+                     psi: Trajectory, grid: Grid) -> float:
     """Max absolute defect of psi under one re-application of the equation."""
-    psi = adj.psi.values
-    [(field, _)] = _tail_field(problem, pair, grid, ("_y",), psi, adj.snaps)
-    return float(np.max(np.abs(field - psi)))
+    [(field, _)] = _tail_field(problem, pair, grid, ("_y",), psi.values)
+    return float(np.max(np.abs(field - psi.values)))

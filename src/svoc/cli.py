@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adjoint import solve_adjoint
+from .adjoint import snap_instants, solve_adjoint
 from .errors import NumericsError
 from .expr import ExpressionError, parse_expression
 from .oracle import convergence_study, fd_expansion_check
@@ -29,9 +29,16 @@ from .reports import dump_json, table_csv, trajectory_csv
 from .state import Trajectory, evaluate_cost, evaluate_on, solve_state
 
 # Grid budget, checked before anything is allocated.  Per grid, a command
-# makes a fixed number of O(N^2) passes (marches and tail quadratures; `verify`
-# makes 12: y*, three perturbed states, costate, five fields, Y1 and Y2) and
-# holds a fixed number of dense (N+1)^2 float64 tables at its peak.
+# makes a fixed number of O(N^2) passes, marches and tail quadratures:
+#   solve     1: y*;
+#   adjoint   2: y* and the costate;
+#   check     7: y*, the costate, the four Hamiltonian partials H_u, H_uu,
+#                H_yy and H_yu (four rows per midpoint of one row loop), and
+#                K's O(N^2) products, charged at either order;
+#   verify   11: y*, three perturbed states, the costate, the four partials,
+#                Y1 and Y2;
+#   converge  1: one state march per grid.
+# It also holds a fixed number of dense (N+1)^2 float64 tables at its peak.
 # Tracemalloc peaks at N = 256, 512 and 1024, in tables, as printed by
 # `scripts/peak_tables.py --ns 256,512,1024`: on `paper_example` at control
 # 0.3, whose Q takes the general path (one product table and two marches),
@@ -43,8 +50,8 @@ from .state import Trajectory, evaluate_cost, evaluate_on, solve_state
 # convolution linearization (f_y constant, f_u free of t) builds Q in O(N^2)
 # flops and holds it in O(N), so that on `lq` (a=0.7, b=-1.2, r=1.3, control
 # 0.4) `verify`, which applies Q to the variation and tabulates neither R nor
-# QM, peaks at 1.25, 0.41 and 0.12 tables, and `check --order 2`, whose K
-# reads QM but no table of R, at 4.46, 4.22 and 4.15; but the budget is
+# QM, peaks at 1.24, 0.40 and 0.12 tables, and `check --order 2`, whose K
+# reads QM but no table of R, at 4.45, 4.21 and 4.15; but the budget is
 # checked before the problem is loaded, so it charges every kernel the
 # O(N^2) row loop and the general Q.
 WORK_BUDGET = 2**34   # sum of (N+1)^2 over a command's passes: `solve` up to N ~ 2^17
@@ -52,9 +59,9 @@ DENSE_BUDGET = 2**31  # bytes of dense tables held at once
 _PASSES_TABLES = {
     ("solve", 1): (1, 0),
     ("adjoint", 1): (2, 0),
-    ("check", 1): (8, 0),
-    ("check", 2): (8, 17),
-    ("verify", 1): (12, 17),
+    ("check", 1): (7, 0),
+    ("check", 2): (7, 17),
+    ("verify", 1): (11, 17),
     ("converge", 1): (1, 0),
 }
 
@@ -240,9 +247,9 @@ def _cmd_adjoint(args) -> int:
     problem, grid, out, control = _setup(args)
     start = time.perf_counter()
     y = solve_state(problem, control, grid)
-    adj = solve_adjoint(problem, (y, control), grid)
+    psi = solve_adjoint(problem, (y, control), grid)
     elapsed = time.perf_counter() - start
-    trajectory_csv(out / "adjoint.csv", grid.midpoints, adj.psi.values)
+    trajectory_csv(out / "adjoint.csv", grid.midpoints, psi.values)
     print(f"wrote adjoint.csv to {out} in {elapsed:.3f}s")
     return 0
 
@@ -252,8 +259,8 @@ def _cmd_check(args) -> int:
     start = time.perf_counter()
     y = solve_state(problem, control, grid)
     cost = evaluate_cost(problem, y, control, grid)
-    adj = solve_adjoint(problem, (y, control), grid)
-    fields = hamiltonian_fields(problem, (y, control), adj, grid)
+    psi = solve_adjoint(problem, (y, control), grid)
+    fields = hamiltonian_fields(problem, (y, control), psi, grid)
     verdict = detect_singular(fields, args.tol)
     files = ["check.json"]
     report = _identity(problem, args)
@@ -268,7 +275,7 @@ def _cmd_check(args) -> int:
         tol=verdict.tol,
         snapped_instants=[
             {"time": s.time, "snapped": s.snapped_time, "distance": s.distance}
-            for s in adj.snaps
+            for s in snap_instants(problem, grid)
         ],
     )
     second = None

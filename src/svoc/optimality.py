@@ -6,11 +6,12 @@ The pointwise Hamiltonian along a pair is
            - g(t, y*(t), u*(t))
            - sum_i 1[t < t_i] f(t_i, t, y*(t), u*(t)) (t_i - t)^(alpha-1) h_y^i(y*(t_i)),
 
-its partials obtained by swapping f, g for the matching symbolic partials; the
-constant factor h_y^i never changes.  Only H_u, H_uu, H_yy and H_yu are read,
-so H itself is never computed.  A control is singular when sup|H_u| sits
-below tolerance; the second-order necessary condition then requires the
-quadratic form
+with psi the midpoint `Trajectory` that `solve_adjoint` returns, its partials
+obtained by swapping f, g for the matching symbolic partials; the constant
+factor h_y^i never changes, and is evaluated once per instant for all the
+partials.  Only H_u, H_uu, H_yy and H_yu are read, so H itself is never
+computed.  A control is singular when sup|H_u| sits below tolerance; the
+second-order necessary condition then requires the quadratic form
 
     QF[v] = int H_uu v^2 + int int v M v + 2 int v(t) H_yu(t) [int_0^t Q(t,s) v(s) ds] dt
 
@@ -40,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .adjoint import AdjointTrajectory, _tail_field, snap_instants
+from .adjoint import _tail_field, snap_instants
 from .errors import KernelAsymmetryError, NumericsError
 from .problem import ProblemSpec
 from .quadrature import Grid
@@ -104,13 +105,13 @@ def default_tolerance(fields: HamiltonianFields) -> float:
 
 
 def hamiltonian_fields(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
-                       psi: AdjointTrajectory, grid: Grid) -> HamiltonianFields:
+                       psi: Trajectory, grid: Grid) -> HamiltonianFields:
     """H_u, H_uu, H_yy and H_yu (never H, which nothing reads) on midpoints
-    along the pair, from one `_tail_field` pass.  A non-finite field raises
+    along the pair and the midpoint costate psi, from one `_tail_field` pass.  A non-finite field raises
     NumericsError naming the first such field and the midpoint `_tail_field`
     reports for it."""
     parts = ("_u", "_uu", "_yy", "_yu")
-    fields = _tail_field(problem, pair, grid, parts, psi.psi.values, psi.snaps)
+    fields = _tail_field(problem, pair, grid, parts, psi.values)
     for part, (_, k) in zip(parts, fields):
         if k is not None:
             raise NumericsError(f"Hamiltonian field H{part} is not finite at midpoint {k}"

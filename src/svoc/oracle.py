@@ -116,31 +116,16 @@ class ExpansionReport:
     variational: VariationalReport  # the check whose states gave delta_j
 
 
-def _check_deltas(deltas) -> tuple[float, ...]:
-    deltas = tuple(float(d) for d in deltas)
-    if not deltas:
-        raise ValueError("deltas must be positive and finite, got none")
-    for d in deltas:
-        if not 0.0 < d < math.inf:  # also catches nan
-            raise ValueError(f"deltas must be positive and finite, got {d}")
-    for d, after in zip(deltas, deltas[1:]):
-        if not after < d:
-            raise ValueError(f"deltas must be strictly decreasing, got {after} after {d}")
-    return deltas
-
-
 def fd_expansion_check(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
-                       v: Trajectory, deltas=DEFAULT_DELTAS) -> ExpansionReport:
+                       v: Trajectory) -> ExpansionReport:
     """Measure J(u* + delta v) - J(u*) along the reference pair (y*, u*) against
     the first- and second-order models on the pair's grid; the cost difference
-    is computed only through forward solves."""
-    deltas = _check_deltas(deltas)
+    is computed only through forward solves, at each delta of DEFAULT_DELTAS."""
     y_star, u_star = pair
     grid = y_star.grid
     base = evaluate_cost(problem, y_star, u_star, grid).total
 
-    adj = solve_adjoint(problem, pair, grid)
-    fields = hamiltonian_fields(problem, pair, adj, grid)
+    fields = hamiltonian_fields(problem, pair, solve_adjoint(problem, pair, grid), grid)
     v_mid = Trajectory(grid, "midpoints", v.midpoint_values())
     hu_pairing = grid.h * float(np.dot(fields.h_u.values, v_mid.values))
     q = build_q_kernel(problem, pair, grid)
@@ -148,9 +133,9 @@ def fd_expansion_check(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory]
     qf = quadratic_form(fields, m, v_mid, grid)
     del q, m  # a general Q's node table is O(N^2), and the sweep reads neither
 
-    variational = variational_fd_check(problem, pair, v, deltas)
+    variational = variational_fd_check(problem, pair, v)
     rows = []
-    for delta, y_pert in zip(deltas, variational.states):
+    for delta, y_pert in zip(DEFAULT_DELTAS, variational.states):
         u_pert = Trajectory(grid, "nodes", u_star.values + delta * v.values)
         dj = evaluate_cost(problem, y_pert, u_pert, grid).total - base
         model1 = -delta * hu_pairing
@@ -174,17 +159,17 @@ class VariationalReport:
 
 
 def variational_fd_check(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
-                         v: Trajectory, deltas=DEFAULT_DELTAS) -> VariationalReport:
+                         v: Trajectory) -> VariationalReport:
     """Taylor-order measurement of the first- and second-order responses on the
-    pair's grid; the states y(u* + delta v) are marched first and returned."""
-    deltas = _check_deltas(deltas)
+    pair's grid; the states y(u* + delta v), delta in DEFAULT_DELTAS, are
+    marched first and returned."""
     y_star = pair[0]
     grid = y_star.grid
-    states, y1 = _march_sweep(problem, pair, v, deltas, grid)
+    states, y1 = _march_sweep(problem, pair, v, DEFAULT_DELTAS, grid)
     y2 = solve_y2(problem, pair, v, y1, grid)
     scale = 1.0 + float(np.max(np.abs(y_star.values)))
     e1, e2 = [], []
-    for delta, y_pert in zip(deltas, states):
+    for delta, y_pert in zip(DEFAULT_DELTAS, states):
         diff = (y_pert.values - y_star.values) / delta
         e1.append(float(np.max(np.abs(diff - y1.values))))
         e2.append(float(np.max(np.abs(diff - y1.values - 0.5 * delta * y2.values))))
@@ -194,7 +179,7 @@ def variational_fd_check(problem: ProblemSpec, pair: tuple[Trajectory, Trajector
                      for a, b in zip(errors, errors[1:]))
 
     return VariationalReport(
-        deltas, tuple(e1), tuple(e2), ratio_table(e1), ratio_table(e2),
+        DEFAULT_DELTAS, tuple(e1), tuple(e2), ratio_table(e1), ratio_table(e2),
         exact1=max(e1) <= EXACT_FLOOR * scale,
         exact2=max(e2) <= EXACT_FLOOR * scale, states=states)
 

@@ -41,22 +41,20 @@ class InstantCost:
 
 @dataclass(frozen=True)
 class InstantDerivs:
-    h: ScalarExpr
     h_y: ScalarExpr
     h_yy: ScalarExpr
 
 
 @dataclass(frozen=True)
 class DerivativeBundle:
-    """All symbolic partials needed by the adjoint and second-order machinery."""
+    """All symbolic partials needed by the adjoint and second-order machinery;
+    f, g and each h themselves live on ProblemSpec."""
 
-    f: ScalarExpr
     f_y: ScalarExpr
     f_u: ScalarExpr
     f_yy: ScalarExpr
     f_yu: ScalarExpr
     f_uu: ScalarExpr
-    g: ScalarExpr
     g_y: ScalarExpr
     g_u: ScalarExpr
     g_yy: ScalarExpr
@@ -128,22 +126,14 @@ class ProblemSpec:
         f_u = differentiate(self.f, "u")
         g_y = differentiate(self.g, "y")
         g_u = differentiate(self.g, "u")
-        instants = tuple(
-            InstantDerivs(
-                h=ic.h,
-                h_y=differentiate(ic.h, "y"),
-                h_yy=differentiate(differentiate(ic.h, "y"), "y"),
-            )
-            for ic in self.instant_costs
-        )
+        h_ys = [differentiate(ic.h, "y") for ic in self.instant_costs]
+        instants = tuple(InstantDerivs(h_y, differentiate(h_y, "y")) for h_y in h_ys)
         return DerivativeBundle(
-            f=self.f,
             f_y=f_y,
             f_u=f_u,
             f_yy=differentiate(f_y, "y"),
             f_yu=differentiate(f_y, "u"),
             f_uu=differentiate(f_u, "u"),
-            g=self.g,
             g_y=g_y,
             g_u=g_u,
             g_yy=differentiate(g_y, "y"),

@@ -55,7 +55,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import KernelAssemblyError
-from .problem import ProblemSpec
+from .problem import DerivativeBundle, ProblemSpec
 from .quadrature import LINEAR_LEAF, Grid, linear_march, midpoint_weights, singular_weights
 from .state import Trajectory
 
@@ -83,7 +83,7 @@ class RegularizedKernel:
     (so r[0] = r[1], and R[n, n] = R[n, n - 1]), so that interpolation near
     the diagonal never reads garbage.  `regular` is the table, built from r
     and g on first read, by the node routes and `resolvent_residual` only.
-    The zero kernel holds neither.
+    A zero R is zero r and g; the zero kernel holds neither.
     """
 
     alpha: float
@@ -383,15 +383,6 @@ def _march(R: np.ndarray, P: np.ndarray, y1: np.ndarray, w: np.ndarray,
     _extend_diagonal(R)
 
 
-def _constant_value(A: KernelFn, grid: Grid) -> Optional[float]:
-    """A's value when it returns one 0-d value for array arguments, that is,
-    when the kernel is the constant A = a and the operator a convolution."""
-    t = grid.nodes[-2:]
-    with np.errstate(all="ignore"):
-        value = np.asarray(A(t[:, None], t), dtype=float)
-    return float(value) if value.ndim == 0 else None
-
-
 def _guard_column(lo: int, values: np.ndarray) -> None:
     """Name the first non-finite entry of a column march by its cell (k, 0)."""
     bad = ~np.isfinite(values)
@@ -456,13 +447,15 @@ def _solve(tb: _HalfCellTables, right: tuple, left: tuple) -> np.ndarray:
 
 def _build(alpha: float, grid: Grid, right_fn: KernelFn, left_fn: KernelFn) -> RegularizedKernel:
     """The kernel with right kernel B = right_fn and left kernel L = left_fn: no
-    table when L's samples all vanish, a zero R when B's do, `_solve` otherwise."""
+    table when L's samples all vanish, a zero R, held as zero lag and node
+    factors, when B's do, `_solve` otherwise."""
     left = _left_samples(left_fn, grid)
     if not (_node_samples(left_fn, grid).any() or left[0].any() or left[1].any()):
         return RegularizedKernel(alpha, grid, left_fn, None)
     right = _right_samples(right_fn, grid)
     if not (right[0].any() or right[1].any()):
-        return RegularizedKernel(alpha, grid, left_fn, np.zeros((grid.n + 1, grid.n + 1)))
+        return RegularizedKernel(alpha, grid, left_fn, r=np.zeros(grid.n + 1),
+                                 g=np.zeros(grid.n + 1))
     R = _solve(_HalfCellTables(alpha, grid), right, left)
     return RegularizedKernel(alpha, grid, left_fn, R)
 
@@ -547,6 +540,15 @@ def _pair_fn(expression, y_star: np.ndarray, u_star: np.ndarray, grid: Grid) -> 
     return fn
 
 
+def _convolution_factor(b: DerivativeBundle) -> Optional[float]:
+    """f_y's value when it is a constant and f_u reads no t, so that Q's
+    regular part is a convolution; else None."""
+    if "t" in b.f_u.free_vars() or b.f_y.free_vars():
+        return None
+    with np.errstate(all="ignore"):
+        return float(b.f_y.evaluate())
+
+
 def build_q_kernel(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
                    grid: Grid) -> RegularizedKernel:
     """Kernel Q with Y1(t) = int_0^t Q(t,s) v(s) ds for every variation v.
@@ -574,12 +576,11 @@ def build_q_kernel(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
     a_fn = _pair_fn(b.f_y, y_star.values, u_star.values, grid)
 
     # if f_u ignores t, its lattice samples are its node values
-    t_free = "t" not in b.f_u.free_vars()
-    if t_free:
+    if "t" not in b.f_u.free_vars():
         g = _sample(c_fn, 0.0, grid.nodes, (n + 1,), True)
         if not g.any():
             return RegularizedKernel(alpha, grid, c_fn)
-    a = _constant_value(a_fn, grid) if t_free and not b.f_y.free_vars() else None
+    a = _convolution_factor(b)
     if a is None:
         return _build(alpha, grid, a_fn, c_fn)
     if a == 0.0:  # a zero R, whatever g holds

@@ -217,17 +217,18 @@ def test_criterion_7_symbolic_derivative_suite():
         "lq": {"a": 0.5, "b": 1.0, "r": 2.0},
     }
     for name in BUILTIN_SIGNATURES:
-        bundle = builtin_problem(name, instances[name]).bundle
+        problem = builtin_problem(name, instances[name])
+        bundle = problem.bundle
         pairs = [
-            (bundle.f, bundle.f_y, "y"), (bundle.f, bundle.f_u, "u"),
+            (problem.f, bundle.f_y, "y"), (problem.f, bundle.f_u, "u"),
             (bundle.f_y, bundle.f_yy, "y"), (bundle.f_y, bundle.f_yu, "u"),
             (bundle.f_u, bundle.f_uu, "u"),
-            (bundle.g, bundle.g_y, "y"), (bundle.g, bundle.g_u, "u"),
+            (problem.g, bundle.g_y, "y"), (problem.g, bundle.g_u, "u"),
             (bundle.g_y, bundle.g_yy, "y"), (bundle.g_y, bundle.g_yu, "u"),
             (bundle.g_u, bundle.g_uu, "u"),
         ]
-        for inst in bundle.instants:
-            pairs += [(inst.h, inst.h_y, "y"), (inst.h_y, inst.h_yy, "y")]
+        for ic, inst in zip(problem.instant_costs, bundle.instants):
+            pairs += [(ic.h, inst.h_y, "y"), (inst.h_y, inst.h_yy, "y")]
         for _ in range(100):
             s = rng.uniform(0.05, 0.9)
             env = {

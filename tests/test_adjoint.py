@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svoc.adjoint import adjoint_residual, snap_instants, solve_adjoint
+from svoc.adjoint import _free_terms, adjoint_residual, snap_instants, solve_adjoint
 from svoc.errors import AdjointStepError
 from svoc.expr import parse_expression
 from svoc.optimality import hamiltonian_fields
@@ -23,9 +23,9 @@ def test_quadratic_state_cost_has_constant_costate():
     problem = builtin_problem("sing_quad", {"c": 1.0})
     grid = make_grid(1.0, 128)
     pair = pair_for(problem, grid)
-    adj = solve_adjoint(problem, pair, grid)
-    assert np.max(np.abs(adj.psi.values + 2.0)) == 0.0
-    assert adjoint_residual(problem, pair, adj, grid) <= 1e-3  # measured 0.0
+    psi = solve_adjoint(problem, pair, grid)
+    assert np.max(np.abs(psi.values + 2.0)) == 0.0
+    assert adjoint_residual(problem, pair, psi, grid) <= 1e-3  # measured 0.0
 
 
 @given(st.floats(-3.0, 3.0))
@@ -34,16 +34,16 @@ def test_costate_ignores_the_kernel_coefficient_at_rest(c):
     # the kernel enters through f_y = 0 whenever u* = 0, any c
     problem = builtin_problem("sing_quad", {"c": c})
     grid = make_grid(1.0, 32)
-    adj = solve_adjoint(problem, pair_for(problem, grid), grid)
-    assert np.max(np.abs(adj.psi.values + 2.0)) == 0.0
+    psi = solve_adjoint(problem, pair_for(problem, grid), grid)
+    assert np.max(np.abs(psi.values + 2.0)) == 0.0
 
 
 def test_costate_vanishes_without_state_coupling():
     problem = ProblemSpec(alpha=0.5, T=1.0, eta=parse_expression("1"),
                           f=parse_expression("u"), g=parse_expression("u^2"))
     grid = make_grid(1.0, 64)
-    adj = solve_adjoint(problem, pair_for(problem, grid, 0.7), grid)
-    assert np.max(np.abs(adj.psi.values)) == 0.0
+    psi = solve_adjoint(problem, pair_for(problem, grid, 0.7), grid)
+    assert np.max(np.abs(psi.values)) == 0.0
 
 
 def test_benchmark_costate_at_rest_control():
@@ -51,10 +51,13 @@ def test_benchmark_costate_at_rest_control():
     problem = builtin_problem("paper_example")
     grid = make_grid(1.0, 128)
     pair = pair_for(problem, grid)
-    adj = solve_adjoint(problem, pair, grid)
-    assert np.max(np.abs(adj.psi.values)) == 0.0
-    assert adj.instant_terms.shape == (1, grid.n)
-    assert not adj.instant_terms.any()
+    psi = solve_adjoint(problem, pair, grid)
+    assert np.max(np.abs(psi.values)) == 0.0
+    y, u = pair
+    [(_, inst)] = _free_terms(problem, grid, y.values, y.midpoint_values(),
+                              u.midpoint_values(), ("_y",))
+    assert inst.shape == (1, grid.n)
+    assert not inst.any()
 
 
 def test_instant_time_snaps_to_nearest_node():
@@ -71,11 +74,14 @@ def test_instant_time_snaps_to_nearest_node():
     assert snap.distance == pytest.approx(4.125e-4, rel=1e-6)
 
     pair = pair_for(problem, grid, 0.5)
-    adj = solve_adjoint(problem, pair, grid)
+    psi = solve_adjoint(problem, pair, grid)
     # the instant term is live strictly before its snapped time
-    live = adj.instant_terms[0] != 0.0
+    y, u = pair
+    [(_, inst)] = _free_terms(problem, grid, y.values, y.midpoint_values(),
+                              u.midpoint_values(), ("_y",))
+    live = inst[0] != 0.0
     assert live.sum() == 55
-    assert adjoint_residual(problem, pair, adj, grid) <= 1e-8  # measured 3.6e-15
+    assert adjoint_residual(problem, pair, psi, grid) <= 1e-8  # measured 3.6e-15
 
 
 def test_directional_derivative_duality():
@@ -94,8 +100,8 @@ def test_directional_derivative_duality():
         + evaluate_on(b.g_u, env, grid.nodes.shape) * v.values,
         grid.h,
     )
-    adj = solve_adjoint(problem, (y, u), grid)
-    fields = hamiltonian_fields(problem, (y, u), adj, grid)
+    psi = solve_adjoint(problem, (y, u), grid)
+    fields = hamiltonian_fields(problem, (y, u), psi, grid)
     costate_route = -grid.h * float(np.dot(fields.h_u.values, v.midpoint_values()))
     assert costate_route == pytest.approx(state_route, rel=2e-2)  # measured 4.7e-4
 

@@ -8,6 +8,7 @@ multi-term, affine-in-y and non-separable kernels.  Failures must name the
 row the row loop names.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -16,8 +17,8 @@ import pytest
 import svoc.adjoint
 import svoc.quadrature
 from svoc import state
-from svoc.adjoint import (AdjointTrajectory, _instant_rows, _tail_field, _tail_sums,
-                          adjoint_residual, snap_instants, solve_adjoint)
+from svoc.adjoint import (_tail_field, _tail_sums, adjoint_residual, snap_instants,
+                          solve_adjoint)
 from svoc.errors import AdjointStepError, NumericsError, StateBlowupError
 from svoc.expr import parse_expression
 from svoc.optimality import hamiltonian_fields
@@ -89,12 +90,27 @@ def ref_row(expression, tau, ym, um, k):
     return evaluate_on(expression, env, (len(tau) - k,))
 
 
+def ref_instant_rows(problem, grid, f_part, y_nodes, ym, um):
+    """Rows 1[tau_k < t_i] f_part(t_i, tau_k, y*_k, u*_k) (t_i - tau_k)^(alpha-1) h_y^i,
+    one part at a time: h_y^i, the live midpoints and the singular factor per part."""
+    tau = grid.midpoints
+    rows = np.zeros((len(problem.instant_costs), grid.n))
+    for i, snap in enumerate(snap_instants(problem, grid)):
+        hy = float(problem.bundle.instants[i].h_y.evaluate(y=y_nodes[snap.node_index]))
+        live = tau < snap.snapped_time
+        if hy == 0.0 or not live.any():
+            continue
+        env = {"t": snap.snapped_time, "s": tau[live], "y": ym[live], "u": um[live]}
+        vals = evaluate_on(f_part, env, tau[live].shape)
+        rows[i, live] = vals * (snap.snapped_time - tau[live]) ** (problem.alpha - 1.0) * hy
+    return rows
+
+
 def ref_adjoint(problem, pair, grid):
     n = grid.n
     tau, ym, um, mu = midpoint_data(problem, pair, grid)
     b = problem.bundle
-    inst = _instant_rows(problem, grid, b.f_y, pair[0].values, ym, um,
-                         snap_instants(problem, grid))
+    inst = ref_instant_rows(problem, grid, b.f_y, pair[0].values, ym, um)
     gy = evaluate_on(b.g_y, {"t": tau, "y": ym, "u": um}, tau.shape)
     psi = np.zeros(n)
     for k in range(n - 1, -1, -1):
@@ -115,8 +131,7 @@ def ref_tail_field(problem, pair, grid, f_part, g_part, phi):
     with np.errstate(all="ignore"):
         tail = np.array([mu[: n - k] @ (ref_row(f_part, tau, ym, um, k) * phi[k:])
                          for k in range(n)])
-    inst = _instant_rows(problem, grid, f_part, pair[0].values, ym, um,
-                         snap_instants(problem, grid))
+    inst = ref_instant_rows(problem, grid, f_part, pair[0].values, ym, um)
     return tail - evaluate_on(g_part, {"t": tau, "y": ym, "u": um}, tau.shape) - inst.sum(axis=0)
 
 
@@ -216,19 +231,19 @@ def test_marches_match_the_row_loop(kernel, n):
     y2 = solve_y2(problem, pair, v, y1, grid)
     assert_close(y2.values, ref_y2(problem, pair, v.values, y1.values, grid))
 
-    adj = solve_adjoint(problem, pair, grid)
-    assert_close(adj.psi.values, ref_adjoint(problem, pair, grid))
+    psi = solve_adjoint(problem, pair, grid)
+    assert_close(psi.values, ref_adjoint(problem, pair, grid))
 
     b = problem.bundle
-    fields = hamiltonian_fields(problem, pair, adj, grid)
+    fields = hamiltonian_fields(problem, pair, psi, grid)
     for name in ("_u", "_uu", "_yy", "_yu"):
         want = ref_tail_field(problem, pair, grid, getattr(b, "f" + name),
-                              getattr(b, "g" + name), adj.psi.values)
+                              getattr(b, "g" + name), psi.values)
         assert_close(getattr(fields, "h" + name).values, want)
 
     # off the solution, so the residual is O(1) rather than roundoff
-    psi = adj.psi.values + 0.1 * np.cos(3.0 * grid.midpoints)
-    off = AdjointTrajectory(Trajectory(grid, "midpoints", psi), adj.instant_terms, adj.snaps)
+    psi = psi.values + 0.1 * np.cos(3.0 * grid.midpoints)
+    off = Trajectory(grid, "midpoints", psi)
     want = np.max(np.abs(ref_tail_field(problem, pair, grid, b.f_y, b.g_y, psi) - psi))
     assert_close(np.array(adjoint_residual(problem, pair, off, grid)), want)
 
@@ -243,8 +258,7 @@ def test_tail_field_names_the_first_non_finite_term_not_the_first_overflowing_su
     grid = make_grid(1.0, 4)
     pair = (Trajectory.constant(1.0, grid), Trajectory.constant(0.0, grid))
     problem = custom(0.5, "1", f, "0")
-    [(field, first_bad)] = _tail_field(problem, pair, grid, ("_y",), np.full(grid.n, 1.5e308),
-                                       snap_instants(problem, grid))
+    [(field, first_bad)] = _tail_field(problem, pair, grid, ("_y",), np.full(grid.n, 1.5e308))
     assert not np.isfinite(field[0])
     assert first_bad == 2
 
@@ -273,14 +287,22 @@ def one_part_tail_field(problem, pair, grid, part, phi):
                 terms = ref_row(f_part, tau, ym, um, k) * phi[k:]
                 tail[k] = mu[: n - k] @ terms
                 bad[k] = not np.isfinite(tail[k]) and not np.isfinite(terms).all()
-    inst = _instant_rows(problem, grid, f_part, pair[0].values, ym, um,
-                         snap_instants(problem, grid))
+    inst = ref_instant_rows(problem, grid, f_part, pair[0].values, ym, um)
     g = evaluate_on(g_part, {"t": tau, "y": ym, "u": um}, tau.shape)
     field = tail - g - inst.sum(axis=0)
     bad |= ~(np.isfinite(g) & np.isfinite(inst).all(axis=0))
     if not bad.any():
         bad = ~np.isfinite(field)
     return field, (int(np.argmax(bad)) if bad.any() else None)
+
+
+def one_part_free_terms(problem, grid, y_nodes, ym, um, parts):
+    """`adjoint._free_terms` with each part's own instant rows."""
+    tau = grid.midpoints
+    b = problem.bundle
+    return [(evaluate_on(getattr(b, "g" + part), {"t": tau, "y": ym, "u": um}, tau.shape),
+             ref_instant_rows(problem, grid, getattr(b, "f" + part), y_nodes, ym, um))
+            for part in parts]
 
 
 def bits(x):
@@ -319,17 +341,52 @@ def test_hamiltonian_fields_take_one_correlation_and_each_partials_own_bits(case
     grid = make_grid(problem.T, n)
     u = Trajectory.from_expression(control, grid)
     pair = (solve_state(problem, u, grid), u)
-    adj = solve_adjoint(problem, pair, grid)
+    psi = solve_adjoint(problem, pair, grid)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(svoc.adjoint, "_free_terms", one_part_free_terms)
+        want = solve_adjoint(problem, pair, grid)
+    assert np.array_equal(bits(psi.values), bits(want.values))
     calls = count_tail_sums(monkeypatch)
-    fields = hamiltonian_fields(problem, pair, adj, grid)
+    fields = hamiltonian_fields(problem, pair, psi, grid)
     assert len(calls) == (problem.terms is not None)  # the row loop correlates nothing
     for part in HAMILTONIAN_PARTS:
-        want, first_bad = one_part_tail_field(problem, pair, grid, part, adj.psi.values)
+        want, first_bad = one_part_tail_field(problem, pair, grid, part, psi.values)
         assert first_bad is None
         assert np.array_equal(bits(getattr(fields, "h" + part).values), bits(want)), part
-    [(field, first_bad)] = _tail_field(problem, pair, grid, ("_y",), adj.psi.values, adj.snaps)
-    want = one_part_tail_field(problem, pair, grid, "_y", adj.psi.values)
+    [(field, first_bad)] = _tail_field(problem, pair, grid, ("_y",), psi.values)
+    want = one_part_tail_field(problem, pair, grid, "_y", psi.values)
     assert np.array_equal(bits(field), bits(want[0])) and first_bad == want[1] is None
+
+
+class Counted:
+    """An expression that records each evaluation."""
+
+    def __init__(self, expression, calls):
+        self.expression, self.calls = expression, calls
+
+    def evaluate(self, **env):
+        self.calls.append(env)
+        return self.expression.evaluate(**env)
+
+
+@pytest.mark.parametrize("case", ["three_terms_two_instants", "non_separable"])
+def test_each_instants_h_y_is_evaluated_once_per_call(case, monkeypatch):
+    make, control = ONE_PASS[case]
+    problem = make()
+    grid = make_grid(problem.T, 64)
+    u = Trajectory.from_expression(control, grid)
+    pair = (solve_state(problem, u, grid), u)
+    calls = []
+    instants = tuple(dataclasses.replace(ic, h_y=Counted(ic.h_y, calls))
+                     for ic in problem.bundle.instants)
+    monkeypatch.setitem(problem.__dict__, "bundle",
+                        dataclasses.replace(problem.bundle, instants=instants))
+    psi = solve_adjoint(problem, pair, grid)
+    assert len(calls) == len(instants)
+    hamiltonian_fields(problem, pair, psi, grid)
+    assert len(calls) == 2 * len(instants)
+    adjoint_residual(problem, pair, psi, grid)
+    assert len(calls) == 3 * len(instants)
 
 
 def test_a_pole_of_a_term_reaches_only_the_partials_that_read_it(monkeypatch):
@@ -339,18 +396,16 @@ def test_a_pole_of_a_term_reaches_only_the_partials_that_read_it(monkeypatch):
     grid = make_grid(1.0, 4)
     pair = (Trajectory.constant(1.0, grid), Trajectory.constant(0.2, grid))
     psi = Trajectory(grid, "midpoints", np.cos(grid.midpoints))
-    snaps = snap_instants(problem, grid)
     calls = count_tail_sums(monkeypatch)
-    got = _tail_field(problem, pair, grid, HAMILTONIAN_PARTS, psi.values, snaps)
+    got = _tail_field(problem, pair, grid, HAMILTONIAN_PARTS, psi.values)
     assert len(calls) == 1
     for part, (field, first_bad) in zip(HAMILTONIAN_PARTS, got):
         want, want_bad = one_part_tail_field(problem, pair, grid, part, psi.values)
         assert first_bad == want_bad, part
         assert np.array_equal(bits(field), bits(want)), part
     assert [first_bad for _, first_bad in got] == [2, None, None, 2]
-    adj = AdjointTrajectory(psi, np.zeros((1, grid.n)), snaps)
     with pytest.raises(NumericsError, match=r"field H_u is not finite at midpoint 2 \(t = 0.625\)"):
-        hamiltonian_fields(problem, pair, adj, grid)
+        hamiltonian_fields(problem, pair, psi, grid)
     assert len(calls) == 2
 
 

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 import svoc.optimality
-from svoc.adjoint import (AdjointTrajectory, _instant_rows, adjoint_residual,
-                          snap_instants, solve_adjoint)
+from svoc.adjoint import adjoint_residual, snap_instants, solve_adjoint
 from svoc.errors import KernelAsymmetryError, NumericsError
 from svoc.expr import parse_expression
 from svoc.optimality import (
@@ -115,9 +114,13 @@ def dense_fields(problem, pair, psi_vals, grid):
         F = np.where(upper, F, 0.0)
         vals = psi_vals @ (W * F)
         vals = vals - evaluate_on(g_part, {"t": tau, "y": ym, "u": um}, tau.shape)
-        if snaps:
-            vals = vals - _instant_rows(problem, grid, f_part, y_star.values,
-                                        ym, um, snaps).sum(axis=0)
+        for snap, ic in zip(snaps, b.instants):
+            hy = float(ic.h_y.evaluate(y=y_star.values[snap.node_index]))
+            live = tau < snap.snapped_time
+            if hy != 0.0:
+                env = {"t": snap.snapped_time, "s": tau[live], "y": ym[live], "u": um[live]}
+                vals[live] -= (evaluate_on(f_part, env, tau[live].shape) * hy
+                               * (snap.snapped_time - tau[live]) ** (problem.alpha - 1.0))
         return vals
 
     return {name: field(getattr(b, "f" + sfx), getattr(b, "g" + sfx))
@@ -151,23 +154,22 @@ def test_fields_and_residual_match_dense_reference(case, n):
     grid = make_grid(problem.T, n)
     u = Trajectory.from_expression(control, grid)
     pair = (solve_state(problem, u, grid), u)
-    adj = solve_adjoint(problem, pair, grid)
+    psi = solve_adjoint(problem, pair, grid)
 
     def assert_close(got, want):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    fields = hamiltonian_fields(problem, pair, adj, grid)
-    want = dense_fields(problem, pair, adj.psi.values, grid)
+    fields = hamiltonian_fields(problem, pair, psi, grid)
+    want = dense_fields(problem, pair, psi.values, grid)
     for name in ("h_u", "h_uu", "h_yy", "h_yu"):
         assert_close(getattr(fields, name).values, want[name])
 
     # off the solution, so the residual is O(1) rather than roundoff
     tau = grid.midpoints
-    psi = Trajectory(grid, "midpoints", adj.psi.values + 0.1 * np.cos(3.0 * tau))
-    off = AdjointTrajectory(psi, adj.instant_terms, adj.snaps)
-    rhs = dense_fields(problem, pair, psi.values, grid)["costate_rhs"]
+    off = Trajectory(grid, "midpoints", psi.values + 0.1 * np.cos(3.0 * tau))
+    rhs = dense_fields(problem, pair, off.values, grid)["costate_rhs"]
     assert_close(np.array(adjoint_residual(problem, pair, off, grid)),
-                 np.max(np.abs(rhs - psi.values)))
+                 np.max(np.abs(rhs - off.values)))
 
 
 def test_fields_hold_no_dense_table():

@@ -206,27 +206,6 @@ def test_expansion_with_zero_variation_is_identically_zero():
     assert all(math.isnan(r) for r in report.ratios)
 
 
-def test_delta_sweep_validation():
-    problem = builtin_problem("sing_quad", {"c": 1.0})
-    grid = make_grid(1.0, 32)
-    u = Trajectory.constant(0.0, grid)
-    v = Trajectory.constant(1.0, grid)
-    with pytest.raises(ValueError, match="positive"):
-        fd_expansion_check(problem, (solve_state(problem, u, grid), u), v, deltas=())
-    with pytest.raises(ValueError, match="positive"):
-        fd_expansion_check(problem, (solve_state(problem, u, grid), u), v, deltas=(0.1, -0.05))
-    with pytest.raises(ValueError, match="decreasing"):
-        fd_expansion_check(problem, (solve_state(problem, u, grid), u), v, deltas=(0.05, 0.1))
-    # equal deltas would give a Taylor ratio of 1; nan and inf would fail
-    # later as a non-finite trajectory
-    with pytest.raises(ValueError, match=r"strictly decreasing, got 0\.01 after 0\.01"):
-        fd_expansion_check(problem, (solve_state(problem, u, grid), u), v, deltas=(0.01, 0.01))
-    with pytest.raises(ValueError, match="positive and finite, got nan"):
-        fd_expansion_check(problem, (solve_state(problem, u, grid), u), v, deltas=(math.nan,))
-    with pytest.raises(ValueError, match="positive and finite, got inf"):
-        fd_expansion_check(problem, (solve_state(problem, u, grid), u), v, deltas=(math.inf, 0.1))
-
-
 def test_first_order_pairing_direct():
     # |dJ/delta + int H_u v| must halve with delta once delta dominates the
     # O(h) discretization bias; (0.08, 0.04, 0.02) stays on that side at N=2048

@@ -18,6 +18,7 @@ from svoc.resolvent import (
     _BLOCK,
     _HalfCellTables,
     _lag_failure,
+    _midpoint_product,
     _node_samples,
     RegularizedKernel,
     apply_kernel_nodes,
@@ -72,7 +73,7 @@ def test_neumann_series_oracle():
 
 def array_constant(a):
     """The constant kernel a as an array-returning function, which
-    `_constant_value` does not read as a constant."""
+    `build_resolvent` solves as it solves the scalar a."""
     return lambda t, s: np.full(np.broadcast(t, s).shape, float(a))
 
 
@@ -378,6 +379,23 @@ def test_response_kernel_closed_form_when_state_factor_drops():
     assert np.max(np.abs(np.where(tri, _node_samples(q.c_fn, grid) - expect, 0.0))) <= 1e-12
 
 
+def test_zero_regular_part_is_held_as_zero_factors():
+    # paper_example at u* = 0: f_y = t u* vanishes along the pair, so Q's
+    # regular part is zero; it is held as zero lag and node factors, and every
+    # route reads the bits it read from a zero table
+    problem = builtin_problem("paper_example")
+    grid = make_grid(1.0, 64)
+    u = Trajectory.constant(0.0, grid)
+    q = build_q_kernel(problem, (solve_state(problem, u, grid), u), grid)
+    assert q.table is None and not q.r.any() and not q.g.any()
+    assert q.regular.shape == (grid.n + 1, grid.n + 1) and not q.regular.any()
+    table = RegularizedKernel(q.alpha, grid, q.c_fn, np.zeros((grid.n + 1, grid.n + 1)))
+    v = np.cos(3.0 * grid.midpoints)
+    for route in (lambda k: midpoint_apply_matrix(k, grid), lambda k: _midpoint_product(k, v),
+                  lambda k: node_apply_row(k, grid.n, grid)):
+        assert route(q).tobytes() == route(table).tobytes()
+
+
 def test_response_kernel_reproduces_first_response_exactly_when_resolvent_vanishes():
     problem = builtin_problem("paper_example")
     grid = make_grid(1.0, 256)
@@ -502,7 +520,7 @@ def test_weight_tables_match_the_gathers(n):
 @pytest.fixture
 def general_path(monkeypatch):
     """Calling it sends constant kernels down the general assembly."""
-    return lambda: monkeypatch.setattr(svoc.resolvent, "_constant_value", lambda A, grid: None)
+    return lambda: monkeypatch.setattr(svoc.resolvent, "_convolution_factor", lambda b: None)
 
 
 @pytest.mark.parametrize("a", [-1.0, 0.5, 2.0])
