@@ -50,7 +50,7 @@ def main() -> None:
             y_pert = solve_state(problem, u_pert, grid)
             dj = evaluate_cost(problem, y_pert, u_pert, grid).total - base
             print(f"    delta = {delta:5.3f}: J(u + delta v) - J(u) = {dj:+.6e}")
-        expansion = fd_expansion_check(problem, (y, u), v)
+        expansion = fd_expansion_check(problem, u, v)
         print(f"    expansion residual ratios: "
               f"{', '.join(f'{r:.3f}' for r in expansion.ratios)}")
 

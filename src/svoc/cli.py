@@ -32,36 +32,36 @@ from .state import Trajectory, evaluate_cost, evaluate_on, solve_state
 # makes a fixed number of O(N^2) passes, marches and tail quadratures:
 #   solve     1: y*;
 #   adjoint   2: y* and the costate;
-#   check     7: y*, the costate, the four Hamiltonian partials H_u, H_uu,
+#   check     6: y*, the costate and the four Hamiltonian partials H_u, H_uu,
 #                H_yy and H_yu (four rows per midpoint of one row loop), and
-#                K's O(N^2) products, charged at either order;
+#                at order 2 also K's O(N^2) products: 7;
 #   verify   11: y*, three perturbed states, the costate, the four partials,
 #                Y1 and Y2;
 #   converge  1: one state march per grid.
 # It also holds a fixed number of dense (N+1)^2 float64 tables at its peak.
 # Tracemalloc peaks at N = 256, 512 and 1024, in tables, as printed by
-# `scripts/peak_tables.py --ns 256,512,1024`: on `paper_example` at control
-# 0.3, whose Q takes the general path (one product table and two marches),
-# 17.9, 11.5 and 11.0 for `check --order 2` (with a tol that makes the test
-# apply) and for `verify`; at N = 256 the 3.4 MiB of band masks and factors
-# that `resolvent._product_table` holds at any N still show.
-# `check --order 1` holds O(N): 1.04 and 0.32 tables at N = 256 and 512.  A
-# kernel that separates in t marches in O(N log^2 N) instead, and a
-# convolution linearization (f_y constant, f_u free of t) builds Q in O(N^2)
-# flops and holds it in O(N), so that on `lq` (a=0.7, b=-1.2, r=1.3, control
-# 0.4) `verify`, which applies Q to the variation and tabulates neither R nor
-# QM, peaks at 1.24, 0.40 and 0.12 tables, and `check --order 2`, whose K
-# reads QM but no table of R, at 4.45, 4.21 and 4.15; but the budget is
-# checked before the problem is loaded, so it charges every kernel the
-# O(N^2) row loop and the general Q.
+# `scripts/peak_tables.py --ns 256,512,1024`: `check --order 2` (with a tol
+# that makes the test apply) on `paper_example` at control 0.3, whose Q
+# takes the general path (one product table and two marches), 17.9, 11.5
+# and 11.0; at N = 256 the 3.4 MiB of band masks and factors that
+# `resolvent._product_table` holds at any N still show.  A kernel that
+# separates in t marches in O(N log^2 N) instead, and a convolution
+# linearization (f_y constant, f_u free of t) builds Q in O(N^2) flops and
+# holds it in O(N), so that on `lq` (a=0.7, b=-1.2, r=1.3, control 0.4)
+# `check --order 2`, whose K reads QM but no table of R, peaks at 4.45, 4.21
+# and 4.15; but the budget is checked before the problem is loaded, so it
+# charges every kernel the O(N^2) row loop and the general Q.  `verify`
+# builds no Q (its quadratic form reads the sweep's Y1) and holds O(N): 1.23,
+# 0.40 and 0.12 tables on `lq`, 1.07, 0.36 and 0.10 on `paper_example`, as
+# `check --order 1` holds 1.05, 0.32 and 0.09 on either.
 WORK_BUDGET = 2**34   # sum of (N+1)^2 over a command's passes: `solve` up to N ~ 2^17
 DENSE_BUDGET = 2**31  # bytes of dense tables held at once
 _PASSES_TABLES = {
     ("solve", 1): (1, 0),
     ("adjoint", 1): (2, 0),
-    ("check", 1): (7, 0),
+    ("check", 1): (6, 0),
     ("check", 2): (7, 17),
-    ("verify", 1): (11, 17),
+    ("verify", 1): (11, 0),
     ("converge", 1): (1, 0),
 }
 
@@ -314,8 +314,7 @@ def _cmd_verify(args) -> int:
     problem, grid, out, control = _setup(args)
     direction = _control(args.direction, grid, what="direction")
     start = time.perf_counter()
-    y = solve_state(problem, control, grid)
-    expansion = fd_expansion_check(problem, (y, control), direction)
+    expansion = fd_expansion_check(problem, control, direction)
     variational = expansion.variational
     elapsed = time.perf_counter() - start
     report = _identity(problem, args)

@@ -2,13 +2,15 @@
 
 Nothing here reuses the model shortcuts it validates: cost differences come
 only from forward solves, analytic solutions come from series summation, and
-ratio tables measure Taylor orders directly.  One sweep of forward solves at
-u* + delta v, marched by `variational_fd_check`, serves both expansion checks.
-When those states and Y1 march one operator they are the columns of one
-linear march, which factors each leaf once for all of them.  The check stays
-independent: each column takes the products its own march takes, from the
-same leaf inverses each march would form for itself, so each state is the
-forward solve bit for bit.
+ratio tables measure Taylor orders directly.  Both expansion checks take the
+control u* and read one sweep: the reference state y*, the forward solves at
+u* + delta v and the first-order response Y1.  When these march one operator
+they are the columns of one linear march, which factors each leaf once for
+all of them.  The check stays independent: each column takes the products
+its own march takes, from the same leaf inverses each march would form for
+itself, so each state is the forward solve bit for bit.  The second-order
+model reads Y1, the product of the response kernel Q with v, so no Q is
+built.
 """
 
 from __future__ import annotations
@@ -18,13 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import solve_adjoint
+from .adjoint import snap_instants, solve_adjoint
 from .errors import SeriesError
-from .optimality import assemble_m_kernel, hamiltonian_fields, quadratic_form
+from .optimality import hamiltonian_fields
 from .problem import ProblemSpec, builtin_problem
 from .quadrature import make_grid
-from .resolvent import build_q_kernel
-from .state import Trajectory, _march_sweep, evaluate_cost, solve_state, solve_y2
+from .state import Trajectory, _march_sweep, evaluate_cost, solve_state, solve_y1, solve_y2
 
 DEFAULT_DELTAS = (1e-2, 5e-3, 2.5e-3)
 EXACT_FLOOR = 1e-10  # below this the identity holds exactly and ratios are noise
@@ -116,27 +117,56 @@ class ExpansionReport:
     variational: VariationalReport  # the check whose states gave delta_j
 
 
-def fd_expansion_check(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
+def _reference(problem: ProblemSpec, control: Trajectory, v: Trajectory):
+    """y* on the control's grid and `_march_sweep`'s (states, Y1) with it,
+    or (y*, None) with y* marched alone when the sweep shares no march."""
+    swept = _march_sweep(problem, control, v, DEFAULT_DELTAS, control.grid)
+    if swept is None:
+        return solve_state(problem, control, control.grid), None
+    return swept[0], swept[1:]
+
+
+def fd_expansion_check(problem: ProblemSpec, control: Trajectory,
                        v: Trajectory) -> ExpansionReport:
-    """Measure J(u* + delta v) - J(u*) along the reference pair (y*, u*) against
-    the first- and second-order models on the pair's grid; the cost difference
-    is computed only through forward solves, at each delta of DEFAULT_DELTAS."""
-    y_star, u_star = pair
-    grid = y_star.grid
-    base = evaluate_cost(problem, y_star, u_star, grid).total
+    """Measure J(u* + delta v) - J(u*) along the control u* against the
+    first- and second-order models on its grid; the cost difference is
+    computed only through forward solves, at each delta of DEFAULT_DELTAS.
 
+    The second-order model reads
+
+        QF = h sum_k H_uu v_k^2 + h sum_k H_yy (Y1m_k)^2 + 2 h sum_k H_yu v_k Y1m_k
+             - sum_i h_yy^i(y*(t_i)) Y1(t_{n_i})^2
+
+    over the midpoints k, with v_k and Y1m_k = (Y1_k + Y1_{k+1}) / 2 the
+    midpoint averages, and n_i the node instant i snaps to: Y1, the sweep's
+    first-order response, is the inner integral int_0^t Q(t,s) v(s) ds of
+    the paper's form, so Q is never built.  The states, Y1 and y* are one
+    march when they share an operator; otherwise y*, the base cost, the
+    costate and fields, the states and Y1 are marched in that order, so a
+    failure is the first of those."""
+    grid = control.grid
+    y_star, marched = _reference(problem, control, v)
+    pair = (y_star, control)
+    base = evaluate_cost(problem, y_star, control, grid).total
     fields = hamiltonian_fields(problem, pair, solve_adjoint(problem, pair, grid), grid)
-    v_mid = Trajectory(grid, "midpoints", v.midpoint_values())
-    hu_pairing = grid.h * float(np.dot(fields.h_u.values, v_mid.values))
-    q = build_q_kernel(problem, pair, grid)
-    m = assemble_m_kernel(problem, pair, fields, q, grid)
-    qf = quadratic_form(fields, m, v_mid, grid)
-    del q, m  # a general Q's node table is O(N^2), and the sweep reads neither
+    # a Trajectory, so that an average which overflows raises here
+    vm = Trajectory(grid, "midpoints", v.midpoint_values()).values
+    h = grid.h
+    hu_pairing = h * float(np.dot(fields.h_u.values, vm))
 
-    variational = variational_fd_check(problem, pair, v)
+    variational = _variational_report(problem, pair, v, marched)
+    qf = h * float(np.dot(fields.h_uu.values, vm**2))
+    y1 = variational.y1
+    if np.any(y1.values):
+        y1m = y1.midpoint_values()
+        qf += h * float(np.dot(fields.h_yy.values, y1m**2))
+        qf += 2.0 * h * float(np.dot(vm * fields.h_yu.values, y1m))
+        for snap, ic in zip(snap_instants(problem, grid), problem.bundle.instants):
+            node = snap.node_index
+            qf -= float(ic.h_yy.evaluate(y=y_star.values[node])) * y1.values[node] ** 2
     rows = []
     for delta, y_pert in zip(DEFAULT_DELTAS, variational.states):
-        u_pert = Trajectory(grid, "nodes", u_star.values + delta * v.values)
+        u_pert = Trajectory(grid, "nodes", control.values + delta * v.values)
         dj = evaluate_cost(problem, y_pert, u_pert, grid).total - base
         model1 = -delta * hu_pairing
         model2 = model1 - 0.5 * delta**2 * qf
@@ -155,17 +185,33 @@ class VariationalReport:
     ratio2: tuple[float, ...]  # e2(d) / e2(d/2), ~4 at second order
     exact1: bool               # errors at the roundoff floor: identity exact
     exact2: bool
+    y_star: Trajectory              # y(u*)
     states: tuple[Trajectory, ...]  # y(u* + d v), one per delta
+    y1: Trajectory                  # first-order response to v along (y*, u*)
 
 
-def variational_fd_check(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
+def variational_fd_check(problem: ProblemSpec, control: Trajectory,
                          v: Trajectory) -> VariationalReport:
-    """Taylor-order measurement of the first- and second-order responses on the
-    pair's grid; the states y(u* + delta v), delta in DEFAULT_DELTAS, are
-    marched first and returned."""
-    y_star = pair[0]
+    """Taylor-order measurement of the first- and second-order responses
+    along the control u* on its grid; y*, the states y(u* + delta v), delta
+    in DEFAULT_DELTAS, and Y1 are marched first and returned."""
+    y_star, marched = _reference(problem, control, v)
+    return _variational_report(problem, (y_star, control), v, marched)
+
+
+def _variational_report(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
+                        v: Trajectory, marched) -> VariationalReport:
+    """The report from the states and Y1 that `_reference` marched, or,
+    when marched is None, from the states marched one by one in the order
+    of DEFAULT_DELTAS and then Y1."""
+    y_star, control = pair
     grid = y_star.grid
-    states, y1 = _march_sweep(problem, pair, v, DEFAULT_DELTAS, grid)
+    if marched is None:
+        controls = (control.values + d * v.values for d in DEFAULT_DELTAS)
+        states = tuple(solve_state(problem, Trajectory(grid, "nodes", u), grid) for u in controls)
+        y1 = solve_y1(problem, pair, v, grid)
+    else:
+        states, y1 = marched
     y2 = solve_y2(problem, pair, v, y1, grid)
     scale = 1.0 + float(np.max(np.abs(y_star.values)))
     e1, e2 = [], []
@@ -180,8 +226,8 @@ def variational_fd_check(problem: ProblemSpec, pair: tuple[Trajectory, Trajector
 
     return VariationalReport(
         DEFAULT_DELTAS, tuple(e1), tuple(e2), ratio_table(e1), ratio_table(e2),
-        exact1=max(e1) <= EXACT_FLOOR * scale,
-        exact2=max(e2) <= EXACT_FLOOR * scale, states=states)
+        exact1=max(e1) <= EXACT_FLOOR * scale, exact2=max(e2) <= EXACT_FLOOR * scale,
+        y_star=y_star, states=states, y1=y1)
 
 
 @dataclass(frozen=True)

@@ -247,57 +247,54 @@ def solve_y2(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
     return _march_response(problem, pair, grid, ("_yy", "_yu", "_uu"), source)
 
 
-def _shared_columns(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory], v: Trajectory,
-                    u_perts: list[np.ndarray], grid: Grid):
+def _shared_columns(problem: ProblemSpec, control: Trajectory, v: Trajectory,
+                    deltas: tuple[float, ...], grid: Grid):
     """Operands (a, b, g, d) of one `linear_march` whose columns are the
-    states at the controls u_perts and then Y1 along the pair, or None.
+    state at the control u*, the states at u* + d v for d in deltas, and
+    then Y1 along (y*, u*), or None.
 
-    They share one operator when f separates, no slope b_y reads y or u, and
-    every term has a b_y or b_u not identically zero: then every march keeps
-    every term and samples the same outer factors and slopes.  Each column's
-    free part comes from the sampler call of its own march, so each equals
-    that march bit for bit.  None also when an input is off the grid's nodes
-    or a control is not finite."""
+    They share one operator when f separates, no slope b_y reads y or u, no
+    b_u reads y, and every term has a b_y or b_u not identically zero: then
+    every march keeps every term and samples the same outer factors and
+    slopes, and Y1's f_u samples need no y*, which the march itself gives.
+    Each column's free part comes from the sampler call of its own march,
+    the first at u* itself, so each equals that march bit for bit.  None
+    also when an input is off the grid's nodes or a control is not finite."""
     terms = problem.terms
     if (terms is None
-            or any(term.b_y.free_vars() & {"y", "u"} or term.b_y == term.b_u == _ZERO
-                   for term in terms)
-            or not (all(x.grid == grid and x.placement == "nodes" for x in (*pair, v))
-                    and np.all(np.isfinite(u_perts)))):
+            or any(term.b_y.free_vars() & {"y", "u"} or "y" in term.b_u.free_vars()
+                   or term.b_y == term.b_u == _ZERO for term in terms)
+            or not all(x.grid == grid and x.placement == "nodes" for x in (control, v))):
+        return None
+    u_star = control.values
+    controls = [u_star, *(u_star + d * v.values for d in deltas)]
+    if not np.all(np.isfinite(controls)):
         return None
     t = grid.nodes
-    env = {"s": t, "y": pair[0].values, "u": pair[1].values}
-    a, (b, fu) = _term_samples(problem, t, env, ("_y", "_u"))
+    a, (b, fu) = _term_samples(problem, t, {"s": t, "y": 0.0, "u": u_star}, ("_y", "_u"))
     # G of each state march, sampled as solve_state samples it
     g = [_term_samples(problem, t, {"s": t, "y": 0.0, "u": u}, ("_y", ""))[1][1]
-         for u in u_perts]
+         for u in controls]
     d = np.zeros((len(g) + 1, grid.n + 1))
     d[:-1] = evaluate_on(problem.eta, {"t": t}, t.shape)
     return a, b, np.array([*g, fu * v.values]), d
 
 
-def _march_sweep(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory], v: Trajectory,
+def _march_sweep(problem: ProblemSpec, control: Trajectory, v: Trajectory,
                  deltas: tuple[float, ...], grid: Grid):
-    """The states y(u* + d v), one per d in deltas, and Y1 along the pair.
-
-    When `_shared_columns` finds one operator for every state and Y1 they
-    are the columns of one `linear_march`, which inverts each leaf once for
-    all of them, and each column equals its own march bit for bit.
-    Otherwise, or when that march fails, the states are marched one by one
-    in the order of deltas and then Y1, so a failure is the one those
-    marches raise.
+    """(y*, the states y(u* + d v) for d in deltas, Y1 along (y*, u*)) as
+    the columns of one `linear_march`, which inverts each leaf once for all
+    of them, each column equal to its own march bit for bit; or None when
+    `_shared_columns` finds no one operator or that march fails.  The caller
+    then marches them one by one, so a failure is the one those marches
+    raise.
     """
-    y_star, u_star = pair
-    u_perts = [u_star.values + d * v.values for d in deltas]
-    shared = _shared_columns(problem, pair, v, u_perts, grid)
-    if shared is not None:
-        try:
-            w = singular_weights(problem.alpha, grid)
-            x = linear_march(w, *shared, _guard_rows)
-        except NumericsError:
-            pass  # the marches below raise it again, in their order
-        else:
-            return (tuple(Trajectory(grid, "nodes", row) for row in x[:-1]),
-                    Trajectory(grid, "nodes", x[-1]))
-    states = tuple(solve_state(problem, Trajectory(grid, "nodes", u), grid) for u in u_perts)
-    return states, solve_y1(problem, pair, v, grid)
+    shared = _shared_columns(problem, control, v, deltas, grid)
+    if shared is None:
+        return None
+    try:
+        x = linear_march(singular_weights(problem.alpha, grid), *shared, _guard_rows)
+    except NumericsError:
+        return None  # the caller's marches raise it again, in their order
+    y_star, *states, y1 = (Trajectory(grid, "nodes", row) for row in x)
+    return y_star, tuple(states), y1

@@ -114,9 +114,8 @@ def test_criterion_4_variational_consistency():
     ]
     for name, problem, u_val in cases:
         u = Trajectory.constant(u_val, grid)
-        y = solve_state(problem, u, grid)
         v = Trajectory.constant(1.0, grid)
-        rep = variational_fd_check(problem, (y, u), v)
+        rep = variational_fd_check(problem, u, v)
         # each order must either sit in its halving window or be flagged as
         # exact at the roundoff floor (these two problems make the first- or
         # second-order identity exact, so ratios of pure noise do not apply)
@@ -132,8 +131,7 @@ def test_criterion_4_variational_consistency():
     # curved dynamics exercise both windows away from the exact regime
     curved = builtin_problem("paper_example")
     u = Trajectory.constant(0.0, grid)
-    y = solve_state(curved, u, grid)
-    rep = variational_fd_check(curved, (y, u), Trajectory.constant(1.0, grid))
+    rep = variational_fd_check(curved, u, Trajectory.constant(1.0, grid))
     assert not rep.exact1 and not rep.exact2
     assert in_window(rep.ratio1, 1.5, 2.5)
     assert in_window(rep.ratio2, 3.0, 5.0)
@@ -149,7 +147,7 @@ def test_criterion_5_expansion_identity():
     grid = make_grid(1.0, 2048)
     u = Trajectory.constant(0.0, grid)
     v = Trajectory.constant(1.0, grid)
-    rep = fd_expansion_check(problem, (solve_state(problem, u, grid), u), v)
+    rep = fd_expansion_check(problem, u, v)
     assert abs(rep.qf - (-16.0 / 3.0)) <= 1e-2
     assert all(r <= 0.3 for r in rep.ratios)
     report("expansion identity",

@@ -9,10 +9,12 @@ import svoc.adjoint
 import svoc.cli
 import svoc.expr
 import svoc.optimality
+import svoc.problem
+import svoc.quadrature
 import svoc.resolvent
 import svoc.state
 from svoc.cli import run_command
-from svoc.errors import StateBlowupError
+from svoc.errors import AdjointStepError, StateBlowupError
 from svoc.problem import builtin_problem, problem_to_dict
 from svoc.quadrature import make_grid
 from svoc.state import Trajectory, solve_state, solve_y1
@@ -384,15 +386,37 @@ def count_columns(monkeypatch):
 def test_verify_marches_reference_state_once(tmp_path, monkeypatch):
     state_calls = count_calls(monkeypatch, svoc.state, "solve_state")
     y1_calls = count_calls(monkeypatch, svoc.state, "solve_y1")
+    marches = count_calls(monkeypatch, svoc.quadrature, "linear_march")
     columns = count_columns(monkeypatch)
     code = run(["verify", "--problem", "lq", "--param", "a=0.5", "--param", "b=1",
                 "--param", "r=1", "--control", "1", "--direction", "cos(2*t)",
                 "--n", "32"], tmp_path)
     assert code == 0
-    # y* once; the three perturbed states that both checks read and Y1 are
-    # the columns of one march, and Y2 of the linear lq needs none
-    assert len(state_calls) == 1 and not y1_calls
-    assert columns == [1, 4]
+    # y*, the three perturbed states that both checks read and Y1 are the
+    # columns of one march, the costate is the other, and Y2 of the linear
+    # lq needs none
+    assert not state_calls and not y1_calls
+    assert columns == [5]
+    assert len(marches) == 2
+
+
+@pytest.mark.parametrize("problem", [
+    ["--problem", "lq", "--param", "a=0.7", "--param", "b=-1.2", "--param", "r=1.3",
+     "--control", "0.4"],
+    ["--problem", "paper_example", "--control", "0.3 + 0.2*sin(2*t)"],
+    # f = sin(t*s)*y*u + 0.5*exp(-t*s)*y does not separate: every march is a row loop
+    [{"alpha": 0.6, "T": 1.0, "eta": "1", "f": "sin(t*s)*y*u + 0.5*exp(-t*s)*y",
+      "g": "y^2 + t*u^2", "instant_costs": [{"t": 0.5, "h": "y"}]}, "--control", "0.4 + 0.1*t"],
+])
+def test_verify_builds_no_response_kernel(tmp_path, monkeypatch, problem):
+    # QF reads the sweep's Y1, so no Q is built on any kernel path
+    calls = count_calls(monkeypatch, svoc.resolvent, "build_q_kernel")
+    if isinstance(problem[0], dict):
+        spec_path = tmp_path / "p.json"
+        spec_path.write_text(json.dumps(problem[0]))
+        problem = ["--problem", str(spec_path), *problem[1:]]
+    assert run(["verify", *problem, "--direction", "cos(3*t)", "--n", "64"], tmp_path) == 0
+    assert not calls
 
 
 def lq_verify_peak(tmp_path, n):
@@ -455,6 +479,40 @@ def test_sweep_failure_names_the_first_perturbed_state(tmp_path, capsys):
                 "--n", "256"], tmp_path)
     assert code == 2
     assert error_lines(capsys) == [f"numerical failure: {state_failure.value}"]
+
+
+def test_reference_state_failure_names_its_node(tmp_path, capsys):
+    # y* is the shared march's first column; when it leaves the trusted range
+    # verify names it as solve_state does
+    problem = builtin_problem("lq", {"a": 40.0, "b": 1.0, "r": 1.0})
+    grid = make_grid(1.0, 64)
+    with pytest.raises(StateBlowupError) as failure:
+        solve_state(problem, Trajectory.constant(0.1, grid), grid)
+    code = run(["verify", "--problem", "lq", "--param", "a=40", "--param", "b=1",
+                "--param", "r=1", "--control", "0.1", "--direction", "1", "--n", "64"], tmp_path)
+    assert code == 2
+    assert error_lines(capsys) == [f"numerical failure: {failure.value}"]
+
+
+def test_costate_failure_is_named_before_a_perturbed_state_failure(tmp_path, capsys):
+    # the instant cost's h_y = 1e307 makes the costate overflow, and the
+    # direction 1e16 every perturbed state: the costate's failure is named,
+    # as when y*, the cost and the costate are marched before the states
+    spec = {"alpha": 0.5, "T": 0.05, "eta": "1", "f": "y + u", "g": "y^2",
+            "instant_costs": [{"t": 0.025, "h": "1e307*y"}]}
+    spec_path = tmp_path / "p.json"
+    spec_path.write_text(json.dumps(spec))
+    problem = svoc.problem.load_problem_file(spec_path)
+    grid = make_grid(problem.T, 64)
+    u = Trajectory.constant(0.1, grid)
+    with pytest.raises(StateBlowupError):
+        solve_state(problem, Trajectory.constant(0.1 + 0.01 * 1e16, grid), grid)
+    with pytest.raises(AdjointStepError) as failure, np.errstate(all="ignore"):
+        svoc.adjoint.solve_adjoint(problem, (solve_state(problem, u, grid), u), grid)
+    code = run(["verify", "--problem", str(spec_path), "--control", "0.1",
+                "--direction", "1e16", "--n", "64"], tmp_path)
+    assert code == 2
+    assert error_lines(capsys) == [f"numerical failure: {failure.value}"]
 
 
 def test_non_finite_quadratic_form_is_a_numerical_failure(tmp_path, capsys):
@@ -571,9 +629,16 @@ def test_first_order_check_holds_no_dense_table():
     assert dense == 0 and work <= svoc.cli.WORK_BUDGET
 
 
+def test_verify_holds_no_dense_table():
+    # QF reads the sweep's Y1, and every march and field holds O(N), so only
+    # the work budget caps `verify`
+    work, dense = svoc.cli.grid_cost("verify", 8192, 1)
+    assert dense == 0 and work <= svoc.cli.WORK_BUDGET
+
+
 @pytest.mark.parametrize("command,n,order", [
     ("solve", 100_000_000, 1), ("adjoint", 200_000, 1), ("check", 65536, 1),
-    ("check", 4096, 2), ("verify", 4096, 1), ("converge", 1_000_000, 1),
+    ("check", 4096, 2), ("verify", 40_000, 1), ("converge", 1_000_000, 1),
 ])
 def test_oversize_grids_are_over_budget(command, n, order):
     work, dense = svoc.cli.grid_cost(command, n, order)

@@ -574,7 +574,7 @@ def test_response_matrix_is_built_once_per_pair(monkeypatch):
     assert second_order_test(problem, pair, fields, grid, tol=1e9).verdict != "inconclusive"
     assert len(calls) == 1
     calls.clear()
-    fd_expansion_check(problem, pair, Trajectory.from_expression("cos(2*t)", grid))
+    fd_expansion_check(problem, pair[1], Trajectory.from_expression("cos(2*t)", grid))
     assert len(calls) == 0  # QF applies Q to v; only K tabulates QM
 
 

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from svoc.adjoint import solve_adjoint
 from svoc.errors import SeriesError, StateBlowupError
 from svoc.expr import parse_expression
 from svoc import state
@@ -16,9 +17,11 @@ from svoc.oracle import (
     project_control,
     variational_fd_check,
 )
+from svoc.optimality import assemble_m_kernel, hamiltonian_fields, quadratic_form
 from svoc.problem import BUILTIN_SIGNATURES, ProblemSpec, builtin_problem
 from svoc.quadrature import make_grid
-from svoc.state import Trajectory, solve_state, solve_y1
+from svoc.resolvent import build_q_kernel
+from svoc.state import Trajectory, evaluate_cost, solve_state, solve_y1
 
 
 # --- series evaluator ---------------------------------------------------------
@@ -173,7 +176,7 @@ def test_expansion_is_exact_for_linear_cost():
     grid = make_grid(1.0, 256)
     u = Trajectory.constant(1.0, grid)
     v = Trajectory.from_expression("sin(2*t)", grid)
-    report = fd_expansion_check(problem, (solve_state(problem, u, grid), u), v)
+    report = fd_expansion_check(problem, u, v)
     assert report.qf == 0.0
     for row in report.rows:
         assert abs(row.residual) <= 1e-8  # measured ~2e-16
@@ -185,7 +188,7 @@ def test_expansion_measures_the_quadratic_term():
     grid = make_grid(1.0, 2048)
     u = Trajectory.constant(0.0, grid)
     v = Trajectory.constant(1.0, grid)
-    report = fd_expansion_check(problem, (solve_state(problem, u, grid), u), v)
+    report = fd_expansion_check(problem, u, v)
     assert report.hu_pairing == 0.0
     assert report.qf == pytest.approx(-16.0 / 3.0, abs=1e-2)  # measured off 5.2e-6
     for row in report.rows:
@@ -200,10 +203,51 @@ def test_expansion_with_zero_variation_is_identically_zero():
     grid = make_grid(1.0, 128)
     u = Trajectory.constant(0.0, grid)
     v = Trajectory.constant(0.0, grid)
-    report = fd_expansion_check(problem, (solve_state(problem, u, grid), u), v)
+    report = fd_expansion_check(problem, u, v)
     assert report.hu_pairing == 0.0 and report.qf == 0.0
     assert all(row.delta_j == 0.0 and row.residual == 0.0 for row in report.rows)
     assert all(math.isnan(r) for r in report.ratios)
+
+
+def lq_qf_gap(n):
+    """|QF + central second difference of J at delta = 1e-2| on lq."""
+    problem = builtin_problem("lq", {"a": 0.7, "b": -1.2, "r": 1.3})
+    grid = make_grid(1.0, n)
+    u = Trajectory.constant(0.4, grid)
+    v = Trajectory.from_expression("cos(3*t)", grid)
+
+    def cost(delta):
+        control = Trajectory(grid, "nodes", u.values + delta * v.values)
+        return evaluate_cost(problem, solve_state(problem, control, grid), control, grid).total
+
+    delta = 1e-2
+    second = (cost(delta) - 2.0 * cost(0.0) + cost(-delta)) / delta**2
+    return abs(fd_expansion_check(problem, u, v).qf + second)
+
+
+def test_quadratic_form_matches_the_discrete_second_variation():
+    # QF reads the sweep's Y1, the discrete response the cost sees, so it
+    # meets -d^2 J at O(h^2); the form read through Q missed it by 0.159 at
+    # N = 384 and 0.040 at N = 1536
+    coarse, fine = lq_qf_gap(384), lq_qf_gap(1536)
+    assert coarse < 2e-4  # measured 1.19e-4
+    assert fine <= coarse / 10.0  # measured 7.95e-6
+
+
+def test_quadratic_form_on_a_zero_response_is_the_curvature_term_alone():
+    # Q = 0 on sing_quad at u = 0, so Y1 = 0 and QF is h sum H_uu v^2, the
+    # same bits as the form read through Q
+    problem = builtin_problem("sing_quad", {"c": 1.0})
+    grid = make_grid(1.0, 256)
+    u = Trajectory.constant(0.0, grid)
+    v = Trajectory.from_expression("cos(3*t)", grid)
+    report = fd_expansion_check(problem, u, v)
+    assert not np.any(report.variational.y1.values)
+    pair = (report.variational.y_star, u)
+    fields = hamiltonian_fields(problem, pair, solve_adjoint(problem, pair, grid), grid)
+    m = assemble_m_kernel(problem, pair, fields, build_q_kernel(problem, pair, grid), grid)
+    v_mid = Trajectory(grid, "midpoints", v.midpoint_values())
+    assert report.qf == quadratic_form(fields, m, v_mid, grid)
 
 
 def test_first_order_pairing_direct():
@@ -213,10 +257,6 @@ def test_first_order_pairing_direct():
     grid = make_grid(1.0, 2048)
     u = Trajectory.constant(1.0, grid)
     v = Trajectory.from_expression("cos(2*t)", grid)
-
-    from svoc.adjoint import solve_adjoint
-    from svoc.optimality import hamiltonian_fields
-    from svoc.state import evaluate_cost
 
     y = solve_state(problem, u, grid)
     base = evaluate_cost(problem, y, u, grid).total
@@ -240,9 +280,8 @@ def test_variational_check_flags_exact_linear_responses():
     problem = builtin_problem("lq", {"a": 0.5, "b": 1.0, "r": 1.0})
     grid = make_grid(1.0, 256)
     u = Trajectory.constant(1.0, grid)
-    y = solve_state(problem, u, grid)
     v = Trajectory.from_expression("sin(3*t)", grid)
-    report = variational_fd_check(problem, (y, u), v)
+    report = variational_fd_check(problem, u, v)
     assert report.exact1 and report.exact2
     assert all(math.isnan(r) for r in report.ratio1 + report.ratio2)
 
@@ -253,9 +292,8 @@ def test_variational_check_first_order_ratio_is_two():
     problem = builtin_problem("sing_quad", {"c": 1.0})
     grid = make_grid(1.0, 256)
     u = Trajectory.constant(0.0, grid)
-    y = solve_state(problem, u, grid)
     v = Trajectory.constant(1.0, grid)
-    report = variational_fd_check(problem, (y, u), v)
+    report = variational_fd_check(problem, u, v)
     assert not report.exact1
     assert report.exact2
     for r in report.ratio1:
@@ -266,9 +304,8 @@ def test_variational_check_measures_orders_on_curved_dynamics():
     problem = builtin_problem("paper_example")
     grid = make_grid(1.0, 512)
     u = Trajectory.constant(0.0, grid)
-    y = solve_state(problem, u, grid)
     v = Trajectory.constant(1.0, grid)
-    report = variational_fd_check(problem, (y, u), v)
+    report = variational_fd_check(problem, u, v)
     for r in report.ratio1:
         assert 1.5 <= r <= 2.5
     for r in report.ratio2:
@@ -276,17 +313,19 @@ def test_variational_check_measures_orders_on_curved_dynamics():
 
 
 @pytest.mark.parametrize("name, params, control, columns", [
-    ("lq", {"a": 0.5, "b": -1.2, "r": 1.0}, 0.4, [4]),
-    ("sing_quad", {"c": 1.0}, 0.2, [4]),
+    ("lq", {"a": 0.5, "b": -1.2, "r": 1.0}, 0.4, [5]),
+    ("sing_quad", {"c": 1.0}, 0.2, [5]),
     ("paper_example", {}, 0.3, []),  # the slope is u, so every state has its own operator
     # the splits of f_y and f_u name other outer factors than f's split does:
     # 0.3*(1 + t)/(1 + t)^2 for 1/(1 + t), and (2 + t)/(2 + t)^2 for 1/(2 + t)
-    ("0.3*y/(1 + t) + u", {}, 0.4, [4]),
-    ("(1 + t)*y + u/(2 + t)", {}, 0.4, [4]),
+    ("0.3*y/(1 + t) + u", {}, 0.4, [5]),
+    ("(1 + t)*y + u/(2 + t)", {}, 0.4, [5]),
+    # b_u = y^0 reads y, whose samples the march itself would give
+    ("0.3*y + u*y^0", {}, 0.4, []),
 ])
 def test_sweep_shares_one_march_when_the_operators_agree(monkeypatch, name, params, control,
                                                           columns):
-    # the perturbed states and Y1 are the columns of one march when they
+    # y*, the perturbed states and Y1 are the columns of one march when they
     # sample the same operator, and each equals its own march bit for bit
     if name in BUILTIN_SIGNATURES:
         problem = builtin_problem(name, params)
@@ -304,8 +343,13 @@ def test_sweep_shares_one_march_when_the_operators_agree(monkeypatch, name, para
         return march(w, a, b, g, d, guard)
 
     monkeypatch.setattr(state, "linear_march", counted)
-    states, y1 = state._march_sweep(problem, pair, v, DEFAULT_DELTAS, grid)
+    swept = state._march_sweep(problem, u, v, DEFAULT_DELTAS, grid)
     assert [c for c in seen if c > 1] == columns
+    if not columns:
+        assert swept is None
+        return
+    y_star, states, y1 = swept
+    assert np.array_equal(y_star.values.view(np.int64), pair[0].values.view(np.int64))
     for delta, y in zip(DEFAULT_DELTAS, states):
         alone = solve_state(problem, Trajectory(grid, "nodes", u.values + delta * v.values), grid)
         assert y.values.tobytes() == alone.values.tobytes()
@@ -325,8 +369,8 @@ def test_expansion_check_returns_the_variational_check_it_read(name, params, con
     u = Trajectory.constant(control, grid)
     pair = (solve_state(problem, u, grid), u)
     v = Trajectory.from_expression("cos(3*t)", grid)
-    inner = fd_expansion_check(problem, pair, v).variational
-    alone = variational_fd_check(problem, pair, v)
+    inner = fd_expansion_check(problem, u, v).variational
+    alone = variational_fd_check(problem, u, v)
     for key in ("deltas", "e1", "e2", "ratio1", "ratio2", "exact1", "exact2"):
         assert np.asarray(getattr(inner, key), float).tobytes() == \
             np.asarray(getattr(alone, key), float).tobytes(), key
@@ -334,6 +378,8 @@ def test_expansion_check_returns_the_variational_check_it_read(name, params, con
     for delta, state in zip(inner.deltas, inner.states):
         u_pert = Trajectory(grid, "nodes", u.values + delta * v.values)
         assert state.values.tobytes() == solve_state(problem, u_pert, grid).values.tobytes()
+    assert inner.y_star.values.tobytes() == pair[0].values.tobytes()
+    assert inner.y1.values.tobytes() == solve_y1(problem, pair, v, grid).values.tobytes()
 
 
 # --- stability and projection ------------------------------------------------------
