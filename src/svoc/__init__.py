@@ -14,7 +14,7 @@ from .oracle import (ConvergenceReport, ExpansionReport, VariationalReport,
                      project_control, variational_fd_check)
 from .optimality import (HamiltonianFields, MKernel, SecondOrderReport, SingularVerdict,
                          assemble_m_kernel, detect_singular, hamiltonian_fields,
-                         quadratic_form, second_order_test)
+                         second_order_test)
 from .problem import (BUILTIN_SIGNATURES, DerivativeBundle, InstantCost, ProblemSpec,
                       ProblemValidationError, builtin_problem, load_problem_file,
                       problem_to_dict)
@@ -36,6 +36,6 @@ __all__ = [
     "detect_singular", "differentiate", "evaluate_cost", "fd_expansion_check",
     "hamiltonian_fields", "linear_analytic_solution", "load_problem_file", "make_grid",
     "midpoint_weights", "parse_expression", "problem_to_dict", "project_control",
-    "quadratic_form", "second_order_test", "singular_weights", "solve_adjoint", "solve_state",
-    "solve_y1", "solve_y2", "trapezoid", "variational_fd_check",
+    "second_order_test", "singular_weights", "solve_adjoint", "solve_state", "solve_y1",
+    "solve_y2", "trapezoid", "variational_fd_check",
 ]

@@ -46,13 +46,13 @@ from .state import Trajectory, evaluate_cost, evaluate_on, solve_state
 # and 11.0; at N = 256 the 3.4 MiB of band masks and factors that
 # `resolvent._product_table` holds at any N still show.  A kernel that
 # separates in t marches in O(N log^2 N) instead, and a convolution
-# linearization (f_y constant, f_u free of t) builds Q in O(N^2) flops and
-# holds it in O(N), so that on `lq` (a=0.7, b=-1.2, r=1.3, control 0.4)
-# `check --order 2`, whose K reads QM but no table of R, peaks at 4.45, 4.21
-# and 4.15; but the budget is checked before the problem is loaded, so it
-# charges every kernel the O(N^2) row loop and the general Q.  `verify`
-# builds no Q (its quadratic form reads the sweep's Y1) and holds O(N): 1.23,
-# 0.40 and 0.12 tables on `lq`, 1.07, 0.36 and 0.10 on `paper_example`, as
+# linearization (f_y constant, f_u free of t) builds Q in O(N^2) flops, so
+# that on `lq` (a=0.7, b=-1.2, r=1.3, control 0.4) `check --order 2`, which
+# holds Q's table of R, QM and K, peaks at 4.19, 4.05 and 4.02; but the
+# budget is checked before the problem is loaded, so it charges every kernel
+# the O(N^2) row loop and the general Q.  `verify` builds no Q (its
+# quadratic form reads the sweep's Y1) and holds O(N): 1.23, 0.40 and 0.12
+# tables on `lq`, 1.07, 0.36 and 0.10 on `paper_example`, as
 # `check --order 1` holds 1.05, 0.32 and 0.09 on either.
 WORK_BUDGET = 2**34   # sum of (N+1)^2 over a command's passes: `solve` up to N ~ 2^17
 DENSE_BUDGET = 2**31  # bytes of dense tables held at once

@@ -19,14 +19,12 @@ to stay non-positive.  The cross term's inner integral runs over s in [0, t]
 with the outer factor v(t) H_yu(t); this is the ordering consistent with the
 first-order response representation, and reports record it.
 
-QF[v] reads Q through one product (QM v)_k ~ int_0^{tau_k} Q(tau_k, s) v(s) ds,
-taken without forming the midpoint response matrix QM.  M is kept as its
-factors, never as a table: h^2 v^T M v = sum_k h H_yy(tau_k) (QM v)_k^2
-- sum_i h_yy^i (q_i . v)^2 with q_i the row of Q at instant i's node.  QF[v]
-thus costs O(N^2), and O(N) memory when Q is a convolution.  Only the matrix
-of the form tabulates QM, once per pair and, for a convolution Q, with no
-table of R: K = L^T W L + diag(h H_uu) + C + C^T, with L the factor rows, W
-their weights and C = diag(h H_yu) QM.
+QF[v] reads Q through the midpoint response matrix QM, with
+(QM v)_k ~ int_0^{tau_k} Q(tau_k, s) v(s) ds.  M is kept as its factors, never
+as a table: h^2 v^T M v = sum_k h H_yy(tau_k) (QM v)_k^2 - sum_i h_yy^i (q_i . v)^2
+with q_i the row of Q at instant i's node.  The matrix of the form tabulates
+QM once per pair: K = L^T W L + diag(h H_uu) + C + C^T, with L the factor
+rows, W their weights and C = diag(h H_yu) QM.
 
 The verdict reads lambda_max(K) by the cheapest route `second_order_test`
 allows.  A diagonal K's lambda_max is exact; the eigensolvers return the same
@@ -45,8 +43,7 @@ from .adjoint import _tail_field, snap_instants
 from .errors import KernelAsymmetryError, NumericsError
 from .problem import ProblemSpec
 from .quadrature import Grid
-from .resolvent import (RegularizedKernel, _midpoint_product, build_q_kernel,
-                        midpoint_apply_matrix, node_apply_row)
+from .resolvent import RegularizedKernel, build_q_kernel, midpoint_apply_matrix, node_apply_row
 from .state import Trajectory
 
 CROSS_TERM_CONVENTION = (
@@ -169,15 +166,15 @@ def assemble_m_kernel(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
 
 
 def quadratic_form(fields: HamiltonianFields, m: MKernel, v: Trajectory, grid: Grid) -> float:
-    """The second-order form QF[v] for a variation sampled on midpoints, in
-    O(N^2) from the factors of M and one product of Q with v."""
+    """The second-order form QF[v] for a variation sampled on midpoints, from
+    the factors of M and one product of QM with v."""
     if v.placement != "midpoints" or v.grid != grid or m.grid != grid:
         raise ValueError("variation, kernels, and grid must match on midpoints")
     h = grid.h
     vv = v.values
     out = h * float(np.dot(fields.h_uu.values, vv**2))
     cross = m.q is not None and np.any(fields.h_yu.values)
-    qv = _midpoint_product(m.q, vv) if m.tail is not None or cross else None
+    qv = midpoint_apply_matrix(m.q, grid) @ vv if m.tail is not None or cross else None
     if m.tail is not None:
         out += float(np.dot(m.tail, qv**2))
     if len(m.rows):
@@ -189,18 +186,23 @@ def quadratic_form(fields: HamiltonianFields, m: MKernel, v: Trajectory, grid: G
 
 def _quadratic_matrix(fields: HamiltonianFields, m: MKernel, grid: Grid) -> np.ndarray:
     """Symmetric K with v^T K v = QF[v] for every midpoint sample vector; QM
-    is tabulated here, once.  Without curvature rows or a cross term K is the
-    diagonal diag(h H_uu), symmetric as built, and is returned as it is."""
+    is tabulated here, once.  With a tail term K starts as QM's weighted
+    product and takes h H_uu on its diagonal in place, and C overwrites QM,
+    so at most three n x n arrays are live.  Without curvature rows or a
+    cross term K is the diagonal diag(h H_uu), symmetric as built, and is
+    returned as it is."""
     h = grid.h
-    K = np.diag(fields.h_uu.values * h)
     cross = m.q is not None and np.any(fields.h_yu.values)
     qm = midpoint_apply_matrix(m.q, grid) if m.tail is not None or cross else None
-    if m.tail is not None:
-        K += qm.T @ (qm * m.tail[:, None])
+    if m.tail is None:
+        K = np.diag(fields.h_uu.values * h)
+    else:
+        K = qm.T @ (qm * m.tail[:, None])
+        K.flat[:: len(K) + 1] += fields.h_uu.values * h
     if len(m.rows):
         K += m.rows.T @ (m.rows * m.weights[:, None])
     if cross:
-        C = (fields.h_yu.values * h)[:, None] * qm
+        C = np.multiply((fields.h_yu.values * h)[:, None], qm, out=qm)
         K += C
         K += C.T
     if not np.isfinite(K).all():

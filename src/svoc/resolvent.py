@@ -24,31 +24,26 @@ sampled at the half's midpoint.
 Cost: O(N^2) memory, and O(N^3) flops except for Q when f_y is a constant and
 f_u does not read t.  That Q is a convolution: R[k, c] = g[c] r[k - c], with g
 f_u's value at t_c, so one column of the doubly singular table is built,
-O(N^2) flops in row blocks of O(N) memory, and each pass of the march over it
-is one `linear_march`, O(N log^2 N).  Such a Q keeps r and g and holds O(N)
-beyond the n x n QM that K reads: the product with a midpoint variation
-(`_midpoint_product`) and the node rows are causal convolutions and slices
-of r and g, and QM takes its cell corners from lagged views of r times g.
-Only the node routes (`represent_solution`, `apply_kernel_nodes`) and
-`resolvent_residual` build R's table.  Every resolvent, constant or not, and
-every other Q take the general solver: the doubly singular part does not
-depend on R, so it is assembled up front as one table, in square blocks of
-`_BLOCK` rows and columns, mostly of matrix products (BLAS).  Elementwise
-work is left only where the half-cell choice switches: in a band of about
-`_BLOCK` cells per block, and in the row block's own cells within the two
-column blocks next to the diagonal; both are masked into one batched product
-per block.  The own cells of the column blocks further left take one choice
-throughout and are added a row at a time, one gemv per half, so that no
-product reaches a cell j >= k and a non-finite sample is reported at the cell
-where a row-by-row quadrature first meets it.  The two marches over R are
-sequential, one gemv per row, so the Python-level work is O(N) rows plus
-O((N/_BLOCK)^2) blocks, and Q costs what the resolvent costs.
+O(N^2) flops in row blocks of O(N) memory, each pass of the march over it is
+one `linear_march`, O(N log^2 N), and R's table is the products of r and g.
+Every resolvent, constant or not, and every other Q take the general solver:
+the doubly singular part does not depend on R, so it is assembled up front as
+one table, in square blocks of `_BLOCK` rows and columns, mostly of matrix
+products (BLAS).  Elementwise work is left only where the half-cell choice
+switches: in a band of about `_BLOCK` cells per block, and in the row block's
+own cells within the two column blocks next to the diagonal; both are masked
+into one batched product per block.  The own cells of the column blocks
+further left take one choice throughout and are added a row at a time, one
+gemv per half, so that no product reaches a cell j >= k and a non-finite
+sample is reported at the cell where a row-by-row quadrature first meets it.
+The two marches over R are sequential, one gemv per row, so the Python-level
+work is O(N) rows plus O((N/_BLOCK)^2) blocks, and Q costs what the resolvent
+costs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -76,45 +71,21 @@ class RegularizedKernel:
 
     c_fn evaluates the coefficient of (t-s)^(alpha-1) at any (t, s), and each
     route samples it where it reads it.  The bounded remainder R is held as
-    `table`, its samples R[k, j] at node pairs (t_k, t_j) on the closed lower
-    triangle, or, when it is a convolution, as its lag column r and node
-    factor g with R[k, c] = g[c] r[k - c] for c <= k < n + 1.  Either way the
-    diagonal is filled by constant extension from below, R[k, k] = R[k + 1, k]
-    (so r[0] = r[1], and R[n, n] = R[n, n - 1]), so that interpolation near
-    the diagonal never reads garbage.  `regular` is the table, built from r
-    and g on first read, by the node routes and `resolvent_residual` only.
-    A zero R is zero r and g; the zero kernel holds neither.
+    `regular`, its samples R[k, j] at node pairs (t_k, t_j) on the closed
+    lower triangle, with the diagonal filled by constant extension from below,
+    R[k, k] = R[k + 1, k] and R[n, n] = R[n, n - 1], so that interpolation
+    near the diagonal never reads garbage.  A zero R is a zero table; the
+    zero kernel holds none.
     """
 
     alpha: float
     grid: Grid
     c_fn: KernelFn
-    table: Optional[np.ndarray] = None
-    r: Optional[np.ndarray] = None
-    g: Optional[np.ndarray] = None
+    regular: Optional[np.ndarray] = None
 
     @property
     def is_zero(self) -> bool:
-        return self.table is None and self.r is None
-
-    @cached_property
-    def regular(self) -> Optional[np.ndarray]:
-        if self.r is None:
-            return self.table
-        with np.errstate(invalid="ignore", over="ignore"):
-            R = _causal_table(self.r, self.g, 1)
-        _extend_diagonal(R)
-        return R
-
-    def row(self, k: int) -> np.ndarray:
-        """R[k, :k + 1], read from r and g when R is a convolution."""
-        if self.r is None:
-            return self.table[k, : k + 1]
-        with np.errstate(invalid="ignore", over="ignore"):
-            out = self.g[: k + 1] * self.r[k::-1]
-            if k == self.grid.n:
-                out[k] = self.g[k - 1] * self.r[1]
-        return out
+        return self.regular is None
 
 
 _BLOCK = 32  # rows and columns per block of the doubly singular tables
@@ -447,15 +418,14 @@ def _solve(tb: _HalfCellTables, right: tuple, left: tuple) -> np.ndarray:
 
 def _build(alpha: float, grid: Grid, right_fn: KernelFn, left_fn: KernelFn) -> RegularizedKernel:
     """The kernel with right kernel B = right_fn and left kernel L = left_fn: no
-    table when L's samples all vanish, a zero R, held as zero lag and node
-    factors, when B's do, `_solve` otherwise."""
+    table when L's samples all vanish, a zero table when B's do, `_solve`
+    otherwise."""
     left = _left_samples(left_fn, grid)
     if not (_node_samples(left_fn, grid).any() or left[0].any() or left[1].any()):
         return RegularizedKernel(alpha, grid, left_fn, None)
     right = _right_samples(right_fn, grid)
     if not (right[0].any() or right[1].any()):
-        return RegularizedKernel(alpha, grid, left_fn, r=np.zeros(grid.n + 1),
-                                 g=np.zeros(grid.n + 1))
+        return RegularizedKernel(alpha, grid, left_fn, np.zeros((grid.n + 1, grid.n + 1)))
     R = _solve(_HalfCellTables(alpha, grid), right, left)
     return RegularizedKernel(alpha, grid, left_fn, R)
 
@@ -563,9 +533,8 @@ def build_q_kernel(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
     is zero when f_y's samples all vanish.  When f_y is a constant and f_u
     does not read t, the regular part is f_u(s) times a function of t - s,
     marched as one column by `_constant_resolvent`: O(N^2) flops instead of
-    O(N^3), and the kernel holds that column and f_u's node values, O(N)
-    memory; its table is built only if the `regular` property is read.  A
-    non-finite entry raises KernelAssemblyError at the first such cell in
+    O(N^3), and the table is that column's products with f_u's node values.
+    A non-finite entry raises KernelAssemblyError at the first such cell in
     row order.
     """
     y_star, u_star = pair
@@ -584,65 +553,22 @@ def build_q_kernel(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
     if a is None:
         return _build(alpha, grid, a_fn, c_fn)
     if a == 0.0:  # a zero R, whatever g holds
-        return RegularizedKernel(alpha, grid, c_fn, r=np.zeros(n + 1), g=np.zeros(n + 1))
+        return RegularizedKernel(alpha, grid, c_fn, np.zeros((n + 1, n + 1)))
     # R[k, c] = g[c] r[k - c], r marched with the unit left kernel
     r = _constant_resolvent(_HalfCellTables(alpha, grid), a)
-    cell = _lag_failure(r, g)
-    if cell is not None:
-        raise KernelAssemblyError(*cell)
-    return RegularizedKernel(alpha, grid, c_fn, r=r, g=g)
+    return RegularizedKernel(alpha, grid, c_fn, _convolution_table(r, g))
 
 
-def _lag_failure(r: np.ndarray, g: np.ndarray) -> Optional[tuple[int, int]]:
-    """The first cell (k, c) in row order whose entry g[c] r[k - c], k > c,
-    is not finite, or None.  As |g[c] r[k - c]| <= max|g| max|r|, a finite
-    bound clears every entry in O(N); otherwise the table is scanned."""
+def _convolution_table(r: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """R[k, c] = g[c] r[k - c] for k > c, extended to the diagonal; the first
+    non-finite entry in row order raises KernelAssemblyError at its cell."""
     with np.errstate(invalid="ignore", over="ignore"):
-        if np.isfinite(np.abs(r).max() * np.abs(g).max()):
-            return None
-        bad = ~np.isfinite(_causal_table(r, g, 1))
-    return divmod(int(np.argmax(bad)), len(r)) if bad.any() else None
-
-
-def _midpoint_product(kernel: RegularizedKernel, v: np.ndarray) -> np.ndarray:
-    """(QM v)_k for a midpoint sample vector v, with QM the matrix of
-    `midpoint_apply_matrix`, without forming QM.
-
-    With the diagonal extension R[k, k] = R[k + 1, k], the regular part of
-    row k is h/4 sum_{i <= k} (R[k, i] + R[k + 1, i]) (v_i + v_{i-1}),
-    v_{-1} = 0: the corner averages of cells i - 1 and i share their column-i
-    corners, and the half-weight diagonal cell is the i = k term.  From a
-    table that is two gemvs, less R[k + 1, k + 1] w_{k+1}, which the gemv on
-    row k + 1 reaches; from r and g it is one causal convolution of
-    r[m] + r[m + 1] with g (v_i + v_{i-1}).  The singular part is one causal
-    convolution of the midpoint weights with c v when the coefficient c
-    ignores t, and a product with c's lattice otherwise.
-    """
-    grid = kernel.grid
-    n, h = grid.n, grid.h
-    if kernel.is_zero:
-        return np.zeros(n)
-    tau = grid.midpoints
-    mu = midpoint_weights(kernel.alpha, grid)
-    with np.errstate(all="ignore"):
-        c = np.asarray(kernel.c_fn(tau[:, None], tau[None, :]), dtype=float)
-        if c.ndim < 2 or len(c) == 1:
-            out = np.convolve(mu, np.broadcast_to(c, (1, n))[0] * v)[:n]
-        else:
-            out = np.multiply(c, _lagged(mu, n, n), out=np.zeros((n, n)),
-                              where=np.tri(n, dtype=bool)) @ v
-        w = v.copy()
-        w[1:] += v[:-1]
-        if kernel.r is not None:
-            r = kernel.r
-            x = np.convolve(r[:-1] + r[1:], kernel.g[:n] * w)[:n]
-        else:
-            R = kernel.table
-            x = R[:n, :n] @ w
-            x += R[1:, :n] @ w
-            x[:-1] -= R.diagonal()[1:n] * w[1:]
-        out += 0.25 * h * x
-    return out
+        R = _causal_table(r, g, 1)
+    bad = ~np.isfinite(R)
+    if bad.any():
+        raise KernelAssemblyError(*divmod(int(np.argmax(bad)), len(r)))
+    _extend_diagonal(R)
+    return R
 
 
 def midpoint_apply_matrix(kernel: RegularizedKernel, grid: Grid) -> np.ndarray:
@@ -650,9 +576,7 @@ def midpoint_apply_matrix(kernel: RegularizedKernel, grid: Grid) -> np.ndarray:
     sampled on midpoints: the singular coefficient is integrated exactly per
     cell, the regular part gets plain cell weights (half on the partial
     diagonal cell).  A coefficient that ignores t is sampled once per
-    column.  The cell corners are read from R's table, or, for a
-    convolution, as products of lagged views of r with g, with no table of
-    R; `_midpoint_product` gives QM v without QM."""
+    column."""
     n, h = grid.n, grid.h
     if kernel.grid != grid:
         raise ValueError("kernel grid mismatch")
@@ -666,27 +590,13 @@ def midpoint_apply_matrix(kernel: RegularizedKernel, grid: Grid) -> np.ndarray:
     qm = np.zeros((n, n))
     np.multiply(c, _lagged(midpoint_weights(kernel.alpha, grid), n, n), out=qm, where=tri)
     # the mean of the cell's four corners times the cell weight h
-    if kernel.r is None:
-        R = kernel.table
-        rmid = R[:n, :n] + R[1:, :n]
-        rmid += R[:n, 1:]
-        rmid += R[1:, 1:]
-        diagonal = R[1:, :n].diagonal()
-    else:
-        # R[k, c] = r[k - c] g[c], the same products the table holds; above
-        # the diagonal the views read r[0], and tri drops those cells
-        r, g = kernel.r, kernel.g
-        lag = _lagged(r, n + 1, n + 1)
-        with np.errstate(invalid="ignore", over="ignore"):
-            rmid = lag[:n, :n] * g[:n]
-            corner = lag[1:, :n] * g[:n]
-            rmid += corner
-            rmid += np.multiply(lag[:n, 1:], g[1:], out=corner)
-            rmid += np.multiply(lag[1:, 1:], g[1:], out=corner)
-            diagonal = r[1] * g[:n]
+    R = kernel.regular
+    rmid = R[:n, :n] + R[1:, :n]
+    rmid += R[:n, 1:]
+    rmid += R[1:, 1:]
     rmid *= 0.25
     rmid *= h
-    np.fill_diagonal(rmid, diagonal * (0.5 * h))
+    np.fill_diagonal(rmid, R[1:, :n].diagonal() * (0.5 * h))
     return np.add(qm, rmid, out=qm, where=tri)
 
 
@@ -703,7 +613,7 @@ def node_apply_row(kernel: RegularizedKernel, node_index: int, grid: Grid) -> np
     with np.errstate(all="ignore"):
         csamp = np.broadcast_to(
             np.asarray(kernel.c_fn(grid.nodes[i], tau), dtype=float), (i,))
-    row = kernel.row(i)
+    row = kernel.regular[i, : i + 1]
     rsamp = 0.5 * (row[:i] + row[1:])
     out[:i] = csamp * singular_weights(kernel.alpha, grid)[i:0:-1] + rsamp * grid.h
     return out

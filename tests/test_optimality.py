@@ -23,7 +23,7 @@ from svoc.optimality import (
 from svoc.oracle import fd_expansion_check
 from svoc.problem import InstantCost, ProblemSpec, builtin_problem
 from svoc.quadrature import make_grid, midpoint_weights
-from svoc.resolvent import _midpoint_product, build_q_kernel, midpoint_apply_matrix
+from svoc.resolvent import _convolution_factor, build_q_kernel, midpoint_apply_matrix
 from svoc.state import Trajectory, evaluate_cost, evaluate_on, solve_state
 
 
@@ -302,6 +302,24 @@ def product_setups():
                                    g=parse_expression("y^2")), 0.3, "convolution"
 
 
+def response_product(q, v, grid):
+    """(QM v)_k by rows of R's table, not by QM's corner means: with the
+    diagonal extension, the regular part of row k is
+    h/4 sum_{i <= k} (R[k, i] + R[k + 1, i]) (v_i + v_{i-1}), v_{-1} = 0, as
+    the corner averages of cells i - 1 and i share their column-i corners."""
+    n, h = grid.n, grid.h
+    tau = grid.midpoints
+    mu = midpoint_weights(q.alpha, grid)
+    c = np.broadcast_to(q.c_fn(tau[:, None], tau[None, :]), (n, n))
+    out = np.array([c[k, : k + 1] @ (mu[k::-1] * v[: k + 1]) for k in range(n)])
+    w = v.copy()
+    w[1:] += v[:-1]
+    R = q.regular
+    x = R[:n, :n] @ w + R[1:, :n] @ w
+    x[:-1] -= R.diagonal()[1:n] * w[1:]  # the gemv on row k + 1 reaches R[k + 1, k + 1]
+    return out + 0.25 * h * x
+
+
 @pytest.mark.parametrize("n", [2, 3, 33, 384])
 @pytest.mark.parametrize("setup", [s[0] for s in product_setups()])
 def test_response_product_matches_the_response_matrix(setup, n):
@@ -309,11 +327,13 @@ def test_response_product_matches_the_response_matrix(setup, n):
     grid = make_grid(1.0, n)
     u = Trajectory.constant(value, grid)
     q = build_q_kernel(problem, (solve_state(problem, u, grid), u), grid)
-    assert {"convolution": q.r is not None and q.r.any(), "table": q.table is not None,
-            "zero R": q.r is not None and not q.r.any()}[path]
+    convolution = _convolution_factor(problem.bundle) is not None
+    assert {"convolution": convolution and q.regular.any(),
+            "table": not convolution and q.regular.any(),
+            "zero R": not q.regular.any()}[path]
     v = np.random.default_rng(n).uniform(-1.0, 1.0, n)
-    want = midpoint_apply_matrix(q, grid) @ v
-    got = _midpoint_product(q, v)
+    want = response_product(q, v, grid)
+    got = midpoint_apply_matrix(q, grid) @ v
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -548,6 +568,27 @@ def test_symmetrizing_takes_one_temporary():
         tracemalloc.stop()
     assert np.array_equal(S, 0.5 * (A + A.T))
     assert peak < 1.1 * A.nbytes
+
+
+def test_quadratic_matrix_holds_three_tables_on_a_tail_term():
+    # lq has H_yy = -2 and no cross term: K starts as QM's weighted product
+    # and takes h H_uu on its diagonal in place, with the bits of
+    # diag(h H_uu) + QM^T diag(tail) QM
+    n = 512
+    grid = make_grid(1.0, n)
+    problem = builtin_problem("lq", {"a": 0.7, "b": -1.2, "r": 1.3})
+    pair, fields = fields_for(problem, grid, control_value=0.4)
+    m = assemble_m_kernel(problem, pair, fields, build_q_kernel(problem, pair, grid), grid)
+    tracemalloc.start()
+    try:
+        K = _quadratic_matrix(fields, m, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * K.nbytes  # measured 3.03; with diag(h H_uu) beside the product, 4.19
+    qm = midpoint_apply_matrix(m.q, grid)
+    assert np.array_equal(K, _symmetrized(np.diag(grid.h * fields.h_uu.values)
+                                          + qm.T @ (qm * m.tail[:, None]), "quadratic form"))
 
 
 def test_asymmetric_kernel_is_a_numerical_failure():

@@ -17,8 +17,10 @@ from svoc.quadrature import make_grid
 from svoc.resolvent import (
     _BLOCK,
     _HalfCellTables,
-    _lag_failure,
-    _midpoint_product,
+    _constant_resolvent,
+    _convolution_factor,
+    _convolution_table,
+    _lagged,
     _node_samples,
     RegularizedKernel,
     apply_kernel_nodes,
@@ -379,23 +381,6 @@ def test_response_kernel_closed_form_when_state_factor_drops():
     assert np.max(np.abs(np.where(tri, _node_samples(q.c_fn, grid) - expect, 0.0))) <= 1e-12
 
 
-def test_zero_regular_part_is_held_as_zero_factors():
-    # paper_example at u* = 0: f_y = t u* vanishes along the pair, so Q's
-    # regular part is zero; it is held as zero lag and node factors, and every
-    # route reads the bits it read from a zero table
-    problem = builtin_problem("paper_example")
-    grid = make_grid(1.0, 64)
-    u = Trajectory.constant(0.0, grid)
-    q = build_q_kernel(problem, (solve_state(problem, u, grid), u), grid)
-    assert q.table is None and not q.r.any() and not q.g.any()
-    assert q.regular.shape == (grid.n + 1, grid.n + 1) and not q.regular.any()
-    table = RegularizedKernel(q.alpha, grid, q.c_fn, np.zeros((grid.n + 1, grid.n + 1)))
-    v = np.cos(3.0 * grid.midpoints)
-    for route in (lambda k: midpoint_apply_matrix(k, grid), lambda k: _midpoint_product(k, v),
-                  lambda k: node_apply_row(k, grid.n, grid)):
-        assert route(q).tobytes() == route(table).tobytes()
-
-
 def test_response_kernel_reproduces_first_response_exactly_when_resolvent_vanishes():
     problem = builtin_problem("paper_example")
     grid = make_grid(1.0, 256)
@@ -683,14 +668,15 @@ def test_constant_kernel_response_memory():
     finally:
         tracemalloc.stop()
     assert not q.is_zero
-    assert peak <= 3 * (n + 1) ** 2 * 8  # measured 2.30 tables
+    assert peak <= 3 * (n + 1) ** 2 * 8  # measured 1.26 tables, R's table included
 
 
-# --- Q as a convolution: its lag column r and node factor g ---------------------
+# --- Q as a convolution: R[k, c] = g[c] r[k - c] ---------------------------------
 
 def convolution_kernels(n):
     """Q on the convolution path (f_y constant, f_u free of t): lq, sing_quad
-    at u = 0.2 (a zero R), and a node factor that reads s."""
+    at u = 0.2 (a zero R), and a node factor that reads s; each with its lag
+    column r (r[0] = r[1]) and node factor g, zero when f_y is."""
     grid = make_grid(1.0, n)
     problems = [builtin_problem("lq", {"a": 0.7, "b": -1.2, "r": 1.3}),
                 builtin_problem("sing_quad", {"c": 1.0}),
@@ -699,42 +685,42 @@ def convolution_kernels(n):
     u = Trajectory.from_expression("0.2 + 0.3*sin(2*t)", grid)
     for problem in problems:
         q = build_q_kernel(problem, (solve_state(problem, u, grid), u), grid)
-        assert q.r is not None and q.table is None
-        yield grid, q
+        a = _convolution_factor(problem.bundle)
+        r, g = np.zeros(n + 1), np.zeros(n + 1)
+        if a != 0.0:
+            r = _constant_resolvent(_HalfCellTables(q.alpha, grid), a)
+            g = np.broadcast_to(q.c_fn(0.0, grid.nodes), (n + 1,))
+        yield grid, q, r, g
 
 
 @pytest.mark.parametrize("n", [2, 3, 33, 200])
 def test_node_rows_read_from_the_lag_column_equal_the_table_rows(n):
-    for grid, q in convolution_kernels(n):
-        table = RegularizedKernel(q.alpha, grid, q.c_fn, table=q.regular)
-        for i in range(n + 1):
-            assert np.array_equal(q.row(i), q.regular[i, : i + 1])
-            assert np.array_equal(node_apply_row(q, i, grid), node_apply_row(table, i, grid))
+    # row k is g[c] r[k - c], and row n ends in its extension g[n - 1] r[1]
+    for grid, q, r, g in convolution_kernels(n):
+        for k in range(n + 1):
+            row = g[: k + 1] * r[k::-1]
+            if k == n:
+                row[k] = g[k - 1] * r[1]
+            assert np.array_equal(row, q.regular[k, : k + 1])
 
 
 @pytest.mark.parametrize("n", [2, 3, 33, 200])
 def test_midpoint_matrix_from_the_lag_column_equals_the_table_route(n):
-    # the same products of r and g in the same order as the table of R holds
-    for grid, q in convolution_kernels(n):
-        table = RegularizedKernel(q.alpha, grid, q.c_fn, table=q.regular)
-        assert np.array_equal(midpoint_apply_matrix(q, grid), midpoint_apply_matrix(table, grid))
-
-
-def test_convolution_kernel_builds_its_table_only_when_read(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("table built")
-
-    lq = builtin_problem("lq", {"a": 0.5, "b": 1.0, "r": 1.0})
-    grid = make_grid(1.0, 64)
-    u = Trajectory.constant(1.0, grid)
-    pair = (solve_state(lq, u, grid), u)
-    monkeypatch.setattr(svoc.resolvent, "_causal_table", refuse)
-    q = build_q_kernel(lq, pair, grid)
-    node_apply_row(q, grid.n, grid)
-    svoc.resolvent._midpoint_product(q, np.ones(grid.n))
-    midpoint_apply_matrix(q, grid)
-    with pytest.raises(AssertionError, match="table built"):
-        q.regular
+    # QM's corner means formed from lagged views of r times g, above the
+    # diagonal r[0] and dropped: the same products in the same order
+    for grid, q, r, g in convolution_kernels(n):
+        h = grid.h
+        singular = RegularizedKernel(q.alpha, grid, q.c_fn, np.zeros((n + 1, n + 1)))
+        want = midpoint_apply_matrix(singular, grid)
+        lag = _lagged(r, n + 1, n + 1)
+        rmid = lag[:n, :n] * g[:n] + lag[1:, :n] * g[:n]
+        rmid += lag[:n, 1:] * g[1:]
+        rmid += lag[1:, 1:] * g[1:]
+        rmid *= 0.25
+        rmid *= h
+        np.fill_diagonal(rmid, r[1] * g[:n] * (0.5 * h))
+        want += np.tril(rmid)
+        assert np.array_equal(midpoint_apply_matrix(q, grid), want)
 
 
 def reference_lag_failure(r, g):
@@ -748,7 +734,7 @@ def reference_lag_failure(r, g):
 
 
 @pytest.mark.parametrize("case", ["clear", "nan-r", "inf-g", "last-g", "overflow", "overflow-late"])
-def test_lag_failure_names_the_first_bad_cell_of_the_table(case, monkeypatch):
+def test_lag_failure_names_the_first_bad_cell_of_the_table(case):
     rng = np.random.default_rng(5)
     r, g = rng.uniform(-2.0, 2.0, 40), rng.uniform(-2.0, 2.0, 40)
     r[0] = r[1]
@@ -763,11 +749,12 @@ def test_lag_failure_names_the_first_bad_cell_of_the_table(case, monkeypatch):
     elif case == "overflow-late":
         r[3], g[20], g[30] = 1e200, 1e120, -1e110
     expected = reference_lag_failure(r, g)
-    assert _lag_failure(r, g) == expected
     assert (expected is None) == (case in ("clear", "last-g"))
-    if case == "clear":  # a finite bound takes no table
-        monkeypatch.setattr(svoc.resolvent, "_causal_table", None)
-        assert _lag_failure(r, g) is None
+    if expected is None:
+        R = _convolution_table(r, g)
+        assert np.isfinite(R).all() and R[-1, -1] == R[-1, -2] == g[-2] * r[1]
+    else:
+        assert _assembly_failure(lambda: _convolution_table(r, g)) == expected
 
 
 @pytest.mark.parametrize("f,cell", [
