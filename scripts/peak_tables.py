@@ -14,8 +14,8 @@ the trace) and once under tracemalloc.  One line per command and N prints
 the traced peak divided by 8 (N+1)^2 bytes.  lq's Q is a convolution (f_y
 constant, f_u free of t), built in O(N^2) flops; paper_example's takes the
 general path.  Either Q holds its regular part as one (N+1)^2 table, which
-`check --order 2` keeps beside QM and K.  The grid budget in `svoc.cli`
-cites these figures.
+`check --order 2` drops once QM is formed, before K.  The grid budget in
+`svoc.cli` cites these figures.
 """
 
 import argparse

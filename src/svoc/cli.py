@@ -48,9 +48,10 @@ from .state import Trajectory, evaluate_cost, evaluate_on, solve_state
 # separates in t marches in O(N log^2 N) instead, and a convolution
 # linearization (f_y constant, f_u free of t) builds Q in O(N^2) flops, so
 # that on `lq` (a=0.7, b=-1.2, r=1.3, control 0.4) `check --order 2`, which
-# holds Q's table of R, QM and K, peaks at 4.19, 4.05 and 4.02; but the
-# budget is checked before the problem is loaded, so it charges every kernel
-# the O(N^2) row loop and the general Q.  `verify` builds no Q (its
+# drops Q's table of R once QM is formed and then holds QM and K, peaks at
+# 3.45, 3.21 and 3.15; but the budget is checked before the problem is
+# loaded, so it charges every kernel the O(N^2) row loop and the general Q
+# (17 tables).  `verify` builds no Q (its
 # quadratic form reads the sweep's Y1) and holds O(N): 1.23, 0.40 and 0.12
 # tables on `lq`, 1.07, 0.36 and 0.10 on `paper_example`, as
 # `check --order 1` holds 1.05, 0.32 and 0.09 on either.
@@ -218,7 +219,7 @@ def _identity(problem: ProblemSpec, args) -> dict:
 
 def _cmd_list_problems(args) -> int:
     for name in sorted(BUILTIN_SIGNATURES):
-        required, optional, blurb = BUILTIN_SIGNATURES[name]
+        required, optional, blurb, _ = BUILTIN_SIGNATURES[name]
         sig = ", ".join(list(required) + [f"{k}={v:g}" for k, v in optional.items()])
         print(f"{name}({sig})")
         print(f"    {blurb}")

@@ -22,9 +22,10 @@ first-order response representation, and reports record it.
 QF[v] reads Q through the midpoint response matrix QM, with
 (QM v)_k ~ int_0^{tau_k} Q(tau_k, s) v(s) ds.  M is kept as its factors, never
 as a table: h^2 v^T M v = sum_k h H_yy(tau_k) (QM v)_k^2 - sum_i h_yy^i (q_i . v)^2
-with q_i the row of Q at instant i's node.  The matrix of the form tabulates
-QM once per pair: K = L^T W L + diag(h H_uu) + C + C^T, with L the factor
-rows, W their weights and C = diag(h H_yu) QM.
+with q_i the row of Q at instant i's node.  QM and the q_i are tabulated once
+per pair, after which Q itself is dropped; the matrix of the form is
+K = L^T W L + diag(h H_uu) + C + C^T, with L the factor rows, W their weights
+and C = diag(h H_yu) QM.
 
 The verdict reads lambda_max(K) by the cheapest route `second_order_test`
 allows.  A diagonal K's lambda_max is exact; the eigensolvers return the same
@@ -72,13 +73,14 @@ class SingularVerdict:
 @dataclass(frozen=True, eq=False)
 class MKernel:
     """The aggregated curvature kernel as its factors: h^2 M is
-    QM^T diag(tail) QM plus rows^T diag(weights) rows, with QM Q's midpoint
+    QM^T diag(tail) QM plus rows^T diag(weights) rows, with qm Q's midpoint
     response matrix, tail = h H_yy and rows Q's node rows at the instants
-    with curvature, weighted -h_yy^i.  q is None when Q is zero, tail None
-    when H_yy vanishes; the cross term reads q too."""
+    with curvature, weighted -h_yy^i.  tail is None when H_yy vanishes; qm,
+    which the cross term reads too, is None when Q is zero or when neither
+    the tail nor an H_yu reads it."""
 
     grid: Grid
-    q: Optional[RegularizedKernel]
+    qm: Optional[np.ndarray]
     tail: Optional[np.ndarray]
     rows: np.ndarray
     weights: np.ndarray
@@ -147,21 +149,23 @@ def assemble_m_kernel(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
         M(a, b) = int_{max(a,b)}^T Q(t,a) H_yy(t) Q(t,b) dt
                   - sum_i 1[a < t_i] 1[b < t_i] Q(t_i,a) h_yy^i(y*(t_i)) Q(t_i,b),
 
-    as its factors (see MKernel): Q itself, and one `node_apply_row` per
-    instant with curvature.
+    as its factors (see MKernel): QM, tabulated when the tail or the cross
+    term reads it, and one `node_apply_row` per instant with curvature.
     """
     if q.grid != grid:
         raise ValueError("kernel grid mismatch")
     if q.is_zero:
         return MKernel(grid, None, None, np.zeros((0, grid.n)), np.zeros(0))
     tail = grid.h * fields.h_yy.values
+    tail = tail if np.any(tail) else None
+    read = tail is not None or np.any(fields.h_yu.values)
     rows, weights = [], []
     for snap, ic in zip(snap_instants(problem, grid), problem.bundle.instants):
         coeff = float(ic.h_yy.evaluate(y=pair[0].values[snap.node_index]))
         if coeff != 0.0:
             rows.append(node_apply_row(q, snap.node_index, grid))
             weights.append(-coeff)
-    return MKernel(grid, q, tail if np.any(tail) else None,
+    return MKernel(grid, midpoint_apply_matrix(q, grid) if read else None, tail,
                    np.array(rows).reshape(-1, grid.n), np.array(weights))
 
 
@@ -173,8 +177,8 @@ def quadratic_form(fields: HamiltonianFields, m: MKernel, v: Trajectory, grid: G
     h = grid.h
     vv = v.values
     out = h * float(np.dot(fields.h_uu.values, vv**2))
-    cross = m.q is not None and np.any(fields.h_yu.values)
-    qv = midpoint_apply_matrix(m.q, grid) @ vv if m.tail is not None or cross else None
+    cross = m.qm is not None and np.any(fields.h_yu.values)
+    qv = m.qm @ vv if m.qm is not None else None
     if m.tail is not None:
         out += float(np.dot(m.tail, qv**2))
     if len(m.rows):
@@ -185,15 +189,14 @@ def quadratic_form(fields: HamiltonianFields, m: MKernel, v: Trajectory, grid: G
 
 
 def _quadratic_matrix(fields: HamiltonianFields, m: MKernel, grid: Grid) -> np.ndarray:
-    """Symmetric K with v^T K v = QF[v] for every midpoint sample vector; QM
-    is tabulated here, once.  With a tail term K starts as QM's weighted
-    product and takes h H_uu on its diagonal in place, and C overwrites QM,
-    so at most three n x n arrays are live.  Without curvature rows or a
-    cross term K is the diagonal diag(h H_uu), symmetric as built, and is
-    returned as it is."""
+    """Symmetric K with v^T K v = QF[v] for every midpoint sample vector.
+    With a tail term K starts as QM's weighted product and takes h H_uu on
+    its diagonal in place, so beside QM at most two n x n arrays are live.
+    Without curvature rows or a cross term K is the diagonal diag(h H_uu),
+    symmetric as built, and is returned as it is."""
     h = grid.h
-    cross = m.q is not None and np.any(fields.h_yu.values)
-    qm = midpoint_apply_matrix(m.q, grid) if m.tail is not None or cross else None
+    qm = m.qm
+    cross = qm is not None and np.any(fields.h_yu.values)
     if m.tail is None:
         K = np.diag(fields.h_uu.values * h)
     else:
@@ -202,7 +205,7 @@ def _quadratic_matrix(fields: HamiltonianFields, m: MKernel, grid: Grid) -> np.n
     if len(m.rows):
         K += m.rows.T @ (m.rows * m.weights[:, None])
     if cross:
-        C = np.multiply((fields.h_yu.values * h)[:, None], qm, out=qm)
+        C = (fields.h_yu.values * h)[:, None] * qm
         K += C
         K += C.T
     if not np.isfinite(K).all():
@@ -245,9 +248,9 @@ def second_order_test(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
     if not verdict.singular:
         return SecondOrderReport("inconclusive", float("nan"), verdict.tol,
                                  verdict.sup_hu, None, None)
-    q = build_q_kernel(problem, pair, grid)
-    m = assemble_m_kernel(problem, pair, fields, q, grid)
-    K = _quadratic_matrix(fields, m, grid)
+    K = _quadratic_matrix(fields, assemble_m_kernel(problem, pair, fields,
+                                                    build_q_kernel(problem, pair, grid), grid),
+                          grid)
     lam = np.inf
     if _is_diagonal(K):
         lam = float(np.diagonal(K).max())

@@ -16,6 +16,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import Callable
 
 from .expr import (ExpressionError, NonSmoothWarning, ScalarExpr, differentiate,
                    parse_expression, separate)
@@ -162,34 +163,45 @@ class ProblemSpec:
 
 # --- builtin registry -------------------------------------------------------
 
-# name -> (required params, optional params with defaults, short description)
-BUILTIN_SIGNATURES: dict[str, tuple[tuple[str, ...], dict[str, float], str]] = {
+# name -> (required params, optional params with defaults, short description,
+#          declaration: parameter values -> the problem-file object it names)
+BUILTIN_SIGNATURES: dict[str, tuple[tuple[str, ...], dict[str, float], str,
+                                    Callable[[dict[str, float]], dict]]] = {
     "paper_example": (
         (),
         {},
         "bilinear kernel t*y*u with free term 1 + t*sqrt(t), running cost y*u, "
         "terminal instant cost y at t=1",
+        lambda p: {"alpha": 0.5, "T": 1.0, "eta": "1 + t*sqrt(t)", "f": "t*y*u", "g": "y*u",
+                   "instant_costs": [{"t": 1.0, "h": "y"}], "control_bounds": [-1.0, 1.0]},
     ),
     "abel_linear": (
         ("lam",),
         {"alpha": 0.5, "T": 1.0},
         "linear kernel lam*y with unit free term; closed-form solution for checks",
+        lambda p: {"alpha": p["alpha"], "T": p["T"], "eta": "1", "f": f"{p['lam']!r}*y",
+                   "g": "0"},
     ),
     "sing_quad": (
         ("c",),
         {"alpha": 0.5, "T": 1.0},
         "control-quadratic kernel c*u^2 with running cost y^2; u=0 is singular",
+        lambda p: {"alpha": p["alpha"], "T": p["T"], "eta": "1", "f": f"{p['c']!r}*u^2",
+                   "g": "y^2"},
     ),
     "lq": (
         ("a", "b", "r"),
         {"alpha": 0.5, "T": 1.0},
         "linear kernel a*y + b*u with quadratic running cost y^2 + r*u^2",
+        lambda p: {"alpha": p["alpha"], "T": p["T"], "eta": "1",
+                   "f": f"{p['a']!r}*y + {p['b']!r}*u", "g": f"y^2 + {p['r']!r}*u^2"},
     ),
 }
 
 
 def builtin_problem(name: str, params: dict[str, float] | None = None) -> ProblemSpec:
-    """Instantiate one of the registered problems.
+    """Instantiate one of the registered problems: its declaration at the
+    given parameter values, built as a problem file is.
 
     Raises ProblemValidationError for unknown names, missing parameters,
     parameters the problem does not take, or a non-finite coefficient.
@@ -197,7 +209,7 @@ def builtin_problem(name: str, params: dict[str, float] | None = None) -> Proble
     if name not in BUILTIN_SIGNATURES:
         known = ", ".join(sorted(BUILTIN_SIGNATURES))
         raise ProblemValidationError(f"unknown builtin problem '{name}' (known: {known})")
-    required, optional, _ = BUILTIN_SIGNATURES[name]
+    required, optional, _, declaration = BUILTIN_SIGNATURES[name]
     given = dict(params or {})
     for key in required:
         if key not in given:
@@ -207,55 +219,11 @@ def builtin_problem(name: str, params: dict[str, float] | None = None) -> Proble
         raise ProblemValidationError(
             f"problem '{name}' does not take parameter(s) {sorted(unknown)}"
         )
-    values = {**optional, **given}
-    record = tuple(sorted((k, float(v)) for k, v in values.items()))
+    record = tuple(sorted((k, float(v)) for k, v in {**optional, **given}.items()))
     for key, value in record:
         if key not in ("alpha", "T") and not math.isfinite(value):  # written into f or g
             raise ProblemValidationError(f"parameter '{key}' must be finite, got {value}")
-
-    if name == "paper_example":
-        return ProblemSpec(
-            alpha=0.5,
-            T=1.0,
-            eta=parse_expression("1 + t*sqrt(t)"),
-            f=parse_expression("t*y*u"),
-            g=parse_expression("y*u"),
-            instant_costs=(InstantCost(1.0, parse_expression("y")),),
-            control_bounds=(-1.0, 1.0),
-            name=name,
-            params=record,
-        )
-    alpha, horizon = float(values["alpha"]), float(values["T"])
-    if name == "abel_linear":
-        return ProblemSpec(
-            alpha=alpha,
-            T=horizon,
-            eta=parse_expression("1"),
-            f=parse_expression(f"{values['lam']!r}*y"),
-            g=parse_expression("0"),
-            name=name,
-            params=record,
-        )
-    if name == "sing_quad":
-        return ProblemSpec(
-            alpha=alpha,
-            T=horizon,
-            eta=parse_expression("1"),
-            f=parse_expression(f"{values['c']!r}*u^2"),
-            g=parse_expression("y^2"),
-            name=name,
-            params=record,
-        )
-    # lq
-    return ProblemSpec(
-        alpha=alpha,
-        T=horizon,
-        eta=parse_expression("1"),
-        f=parse_expression(f"{values['a']!r}*y + {values['b']!r}*u"),
-        g=parse_expression(f"y^2 + {values['r']!r}*u^2"),
-        name=name,
-        params=record,
-    )
+    return _declared_problem(declaration(dict(record)), name, name, record)
 
 
 # --- file format -------------------------------------------------------------
@@ -287,6 +255,13 @@ def load_problem_file(path: str | Path) -> ProblemSpec:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ProblemValidationError(f"{path}: not valid JSON ({exc})") from exc
+    return _declared_problem(data, path, path.stem)
+
+
+def _declared_problem(data, path, name: str,
+                      params: tuple[tuple[str, float], ...] = ()) -> ProblemSpec:
+    """The ProblemSpec a problem-file object declares, after its key, type and
+    expression checks; their messages start with path."""
     if not isinstance(data, dict):
         raise ProblemValidationError(f"{path}: top level must be an object")
     missing = _REQUIRED_KEYS - set(data)
@@ -336,5 +311,6 @@ def load_problem_file(path: str | Path) -> ProblemSpec:
         g=expr_of("g", data["g"]),
         instant_costs=tuple(instants),
         control_bounds=bounds,
-        name=path.stem,
+        name=name,
+        params=params,
     )

@@ -197,7 +197,7 @@ def test_curvature_kernel_zero_when_response_kernel_is_zero():
     q = build_q_kernel(problem, pair, grid)
     assert q.is_zero
     m = assemble_m_kernel(problem, pair, fields, q, grid)
-    assert m.q is None and m.tail is None and not len(m.rows)
+    assert m.qm is None and m.tail is None and not len(m.rows)
 
 
 def test_curvature_kernel_zero_without_state_curvature():
@@ -209,7 +209,7 @@ def test_curvature_kernel_zero_without_state_curvature():
     q = build_q_kernel(problem, pair, grid)
     assert not q.is_zero
     m = assemble_m_kernel(problem, pair, fields, q, grid)
-    assert m.q is q and m.tail is None and not len(m.rows)  # no factor, so no GEMM
+    assert m.qm is None and m.tail is None and not len(m.rows)  # no factor reads QM: no GEMM
 
 
 def test_curvature_kernel_against_series_quadrature():
@@ -220,8 +220,9 @@ def test_curvature_kernel_against_series_quadrature():
     pair, fields = fields_for(problem, grid, control_value=1.0)
     q = build_q_kernel(problem, pair, grid)
     m = assemble_m_kernel(problem, pair, fields, q, grid)
-    assert m.q is q and not len(m.rows)  # the tail factor alone: lq has no instants
+    assert not len(m.rows)  # the tail factor alone: lq has no instants
     L = midpoint_apply_matrix(q, grid)
+    assert np.array_equal(m.qm, L)
     M = L.T @ (L * m.tail[:, None]) / grid.h**2
     K = _quadratic_matrix(fields, m, grid)
     assert np.max(np.abs(K - K.T)) == 0.0
@@ -585,8 +586,10 @@ def test_quadratic_matrix_holds_three_tables_on_a_tail_term():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * K.nbytes  # measured 3.03; with diag(h H_uu) beside the product, 4.19
-    qm = midpoint_apply_matrix(m.q, grid)
+    # measured 2.03 with m's QM formed before the trace; with diag(h H_uu)
+    # beside the product, 3.00
+    assert peak < 2.5 * K.nbytes
+    qm = m.qm
     assert np.array_equal(K, _symmetrized(np.diag(grid.h * fields.h_uu.values)
                                           + qm.T @ (qm * m.tail[:, None]), "quadratic form"))
 

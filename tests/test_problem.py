@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from svoc.cli import run_command
 from svoc.expr import parse_expression
 from svoc.problem import (
     BUILTIN_SIGNATURES,
@@ -117,20 +118,68 @@ def test_control_bounds_ordered():
         spec(control_bounds=(1.0, -1.0))
 
 
+# every builtin at its defaults and at one other setting (paper_example takes none)
+BUILTIN_CASES = [
+    ("paper_example", {}),
+    ("abel_linear", {"lam": 1.0}),
+    ("abel_linear", {"lam": -0.7, "alpha": 0.3, "T": 2.0}),
+    ("sing_quad", {"c": 1.0}),
+    ("sing_quad", {"c": -1.5, "alpha": 0.7, "T": 0.5}),
+    ("lq", {"a": 0.7, "b": -1.2, "r": 1.3}),
+    ("lq", {"a": -0.4, "b": 2.0, "r": 0.5, "alpha": 0.25, "T": 1.5}),
+]
+CASE_IDS = [f"{name}-{i}" for i, (name, _) in enumerate(BUILTIN_CASES)]
+
+
+def declaration_file(tmp_path, name, params):
+    path = tmp_path / f"{name}-file.json"
+    path.write_text(json.dumps(problem_to_dict(builtin_problem(name, params))),
+                    encoding="utf-8")
+    return path
+
+
 def test_file_round_trip(tmp_path):
-    original = builtin_problem("paper_example")
-    path = tmp_path / "prob.json"
-    path.write_text(json.dumps(problem_to_dict(original)), encoding="utf-8")
-    loaded = load_problem_file(path)
-    assert loaded.alpha == original.alpha
-    assert loaded.T == original.T
-    assert str(loaded.f) == str(original.f)
-    assert str(loaded.eta) == str(original.eta)
-    assert loaded.control_bounds == original.control_bounds
-    assert [(ic.time, str(ic.h)) for ic in loaded.instant_costs] == [
-        (ic.time, str(ic.h)) for ic in original.instant_costs
-    ]
-    assert loaded.name == "prob"
+    # each builtin's declaration loads back as the builtin, named after its file
+    for name, params in BUILTIN_CASES:
+        builtin = builtin_problem(name, params)
+        loaded = load_problem_file(declaration_file(tmp_path, name, params))
+        assert (loaded.alpha, loaded.T) == (builtin.alpha, builtin.T)
+        for key in ("eta", "f", "g"):
+            assert str(getattr(loaded, key)) == str(getattr(builtin, key)), key
+        assert [(ic.time, str(ic.h)) for ic in loaded.instant_costs] == [
+            (ic.time, str(ic.h)) for ic in builtin.instant_costs
+        ]
+        assert loaded.control_bounds == builtin.control_bounds
+        assert (loaded.name, loaded.params) == (f"{name}-file", ())
+
+
+@pytest.mark.parametrize("name, params", BUILTIN_CASES, ids=CASE_IDS)
+def test_builtin_and_its_file_write_the_same_outputs(tmp_path, name, params):
+    # only the identity keys tell the two runs apart
+    path = declaration_file(tmp_path, name, params)
+    flags = [arg for k, v in params.items() for arg in ("--param", f"{k}={v!r}")]
+    for command, written in ((["solve"], "state.csv"),
+                             (["check", "--order", "2", "--tol", "1e9"], "second_order.json")):
+        outs = []
+        for problem in ([name, *flags], [str(path)]):
+            out = tmp_path / f"{command[0]}-{len(outs)}"
+            assert run_command([*command, "--problem", *problem, "--control", "0.3",
+                                "--n", "64", "--out", str(out)]) == 0
+            outs.append(out)
+        builtin, declared = outs
+        names = sorted(f.name for f in builtin.iterdir())
+        assert names == sorted(f.name for f in declared.iterdir())
+        assert written in names
+        for file in names:
+            a, b = (builtin / file).read_text(), (declared / file).read_text()
+            if file.endswith(".csv"):
+                assert a == b, file
+                continue
+            a, b = json.loads(a), json.loads(b)
+            for report in (a, b):
+                for key in ("problem", "params"):
+                    report.pop(key, None)
+            assert json.dumps(a) == json.dumps(b), file
 
 
 def write_problem(tmp_path, data):
