@@ -19,13 +19,14 @@ to stay non-positive.  The cross term's inner integral runs over s in [0, t]
 with the outer factor v(t) H_yu(t); this is the ordering consistent with the
 first-order response representation, and reports record it.
 
-QF[v] reads Q through the midpoint response matrix QM, with
-(QM v)_k ~ int_0^{tau_k} Q(tau_k, s) v(s) ds.  M is kept as its factors, never
-as a table: h^2 v^T M v = sum_k h H_yy(tau_k) (QM v)_k^2 - sum_i h_yy^i (q_i . v)^2
-with q_i the row of Q at instant i's node.  QM and the q_i are tabulated once
-per pair, after which Q itself is dropped; the matrix of the form is
-K = L^T W L + diag(h H_uu) + C + C^T, with L the factor rows, W their weights
-and C = diag(h H_yu) QM.
+QF[v] is one function, `quadratic_form`, fed v's response r = int_0^t Q v ds
+on midpoints and at the nodes of the instants with curvature, weighted by
+-h_yy^i(y*(t_i)) from `_instant_curvature`, once per pair.  `verify` feeds
+it Y1 and builds no Q; the Q route feeds it QM v and q_i . v, with QM Q's
+midpoint response matrix and q_i Q's row at instant i's node, M's factors.
+They are tabulated once per pair, after which Q is dropped; the form's matrix
+is K = L^T W L + diag(h H_uu) + C + C^T, with L the factor rows, W their
+weights and C = diag(h H_yu) QM.
 
 The verdict reads lambda_max(K) by the cheapest route `second_order_test`
 allows.  A diagonal K's lambda_max is exact; the eigensolvers return the same
@@ -159,33 +160,42 @@ def assemble_m_kernel(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
     tail = grid.h * fields.h_yy.values
     tail = tail if np.any(tail) else None
     read = tail is not None or np.any(fields.h_yu.values)
-    rows, weights = [], []
+    nodes, weights = _instant_curvature(problem, pair[0], grid)
+    rows = np.array([node_apply_row(q, node, grid) for node in nodes]).reshape(-1, grid.n)
+    return MKernel(grid, midpoint_apply_matrix(q, grid) if read else None, tail, rows, weights)
+
+
+def _instant_curvature(problem: ProblemSpec, y_star: Trajectory,
+                       grid: Grid) -> tuple[list[int], np.ndarray]:
+    """The node n_i each instant with curvature snaps to and its weight
+    -h_yy^i(y*(t_{n_i})), in time order; each h_yy^i is evaluated once."""
+    nodes, weights = [], []
     for snap, ic in zip(snap_instants(problem, grid), problem.bundle.instants):
-        coeff = float(ic.h_yy.evaluate(y=pair[0].values[snap.node_index]))
+        coeff = float(ic.h_yy.evaluate(y=y_star.values[snap.node_index]))
         if coeff != 0.0:
-            rows.append(node_apply_row(q, snap.node_index, grid))
+            nodes.append(snap.node_index)
             weights.append(-coeff)
-    return MKernel(grid, midpoint_apply_matrix(q, grid) if read else None, tail,
-                   np.array(rows).reshape(-1, grid.n), np.array(weights))
+    return nodes, np.array(weights)
 
 
-def quadratic_form(fields: HamiltonianFields, m: MKernel, v: Trajectory, grid: Grid) -> float:
-    """The second-order form QF[v] for a variation sampled on midpoints, from
-    the factors of M and one product of QM with v."""
-    if v.placement != "midpoints" or v.grid != grid or m.grid != grid:
-        raise ValueError("variation, kernels, and grid must match on midpoints")
+def quadratic_form(fields: HamiltonianFields, v: Trajectory, response: np.ndarray,
+                   weights: np.ndarray, at_instants: np.ndarray) -> float:
+    """QF[v] = h sum_k (H_uu v_k^2 + H_yy r_k^2 + 2 H_yu v_k r_k) + sum_i w_i r(t_{n_i})^2
+    for v on midpoints and its response r, given on midpoints (response) and at
+    the nodes n_i of the instants with curvature (at_instants), whose weights
+    w_i = -h_yy^i `_instant_curvature` gives.  A zero response adds nothing."""
+    grid = fields.h_uu.grid
+    if v.placement != "midpoints" or v.grid != grid:
+        raise ValueError("variation and fields must match on midpoints")
     h = grid.h
     vv = v.values
     out = h * float(np.dot(fields.h_uu.values, vv**2))
-    cross = m.qm is not None and np.any(fields.h_yu.values)
-    qv = m.qm @ vv if m.qm is not None else None
-    if m.tail is not None:
-        out += float(np.dot(m.tail, qv**2))
-    if len(m.rows):
-        out += float(np.dot(m.weights, (m.rows @ vv) ** 2))
-    if cross:
-        out += 2.0 * h * float(np.dot(vv * fields.h_yu.values, qv))
-    return out
+    if np.any(response) or np.any(at_instants):
+        out += h * float(np.dot(fields.h_yy.values, response**2))
+        out += 2.0 * h * float(np.dot(vv * fields.h_yu.values, response))
+        for w, r in zip(weights, at_instants):
+            out += w * r**2
+    return float(out)
 
 
 def _quadratic_matrix(fields: HamiltonianFields, m: MKernel, grid: Grid) -> np.ndarray:

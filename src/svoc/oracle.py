@@ -9,8 +9,8 @@ they are the columns of one linear march, which factors each leaf once for
 all of them.  The check stays independent: each column takes the products
 its own march takes, from the same leaf inverses each march would form for
 itself, so each state is the forward solve bit for bit.  The second-order
-model reads Y1, the product of the response kernel Q with v, so no Q is
-built.
+model is `quadratic_form`, the one implementation of QF[v], fed Y1: Y1 is
+the product of the response kernel Q with v, so no Q is built.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import snap_instants, solve_adjoint
+from .adjoint import solve_adjoint
 from .errors import SeriesError
-from .optimality import hamiltonian_fields
+from .optimality import _instant_curvature, hamiltonian_fields, quadratic_form
 from .problem import ProblemSpec, builtin_problem
 from .quadrature import make_grid
 from .state import Trajectory, _march_sweep, evaluate_cost, solve_state, solve_y1, solve_y2
@@ -132,38 +132,24 @@ def fd_expansion_check(problem: ProblemSpec, control: Trajectory,
     first- and second-order models on its grid; the cost difference is
     computed only through forward solves, at each delta of DEFAULT_DELTAS.
 
-    The second-order model reads
-
-        QF = h sum_k H_uu v_k^2 + h sum_k H_yy (Y1m_k)^2 + 2 h sum_k H_yu v_k Y1m_k
-             - sum_i h_yy^i(y*(t_i)) Y1(t_{n_i})^2
-
-    over the midpoints k, with v_k and Y1m_k = (Y1_k + Y1_{k+1}) / 2 the
-    midpoint averages, and n_i the node instant i snaps to: Y1, the sweep's
-    first-order response, is the inner integral int_0^t Q(t,s) v(s) ds of
-    the paper's form, so Q is never built.  The states, Y1 and y* are one
-    march when they share an operator; otherwise y*, the base cost, the
-    costate and fields, the states and Y1 are marched in that order, so a
-    failure is the first of those."""
+    The second-order model is `quadratic_form` fed the sweep's Y1, the
+    paper's inner integral int_0^t Q(t,s) v(s) ds, so Q is never built.  The
+    states, Y1 and y* are one march when they share an operator; otherwise
+    y*, the base cost, the costate and fields, the states and Y1 are marched
+    in that order, so a failure is the first of those."""
     grid = control.grid
     y_star, marched = _reference(problem, control, v)
     pair = (y_star, control)
     base = evaluate_cost(problem, y_star, control, grid).total
     fields = hamiltonian_fields(problem, pair, solve_adjoint(problem, pair, grid), grid)
     # a Trajectory, so that an average which overflows raises here
-    vm = Trajectory(grid, "midpoints", v.midpoint_values()).values
-    h = grid.h
-    hu_pairing = h * float(np.dot(fields.h_u.values, vm))
+    vm = Trajectory(grid, "midpoints", v.midpoint_values())
+    hu_pairing = grid.h * float(np.dot(fields.h_u.values, vm.values))
 
     variational = _variational_report(problem, pair, v, marched)
-    qf = h * float(np.dot(fields.h_uu.values, vm**2))
     y1 = variational.y1
-    if np.any(y1.values):
-        y1m = y1.midpoint_values()
-        qf += h * float(np.dot(fields.h_yy.values, y1m**2))
-        qf += 2.0 * h * float(np.dot(vm * fields.h_yu.values, y1m))
-        for snap, ic in zip(snap_instants(problem, grid), problem.bundle.instants):
-            node = snap.node_index
-            qf -= float(ic.h_yy.evaluate(y=y_star.values[node])) * y1.values[node] ** 2
+    nodes, weights = _instant_curvature(problem, y_star, grid)
+    qf = quadratic_form(fields, vm, y1.midpoint_values(), weights, y1.values[nodes])
     rows = []
     for delta, y_pert in zip(DEFAULT_DELTAS, variational.states):
         u_pert = Trajectory(grid, "nodes", control.values + delta * v.values)
@@ -234,7 +220,7 @@ def _variational_report(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory
 class ConvergenceRow:
     n: int
     error: float  # relative sup error against the series solution
-    order: float  # log2(e_prev/e) / log2(N/N_prev) against the previous row, NaN on the first
+    order: float  # log2(e_prev/e) / log2(N/N_prev), NaN on the first row; IEEE at a zero e
 
 
 @dataclass(frozen=True)
@@ -244,16 +230,16 @@ class ConvergenceReport:
     rows: tuple[ConvergenceRow, ...]
 
 
-def convergence_study(lam: float, alpha: float, ns, T: float = 1.0) -> ConvergenceReport:
-    """Sup-error table for the linear problem against its series solution, summed
+def convergence_study(lam: float, alpha: float, ns) -> ConvergenceReport:
+    """Sup-error table for the linear problem on [0, 1] against its series solution, summed
     once on all grids' nodes; after its march a grid raises its first failing node's error."""
     ns = [int(n) for n in ns]
     if any(n <= prev for prev, n in zip(ns, ns[1:])):
         raise ValueError(f"grid sizes must be strictly increasing, got {ns}")
     if not ns:
         return ConvergenceReport(lam, alpha, ())
-    problem = builtin_problem("abel_linear", {"lam": lam, "alpha": alpha, "T": T})
-    grids = [make_grid(T, n) for n in ns]
+    problem = builtin_problem("abel_linear", {"lam": lam, "alpha": alpha, "T": 1.0})
+    grids = [make_grid(1.0, n) for n in ns]
     nodes = np.unique(np.concatenate([grid.nodes for grid in grids]))
     series, errors = _mittag_leffler_entries(alpha, lam * math.gamma(alpha) * nodes**alpha)
     rows, prev_n, prev_err = [], None, None
@@ -265,8 +251,11 @@ def convergence_study(lam: float, alpha: float, ns, T: float = 1.0) -> Convergen
             raise errors[int(failed[0])]
         ref = series[at]
         err = float(np.max(np.abs(y.values - ref)) / np.max(np.abs(ref)))
-        order = float("nan") if prev_err is None else (
-            math.log2(prev_err / err) / math.log2(n / prev_n) if err > 0 else float("inf"))
+        if prev_err is None or prev_err == err == 0.0:
+            order = math.nan  # as 0/0; one zero error gives inf when it is e, -inf when e_prev
+        else:
+            order = (math.log2(prev_err / err) / math.log2(n / prev_n) if prev_err and err
+                     else math.copysign(math.inf, prev_err - err))
         rows.append(ConvergenceRow(n, err, order))
         prev_n, prev_err = n, err
     return ConvergenceReport(lam, alpha, tuple(rows))

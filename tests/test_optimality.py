@@ -34,6 +34,13 @@ def fields_for(problem, grid, control_value=0.0):
     return (y, u), hamiltonian_fields(problem, (y, u), adj, grid)
 
 
+def q_route_form(fields, m, v):
+    """QF[v] with Q's response to v: QM v on midpoints (zero when M holds no
+    QM) and the node rows of Q times v at the instants with curvature."""
+    qv = np.zeros(m.grid.n) if m.qm is None else m.qm @ v.values
+    return quadratic_form(fields, v, qv, m.weights, m.rows @ v.values)
+
+
 # --- Hamiltonian fields -------------------------------------------------------
 
 def test_benchmark_fields_at_rest_control():
@@ -257,23 +264,22 @@ def test_quadratic_form_closed_value():
         q = build_q_kernel(problem, pair, grid)
         m = assemble_m_kernel(problem, pair, fields, q, grid)
         v = Trajectory.constant(1.0, grid, "midpoints")
-        qf = quadratic_form(fields, m, v, grid)
+        qf = q_route_form(fields, m, v)
         assert qf == pytest.approx(sign * 16.0 / 3.0, abs=1e-2)  # measured off 1.5e-5
-        zero = quadratic_form(fields, m, Trajectory.constant(0.0, grid, "midpoints"), grid)
+        zero = q_route_form(fields, m, Trajectory.constant(0.0, grid, "midpoints"))
         assert zero == 0.0
 
 
 def test_quadratic_form_requires_midpoint_variation():
     problem = builtin_problem("sing_quad", {"c": 1.0})
     grid = make_grid(1.0, 32)
-    pair, fields = fields_for(problem, grid)
-    q = build_q_kernel(problem, pair, grid)
-    m = assemble_m_kernel(problem, pair, fields, q, grid)
+    _, fields = fields_for(problem, grid)
+    r, none = np.zeros(grid.n), np.zeros(0)
     with pytest.raises(ValueError, match="midpoints"):
-        quadratic_form(fields, m, Trajectory.constant(1.0, grid), grid)
+        quadratic_form(fields, Trajectory.constant(1.0, grid), r, none, none)
     with pytest.raises(ValueError, match="midpoints"):
-        quadratic_form(fields, m,
-                       Trajectory.constant(1.0, make_grid(1.0, 16), "midpoints"), grid)
+        quadratic_form(fields, Trajectory.constant(1.0, make_grid(1.0, 16), "midpoints"),
+                       r, none, none)
 
 
 def quadratic_setups():
@@ -349,7 +355,7 @@ def test_matrix_and_functional_forms_agree():
         for _ in range(20):
             vv = rng.uniform(-1.0, 1.0, grid.n)
             v = Trajectory(grid, "midpoints", vv)
-            functional = quadratic_form(fields, m, v, grid)
+            functional = q_route_form(fields, m, v)
             assert abs(float(vv @ K @ vv) - functional) <= 1e-10 * (1.0 + abs(functional))
 
 
@@ -361,8 +367,8 @@ def test_quadratic_form_scales_quadratically():
     m = assemble_m_kernel(problem, pair, fields, q, grid)
     v = Trajectory.from_expression("sin(3*t)", grid, "midpoints")
     v3 = Trajectory(grid, "midpoints", 3.0 * v.values)
-    qf = quadratic_form(fields, m, v, grid)
-    assert quadratic_form(fields, m, v3, grid) == pytest.approx(9.0 * qf, abs=1e-10 * (1 + abs(qf)))
+    qf = q_route_form(fields, m, v)
+    assert q_route_form(fields, m, v3) == pytest.approx(9.0 * qf, abs=1e-10 * (1 + abs(qf)))
 
 
 # --- second-order verdicts ---------------------------------------------------------

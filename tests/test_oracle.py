@@ -1,10 +1,14 @@
+import dataclasses
+import json
 import math
 import re
 
 import numpy as np
 import pytest
 
-from svoc.adjoint import solve_adjoint
+from svoc import oracle
+from svoc.adjoint import snap_instants, solve_adjoint
+from svoc.cli import run_command
 from svoc.errors import SeriesError, StateBlowupError
 from svoc.expr import parse_expression
 from svoc import state
@@ -18,7 +22,7 @@ from svoc.oracle import (
     variational_fd_check,
 )
 from svoc.optimality import assemble_m_kernel, hamiltonian_fields, quadratic_form
-from svoc.problem import BUILTIN_SIGNATURES, ProblemSpec, builtin_problem
+from svoc.problem import BUILTIN_SIGNATURES, ProblemSpec, builtin_problem, load_problem_file
 from svoc.quadrature import make_grid
 from svoc.resolvent import build_q_kernel
 from svoc.state import Trajectory, evaluate_cost, solve_state, solve_y1
@@ -117,8 +121,24 @@ def test_linear_solution_degenerate_case():
 # --- convergence table --------------------------------------------------------
 
 def test_convergence_zero_coefficient_is_exact():
+    # every error is 0, so no order is measured: 0/0 is NaN, not inf
     report = convergence_study(0.0, 0.5, [8, 16, 32])
     assert all(row.error == 0.0 for row in report.rows)
+    assert all(math.isnan(row.order) for row in report.rows)
+
+
+def test_convergence_order_at_one_zero_error_is_infinite(monkeypatch):
+    # the march on the middle grid alone is replaced by the series itself:
+    # an error that drops to 0 has order inf, one that rises from 0 has -inf
+    def march(problem, control, grid):
+        if grid.n == 16:
+            return solve_state(problem, control, grid)
+        return Trajectory(grid, "nodes", linear_analytic_solution(1.0, 0.5, grid.nodes))
+
+    monkeypatch.setattr(oracle, "solve_state", march)
+    report = convergence_study(1.0, 0.5, [8, 16, 32])
+    assert [row.error == 0.0 for row in report.rows] == [True, False, True]
+    assert [row.order for row in report.rows][1:] == [-math.inf, math.inf]
 
 
 def test_convergence_errors_decrease():
@@ -234,6 +254,104 @@ def test_quadratic_form_matches_the_discrete_second_variation():
     assert fine <= coarse / 10.0  # measured 7.95e-6
 
 
+def q_and_y1_forms(name, params, control, n):
+    """QF[cos 3t] through Q, as `check --order 2` forms it, and through the
+    sweep's Y1, as `verify` does, along the same pair."""
+    problem = builtin_problem(name, params)
+    grid = make_grid(1.0, n)
+    u = Trajectory.from_expression(control, grid)
+    v = Trajectory.from_expression("cos(3*t)", grid)
+    report = fd_expansion_check(problem, u, v)
+    pair = (report.variational.y_star, u)
+    fields = hamiltonian_fields(problem, pair, solve_adjoint(problem, pair, grid), grid)
+    m = assemble_m_kernel(problem, pair, fields, build_q_kernel(problem, pair, grid), grid)
+    v_mid = Trajectory(grid, "midpoints", v.midpoint_values())
+    return (quadratic_form(fields, v_mid, m.qm @ v_mid.values, m.weights, m.rows @ v_mid.values),
+            report.qf)
+
+
+@pytest.mark.parametrize("name, params, control", [
+    ("lq", {"a": 0.7, "b": -1.2, "r": 1.3}, "0.4"),
+    ("paper_example", {}, "0.3 + 0.2*sin(2*t)"),
+])
+def test_the_forms_through_q_and_through_y1_converge_together(name, params, control):
+    # QM v and Y1 are two discretizations of the same response, so the two
+    # forms meet at first order in h: measured 0.159 -> 0.040 on lq and
+    # 0.139 -> 0.035 on paper_example, 3.98x each
+    coarse, fine = (abs(q - y1) for q, y1 in (q_and_y1_forms(name, params, control, n)
+                                               for n in (384, 1536)))
+    assert fine * 3.5 <= coarse
+
+
+CURVED_FILE = {"alpha": 0.5, "T": 1.0, "eta": "1",
+               "f": "(1 + t)*y + u/(2 + t) + 0.3*y*u", "g": "y^2 + 0.5*y*u",
+               "instant_costs": [{"t": 0.25, "h": "y^3"}, {"t": 0.7301, "h": "sin(y)"}]}
+
+
+def curved_file(tmp_path):
+    """A problem file whose form has every term: an H_yy tail, an H_yu cross
+    term and two instants with curvature, one between nodes."""
+    path = tmp_path / "curved.json"
+    path.write_text(json.dumps(CURVED_FILE))
+    return path
+
+
+def test_verify_form_is_quadratic_form_fed_y1(tmp_path):
+    problem = load_problem_file(curved_file(tmp_path))
+    grid = make_grid(1.0, 64)
+    u = Trajectory.constant(0.4, grid)
+    v = Trajectory.from_expression("cos(3*t)", grid)
+    report = fd_expansion_check(problem, u, v)
+    y_star, y1 = report.variational.y_star, report.variational.y1
+    pair = (y_star, u)
+    fields = hamiltonian_fields(problem, pair, solve_adjoint(problem, pair, grid), grid)
+    assert np.any(fields.h_yy.values) and np.any(fields.h_yu.values)
+    nodes = [s.node_index for s in snap_instants(problem, grid)]
+    weights = np.array([-ic.h_yy.evaluate(y=y_star.values[k])
+                        for k, ic in zip(nodes, problem.bundle.instants)])
+    assert len(weights) == 2 and np.all(weights != 0.0)
+    v_mid = Trajectory(grid, "midpoints", v.midpoint_values())
+    want = quadratic_form(fields, v_mid, y1.midpoint_values(), weights, y1.values[nodes])
+    assert report.qf == want
+
+
+class Counted:
+    """An expression that records each evaluation."""
+
+    def __init__(self, expression, calls):
+        self.expression, self.calls = expression, calls
+
+    def evaluate(self, **env):
+        self.calls.append(env)
+        return self.expression.evaluate(**env)
+
+
+def test_each_instants_h_yy_is_evaluated_once_per_expansion_check(tmp_path, monkeypatch):
+    problem = load_problem_file(curved_file(tmp_path))
+    calls = []
+    instants = tuple(dataclasses.replace(ic, h_yy=Counted(ic.h_yy, calls))
+                     for ic in problem.bundle.instants)
+    monkeypatch.setitem(problem.__dict__, "bundle",
+                        dataclasses.replace(problem.bundle, instants=instants))
+    grid = make_grid(1.0, 64)
+    fd_expansion_check(problem, Trajectory.constant(0.4, grid),
+                       Trajectory.from_expression("cos(3*t)", grid))
+    assert len(calls) == len(instants) == 2
+
+
+def test_verify_forms_qf_with_one_quadratic_form_call(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return quadratic_form(*args)
+
+    monkeypatch.setattr(oracle, "quadratic_form", counted)
+    assert run_command(["verify", "--problem", str(curved_file(tmp_path)), "--control", "0.4",
+                        "--direction", "cos(3*t)", "--n", "64", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
 def test_quadratic_form_on_a_zero_response_is_the_curvature_term_alone():
     # Q = 0 on sing_quad at u = 0, so Y1 = 0 and QF is h sum H_uu v^2, the
     # same bits as the form read through Q
@@ -246,8 +364,9 @@ def test_quadratic_form_on_a_zero_response_is_the_curvature_term_alone():
     pair = (report.variational.y_star, u)
     fields = hamiltonian_fields(problem, pair, solve_adjoint(problem, pair, grid), grid)
     m = assemble_m_kernel(problem, pair, fields, build_q_kernel(problem, pair, grid), grid)
+    assert m.qm is None and not len(m.rows)
     v_mid = Trajectory(grid, "midpoints", v.midpoint_values())
-    assert report.qf == quadratic_form(fields, m, v_mid, grid)
+    assert report.qf == quadratic_form(fields, v_mid, np.zeros(grid.n), m.weights, np.zeros(0))
 
 
 def test_first_order_pairing_direct():
