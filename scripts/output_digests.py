@@ -19,7 +19,6 @@ import os
 # one BLAS thread, set before numpy is first imported, as the benchmark does
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
-os.environ.pop("SVOC_OUT_DIR", None)  # it would override --out
 
 import argparse
 import contextlib

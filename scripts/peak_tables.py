@@ -11,11 +11,10 @@ For each grid size N the commands
 
 run once untraced (imports, lazy set-up and first-touch costs stay outside
 the trace) and once under tracemalloc.  One line per command and N prints
-the traced peak divided by 8 (N+1)^2 bytes.  lq's Q is a convolution (f_y
-constant, f_u free of t), built in O(N^2) flops; paper_example's takes the
-general path.  Either Q holds its regular part as one (N+1)^2 table, which
-`check --order 2` drops once QM is formed, before K.  The grid budget in
-`svoc.cli` cites these figures.
+the traced peak divided by 8 (N+1)^2 bytes.  lq's Q (f_y and f_u constant)
+and paper_example's take the one product-quadrature solver.  Either Q holds
+its regular part as one (N+1)^2 table, which `check --order 2` drops once QM
+is formed, before K.  The grid budget in `svoc.cli` cites these figures.
 """
 
 import argparse

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 import time
 import warnings
@@ -41,20 +40,16 @@ from .state import Trajectory, evaluate_cost, evaluate_on, solve_state
 # It also holds a fixed number of dense (N+1)^2 float64 tables at its peak.
 # Tracemalloc peaks at N = 256, 512 and 1024, in tables, as printed by
 # `scripts/peak_tables.py --ns 256,512,1024`: `check --order 2` (with a tol
-# that makes the test apply) on `paper_example` at control 0.3, whose Q
-# takes the general path (one product table and two marches), 17.9, 11.5
-# and 11.0; at N = 256 the 3.4 MiB of band masks and factors that
-# `resolvent._product_table` holds at any N still show.  A kernel that
-# separates in t marches in O(N log^2 N) instead, and a convolution
-# linearization (f_y constant, f_u free of t) builds Q in O(N^2) flops, so
-# that on `lq` (a=0.7, b=-1.2, r=1.3, control 0.4) `check --order 2`, which
-# drops Q's table of R once QM is formed and then holds QM and K, peaks at
-# 3.45, 3.21 and 3.15; but the budget is checked before the problem is
-# loaded, so it charges every kernel the O(N^2) row loop and the general Q
-# (17 tables).  `verify` builds no Q (its
-# quadratic form reads the sweep's Y1) and holds O(N): 1.23, 0.40 and 0.12
-# tables on `lq`, 1.07, 0.36 and 0.10 on `paper_example`, as
-# `check --order 1` holds 1.05, 0.32 and 0.09 on either.
+# that makes the test apply), whose non-zero Q takes one solver (one product
+# table and two marches), 17.9, 11.5 and 11.0 on `paper_example` at control
+# 0.3 and on `lq` (a=0.7, b=-1.2, r=1.3) at control 0.4 alike; at N = 256 the
+# 3.4 MiB of band masks and factors that `resolvent._product_table` holds at
+# any N still show.  The budget charges every kernel those 17 tables and the
+# O(N^2) row loop, though a kernel that separates in t marches in
+# O(N log^2 N).  `verify` builds no Q (its quadratic form reads the sweep's
+# Y1) and holds O(N): 1.23, 0.40 and 0.12 tables on `lq`, 1.08, 0.36 and 0.10
+# on `paper_example`, as `check --order 1` holds 1.05, 0.32 and 0.09 on
+# either.
 WORK_BUDGET = 2**34   # sum of (N+1)^2 over a command's passes: `solve` up to N ~ 2^17
 DENSE_BUDGET = 2**31  # bytes of dense tables held at once
 _PASSES_TABLES = {
@@ -195,7 +190,7 @@ def _control(expression: str, grid, what: str = "control") -> Trajectory:
 
 
 def _out_dir(args) -> Path:
-    out = Path(os.environ.get("SVOC_OUT_DIR") or args.out)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 

@@ -37,7 +37,8 @@ def mittag_leffler(alpha: float, z: float) -> float:
     Terms are formed in log space to dodge intermediate overflow; the sum
     stops once terms are decreasing and negligible relative to the total, and
     fails at the first term that overflows or takes the total past the
-    largest float.
+    largest float, or when it stops with a term over 100 times its total: an
+    alternating series (z < 0) that cancelled.
     """
     return float(_mittag_leffler_series(alpha, np.array([float(z)]))[0])
 
@@ -61,6 +62,7 @@ def _mittag_leffler_entries(alpha: float, z: np.ndarray) -> tuple[np.ndarray, di
     live = np.flatnonzero((z != 0.0) & ~(np.abs(z) > 50.0))
     log_az, neg = np.log(np.abs(z[live])), z[live] < 0.0
     total, comp, prev_mag = np.zeros(live.size), np.zeros(live.size), np.full(live.size, np.inf)
+    peak = np.zeros(live.size)  # largest |term| so far
     with np.errstate(over="ignore", invalid="ignore"):  # as Python floats, no warnings
         for n in range(10_000):
             if not live.size:
@@ -72,6 +74,7 @@ def _mittag_leffler_entries(alpha: float, z: np.ndarray) -> tuple[np.ndarray, di
             t = total + y
             comp = (t - total) - y
             total = t
+            np.maximum(peak, mag, out=peak)
             over = log_mag > 709.0
             sum_over = ~over & ~np.isfinite(total)
             done = over | sum_over | ((mag < prev_mag) & (mag < 1e-16 * np.abs(total)))
@@ -82,10 +85,16 @@ def _mittag_leffler_entries(alpha: float, z: np.ndarray) -> tuple[np.ndarray, di
                 errors[int(i)] = SeriesError(
                     f"series sum overflow at n={n} for alpha={alpha}, z={float(z[i])}")
             if done.any():
+                # past 100 |sum| the terms' rounding, n log|z| ulps each, can pass 1e-12
+                cancelled = done & (peak > 100.0 * np.abs(total))
+                for i, big, sum_ in zip(live[cancelled], peak[cancelled], total[cancelled]):
+                    errors.setdefault(int(i), SeriesError(  # an overflow stays named as one
+                        f"series cancelled: its largest term {big:.3g} exceeds 100 times its "
+                        f"sum {sum_:.3g} for alpha={alpha}, z={float(z[i])}"))
                 out[live[done]] = total[done]
                 keep = ~done
                 live, log_az, neg = live[keep], log_az[keep], neg[keep]
-                total, comp, mag = total[keep], comp[keep], mag[keep]
+                total, comp, mag, peak = total[keep], comp[keep], mag[keep], peak[keep]
             prev_mag = mag
     for i in live:
         errors[int(i)] = SeriesError(

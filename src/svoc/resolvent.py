@@ -21,24 +21,19 @@ are split at each cell midpoint: on each half the factor whose pole is nearer
 is integrated in closed form while the other factor and the smooth data are
 sampled at the half's midpoint.
 
-Cost: O(N^2) memory, and O(N^3) flops except for Q when f_y is a constant and
-f_u does not read t.  That Q is a convolution: R[k, c] = g[c] r[k - c], with g
-f_u's value at t_c, so one column of the doubly singular table is built,
-O(N^2) flops in row blocks of O(N) memory, each pass of the march over it is
-one `linear_march`, O(N log^2 N), and R's table is the products of r and g.
-Every resolvent, constant or not, and every other Q take the general solver:
-the doubly singular part does not depend on R, so it is assembled up front as
-one table, in square blocks of `_BLOCK` rows and columns, mostly of matrix
-products (BLAS).  Elementwise work is left only where the half-cell choice
-switches: in a band of about `_BLOCK` cells per block, and in the row block's
-own cells within the two column blocks next to the diagonal; both are masked
-into one batched product per block.  The own cells of the column blocks
-further left take one choice throughout and are added a row at a time, one
-gemv per half, so that no product reaches a cell j >= k and a non-finite
-sample is reported at the cell where a row-by-row quadrature first meets it.
-The two marches over R are sequential, one gemv per row, so the Python-level
-work is O(N) rows plus O((N/_BLOCK)^2) blocks, and Q costs what the resolvent
-costs.
+Cost: O(N^2) memory and O(N^3) flops.  Every resolvent and every Q, constant
+kernels included, take one solver: the doubly singular part does not depend
+on R, so it is assembled up front as one table, in square blocks of `_BLOCK`
+rows and columns, mostly of matrix products (BLAS).  Elementwise work is left
+only where the half-cell choice switches: in a band of about `_BLOCK` cells
+per block, and in the row block's own cells within the two column blocks next
+to the diagonal; both are masked into one batched product per block.  The own
+cells of the column blocks further left take one choice throughout and are
+added a row at a time, one gemv per half, so that no product reaches a cell
+j >= k and a non-finite sample is reported at the cell where a row-by-row
+quadrature first meets it.  The two marches over R are sequential, one gemv
+per row, so the Python-level work is O(N) rows plus O((N/_BLOCK)^2) blocks,
+and Q costs what the resolvent costs.
 """
 
 from __future__ import annotations
@@ -50,8 +45,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import KernelAssemblyError
-from .problem import DerivativeBundle, ProblemSpec
-from .quadrature import LINEAR_LEAF, Grid, linear_march, midpoint_weights, singular_weights
+from .problem import ProblemSpec
+from .quadrature import Grid, midpoint_weights, singular_weights
 from .state import Trajectory
 
 KernelFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -98,12 +93,9 @@ def _lagged(v: np.ndarray, rows: int, cols: int, offset: int = 0) -> np.ndarray:
     return sliding_window_view(u, cols)[::-1]
 
 
-def _causal_table(v: np.ndarray, scale=1.0, lowest: int = 0) -> np.ndarray:
-    """The square table T[k, c] = v[k - c] scale[c] where k - c >= lowest,
-    zero elsewhere; no product is formed outside."""
-    m = len(v)
-    out = np.zeros((m, m))
-    return np.multiply(_lagged(v, m, m), scale, out=out, where=np.tri(m, k=-lowest, dtype=bool))
+def _causal_table(v: np.ndarray) -> np.ndarray:
+    """The square table T[k, c] = v[k - c] for k >= c, zero above."""
+    return np.tril(_lagged(v, len(v), len(v)))
 
 
 class _HalfCellTables:
@@ -152,58 +144,18 @@ class _HalfCellTables:
         return (a1 * self.near3[rows, cells], a1 * self.far1[rows, cells],
                 a2 * self.near1[rows, cells], a2 * self.far2[rows, cells])
 
-    def smooth_weights(self, right1: np.ndarray, right2: np.ndarray, k0: int = 0):
+    def smooth_weights(self, right1: np.ndarray, right2: np.ndarray):
         """Weights (y1, w) of the regular part in `_regular_row`: the right
-        kernel, sampled on rows k0, k0 + 1, ..., times the exact right weight,
-        spread over the two endpoints each half-cell midpoint interpolates
-        from."""
+        kernel times the exact right weight, spread over the two endpoints
+        each half-cell midpoint interpolates from."""
         rows, n = right1.shape
-        x1 = right1 * self.far1[k0 : k0 + rows]
-        x2 = right2 * self.far2[k0 : k0 + rows]
+        x1 = right1 * self.far1
+        x2 = right2 * self.far2
         y1 = 0.75 * x1 + 0.25 * x2
         w = np.zeros((rows, n + 1))
         w[:, 1:] = 0.25 * x1 + 0.75 * x2
         w[:, :n] += y1
         return y1, w
-
-    def unit_product(self) -> np.ndarray:
-        """Column 0 of `_product_table` for the kernels B = L = 1: p[k] is
-        row k's sum over cells j < k of both halves, each taking the exact
-        left weight where 2j < k (left half) or 2j < k - 1 (right half) and
-        the exact right weight elsewhere.  For constant kernels b and l the
-        whole table is P[k, c] = b l p[k - c].
-
-        Rows go in blocks of LINEAR_LEAF.  Per half, a block [k0, k1) reads
-        the left-exact choice only on the cells j < (k1 - shift)/2, where
-        some row of it takes that choice, and the right-exact choice only
-        from (k0 - shift)/2 up to its last row's cells; the mask still decides
-        each cell.  So a block holds O(LINEAR_LEAF N) and the whole column
-        costs about N^2 multiply-adds.
-        """
-        n = self.grid.n
-        halves = ((self.near3, self.wl1, self.far1, self.q1, 0),
-                  (self.near1, self.wl2, self.far2, self.q3, 1))
-        p = np.zeros(n + 1)
-        for k0 in range(0, n + 1, LINEAR_LEAF):
-            k1 = min(k0 + LINEAR_LEAF, n + 1)
-            k = np.arange(k0, k1)[:, None]
-            for near, exact_left, far, sampled, shift in halves:
-                left, right = (k1 - shift) // 2, max((k0 - shift) // 2, 0)
-                cells = slice(right, k1 - 1)
-                # cells j >= k read the zero exact right weight at lag 0
-                p[k0:k1] += (np.where(2 * np.arange(left) < k - shift, near[k0:k1, :left], 0.0)
-                             @ exact_left[:left]
-                             + np.where(2 * np.arange(right, k1 - 1) < k - shift, 0.0,
-                                        far[k0:k1, cells]) @ sampled[cells])
-        return p
-
-    def constant_smooth_weights(self, a: float) -> tuple[np.ndarray, np.ndarray]:
-        """`smooth_weights` of the kernel A = a by lag: y1[k, j] = y[k - j]
-        and w[k, j] = w[k - j] for j < k, read off row n (y[0] = 0; w[n],
-        which the march never reads, lacks its left neighbour's share)."""
-        right = np.full((1, self.grid.n), a)
-        y1, w = self.smooth_weights(right, right, self.grid.n)
-        return np.concatenate(([0.0], y1[0, ::-1])), w[0, ::-1]
 
 
 def _band_mask(rows: int, cols: int, width: int, split0: int, own0: int) -> np.ndarray:
@@ -242,10 +194,10 @@ def _product_table(tb: _HalfCellTables, right: tuple, left: tuple) -> np.ndarray
     quadrature would first meet it.
     """
     n = tb.grid.n
-    bl1, br1, bl2, br2 = tb.column_factors(*left)
     out = np.zeros((n + 1, n + 1))
     masks = {}  # (mask, masked factor) by block geometry; full far blocks share one
     with np.errstate(invalid="ignore", over="ignore"):
+        bl1, br1, bl2, br2 = tb.column_factors(*left)
         for k0 in range(0, n + 1, _BLOCK):
             k1 = min(k0 + _BLOCK, n + 1)
             kk = np.arange(k0, k1)[:, None]
@@ -352,46 +304,6 @@ def _march(R: np.ndarray, P: np.ndarray, y1: np.ndarray, w: np.ndarray,
                 raise KernelAssemblyError(k, int(np.argmax(bad)))
             R[k, :k] = row
     _extend_diagonal(R)
-
-
-def _guard_column(lo: int, values: np.ndarray) -> None:
-    """Name the first non-finite entry of a column march by its cell (k, 0)."""
-    bad = ~np.isfinite(values)
-    if bad.any():
-        raise KernelAssemblyError(lo + int(np.argmax(bad)), 0)
-
-
-def _constant_resolvent(tb: _HalfCellTables, a: float) -> np.ndarray:
-    """r with R[k, c] = r[k - c] and r[0] = r[1] (the diagonal extension):
-    the regular part `_solve` gives for the constant right kernel a and the
-    unit left kernel, whose product table is a `tb.unit_product()`, one
-    column built in row blocks: O(N^2) flops and O(N) memory in all.
-
-    On a Toeplitz table `_march` gives row k, column c the value of row
-    k - c, column 0, so both passes run over one column.  Row m reads r[1]
-    for the diagonal entry it replaces (zero at m = 1 of the first pass, the
-    first-pass value at m = 1 of the sweep) and, in the first pass, r[m - 1]
-    in place of its own r[m].  So each pass is one `linear_march` of the
-    causal convolution r[m] = d[m] + sum_{i<m} w'[m - i] r[i] with r[0] = 0,
-    and a non-finite entry is named at the cell the row loop names.
-    """
-    y, w = tb.constant_smooth_weights(a)
-    ones = np.ones((1, tb.grid.n + 1))
-    with np.errstate(invalid="ignore", over="ignore"):
-        p = a * tb.unit_product()
-        shifted = w.copy()
-        shifted[1] += w[0]  # row k - 1 in place of row k
-        d = p + y * p[1]
-        d[:2] = 0.0, p[1]
-        r = linear_march(shifted, ones, ones, 0.0, d, _guard_column)
-        # Gauss-Seidel sweep: row k reads its own first-pass row and, for
-        # m = 1, the first-pass r[1] as diagonal extension
-        r1 = p[1] + (y[1] + w[0]) * r[1]
-        d = p + y * r1 + w[0] * r
-        d[:2] = 0.0, r1
-        r = linear_march(w, ones, ones, 0.0, d, _guard_column)
-    r[0] = r[1]
-    return r
 
 
 def _solve(tb: _HalfCellTables, right: tuple, left: tuple) -> np.ndarray:
@@ -510,15 +422,6 @@ def _pair_fn(expression, y_star: np.ndarray, u_star: np.ndarray, grid: Grid) -> 
     return fn
 
 
-def _convolution_factor(b: DerivativeBundle) -> Optional[float]:
-    """f_y's value when it is a constant and f_u reads no t, so that Q's
-    regular part is a convolution; else None."""
-    if "t" in b.f_u.free_vars() or b.f_y.free_vars():
-        return None
-    with np.errstate(all="ignore"):
-        return float(b.f_y.evaluate())
-
-
 def build_q_kernel(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
                    grid: Grid) -> RegularizedKernel:
     """Kernel Q with Y1(t) = int_0^t Q(t,s) v(s) ds for every variation v.
@@ -529,46 +432,20 @@ def build_q_kernel(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
 
     f_y and f_u read y* and u* at their second time argument.  Its regular
     part is marched from this equation by `_solve`, with f_y as the right
-    kernel and f_u as the left one; no resolvent is built.  The regular part
-    is zero when f_y's samples all vanish.  When f_y is a constant and f_u
-    does not read t, the regular part is f_u(s) times a function of t - s,
-    marched as one column by `_constant_resolvent`: O(N^2) flops instead of
-    O(N^3), and the table is that column's products with f_u's node values.
-    A non-finite entry raises KernelAssemblyError at the first such cell in
-    row order.
+    kernel and f_u as the left one; no resolvent is built.  Every non-zero
+    Q, a constant f_y too, takes that one solver, O(N^3).  Q is the zero
+    kernel when f_u's samples all vanish (read at the nodes alone when f_u
+    ignores t), and its regular part is zero when f_y's do.  A non-finite
+    entry raises KernelAssemblyError at the first such cell in row order.
     """
     y_star, u_star = pair
-    alpha = problem.alpha
-    n = grid.n
     b = problem.bundle
     c_fn = _pair_fn(b.f_u, y_star.values, u_star.values, grid)
-    a_fn = _pair_fn(b.f_y, y_star.values, u_star.values, grid)
-
     # if f_u ignores t, its lattice samples are its node values
     if "t" not in b.f_u.free_vars():
-        g = _sample(c_fn, 0.0, grid.nodes, (n + 1,), True)
-        if not g.any():
-            return RegularizedKernel(alpha, grid, c_fn)
-    a = _convolution_factor(b)
-    if a is None:
-        return _build(alpha, grid, a_fn, c_fn)
-    if a == 0.0:  # a zero R, whatever g holds
-        return RegularizedKernel(alpha, grid, c_fn, np.zeros((n + 1, n + 1)))
-    # R[k, c] = g[c] r[k - c], r marched with the unit left kernel
-    r = _constant_resolvent(_HalfCellTables(alpha, grid), a)
-    return RegularizedKernel(alpha, grid, c_fn, _convolution_table(r, g))
-
-
-def _convolution_table(r: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """R[k, c] = g[c] r[k - c] for k > c, extended to the diagonal; the first
-    non-finite entry in row order raises KernelAssemblyError at its cell."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        R = _causal_table(r, g, 1)
-    bad = ~np.isfinite(R)
-    if bad.any():
-        raise KernelAssemblyError(*divmod(int(np.argmax(bad)), len(r)))
-    _extend_diagonal(R)
-    return R
+        if not _sample(c_fn, 0.0, grid.nodes, (grid.n + 1,), True).any():
+            return RegularizedKernel(problem.alpha, grid, c_fn)
+    return _build(problem.alpha, grid, _pair_fn(b.f_y, y_star.values, u_star.values, grid), c_fn)
 
 
 def midpoint_apply_matrix(kernel: RegularizedKernel, grid: Grid) -> np.ndarray:

@@ -186,17 +186,6 @@ def test_problem_file_matches_builtin(tmp_path):
     assert cost["total"] == pytest.approx(2.0, abs=1e-12)
 
 
-def test_out_dir_environment_override(tmp_path, monkeypatch):
-    target = tmp_path / "redirected"
-    ignored = tmp_path / "ignored"
-    monkeypatch.setenv("SVOC_OUT_DIR", str(target))
-    code = run_command(["solve", "--problem", "paper_example", "--control", "0",
-                        "--n", "32", "--out", str(ignored)])
-    assert code == 0
-    assert (target / "cost.json").exists()
-    assert not ignored.exists()
-
-
 def test_exit_codes(tmp_path, capsys):
     # validation problems -> 1
     assert run(["solve", "--problem", "mystery", "--control", "0"], tmp_path) == 1
@@ -435,9 +424,8 @@ def lq_verify_peak(tmp_path, n):
 
 
 def test_verify_on_a_convolution_kernel_holds_no_response_table(tmp_path):
-    # lq's Q is a convolution: QF applies it to v, so no (N+1)^2 table of R
-    # or QM is built, and the column march reads its half-cell weights in
-    # row blocks; what is left is O(N)
+    # verify builds no Q: QF reads the sweep's Y1, so no (N+1)^2 table is
+    # built; what is left is O(N)
     assert lq_verify_peak(tmp_path, 1024) < 0.25  # measured 0.12
 
 
@@ -445,9 +433,22 @@ def test_verify_on_a_convolution_kernel_holds_o_n_at_2048_cells(tmp_path):
     assert lq_verify_peak(tmp_path, 2048) < 0.08  # measured 0.04
 
 
+@pytest.mark.parametrize("n,lambda_max", [(64, -0.04105152978021068),
+                                          (256, -0.010182873713932632)])
+def test_second_order_check_on_lq_keeps_its_eigenvalue(tmp_path, n, lambda_max):
+    # lq's Q (f_y and f_u constant) is marched by the general solver; λ_max
+    # is pinned to the values of the convolution march it replaced
+    argv = ["check", "--order", "2", "--tol", "1e9", "--problem", "lq", "--param", "a=0.7",
+            "--param", "b=-1.2", "--param", "r=1.3", "--control", "0.4", "--n", str(n)]
+    assert run(argv, tmp_path) == 0
+    report = json.loads((tmp_path / "second_order.json").read_text())
+    assert report["verdict"] == "holds"
+    assert report["lambda_max"] == pytest.approx(lambda_max, rel=1e-14, abs=0.0)
+
+
 def test_second_order_check_on_a_convolution_kernel_builds_no_table_of_r(tmp_path):
-    # lq's Q is a convolution, held as its table like every other Q; the
-    # verdict holds with a loose tol, and r < 0 flips it with a direction
+    # lq's Q is a convolution, built by the one solver like every other Q;
+    # the verdict holds with a loose tol, and r < 0 flips it with a direction
     for r in ("1.3", "-100000"):  # holds, and violated with a direction
         argv = ["check", "--order", "2", "--problem", "lq", "--param", "a=0.7",
                 "--param", "b=-1.2", "--param", f"r={r}", "--control", "0", "--n", "200",

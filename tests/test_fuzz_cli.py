@@ -9,7 +9,6 @@ refuses them before anything is allocated.
 import contextlib
 import io
 import json
-import os
 from unittest import mock
 
 from hypothesis import HealthCheck, example, given, settings
@@ -99,14 +98,19 @@ COMMANDS = [["solve"], ["adjoint"], ["check", "--order", "1"], ["check", "--orde
             ["check", "--order", "2", "--tol", "1e9"], ["verify", "--direction=cos(t)"]]
 
 
+WRITERS = {"solve", "adjoint", "check", "verify", "converge"}
+
+
 def run(argv, out_dir, budget=None):
+    # `--out out_dir` right after the first name of a command that writes
+    # files, so that every run writes there
+    at = next((i + 1 for i, word in enumerate(argv) if word in WRITERS), None)
+    if at is not None:
+        argv = [*argv[:at], "--out", str(out_dir), *argv[at:]]
     err = io.StringIO()
-    patches = [mock.patch.dict(os.environ, {"SVOC_OUT_DIR": str(out_dir)})]
-    if budget is not None:
-        patches.append(mock.patch.object(cli, "WORK_BUDGET", budget))
     with contextlib.ExitStack() as stack:
-        for patch in patches:
-            stack.enter_context(patch)
+        if budget is not None:
+            stack.enter_context(mock.patch.object(cli, "WORK_BUDGET", budget))
         stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
         stack.enter_context(contextlib.redirect_stderr(err))
         code = cli.run_command(argv)

@@ -23,7 +23,7 @@ from svoc.optimality import (
 from svoc.oracle import fd_expansion_check
 from svoc.problem import InstantCost, ProblemSpec, builtin_problem
 from svoc.quadrature import make_grid, midpoint_weights
-from svoc.resolvent import _convolution_factor, build_q_kernel, midpoint_apply_matrix
+from svoc.resolvent import build_q_kernel, midpoint_apply_matrix
 from svoc.state import Trajectory, evaluate_cost, evaluate_on, solve_state
 
 
@@ -298,15 +298,15 @@ def quadratic_setups():
 
 def product_setups():
     """(name, problem, control, path) for Q's product with a variation."""
-    yield "lq", builtin_problem("lq", {"a": 0.7, "b": -1.2, "r": 1.3}), 0.4, "convolution"
+    yield "lq", builtin_problem("lq", {"a": 0.7, "b": -1.2, "r": 1.3}), 0.4, "table"
     yield "paper_example", builtin_problem("paper_example"), 0.3, "table"
     yield "sing_quad", builtin_problem("sing_quad", {"c": 1.0}), 0.2, "zero R"
     for name, (problem, value) in zip(("cross", "instants"), list(quadratic_setups())[1:]):
-        yield name, problem, value, "convolution"
-    # a node factor g = f_u(s) that varies along the grid
+        yield name, problem, value, "table"
+    # an f_u that reads s, and so varies along the grid
     yield "varying-g", ProblemSpec(alpha=0.5, T=1.0, eta=parse_expression("1"),
                                    f=parse_expression("0.5*y + (1 + s^2)*u^2"),
-                                   g=parse_expression("y^2")), 0.3, "convolution"
+                                   g=parse_expression("y^2")), 0.3, "table"
 
 
 def response_product(q, v, grid):
@@ -334,10 +334,7 @@ def test_response_product_matches_the_response_matrix(setup, n):
     grid = make_grid(1.0, n)
     u = Trajectory.constant(value, grid)
     q = build_q_kernel(problem, (solve_state(problem, u, grid), u), grid)
-    convolution = _convolution_factor(problem.bundle) is not None
-    assert {"convolution": convolution and q.regular.any(),
-            "table": not convolution and q.regular.any(),
-            "zero R": not q.regular.any()}[path]
+    assert q.regular.any() == (path == "table")
     v = np.random.default_rng(n).uniform(-1.0, 1.0, n)
     want = response_product(q, v, grid)
     got = midpoint_apply_matrix(q, grid) @ v

@@ -3,6 +3,7 @@ import json
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -91,12 +92,18 @@ def test_mittag_leffler_stops_at_the_term_whose_sum_overflows():
 def test_linear_solution_matches_the_scalar_series(lam, alpha):
     # the `converge --ns 512,1024,2048,4096` ladder; every 16th node and the
     # last against the scalar sum.  Each term carries a few ulps, so the two
-    # sums differ by a few ulps of sum |term| = E_alpha(|z|), not of |E_alpha(z)|
-    # (alternating series at lam = -1.1, alpha = 0.3 cancel to noise).
+    # sums differ by a few ulps of sum |term| = E_alpha(|z|), not of |E_alpha(z)|.
+    # At lam = -1.1, alpha = 0.3 the alternating series cancels to noise from
+    # some node on, and the array sum refuses it there.
     for n in (512, 1024, 2048, 4096):
         t = make_grid(1.0, n).nodes
         z_all = lam * math.gamma(alpha) * t**alpha
         z = z_all[list(range(0, n, 16)) + [n]]
+        if (lam, alpha) == (-1.1, 0.3):
+            with pytest.raises(SeriesError, match="series cancelled") as got:
+                linear_analytic_solution(lam, alpha, t)
+            assert any(str(got.value).endswith(f"z={float(x)}") for x in z_all)
+            continue
         try:
             want = [scalar_mittag_leffler(alpha, float(x)) for x in z]
         except SeriesError:  # lam = 3, alpha = 0.3: the sum overflows from some node on
@@ -111,6 +118,46 @@ def test_linear_solution_matches_the_scalar_series(lam, alpha):
         got = linear_analytic_solution(lam, alpha, t)[list(range(0, n, 16)) + [n]]
         scale = [scalar_mittag_leffler(alpha, abs(float(x))) for x in z]
         assert np.all(np.abs(got - want) <= 2e-14 * np.array(scale))
+
+
+def mpmath_mittag_leffler(alpha, z, digits=60):
+    """sum_n z^n / Gamma(alpha n + 1) with `digits` digits, up to the first
+    term past the largest that is below 10^-digits of the sum."""
+    if z == 0.0:
+        return 1.0
+    with mpmath.workdps(digits):
+        z, a, eps = mpmath.mpf(z), mpmath.mpf(alpha), mpmath.mpf(10) ** -digits
+        total, prev, n = mpmath.mpf(0), mpmath.inf, 0
+        while True:
+            term = z**n / mpmath.gamma(a * n + 1)
+            total += term
+            if abs(term) < prev and abs(term) < eps * abs(total):
+                return float(total)
+            prev, n = abs(term), n + 1
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.2, 0.3, 0.5, 0.7, 0.9])
+def test_mittag_leffler_is_right_or_refused(alpha):
+    # an alternating series whose largest term swamps its sum is refused;
+    # every value it gives is right
+    z = np.concatenate((np.linspace(-50.0, 0.0, 201), -np.geomspace(1e-6, 1.0, 25)))
+    values, errors = oracle._mittag_leffler_entries(alpha, z)
+    assert all(isinstance(error, SeriesError) for error in errors.values())
+    assert any("series cancelled" in str(error) for error in errors.values())
+    for i in sorted(set(range(z.size)) - set(errors)):
+        want = mpmath_mittag_leffler(alpha, float(z[i]))
+        assert abs(values[i] - want) <= 1e-12 * abs(want), (z[i], values[i], want)
+
+
+@pytest.mark.parametrize("lam,alpha,ns", [(-1.0, 0.3, "64,128,256,512"),
+                                          (-6.0, 0.5, "256,512,1024")])
+def test_converge_refuses_a_cancelled_reference(tmp_path, capsys, lam, alpha, ns):
+    argv = ["converge", "--lambda", str(lam), "--alpha", str(alpha), "--ns", ns,
+            "--out", str(tmp_path)]
+    assert run_command(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "series cancelled" in lines[0]
+    assert not (tmp_path / "converge.csv").exists()
 
 
 def test_linear_solution_degenerate_case():
@@ -166,6 +213,12 @@ def grid_by_grid_study(lam, alpha, ns):
 @pytest.mark.parametrize("lam, alpha", [(0.8, 0.5), (-1.1, 0.3), (1.0, 0.8)])
 def test_convergence_errors_match_the_grid_by_grid_series(lam, alpha):
     ns = [512, 1024, 2048, 4096]
+    if lam < 0:  # the series cancels from some node on: both refuse there
+        with pytest.raises(SeriesError, match="series cancelled") as want:
+            grid_by_grid_study(lam, alpha, ns)
+        with pytest.raises(SeriesError, match=re.escape(str(want.value))):
+            convergence_study(lam, alpha, ns)
+        return
     report = convergence_study(lam, alpha, ns)
     assert [row.error for row in report.rows] == grid_by_grid_study(lam, alpha, ns)
 

@@ -1,4 +1,3 @@
-import json
 import math
 import tracemalloc
 import warnings
@@ -9,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import svoc.resolvent
-from svoc.cli import run_command
 from svoc.errors import KernelAssemblyError
 from svoc.expr import parse_expression
 from svoc.problem import ProblemSpec, builtin_problem
@@ -17,12 +15,8 @@ from svoc.quadrature import make_grid
 from svoc.resolvent import (
     _BLOCK,
     _HalfCellTables,
-    _constant_resolvent,
-    _convolution_factor,
-    _convolution_table,
     _lagged,
     _node_samples,
-    RegularizedKernel,
     apply_kernel_nodes,
     build_q_kernel,
     build_resolvent,
@@ -449,29 +443,7 @@ def test_node_apply_row_closed_form():
         assert total == pytest.approx(exact, rel=5e-4)  # measured 6.2e-5
 
 
-# --- constant kernels: the Toeplitz path -------------------------------------
-
-def dense_unit_product(tb):
-    """`_HalfCellTables.unit_product` from whole (N+1) x N masked tables: each
-    half's choice masked over every (row, cell) and one gemv per factor."""
-    n = tb.grid.n
-    k, j = np.arange(n + 1)[:, None], np.arange(n)
-    p = np.zeros(n + 1)
-    for near, exact_left, far, sampled, shift in ((tb.near3, tb.wl1, tb.far1, tb.q1, 0),
-                                                 (tb.near1, tb.wl2, tb.far2, tb.q3, 1)):
-        left = 2 * j < k - shift
-        p += np.where(left, near, 0.0) @ exact_left + np.where(left, 0.0, far) @ sampled
-    return p
-
-
-@pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 127, 128, 129, 384, 1025])
-@pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
-def test_unit_product_in_row_blocks_matches_the_masked_tables(n, alpha):
-    tb = _HalfCellTables(alpha, make_grid(1.0, n))
-    want = dense_unit_product(tb)
-    got = tb.unit_product()
-    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))  # measured 4.0e-16
-
+# --- constant kernels --------------------------------------------------------
 
 @pytest.mark.parametrize("n", [2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5])
 def test_weight_tables_match_the_gathers(n):
@@ -502,36 +474,17 @@ def test_weight_tables_match_the_gathers(n):
     assert np.array_equal(w[:, 1:n], 0.25 * x1[:, :-1] + 0.75 * x2[:, :-1] + y1[:, 1:])
 
 
-@pytest.fixture
-def general_path(monkeypatch):
-    """Calling it sends constant kernels down the general assembly."""
-    return lambda: monkeypatch.setattr(svoc.resolvent, "_convolution_factor", lambda b: None)
-
-
 @pytest.mark.parametrize("a", [-1.0, 0.5, 2.0])
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.8])
 @pytest.mark.parametrize("n", [2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 5, 384])
-def test_constant_kernel_path_matches_general_path(n, alpha, a, general_path):
+def test_constant_kernel_path_matches_general_path(n, alpha, a):
     # the resolvent has one path, so a scalar and an array constant agree bit
-    # for bit; Q's column march agrees with its general branch to rounding
+    # for bit
     grid = make_grid(1.0, n)
     scalar = build_resolvent(lambda t, s: a, alpha, grid)
     general = build_resolvent(array_constant(a), alpha, grid)
     assert np.array_equal(_node_samples(scalar.c_fn, grid), _node_samples(general.c_fn, grid))
     assert np.array_equal(scalar.regular, general.regular)
-
-    # f_u constant, and f_u reading s (directly and through a varying u*)
-    y = Trajectory.from_expression("1 + 0.5*t", grid)
-    u = Trajectory.from_expression("0.5 + sin(3*t)", grid)
-    problems = [ProblemSpec(alpha, 1.0, parse_expression("1"),
-                            parse_expression(f"{a!r}*y + {f_u}"), parse_expression("y^2 + u^2"))
-                for f_u in ("1.3*u", "(1 + s^2)*u", "0.7*u^2")]
-    fast = [build_q_kernel(problem, (y, u), grid) for problem in problems]
-    general_path()
-    for problem, q in zip(problems, fast):
-        ref = build_q_kernel(problem, (y, u), grid)
-        assert np.array_equal(_node_samples(q.c_fn, grid), _node_samples(ref.c_fn, grid))
-        assert _max_rel(q.regular, ref.regular) <= 1e-12  # measured 8.8e-15
 
 
 def test_path_selection(monkeypatch):
@@ -546,19 +499,18 @@ def test_path_selection(monkeypatch):
         with pytest.raises(AssertionError, match="general"):
             build_resolvent(A, 0.5, grid)
 
-    lq = builtin_problem("lq", {"a": 0.5, "b": 1.0, "r": 1.0})
-    assert not build_q_kernel(lq, (y, u), grid).is_zero
-    t_reading = [builtin_problem("paper_example"),  # f_y = t u, f_u = t y
-                 ProblemSpec(0.5, 1.0, parse_expression("1"), parse_expression("0.5*y + t*u"),
-                             parse_expression("y^2"))]
-    for problem in t_reading:
+    # every non-zero Q, lq's constant f_y and f_u too, takes the one solver
+    problems = [builtin_problem("lq", {"a": 0.5, "b": 1.0, "r": 1.0}),  # f_y = a, f_u = b
+                builtin_problem("paper_example"),  # f_y = t u, f_u = t y
+                ProblemSpec(0.5, 1.0, parse_expression("1"), parse_expression("0.5*y + t*u"),
+                            parse_expression("y^2"))]
+    for problem in problems:
         with pytest.raises(AssertionError, match="general"):
             build_q_kernel(problem, (y, u), grid)
 
 
 def test_response_kernel_is_marched_from_its_own_equation(monkeypatch):
-    # one product table on the general path, none on the constant one, and
-    # never a resolvent
+    # one product table per Q, a constant f_y's too, and never a resolvent
     tables = []
     product_table = svoc.resolvent._product_table
 
@@ -578,7 +530,7 @@ def test_response_kernel_is_marched_from_its_own_equation(monkeypatch):
     assert len(tables) == 1 and q.regular.any()
     lq = builtin_problem("lq", {"a": 0.5, "b": 1.0, "r": 1.0})
     q = build_q_kernel(lq, (y, u), grid)
-    assert len(tables) == 1 and q.regular.any()
+    assert len(tables) == 2 and q.regular.any()
 
 
 # errors of the earlier two-stage assembly (the resolvent of f_y, then a
@@ -602,169 +554,44 @@ def test_response_kernel_route_accuracy(alpha, before):
 
 
 def test_constant_resolvent_takes_the_general_solver(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("column march")
-
+    # one product table and two marches over it, as for any other kernel
+    calls = []
+    for name in ("_product_table", "_march"):
+        real = getattr(svoc.resolvent, name)
+        monkeypatch.setattr(svoc.resolvent, name, lambda *args, name=name, real=real, **kw:
+                            calls.append(name) or real(*args, **kw))
     grid = make_grid(1.0, 48)
     reference = build_resolvent(array_constant(0.5), 0.5, grid).regular
-    monkeypatch.setattr(svoc.resolvent, "_constant_resolvent", refuse)
     assert np.array_equal(build_resolvent(lambda t, s: 0.5, 0.5, grid).regular, reference)
+    assert calls == 2 * ["_product_table", "_march", "_march"]
 
 
 @pytest.mark.parametrize("literal", ["1e308*10", "-1e308*10", "(1e308*10 - 1e308*10)", "1e150"],
                          ids=["inf", "-inf", "nan", "1e+150"])
-def test_constant_kernel_failure_names_the_general_cell(literal, general_path):
-    # a constant f_y that overflows in its literal or in the march: Q's column
-    # march names the cell its general branch names
+def test_constant_kernel_failure_names_the_general_cell(literal):
+    # a constant f_y that overflows in its literal or in the march: Q names
+    # the first cell a row-by-row quadrature meets
     grid = make_grid(1.0, 2 * _BLOCK + 5)
     y = Trajectory.from_expression("1 + 0.5*t", grid)
     u = Trajectory.from_expression("0.5 + sin(3*t)", grid)
     problems = [ProblemSpec(0.5, 1.0, parse_expression("1"),
                             parse_expression(f"{literal}*y + {f_u}"), parse_expression("y^2"))
                 for f_u in ("1.3*u", "(1 + s^2)*u")]
-    cells = [_assembly_failure(lambda: build_q_kernel(problem, (y, u), grid))
-             for problem in problems]
-    general_path()
+    cell = (3, 0) if literal == "1e150" else (1, 0)
     assert [_assembly_failure(lambda: build_q_kernel(problem, (y, u), grid))
-            for problem in problems] == cells
-
-
-def test_verify_on_the_constant_kernel_path_matches_the_general_path(tmp_path, general_path):
-    argv = ["verify", "--problem", "lq", "--param", "a=0.7", "--param", "b=1.3",
-            "--param", "r=0.8", "--control", "0.4", "--direction", "cos(3*t)", "--n", "64"]
-
-    def numbers(out):
-        assert run_command(argv + ["--out", str(out)]) == 0
-        flat = []
-        walk = [json.loads((out / "verify.json").read_text())]
-        while walk:
-            x = walk.pop()
-            if isinstance(x, dict):
-                walk.extend(x.values())
-            elif isinstance(x, list):
-                walk.extend(x)
-            elif isinstance(x, float):
-                flat.append(x)
-        return np.array(flat)
-
-    fast = numbers(tmp_path / "fast")
-    general_path()
-    general = numbers(tmp_path / "general")
-    assert len(fast) == len(general) > 20
-    assert np.all(np.abs(fast - general) <= 1e-12 * np.abs(general))  # measured 1.7e-16
-
-
-def test_constant_kernel_response_memory():
-    # lq: f_y = a, f_u = b; the general assembly peaked at 17.4 tables
-    n = 384
-    grid = make_grid(1.0, n)
-    lq = builtin_problem("lq", {"a": 0.5, "b": 1.0, "r": 1.0})
-    u = Trajectory.constant(1.0, grid)
-    pair = (solve_state(lq, u, grid), u)
-    tracemalloc.start()
-    try:
-        q = build_q_kernel(lq, pair, grid)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert not q.is_zero
-    assert peak <= 3 * (n + 1) ** 2 * 8  # measured 1.26 tables, R's table included
-
-
-# --- Q as a convolution: R[k, c] = g[c] r[k - c] ---------------------------------
-
-def convolution_kernels(n):
-    """Q on the convolution path (f_y constant, f_u free of t): lq, sing_quad
-    at u = 0.2 (a zero R), and a node factor that reads s; each with its lag
-    column r (r[0] = r[1]) and node factor g, zero when f_y is."""
-    grid = make_grid(1.0, n)
-    problems = [builtin_problem("lq", {"a": 0.7, "b": -1.2, "r": 1.3}),
-                builtin_problem("sing_quad", {"c": 1.0}),
-                ProblemSpec(0.5, 1.0, parse_expression("1"),
-                            parse_expression("0.5*y + (1 + s^2)*u^2"), parse_expression("y^2"))]
-    u = Trajectory.from_expression("0.2 + 0.3*sin(2*t)", grid)
-    for problem in problems:
-        q = build_q_kernel(problem, (solve_state(problem, u, grid), u), grid)
-        a = _convolution_factor(problem.bundle)
-        r, g = np.zeros(n + 1), np.zeros(n + 1)
-        if a != 0.0:
-            r = _constant_resolvent(_HalfCellTables(q.alpha, grid), a)
-            g = np.broadcast_to(q.c_fn(0.0, grid.nodes), (n + 1,))
-        yield grid, q, r, g
-
-
-@pytest.mark.parametrize("n", [2, 3, 33, 200])
-def test_node_rows_read_from_the_lag_column_equal_the_table_rows(n):
-    # row k is g[c] r[k - c], and row n ends in its extension g[n - 1] r[1]
-    for grid, q, r, g in convolution_kernels(n):
-        for k in range(n + 1):
-            row = g[: k + 1] * r[k::-1]
-            if k == n:
-                row[k] = g[k - 1] * r[1]
-            assert np.array_equal(row, q.regular[k, : k + 1])
-
-
-@pytest.mark.parametrize("n", [2, 3, 33, 200])
-def test_midpoint_matrix_from_the_lag_column_equals_the_table_route(n):
-    # QM's corner means formed from lagged views of r times g, above the
-    # diagonal r[0] and dropped: the same products in the same order
-    for grid, q, r, g in convolution_kernels(n):
-        h = grid.h
-        singular = RegularizedKernel(q.alpha, grid, q.c_fn, np.zeros((n + 1, n + 1)))
-        want = midpoint_apply_matrix(singular, grid)
-        lag = _lagged(r, n + 1, n + 1)
-        rmid = lag[:n, :n] * g[:n] + lag[1:, :n] * g[:n]
-        rmid += lag[:n, 1:] * g[1:]
-        rmid += lag[1:, 1:] * g[1:]
-        rmid *= 0.25
-        rmid *= h
-        np.fill_diagonal(rmid, r[1] * g[:n] * (0.5 * h))
-        want += np.tril(rmid)
-        assert np.array_equal(midpoint_apply_matrix(q, grid), want)
-
-
-def reference_lag_failure(r, g):
-    """The first (k, c) in row order, k > c, with g[c] r[k - c] not finite."""
-    with np.errstate(all="ignore"):
-        for k in range(len(r)):
-            for c in range(k):
-                if not np.isfinite(g[c] * r[k - c]):
-                    return k, c
-    return None
-
-
-@pytest.mark.parametrize("case", ["clear", "nan-r", "inf-g", "last-g", "overflow", "overflow-late"])
-def test_lag_failure_names_the_first_bad_cell_of_the_table(case):
-    rng = np.random.default_rng(5)
-    r, g = rng.uniform(-2.0, 2.0, 40), rng.uniform(-2.0, 2.0, 40)
-    r[0] = r[1]
-    if case == "nan-r":
-        r[7] = np.nan
-    elif case == "inf-g":
-        g[11] = -np.inf
-    elif case == "last-g":
-        g[-1] = np.inf  # column n, which no entry reads
-    elif case == "overflow":
-        r[30], g[2] = 1e160, 1e160
-    elif case == "overflow-late":
-        r[3], g[20], g[30] = 1e200, 1e120, -1e110
-    expected = reference_lag_failure(r, g)
-    assert (expected is None) == (case in ("clear", "last-g"))
-    if expected is None:
-        R = _convolution_table(r, g)
-        assert np.isfinite(R).all() and R[-1, -1] == R[-1, -2] == g[-2] * r[1]
-    else:
-        assert _assembly_failure(lambda: _convolution_table(r, g)) == expected
+            for problem in problems] == [cell, cell]
 
 
 @pytest.mark.parametrize("f,cell", [
     pytest.param("0.5*y + u/(s - 0.5)", (5, 4), id="non-finite-g"),
-    pytest.param("0.5*y + 1e306*exp(8*s)*u", (10, 9), id="overflow"),
-    pytest.param("2*y + 1e307*u", (2, 0), id="overflow-at-lag-2"),
+    pytest.param("0.5*y + 1e306*exp(8*s)*u", (9, 8), id="overflow"),
+    pytest.param("2*y + 1e307*u", (3, 0), id="overflow-at-lag-2"),
     pytest.param("0.5*y + u/(s - 1)", None, id="unread-last-node"),
 ])
 def test_convolution_kernel_failure_names_the_table_cell(f, cell):
-    # the cells the table scan of the convolution path named before it kept r and g
+    # f_y constant and f_u free of t: a pole of f_u is named at its first
+    # column, and an overflow at the first cell where the march's first pass
+    # meets it
     problem = ProblemSpec(0.5, 1.0, parse_expression("1"), parse_expression(f),
                           parse_expression("y^2"))
     grid = make_grid(1.0, 8 if "/" in f else 16)
