@@ -29,11 +29,11 @@ def run(n: int) -> None:
 
     for label, value, exact in [("u = 0", 0.0, 1.0 + t**1.5), ("u = -1/2", -0.5, np.ones_like(t))]:
         u = Trajectory.constant(value, grid)
-        y = solve_state(problem, u, grid)
-        cost = evaluate_cost(problem, y, u, grid)
+        y = solve_state(problem, u)
+        cost = evaluate_cost(problem, y, u)
         err = np.max(np.abs(y.values - exact))
-        psi = solve_adjoint(problem, (y, u), grid)
-        fields = hamiltonian_fields(problem, (y, u), psi, grid)
+        psi = solve_adjoint(problem, (y, u))
+        fields = hamiltonian_fields(problem, (y, u), psi)
         verdict = detect_singular(fields)
         print(f"{label:10s}  J = {cost.total:+.12f}  state error = {err:.3e}  "
               f"sup|H_u| = {verdict.sup_hu:.4g} -> "

@@ -33,9 +33,9 @@ def main() -> None:
         problem = builtin_problem("sing_quad", {"c": c})
         grid = make_grid(problem.T, args.n)
         u = Trajectory.constant(0.0, grid)
-        y = solve_state(problem, u, grid)
-        fields = hamiltonian_fields(problem, (y, u), solve_adjoint(problem, (y, u), grid), grid)
-        report = second_order_test(problem, (y, u), fields, grid)
+        y = solve_state(problem, u)
+        fields = hamiltonian_fields(problem, (y, u), solve_adjoint(problem, (y, u)))
+        report = second_order_test(problem, (y, u), fields)
         print(f"c = {c:+g}: verdict {report.verdict}, "
               f"lambda_max = {report.lambda_max:+.6e} (tol {report.tol:.2e})")
 
@@ -44,11 +44,11 @@ def main() -> None:
         # push along the violating direction and watch the cost drop
         vec = report.violating_direction.values
         v = Trajectory(grid, "nodes", np.concatenate([[vec[0]], 0.5 * (vec[:-1] + vec[1:]), [vec[-1]]]))
-        base = evaluate_cost(problem, y, u, grid).total
+        base = evaluate_cost(problem, y, u).total
         for delta in (0.1, 0.05, 0.025):
             u_pert = Trajectory(grid, "nodes", u.values + delta * v.values)
-            y_pert = solve_state(problem, u_pert, grid)
-            dj = evaluate_cost(problem, y_pert, u_pert, grid).total - base
+            y_pert = solve_state(problem, u_pert)
+            dj = evaluate_cost(problem, y_pert, u_pert).total - base
             print(f"    delta = {delta:5.3f}: J(u + delta v) - J(u) = {dj:+.6e}")
         expansion = fd_expansion_check(problem, u, v)
         print(f"    expansion residual ratios: "

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import AdjointStepError
 from .problem import ProblemSpec
 from .quadrature import Grid, linear_march, midpoint_weights
-from .state import _ZERO, Trajectory, _term_samples, evaluate_on
+from .state import _ZERO, Trajectory, _require_grid, _require_pair, _term_samples, evaluate_on
 
 
 @dataclass(frozen=True)
@@ -138,22 +138,18 @@ def _tail_field(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory], grid:
     return out
 
 
-def solve_adjoint(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
-                  grid: Grid) -> Trajectory:
-    """March the costate backward from the horizon.
+def solve_adjoint(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory]) -> Trajectory:
+    """March the costate backward from the horizon on the pair's grid.
 
     The diagonal half cell couples psi_k to itself linearly; the step fails if
     its coefficient degenerates.  When f separates the march runs on the
     reversed index, where its tail sums are causal sums, and `linear_march`
     solves a leaf of rows at a time.
     """
+    grid = _require_pair(pair)
     y_star, u_star = pair
-    if y_star.grid != grid or u_star.grid != grid:
-        raise ValueError("pair lives on a different grid")
-    n = grid.n
-    tau = grid.midpoints
-    ym = y_star.midpoint_values()
-    um = u_star.midpoint_values()
+    n, tau = grid.n, grid.midpoints
+    ym, um = y_star.midpoint_values(), u_star.midpoint_values()
     b = problem.bundle
     mu = midpoint_weights(problem.alpha, grid)
     [(g, inst)] = _free_terms(problem, grid, y_star.values, ym, um, ("_y",))
@@ -190,7 +186,9 @@ def solve_adjoint(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
 
 
 def adjoint_residual(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
-                     psi: Trajectory, grid: Grid) -> float:
+                     psi: Trajectory) -> float:
     """Max absolute defect of psi under one re-application of the equation."""
+    grid = _require_pair(pair)
+    _require_grid("costate", psi, grid)
     [(field, _)] = _tail_field(problem, pair, grid, ("_y",), psi.values)
     return float(np.max(np.abs(field - psi.values)))

@@ -224,8 +224,8 @@ def _cmd_list_problems(args) -> int:
 def _cmd_solve(args) -> int:
     problem, grid, out, control = _setup(args)
     start = time.perf_counter()
-    y = solve_state(problem, control, grid)
-    cost = evaluate_cost(problem, y, control, grid)
+    y = solve_state(problem, control)
+    cost = evaluate_cost(problem, y, control)
     elapsed = time.perf_counter() - start
     trajectory_csv(out / "state.csv", grid.nodes, y.values)
     report = _identity(problem, args)
@@ -242,8 +242,8 @@ def _cmd_solve(args) -> int:
 def _cmd_adjoint(args) -> int:
     problem, grid, out, control = _setup(args)
     start = time.perf_counter()
-    y = solve_state(problem, control, grid)
-    psi = solve_adjoint(problem, (y, control), grid)
+    y = solve_state(problem, control)
+    psi = solve_adjoint(problem, (y, control))
     elapsed = time.perf_counter() - start
     trajectory_csv(out / "adjoint.csv", grid.midpoints, psi.values)
     print(f"wrote adjoint.csv to {out} in {elapsed:.3f}s")
@@ -253,10 +253,10 @@ def _cmd_adjoint(args) -> int:
 def _cmd_check(args) -> int:
     problem, grid, out, control = _setup(args)
     start = time.perf_counter()
-    y = solve_state(problem, control, grid)
-    cost = evaluate_cost(problem, y, control, grid)
-    psi = solve_adjoint(problem, (y, control), grid)
-    fields = hamiltonian_fields(problem, (y, control), psi, grid)
+    y = solve_state(problem, control)
+    cost = evaluate_cost(problem, y, control)
+    psi = solve_adjoint(problem, (y, control))
+    fields = hamiltonian_fields(problem, (y, control), psi)
     verdict = detect_singular(fields, args.tol)
     files = ["check.json"]
     report = _identity(problem, args)
@@ -276,7 +276,7 @@ def _cmd_check(args) -> int:
     )
     second = None
     if args.order == 2 and verdict.singular:
-        second = second_order_test(problem, (y, control), fields, grid, args.tol)
+        second = second_order_test(problem, (y, control), fields, args.tol)
         files.append("second_order.json")
         if second.violating_direction is not None:
             files.append("direction.csv")

@@ -46,7 +46,7 @@ from .errors import KernelAsymmetryError, NumericsError
 from .problem import ProblemSpec
 from .quadrature import Grid
 from .resolvent import RegularizedKernel, build_q_kernel, midpoint_apply_matrix, node_apply_row
-from .state import Trajectory
+from .state import Trajectory, _require_grid, _require_pair
 
 CROSS_TERM_CONVENTION = (
     "cross term evaluated as 2 * int_0^T v(t) H_yu(t) [int_0^t Q(t,s) v(s) ds] dt"
@@ -105,11 +105,13 @@ def default_tolerance(fields: HamiltonianFields) -> float:
 
 
 def hamiltonian_fields(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
-                       psi: Trajectory, grid: Grid) -> HamiltonianFields:
+                       psi: Trajectory) -> HamiltonianFields:
     """H_u, H_uu, H_yy and H_yu (never H, which nothing reads) on midpoints
     along the pair and the midpoint costate psi, from one `_tail_field` pass.  A non-finite field raises
     NumericsError naming the first such field and the midpoint `_tail_field`
     reports for it."""
+    grid = _require_pair(pair)
+    _require_grid("costate", psi, grid)
     parts = ("_u", "_uu", "_yy", "_yu")
     fields = _tail_field(problem, pair, grid, parts, psi.values)
     for part, (_, k) in zip(parts, fields):
@@ -142,9 +144,16 @@ def _symmetrized(A: np.ndarray, what: str) -> np.ndarray:
     return out
 
 
+def _require_fields(pair: tuple[Trajectory, Trajectory], fields: HamiltonianFields) -> Grid:
+    """The pair's grid, after checking the pair and every field on it."""
+    grid = _require_pair(pair)
+    for field in (fields.h_u, fields.h_uu, fields.h_yy, fields.h_yu):
+        _require_grid("Hamiltonian fields", field, grid)
+    return grid
+
+
 def assemble_m_kernel(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
-                      fields: HamiltonianFields, q: RegularizedKernel,
-                      grid: Grid) -> MKernel:
+                      fields: HamiltonianFields, q: RegularizedKernel) -> MKernel:
     """Aggregated curvature kernel
 
         M(a, b) = int_{max(a,b)}^T Q(t,a) H_yy(t) Q(t,b) dt
@@ -153,24 +162,23 @@ def assemble_m_kernel(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
     as its factors (see MKernel): QM, tabulated when the tail or the cross
     term reads it, and one `node_apply_row` per instant with curvature.
     """
-    if q.grid != grid:
-        raise ValueError("kernel grid mismatch")
+    grid = _require_fields(pair, fields)
+    _require_grid("response kernel", q, grid)
     if q.is_zero:
         return MKernel(grid, None, None, np.zeros((0, grid.n)), np.zeros(0))
     tail = grid.h * fields.h_yy.values
     tail = tail if np.any(tail) else None
     read = tail is not None or np.any(fields.h_yu.values)
-    nodes, weights = _instant_curvature(problem, pair[0], grid)
-    rows = np.array([node_apply_row(q, node, grid) for node in nodes]).reshape(-1, grid.n)
-    return MKernel(grid, midpoint_apply_matrix(q, grid) if read else None, tail, rows, weights)
+    nodes, weights = _instant_curvature(problem, pair[0])
+    rows = np.array([node_apply_row(q, node) for node in nodes]).reshape(-1, grid.n)
+    return MKernel(grid, midpoint_apply_matrix(q) if read else None, tail, rows, weights)
 
 
-def _instant_curvature(problem: ProblemSpec, y_star: Trajectory,
-                       grid: Grid) -> tuple[list[int], np.ndarray]:
-    """The node n_i each instant with curvature snaps to and its weight
-    -h_yy^i(y*(t_{n_i})), in time order; each h_yy^i is evaluated once."""
+def _instant_curvature(problem: ProblemSpec, y_star: Trajectory) -> tuple[list[int], np.ndarray]:
+    """The node n_i each instant with curvature snaps to on y*'s grid and its
+    weight -h_yy^i(y*(t_{n_i})), in time order; each h_yy^i is evaluated once."""
     nodes, weights = [], []
-    for snap, ic in zip(snap_instants(problem, grid), problem.bundle.instants):
+    for snap, ic in zip(snap_instants(problem, y_star.grid), problem.bundle.instants):
         coeff = float(ic.h_yy.evaluate(y=y_star.values[snap.node_index]))
         if coeff != 0.0:
             nodes.append(snap.node_index)
@@ -198,13 +206,13 @@ def quadratic_form(fields: HamiltonianFields, v: Trajectory, response: np.ndarra
     return float(out)
 
 
-def _quadratic_matrix(fields: HamiltonianFields, m: MKernel, grid: Grid) -> np.ndarray:
+def _quadratic_matrix(fields: HamiltonianFields, m: MKernel) -> np.ndarray:
     """Symmetric K with v^T K v = QF[v] for every midpoint sample vector.
     With a tail term K starts as QM's weighted product and takes h H_uu on
     its diagonal in place, so beside QM at most two n x n arrays are live.
     Without curvature rows or a cross term K is the diagonal diag(h H_uu),
     symmetric as built, and is returned as it is."""
-    h = grid.h
+    h = m.grid.h
     qm = m.qm
     cross = qm is not None and np.any(fields.h_yu.values)
     if m.tail is None:
@@ -239,8 +247,7 @@ def _is_diagonal(K: np.ndarray) -> bool:
 
 
 def second_order_test(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
-                      fields: HamiltonianFields, grid: Grid,
-                      tol: float | None = None) -> SecondOrderReport:
+                      fields: HamiltonianFields, tol: float | None = None) -> SecondOrderReport:
     """Necessary-condition test at a singular control.
 
     fields are the Hamiltonian fields along the pair.  Builds K, takes its
@@ -254,13 +261,13 @@ def second_order_test(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
     `eigh`.  If the control is not singular the test does not apply and the
     verdict is inconclusive.
     """
+    grid = _require_fields(pair, fields)
     verdict = detect_singular(fields, tol)
     if not verdict.singular:
         return SecondOrderReport("inconclusive", float("nan"), verdict.tol,
                                  verdict.sup_hu, None, None)
     K = _quadratic_matrix(fields, assemble_m_kernel(problem, pair, fields,
-                                                    build_q_kernel(problem, pair, grid), grid),
-                          grid)
+                                                    build_q_kernel(problem, pair)))
     lam = np.inf
     if _is_diagonal(K):
         lam = float(np.diagonal(K).max())

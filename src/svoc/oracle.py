@@ -129,9 +129,9 @@ class ExpansionReport:
 def _reference(problem: ProblemSpec, control: Trajectory, v: Trajectory):
     """y* on the control's grid and `_march_sweep`'s (states, Y1) with it,
     or (y*, None) with y* marched alone when the sweep shares no march."""
-    swept = _march_sweep(problem, control, v, DEFAULT_DELTAS, control.grid)
+    swept = _march_sweep(problem, control, v, DEFAULT_DELTAS)
     if swept is None:
-        return solve_state(problem, control, control.grid), None
+        return solve_state(problem, control), None
     return swept[0], swept[1:]
 
 
@@ -149,20 +149,20 @@ def fd_expansion_check(problem: ProblemSpec, control: Trajectory,
     grid = control.grid
     y_star, marched = _reference(problem, control, v)
     pair = (y_star, control)
-    base = evaluate_cost(problem, y_star, control, grid).total
-    fields = hamiltonian_fields(problem, pair, solve_adjoint(problem, pair, grid), grid)
+    base = evaluate_cost(problem, y_star, control).total
+    fields = hamiltonian_fields(problem, pair, solve_adjoint(problem, pair))
     # a Trajectory, so that an average which overflows raises here
     vm = Trajectory(grid, "midpoints", v.midpoint_values())
     hu_pairing = grid.h * float(np.dot(fields.h_u.values, vm.values))
 
     variational = _variational_report(problem, pair, v, marched)
     y1 = variational.y1
-    nodes, weights = _instant_curvature(problem, y_star, grid)
+    nodes, weights = _instant_curvature(problem, y_star)
     qf = quadratic_form(fields, vm, y1.midpoint_values(), weights, y1.values[nodes])
     rows = []
     for delta, y_pert in zip(DEFAULT_DELTAS, variational.states):
         u_pert = Trajectory(grid, "nodes", control.values + delta * v.values)
-        dj = evaluate_cost(problem, y_pert, u_pert, grid).total - base
+        dj = evaluate_cost(problem, y_pert, u_pert).total - base
         model1 = -delta * hu_pairing
         model2 = model1 - 0.5 * delta**2 * qf
         rows.append(ExpansionRow(delta, dj, model1, model2, dj - model2))
@@ -203,11 +203,11 @@ def _variational_report(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory
     grid = y_star.grid
     if marched is None:
         controls = (control.values + d * v.values for d in DEFAULT_DELTAS)
-        states = tuple(solve_state(problem, Trajectory(grid, "nodes", u), grid) for u in controls)
-        y1 = solve_y1(problem, pair, v, grid)
+        states = tuple(solve_state(problem, Trajectory(grid, "nodes", u)) for u in controls)
+        y1 = solve_y1(problem, pair, v)
     else:
         states, y1 = marched
-    y2 = solve_y2(problem, pair, v, y1, grid)
+    y2 = solve_y2(problem, pair, v, y1)
     scale = 1.0 + float(np.max(np.abs(y_star.values)))
     e1, e2 = [], []
     for delta, y_pert in zip(DEFAULT_DELTAS, states):
@@ -253,7 +253,7 @@ def convergence_study(lam: float, alpha: float, ns) -> ConvergenceReport:
     series, errors = _mittag_leffler_entries(alpha, lam * math.gamma(alpha) * nodes**alpha)
     rows, prev_n, prev_err = [], None, None
     for n, grid in zip(ns, grids):
-        y = solve_state(problem, Trajectory.constant(0.0, grid), grid)
+        y = solve_state(problem, Trajectory.constant(0.0, grid))
         at = np.searchsorted(nodes, grid.nodes)
         failed = at[np.isin(at, list(errors))]
         if failed.size:

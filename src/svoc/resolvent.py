@@ -46,8 +46,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import KernelAssemblyError
 from .problem import ProblemSpec
-from .quadrature import Grid, midpoint_weights, singular_weights
-from .state import Trajectory
+from .quadrature import Grid, _toeplitz, midpoint_weights, singular_weights
+from .state import Trajectory, _require_nodes, _require_pair
 
 KernelFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -91,11 +91,6 @@ def _lagged(v: np.ndarray, rows: int, cols: int, offset: int = 0) -> np.ndarray:
     (rows, cols); needs rows - 1 + offset < len(v)."""
     u = v[np.maximum(np.arange(rows - 1 + offset, offset - cols, -1), 0)]
     return sliding_window_view(u, cols)[::-1]
-
-
-def _causal_table(v: np.ndarray) -> np.ndarray:
-    """The square table T[k, c] = v[k - c] for k >= c, zero above."""
-    return np.tril(_lagged(v, len(v), len(v)))
 
 
 class _HalfCellTables:
@@ -352,12 +347,13 @@ def build_resolvent(A: KernelFn, alpha: float, grid: Grid) -> RegularizedKernel:
     return _build(alpha, grid, A, A)
 
 
-def resolvent_residual(phi: RegularizedKernel, A: KernelFn, grid: Grid) -> float:
+def resolvent_residual(phi: RegularizedKernel, A: KernelFn) -> float:
     """Max defect of the stored regular part under one re-application of the
     fixed-point quadrature using the completed table (diagonal extensions in
     place of the in-march zeros); measures the dropped edge terms."""
     if phi.is_zero:
         return 0.0
+    grid = phi.grid
     tb = _HalfCellTables(phi.alpha, grid)
     right = _right_samples(A, grid)
     P = _product_table(tb, right, _left_samples(A, grid))
@@ -377,31 +373,24 @@ def _apply_nodes(kernel: RegularizedKernel, values: np.ndarray) -> np.ndarray:
     n, h = grid.n, grid.h
     if kernel.is_zero:
         return np.zeros(n + 1)
-    w = _causal_table(singular_weights(kernel.alpha, grid))
+    w = _toeplitz(singular_weights(kernel.alpha, grid), 0, n + 1)
     trap = np.tril(np.full((n + 1, n + 1), h))
-    idx = np.arange(n + 1)
     trap[:, 0] = 0.5 * h
-    trap[idx, idx] = 0.5 * h
+    np.fill_diagonal(trap, 0.5 * h)
     trap[0, 0] = 0.0
     return (_node_samples(kernel.c_fn, grid) * w) @ values + (kernel.regular * trap) @ values
 
 
-def represent_solution(phi: RegularizedKernel, eta: Trajectory, grid: Grid) -> Trajectory:
+def represent_solution(phi: RegularizedKernel, eta: Trajectory) -> Trajectory:
     """Solution of the linear equation as free term plus resolvent action."""
-    if phi.grid != grid or eta.grid != grid:
-        raise ValueError("kernel, free term, and grid must match")
-    if eta.placement != "nodes":
-        raise ValueError("free term must be sampled on nodes")
-    return Trajectory(grid, "nodes", eta.values + _apply_nodes(phi, eta.values))
+    _require_nodes("free term", eta, phi.grid)
+    return Trajectory(phi.grid, "nodes", eta.values + _apply_nodes(phi, eta.values))
 
 
-def apply_kernel_nodes(kernel: RegularizedKernel, v: Trajectory, grid: Grid) -> Trajectory:
+def apply_kernel_nodes(kernel: RegularizedKernel, v: Trajectory) -> Trajectory:
     """Kernel action on a node trajectory; for Q this is the response integral."""
-    if kernel.grid != grid or v.grid != grid:
-        raise ValueError("kernel, trajectory, and grid must match")
-    if v.placement != "nodes":
-        raise ValueError("input must be sampled on nodes")
-    return Trajectory(grid, "nodes", _apply_nodes(kernel, v.values))
+    _require_nodes("input", v, kernel.grid)
+    return Trajectory(kernel.grid, "nodes", _apply_nodes(kernel, v.values))
 
 
 def _pair_fn(expression, y_star: np.ndarray, u_star: np.ndarray, grid: Grid) -> KernelFn:
@@ -422,8 +411,7 @@ def _pair_fn(expression, y_star: np.ndarray, u_star: np.ndarray, grid: Grid) -> 
     return fn
 
 
-def build_q_kernel(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
-                   grid: Grid) -> RegularizedKernel:
+def build_q_kernel(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory]) -> RegularizedKernel:
     """Kernel Q with Y1(t) = int_0^t Q(t,s) v(s) ds for every variation v.
 
     Q solves the variational equation
@@ -438,6 +426,7 @@ def build_q_kernel(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
     ignores t), and its regular part is zero when f_y's do.  A non-finite
     entry raises KernelAssemblyError at the first such cell in row order.
     """
+    grid = _require_pair(pair)
     y_star, u_star = pair
     b = problem.bundle
     c_fn = _pair_fn(b.f_u, y_star.values, u_star.values, grid)
@@ -448,18 +437,16 @@ def build_q_kernel(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
     return _build(problem.alpha, grid, _pair_fn(b.f_y, y_star.values, u_star.values, grid), c_fn)
 
 
-def midpoint_apply_matrix(kernel: RegularizedKernel, grid: Grid) -> np.ndarray:
+def midpoint_apply_matrix(kernel: RegularizedKernel) -> np.ndarray:
     """Matrix QM with (QM v)_k ~ int_0^{tau_k} kernel(tau_k, s) v(s) ds for v
     sampled on midpoints: the singular coefficient is integrated exactly per
     cell, the regular part gets plain cell weights (half on the partial
     diagonal cell).  A coefficient that ignores t is sampled once per
     column."""
-    n, h = grid.n, grid.h
-    if kernel.grid != grid:
-        raise ValueError("kernel grid mismatch")
+    grid = kernel.grid
+    n, h, tau = grid.n, grid.h, grid.midpoints
     if kernel.is_zero:
         return np.zeros((n, n))
-    tau = grid.midpoints
     tri = np.tri(n, dtype=bool)
     with np.errstate(all="ignore"):
         # one row of samples, or one value, when the coefficient ignores t
@@ -477,13 +464,12 @@ def midpoint_apply_matrix(kernel: RegularizedKernel, grid: Grid) -> np.ndarray:
     return np.add(qm, rmid, out=qm, where=tri)
 
 
-def node_apply_row(kernel: RegularizedKernel, node_index: int, grid: Grid) -> np.ndarray:
+def node_apply_row(kernel: RegularizedKernel, node_index: int) -> np.ndarray:
     """Weights w with sum_a w[a] v(tau_a) ~ int_0^{t_i} kernel(t_i, s) v(s) ds."""
-    n = grid.n
-    if not 0 <= node_index <= n:
-        raise IndexError(f"node index {node_index} outside 0..{n}")
-    out = np.zeros(n)
-    i = node_index
+    grid, i = kernel.grid, node_index
+    if not 0 <= i <= grid.n:
+        raise IndexError(f"node index {i} outside 0..{grid.n}")
+    out = np.zeros(grid.n)
     if kernel.is_zero or i == 0:
         return out
     tau = grid.midpoints[:i]

@@ -87,9 +87,13 @@ class CostBreakdown:
     total: float
 
 
-def _require_nodes(name: str, trajectory: Trajectory, grid: Grid) -> None:
-    if trajectory.grid != grid:
+def _require_grid(name: str, x, grid: Grid) -> None:  # x: a trajectory or a kernel
+    if x.grid != grid:
         raise ValueError(f"{name} lives on a different grid")
+
+
+def _require_nodes(name: str, trajectory: Trajectory, grid: Grid) -> None:
+    _require_grid(name, trajectory, grid)
     if trajectory.placement != "nodes":
         raise ValueError(f"{name} must be sampled on nodes")
 
@@ -129,8 +133,9 @@ def _term_samples(problem: ProblemSpec, times: np.ndarray, env: dict, parts: tup
     return _outer_samples([term.a for term in terms], times).reshape(shape), tables
 
 
-def solve_state(problem: ProblemSpec, control: Trajectory, grid: Grid) -> Trajectory:
+def solve_state(problem: ProblemSpec, control: Trajectory) -> Trajectory:
     """March the state equation forward; the rectangle scheme makes it explicit."""
+    grid = control.grid
     _require_nodes("control", control, grid)
     t = grid.nodes
     u = control.values
@@ -165,8 +170,9 @@ def solve_state(problem: ProblemSpec, control: Trajectory, grid: Grid) -> Trajec
     return Trajectory(grid, "nodes", y)
 
 
-def evaluate_cost(problem: ProblemSpec, y: Trajectory, u: Trajectory, grid: Grid) -> CostBreakdown:
+def evaluate_cost(problem: ProblemSpec, y: Trajectory, u: Trajectory) -> CostBreakdown:
     """Trapezoid running cost plus instant costs at linearly interpolated states."""
+    grid = y.grid
     _require_nodes("state", y, grid)
     _require_nodes("control", u, grid)
     t = grid.nodes
@@ -183,9 +189,12 @@ def evaluate_cost(problem: ProblemSpec, y: Trajectory, u: Trajectory, grid: Grid
     return CostBreakdown(running, tuple(instants), total)
 
 
-def _require_pair(pair: tuple[Trajectory, Trajectory], grid: Grid) -> None:
+def _require_pair(pair: tuple[Trajectory, Trajectory]) -> Grid:
+    """The grid of the reference state, after checking the pair on its nodes."""
+    grid = pair[0].grid
     _require_nodes("reference state", pair[0], grid)
     _require_nodes("reference control", pair[1], grid)
+    return grid
 
 
 def _march_response(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
@@ -198,7 +207,6 @@ def _march_response(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
     rows at a time, each term's b_y as coefficient and its partials in parts
     as samples; otherwise the bundle's partials are sampled per row.
     """
-    _require_pair(pair, grid)
     w = singular_weights(problem.alpha, grid)
     t = grid.nodes
     if problem.terms is not None:
@@ -218,26 +226,27 @@ def _march_response(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
 
 
 def solve_y1(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
-             v: Trajectory, grid: Grid) -> Trajectory:
+             v: Trajectory) -> Trajectory:
     """First-order response of the state to a control variation v."""
+    grid = _require_pair(pair)
     _require_nodes("variation", v, grid)
     vv = v.values
     return _march_response(problem, pair, grid, ("_u",), lambda sl, fu: fu * vv[sl])
 
 
 def solve_y2(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
-             v: Trajectory, y1: Trajectory, grid: Grid) -> Trajectory:
+             v: Trajectory, y1: Trajectory) -> Trajectory:
     """Second-order response; sources quadratic in (Y1, v) under the same weights.
 
     When f_yy, f_yu and f_uu are all identically zero (f linear in (y, u))
     every source vanishes, so Y2 solves a homogeneous equation and is zero
     without a march.
     """
+    grid = _require_pair(pair)
     _require_nodes("variation", v, grid)
     _require_nodes("first-order response", y1, grid)
     b = problem.bundle
     if all(e == _ZERO for e in (b.f_yy, b.f_yu, b.f_uu)):
-        _require_pair(pair, grid)
         return Trajectory(grid, "nodes", np.zeros(grid.n + 1))
     vv, z1 = v.values, y1.values
 
@@ -248,7 +257,7 @@ def solve_y2(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
 
 
 def _shared_columns(problem: ProblemSpec, control: Trajectory, v: Trajectory,
-                    deltas: tuple[float, ...], grid: Grid):
+                    deltas: tuple[float, ...]):
     """Operands (a, b, g, d) of one `linear_march` whose columns are the
     state at the control u*, the states at u* + d v for d in deltas, and
     then Y1 along (y*, u*), or None.
@@ -260,7 +269,7 @@ def _shared_columns(problem: ProblemSpec, control: Trajectory, v: Trajectory,
     Each column's free part comes from the sampler call of its own march,
     the first at u* itself, so each equals that march bit for bit.  None
     also when an input is off the grid's nodes or a control is not finite."""
-    terms = problem.terms
+    terms, grid = problem.terms, control.grid
     if (terms is None
             or any(term.b_y.free_vars() & {"y", "u"} or "y" in term.b_u.free_vars()
                    or term.b_y == term.b_u == _ZERO for term in terms)
@@ -281,7 +290,7 @@ def _shared_columns(problem: ProblemSpec, control: Trajectory, v: Trajectory,
 
 
 def _march_sweep(problem: ProblemSpec, control: Trajectory, v: Trajectory,
-                 deltas: tuple[float, ...], grid: Grid):
+                 deltas: tuple[float, ...]):
     """(y*, the states y(u* + d v) for d in deltas, Y1 along (y*, u*)) as
     the columns of one `linear_march`, which inverts each leaf once for all
     of them, each column equal to its own march bit for bit; or None when
@@ -289,12 +298,12 @@ def _march_sweep(problem: ProblemSpec, control: Trajectory, v: Trajectory,
     then marches them one by one, so a failure is the one those marches
     raise.
     """
-    shared = _shared_columns(problem, control, v, deltas, grid)
+    shared = _shared_columns(problem, control, v, deltas)
     if shared is None:
         return None
     try:
-        x = linear_march(singular_weights(problem.alpha, grid), *shared, _guard_rows)
+        x = linear_march(singular_weights(problem.alpha, control.grid), *shared, _guard_rows)
     except NumericsError:
         return None  # the caller's marches raise it again, in their order
-    y_star, *states, y1 = (Trajectory(grid, "nodes", row) for row in x)
+    y_star, *states, y1 = (Trajectory(control.grid, "nodes", row) for row in x)
     return y_star, tuple(states), y1

@@ -40,14 +40,14 @@ def test_criterion_1_benchmark_reproduction():
     grid = make_grid(problem.T, 256)
 
     u0 = Trajectory.constant(0.0, grid)
-    y0 = solve_state(problem, u0, grid)
+    y0 = solve_state(problem, u0)
     err0 = float(np.max(np.abs(y0.values - (1.0 + grid.nodes**1.5))))
-    j0 = evaluate_cost(problem, y0, u0, grid).total
+    j0 = evaluate_cost(problem, y0, u0).total
 
     uh = Trajectory.constant(-0.5, grid)
-    yh = solve_state(problem, uh, grid)
+    yh = solve_state(problem, uh)
     errh = float(np.max(np.abs(yh.values - 1.0)))
-    jh = evaluate_cost(problem, yh, uh, grid).total
+    jh = evaluate_cost(problem, yh, uh).total
 
     elapsed = time.perf_counter() - start
     assert err0 <= 1e-12 and abs(j0 - 2.0) <= 1e-12
@@ -64,7 +64,7 @@ def test_criterion_2_analytic_convergence():
     for n in (256, 512, 1024, 2048, 4096):
         problem = builtin_problem("abel_linear", {"lam": 1.0})
         grid = make_grid(1.0, n)
-        y = solve_state(problem, Trajectory.constant(0.0, grid), grid)
+        y = solve_state(problem, Trajectory.constant(0.0, grid))
         ref = linear_analytic_solution(1.0, 0.5, grid.nodes)
         errors.append(float(np.max(np.abs(y.values - ref)) / np.max(np.abs(ref))))
     elapsed = time.perf_counter() - start
@@ -79,20 +79,20 @@ def test_criterion_3_representation_equivalence():
     # linear representation route vs direct march
     grid = make_grid(1.0, 1024)
     problem = builtin_problem("abel_linear", {"lam": 0.5})
-    y = solve_state(problem, Trajectory.constant(0.0, grid), grid)
+    y = solve_state(problem, Trajectory.constant(0.0, grid))
     phi = build_resolvent(lambda t, s: 0.5, 0.5, grid)
-    rep = represent_solution(phi, Trajectory.from_expression("1", grid), grid)
+    rep = represent_solution(phi, Trajectory.from_expression("1", grid))
     rel_state = float(np.max(np.abs(rep.values - y.values)) / np.max(np.abs(y.values)))
     assert rel_state <= 1e-2
 
     # response-kernel route vs marched first response
     lq = builtin_problem("lq", {"a": 0.5, "b": 1.0, "r": 1.0})
     u = Trajectory.constant(1.0, grid)
-    y_star = solve_state(lq, u, grid)
+    y_star = solve_state(lq, u)
     v = Trajectory.from_expression("cos(2*t)", grid)
-    direct = solve_y1(lq, (y_star, u), v, grid)
-    q = build_q_kernel(lq, (y_star, u), grid)
-    routed = apply_kernel_nodes(q, v, grid)
+    direct = solve_y1(lq, (y_star, u), v)
+    q = build_q_kernel(lq, (y_star, u))
+    routed = apply_kernel_nodes(q, v)
     rel_y1 = float(np.max(np.abs(routed.values - direct.values))
                    / np.max(np.abs(direct.values)))
     assert rel_y1 <= 2e-2
@@ -161,17 +161,17 @@ def test_criterion_6_second_order_verdicts():
     u = Trajectory.constant(0.0, grid)
 
     holds = builtin_problem("sing_quad", {"c": 1.0})
-    y = solve_state(holds, u, grid)
-    fields_holds = hamiltonian_fields(holds, (y, u), solve_adjoint(holds, (y, u), grid), grid)
-    rep_holds = second_order_test(holds, (y, u), fields_holds, grid)
+    y = solve_state(holds, u)
+    fields_holds = hamiltonian_fields(holds, (y, u), solve_adjoint(holds, (y, u)))
+    rep_holds = second_order_test(holds, (y, u), fields_holds)
     norm_k = float(np.linalg.norm(rep_holds.matrix, 2))
     assert rep_holds.verdict == "holds"
     assert rep_holds.lambda_max <= 1e-8 * norm_k
 
     violated = builtin_problem("sing_quad", {"c": -1.0})
-    y2 = solve_state(violated, u, grid)
-    fields_viol = hamiltonian_fields(violated, (y2, u), solve_adjoint(violated, (y2, u), grid), grid)
-    rep_viol = second_order_test(violated, (y2, u), fields_viol, grid)
+    y2 = solve_state(violated, u)
+    fields_viol = hamiltonian_fields(violated, (y2, u), solve_adjoint(violated, (y2, u)))
+    rep_viol = second_order_test(violated, (y2, u), fields_viol)
     assert rep_viol.verdict == "violated"
 
     # independent confirmation: push along the returned direction
@@ -179,21 +179,21 @@ def test_criterion_6_second_order_verdicts():
     mid = rep_viol.violating_direction.values
     nodes = np.concatenate([[mid[0]], 0.5 * (mid[:-1] + mid[1:]), [mid[-1]]])
     u_new = project_control(violated, u.values + delta * nodes)
-    y_new = solve_state(violated, Trajectory(grid, "nodes", u_new), grid)
-    j_star = evaluate_cost(violated, y2, u, grid).total
-    j_new = evaluate_cost(violated, y_new, Trajectory(grid, "nodes", u_new), grid).total
+    y_new = solve_state(violated, Trajectory(grid, "nodes", u_new))
+    j_star = evaluate_cost(violated, y2, u).total
+    j_new = evaluate_cost(violated, y_new, Trajectory(grid, "nodes", u_new)).total
     assert j_new < j_star
 
     # the dense kernel-assembly path must fit the same budget at reduced N
     small = make_grid(1.0, 256)
     lq = builtin_problem("lq", {"a": 0.5, "b": 1.0, "r": 1.0})
     u_lq = Trajectory.constant(1.0, small)
-    y_lq = solve_state(lq, u_lq, small)
-    adj = solve_adjoint(lq, (y_lq, u_lq), small)
-    fields = hamiltonian_fields(lq, (y_lq, u_lq), adj, small)
-    q = build_q_kernel(lq, (y_lq, u_lq), small)
-    m = assemble_m_kernel(lq, (y_lq, u_lq), fields, q, small)
-    K = _quadratic_matrix(fields, m, small)
+    y_lq = solve_state(lq, u_lq)
+    adj = solve_adjoint(lq, (y_lq, u_lq))
+    fields = hamiltonian_fields(lq, (y_lq, u_lq), adj)
+    q = build_q_kernel(lq, (y_lq, u_lq))
+    m = assemble_m_kernel(lq, (y_lq, u_lq), fields, q)
+    K = _quadratic_matrix(fields, m)
     assert np.all(np.isfinite(K))
 
     elapsed = time.perf_counter() - start

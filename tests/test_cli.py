@@ -446,7 +446,7 @@ def test_second_order_check_on_lq_keeps_its_eigenvalue(tmp_path, n, lambda_max):
     assert report["lambda_max"] == pytest.approx(lambda_max, rel=1e-14, abs=0.0)
 
 
-def test_second_order_check_on_a_convolution_kernel_builds_no_table_of_r(tmp_path):
+def test_second_order_verdict_on_lq_follows_the_sign_of_r(tmp_path):
     # lq's Q is a convolution, built by the one solver like every other Q;
     # the verdict holds with a loose tol, and r < 0 flips it with a direction
     for r in ("1.3", "-100000"):  # holds, and violated with a direction
@@ -465,12 +465,12 @@ def test_sweep_failure_names_the_first_perturbed_state(tmp_path, capsys):
     problem = builtin_problem("lq", {"a": 0.5, "b": 1.0, "r": 1.0})
     grid = make_grid(1.0, 256)
     u = Trajectory.constant(1.0, grid)
-    pair = (solve_state(problem, u, grid), u)
+    pair = (solve_state(problem, u), u)
     v = Trajectory.from_expression("1e10*exp(30*t)", grid)
     with pytest.raises(StateBlowupError) as y1_failure:
-        solve_y1(problem, pair, v, grid)
+        solve_y1(problem, pair, v)
     with pytest.raises(StateBlowupError) as state_failure:
-        solve_state(problem, Trajectory(grid, "nodes", u.values + 0.01 * v.values), grid)
+        solve_state(problem, Trajectory(grid, "nodes", u.values + 0.01 * v.values))
     assert y1_failure.value.index < state_failure.value.index
     code = run(["verify", "--problem", "lq", "--param", "a=0.5", "--param", "b=1",
                 "--param", "r=1", "--control", "1", "--direction", "1e10*exp(30*t)",
@@ -485,7 +485,7 @@ def test_reference_state_failure_names_its_node(tmp_path, capsys):
     problem = builtin_problem("lq", {"a": 40.0, "b": 1.0, "r": 1.0})
     grid = make_grid(1.0, 64)
     with pytest.raises(StateBlowupError) as failure:
-        solve_state(problem, Trajectory.constant(0.1, grid), grid)
+        solve_state(problem, Trajectory.constant(0.1, grid))
     code = run(["verify", "--problem", "lq", "--param", "a=40", "--param", "b=1",
                 "--param", "r=1", "--control", "0.1", "--direction", "1", "--n", "64"], tmp_path)
     assert code == 2
@@ -504,9 +504,9 @@ def test_costate_failure_is_named_before_a_perturbed_state_failure(tmp_path, cap
     grid = make_grid(problem.T, 64)
     u = Trajectory.constant(0.1, grid)
     with pytest.raises(StateBlowupError):
-        solve_state(problem, Trajectory.constant(0.1 + 0.01 * 1e16, grid), grid)
+        solve_state(problem, Trajectory.constant(0.1 + 0.01 * 1e16, grid))
     with pytest.raises(AdjointStepError) as failure, np.errstate(all="ignore"):
-        svoc.adjoint.solve_adjoint(problem, (solve_state(problem, u, grid), u), grid)
+        svoc.adjoint.solve_adjoint(problem, (solve_state(problem, u), u))
     code = run(["verify", "--problem", str(spec_path), "--control", "0.1",
                 "--direction", "1e16", "--n", "64"], tmp_path)
     assert code == 2

@@ -186,7 +186,7 @@ def state_path(problem):
         mp.setattr(state, "linear_march", taken("linear"))
         mp.setattr(state, "causal_march", taken("stepped"))
         try:
-            state.solve_state(problem, Trajectory.constant(0.1, grid), grid)
+            state.solve_state(problem, Trajectory.constant(0.1, grid))
         except Taken as path:
             return path.args[0]
     return "row loop"
@@ -221,21 +221,21 @@ def test_marches_match_the_row_loop(kernel, n):
     problem = make()
     grid = make_grid(problem.T, n)
     u = Trajectory.from_expression(control, grid)
-    y = solve_state(problem, u, grid)
+    y = solve_state(problem, u)
     assert_close(y.values, ref_state(problem, u.values, grid))
 
     pair = (y, u)
     v = Trajectory.from_expression("cos(3*t)", grid)
-    y1 = solve_y1(problem, pair, v, grid)
+    y1 = solve_y1(problem, pair, v)
     assert_close(y1.values, ref_y1(problem, pair, v.values, grid))
-    y2 = solve_y2(problem, pair, v, y1, grid)
+    y2 = solve_y2(problem, pair, v, y1)
     assert_close(y2.values, ref_y2(problem, pair, v.values, y1.values, grid))
 
-    psi = solve_adjoint(problem, pair, grid)
+    psi = solve_adjoint(problem, pair)
     assert_close(psi.values, ref_adjoint(problem, pair, grid))
 
     b = problem.bundle
-    fields = hamiltonian_fields(problem, pair, psi, grid)
+    fields = hamiltonian_fields(problem, pair, psi)
     for name in ("_u", "_uu", "_yy", "_yu"):
         want = ref_tail_field(problem, pair, grid, getattr(b, "f" + name),
                               getattr(b, "g" + name), psi.values)
@@ -245,7 +245,7 @@ def test_marches_match_the_row_loop(kernel, n):
     psi = psi.values + 0.1 * np.cos(3.0 * grid.midpoints)
     off = Trajectory(grid, "midpoints", psi)
     want = np.max(np.abs(ref_tail_field(problem, pair, grid, b.f_y, b.g_y, psi) - psi))
-    assert_close(np.array(adjoint_residual(problem, pair, off, grid)), want)
+    assert_close(np.array(adjoint_residual(problem, pair, off)), want)
 
 
 # --- failures at the same row ---------------------------------------------------
@@ -340,14 +340,14 @@ def test_hamiltonian_fields_take_one_correlation_and_each_partials_own_bits(case
     problem = make()
     grid = make_grid(problem.T, n)
     u = Trajectory.from_expression(control, grid)
-    pair = (solve_state(problem, u, grid), u)
-    psi = solve_adjoint(problem, pair, grid)
+    pair = (solve_state(problem, u), u)
+    psi = solve_adjoint(problem, pair)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(svoc.adjoint, "_free_terms", one_part_free_terms)
-        want = solve_adjoint(problem, pair, grid)
+        want = solve_adjoint(problem, pair)
     assert np.array_equal(bits(psi.values), bits(want.values))
     calls = count_tail_sums(monkeypatch)
-    fields = hamiltonian_fields(problem, pair, psi, grid)
+    fields = hamiltonian_fields(problem, pair, psi)
     assert len(calls) == (problem.terms is not None)  # the row loop correlates nothing
     for part in HAMILTONIAN_PARTS:
         want, first_bad = one_part_tail_field(problem, pair, grid, part, psi.values)
@@ -375,17 +375,17 @@ def test_each_instants_h_y_is_evaluated_once_per_call(case, monkeypatch):
     problem = make()
     grid = make_grid(problem.T, 64)
     u = Trajectory.from_expression(control, grid)
-    pair = (solve_state(problem, u, grid), u)
+    pair = (solve_state(problem, u), u)
     calls = []
     instants = tuple(dataclasses.replace(ic, h_y=Counted(ic.h_y, calls))
                      for ic in problem.bundle.instants)
     monkeypatch.setitem(problem.__dict__, "bundle",
                         dataclasses.replace(problem.bundle, instants=instants))
-    psi = solve_adjoint(problem, pair, grid)
+    psi = solve_adjoint(problem, pair)
     assert len(calls) == len(instants)
-    hamiltonian_fields(problem, pair, psi, grid)
+    hamiltonian_fields(problem, pair, psi)
     assert len(calls) == 2 * len(instants)
-    adjoint_residual(problem, pair, psi, grid)
+    adjoint_residual(problem, pair, psi)
     assert len(calls) == 3 * len(instants)
 
 
@@ -405,7 +405,7 @@ def test_a_pole_of_a_term_reaches_only_the_partials_that_read_it(monkeypatch):
         assert np.array_equal(bits(field), bits(want)), part
     assert [first_bad for _, first_bad in got] == [2, None, None, 2]
     with pytest.raises(NumericsError, match=r"field H_u is not finite at midpoint 2 \(t = 0.625\)"):
-        hamiltonian_fields(problem, pair, psi, grid)
+        hamiltonian_fields(problem, pair, psi)
     assert len(calls) == 2
 
 
@@ -420,7 +420,7 @@ def test_blowup_is_reported_at_the_row_loop_index(f, c):
     with pytest.raises(StateBlowupError) as want:
         ref_state(problem, u.values, grid)
     with pytest.raises(StateBlowupError) as got:
-        solve_state(problem, u, grid)
+        solve_state(problem, u)
     assert 128 < got.value.index == want.value.index
 
 
@@ -436,7 +436,7 @@ def test_non_finite_sample_is_reported_at_the_row_loop_index(crossing):
         with pytest.raises(StateBlowupError) as want:
             ref_state(problem, u.values, grid)
         with pytest.raises(StateBlowupError) as got:
-            solve_state(problem, u, grid)
+            solve_state(problem, u)
     assert got.value.index == want.value.index
 
 
@@ -450,7 +450,7 @@ def assert_backward_failure_at_the_row_loop_index(f, gap):
     with pytest.raises(AdjointStepError) as want:
         ref_adjoint(problem, pair, grid)
     with pytest.raises(AdjointStepError) as got:
-        solve_adjoint(problem, pair, grid)
+        solve_adjoint(problem, pair)
     assert got.value.index == want.value.index
     assert grid.n - 1 - got.value.index > 128  # rows marched before the failure
 
@@ -478,7 +478,7 @@ def test_linear_blowup_is_reported_at_the_row_loop_index(f, c):
     with pytest.raises(StateBlowupError) as want:
         ref_state(problem, u.values, grid)
     with pytest.raises(StateBlowupError) as got:
-        solve_state(problem, u, grid)
+        solve_state(problem, u)
     assert LINEAR_LEAF < got.value.index == want.value.index
 
 
@@ -495,7 +495,7 @@ def test_non_finite_linear_factor_is_reported_at_the_row_loop_index(crossing):
         with pytest.raises(StateBlowupError) as want:
             ref_state(problem, u.values, grid)
         with pytest.raises(StateBlowupError) as got:
-            solve_state(problem, u, grid)
+            solve_state(problem, u)
     assert got.value.index == want.value.index == int(1000 * crossing) + 2
 
 
@@ -509,7 +509,7 @@ def test_linear_blowup_past_the_first_chunk_is_reported_at_the_row_loop_index(f,
     with pytest.raises(StateBlowupError) as want:
         ref_state(problem, u.values, grid)
     with pytest.raises(StateBlowupError) as got:
-        solve_state(problem, u, grid)
+        solve_state(problem, u)
     assert SPAN < got.value.index == want.value.index
 
 
@@ -524,7 +524,7 @@ def test_non_finite_factor_past_the_first_chunk_is_reported_at_the_row_loop_inde
         with pytest.raises(StateBlowupError) as want:
             ref_state(problem, u.values, grid)
         with pytest.raises(StateBlowupError) as got:
-            solve_state(problem, u, grid)
+            solve_state(problem, u)
     assert SPAN <= got.value.index == want.value.index == int(1000 * crossing) + 2
 
 
@@ -543,7 +543,7 @@ def test_response_blowup_is_reported_at_the_row_loop_index(order, f):
         ref(problem, pair, v.values, *extra, grid)
     extra = () if order == 1 else (Trajectory(grid, "nodes", extra[0]),)
     with pytest.raises(StateBlowupError) as got:
-        solve(problem, pair, v, *extra, grid)
+        solve(problem, pair, v, *extra)
     assert LINEAR_LEAF < got.value.index == want.value.index
 
 
@@ -678,11 +678,11 @@ def test_each_march_builds_its_own_tables_once(path, f, monkeypatch):
                         lambda *args: calls.append(args[1:]) or toeplitz(*args))
     grid = make_grid(1.0, 1100)
     u = Trajectory.from_expression("0.3 + 0.2*sin(2*t)", grid)
-    first = solve_state(problem, u, grid)
+    first = solve_state(problem, u)
     built = len(calls)
     assert built and len(set(calls)) == built
     assert ((0, LINEAR_LEAF) in calls) == (path == "linear")
-    again = solve_state(problem, u, grid)
+    again = solve_state(problem, u)
     assert calls[built:] == calls[:built] and again.values.tobytes() == first.values.tobytes()
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -23,15 +24,16 @@ from svoc.optimality import (
 from svoc.oracle import fd_expansion_check
 from svoc.problem import InstantCost, ProblemSpec, builtin_problem
 from svoc.quadrature import make_grid, midpoint_weights
-from svoc.resolvent import build_q_kernel, midpoint_apply_matrix
-from svoc.state import Trajectory, evaluate_cost, evaluate_on, solve_state
+from svoc.resolvent import (apply_kernel_nodes, build_q_kernel, build_resolvent,
+                            midpoint_apply_matrix, represent_solution)
+from svoc.state import Trajectory, evaluate_cost, evaluate_on, solve_state, solve_y1, solve_y2
 
 
 def fields_for(problem, grid, control_value=0.0):
     u = Trajectory.constant(control_value, grid)
-    y = solve_state(problem, u, grid)
-    adj = solve_adjoint(problem, (y, u), grid)
-    return (y, u), hamiltonian_fields(problem, (y, u), adj, grid)
+    y = solve_state(problem, u)
+    adj = solve_adjoint(problem, (y, u))
+    return (y, u), hamiltonian_fields(problem, (y, u), adj)
 
 
 def q_route_form(fields, m, v):
@@ -160,13 +162,13 @@ def test_fields_and_residual_match_dense_reference(case, n):
     problem = make_problem()
     grid = make_grid(problem.T, n)
     u = Trajectory.from_expression(control, grid)
-    pair = (solve_state(problem, u, grid), u)
-    psi = solve_adjoint(problem, pair, grid)
+    pair = (solve_state(problem, u), u)
+    psi = solve_adjoint(problem, pair)
 
     def assert_close(got, want):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    fields = hamiltonian_fields(problem, pair, psi, grid)
+    fields = hamiltonian_fields(problem, pair, psi)
     want = dense_fields(problem, pair, psi.values, grid)
     for name in ("h_u", "h_uu", "h_yy", "h_yu"):
         assert_close(getattr(fields, name).values, want[name])
@@ -175,7 +177,7 @@ def test_fields_and_residual_match_dense_reference(case, n):
     tau = grid.midpoints
     off = Trajectory(grid, "midpoints", psi.values + 0.1 * np.cos(3.0 * tau))
     rhs = dense_fields(problem, pair, off.values, grid)["costate_rhs"]
-    assert_close(np.array(adjoint_residual(problem, pair, off, grid)),
+    assert_close(np.array(adjoint_residual(problem, pair, off)),
                  np.max(np.abs(rhs - off.values)))
 
 
@@ -184,11 +186,11 @@ def test_fields_hold_no_dense_table():
     n = 1024
     grid = make_grid(1.0, n)
     u = Trajectory.constant(0.5, grid)
-    pair = (solve_state(problem, u, grid), u)
-    adj = solve_adjoint(problem, pair, grid)
+    pair = (solve_state(problem, u), u)
+    adj = solve_adjoint(problem, pair)
     tracemalloc.start()
     try:
-        hamiltonian_fields(problem, pair, adj, grid)
+        hamiltonian_fields(problem, pair, adj)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -201,9 +203,9 @@ def test_curvature_kernel_zero_when_response_kernel_is_zero():
     problem = builtin_problem("sing_quad", {"c": 1.0})
     grid = make_grid(1.0, 64)
     pair, fields = fields_for(problem, grid)
-    q = build_q_kernel(problem, pair, grid)
+    q = build_q_kernel(problem, pair)
     assert q.is_zero
-    m = assemble_m_kernel(problem, pair, fields, q, grid)
+    m = assemble_m_kernel(problem, pair, fields, q)
     assert m.qm is None and m.tail is None and not len(m.rows)
 
 
@@ -213,9 +215,9 @@ def test_curvature_kernel_zero_without_state_curvature():
                           g=parse_expression("0.9*u"))
     grid = make_grid(1.0, 64)
     pair, fields = fields_for(problem, grid, control_value=1.0)
-    q = build_q_kernel(problem, pair, grid)
+    q = build_q_kernel(problem, pair)
     assert not q.is_zero
-    m = assemble_m_kernel(problem, pair, fields, q, grid)
+    m = assemble_m_kernel(problem, pair, fields, q)
     assert m.qm is None and m.tail is None and not len(m.rows)  # no factor reads QM: no GEMM
 
 
@@ -225,13 +227,13 @@ def test_curvature_kernel_against_series_quadrature():
     problem = builtin_problem("lq", {"a": 0.5, "b": 1.0, "r": 0.0})
     grid = make_grid(1.0, 64)
     pair, fields = fields_for(problem, grid, control_value=1.0)
-    q = build_q_kernel(problem, pair, grid)
-    m = assemble_m_kernel(problem, pair, fields, q, grid)
+    q = build_q_kernel(problem, pair)
+    m = assemble_m_kernel(problem, pair, fields, q)
     assert not len(m.rows)  # the tail factor alone: lq has no instants
-    L = midpoint_apply_matrix(q, grid)
+    L = midpoint_apply_matrix(q)
     assert np.array_equal(m.qm, L)
     M = L.T @ (L * m.tail[:, None]) / grid.h**2
-    K = _quadratic_matrix(fields, m, grid)
+    K = _quadratic_matrix(fields, m)
     assert np.max(np.abs(K - K.T)) == 0.0
 
     mpmath.mp.dps = 20
@@ -261,8 +263,8 @@ def test_quadratic_form_closed_value():
     for c, sign in ((1.0, -1.0), (-1.0, 1.0)):
         problem = builtin_problem("sing_quad", {"c": c})
         pair, fields = fields_for(problem, grid)
-        q = build_q_kernel(problem, pair, grid)
-        m = assemble_m_kernel(problem, pair, fields, q, grid)
+        q = build_q_kernel(problem, pair)
+        m = assemble_m_kernel(problem, pair, fields, q)
         v = Trajectory.constant(1.0, grid, "midpoints")
         qf = q_route_form(fields, m, v)
         assert qf == pytest.approx(sign * 16.0 / 3.0, abs=1e-2)  # measured off 1.5e-5
@@ -333,11 +335,11 @@ def test_response_product_matches_the_response_matrix(setup, n):
     [(problem, value, path)] = [s[1:] for s in product_setups() if s[0] == setup]
     grid = make_grid(1.0, n)
     u = Trajectory.constant(value, grid)
-    q = build_q_kernel(problem, (solve_state(problem, u, grid), u), grid)
+    q = build_q_kernel(problem, (solve_state(problem, u), u))
     assert q.regular.any() == (path == "table")
     v = np.random.default_rng(n).uniform(-1.0, 1.0, n)
     want = response_product(q, v, grid)
-    got = midpoint_apply_matrix(q, grid) @ v
+    got = midpoint_apply_matrix(q) @ v
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -346,9 +348,9 @@ def test_matrix_and_functional_forms_agree():
     for problem, value in quadratic_setups():
         grid = make_grid(1.0, 128)
         pair, fields = fields_for(problem, grid, control_value=value)
-        q = build_q_kernel(problem, pair, grid)
-        m = assemble_m_kernel(problem, pair, fields, q, grid)
-        K = _quadratic_matrix(fields, m, grid)
+        q = build_q_kernel(problem, pair)
+        m = assemble_m_kernel(problem, pair, fields, q)
+        K = _quadratic_matrix(fields, m)
         for _ in range(20):
             vv = rng.uniform(-1.0, 1.0, grid.n)
             v = Trajectory(grid, "midpoints", vv)
@@ -360,8 +362,8 @@ def test_quadratic_form_scales_quadratically():
     problem = builtin_problem("lq", {"a": 0.5, "b": 1.0, "r": 1.0})
     grid = make_grid(1.0, 128)
     pair, fields = fields_for(problem, grid, control_value=1.0)
-    q = build_q_kernel(problem, pair, grid)
-    m = assemble_m_kernel(problem, pair, fields, q, grid)
+    q = build_q_kernel(problem, pair)
+    m = assemble_m_kernel(problem, pair, fields, q)
     v = Trajectory.from_expression("sin(3*t)", grid, "midpoints")
     v3 = Trajectory(grid, "midpoints", 3.0 * v.values)
     qf = q_route_form(fields, m, v)
@@ -374,9 +376,9 @@ def test_negative_curvature_holds():
     problem = builtin_problem("sing_quad", {"c": 1.0})
     grid = make_grid(1.0, 256)
     u = Trajectory.constant(0.0, grid)
-    y = solve_state(problem, u, grid)
-    fields = hamiltonian_fields(problem, (y, u), solve_adjoint(problem, (y, u), grid), grid)
-    report = second_order_test(problem, (y, u), fields, grid)
+    y = solve_state(problem, u)
+    fields = hamiltonian_fields(problem, (y, u), solve_adjoint(problem, (y, u)))
+    report = second_order_test(problem, (y, u), fields)
     assert report.verdict == "holds"
     assert report.violating_direction is None
     assert report.matrix is not None
@@ -392,9 +394,9 @@ def test_positive_curvature_violated_with_improving_direction():
     problem = builtin_problem("sing_quad", {"c": -1.0})
     grid = make_grid(1.0, 256)
     u = Trajectory.constant(0.0, grid)
-    y = solve_state(problem, u, grid)
-    fields = hamiltonian_fields(problem, (y, u), solve_adjoint(problem, (y, u), grid), grid)
-    report = second_order_test(problem, (y, u), fields, grid)
+    y = solve_state(problem, u)
+    fields = hamiltonian_fields(problem, (y, u), solve_adjoint(problem, (y, u)))
+    report = second_order_test(problem, (y, u), fields)
     assert report.verdict == "violated"
     assert report.lambda_max == pytest.approx(8.0 * grid.h * math.sqrt(1.0 - 0.5 * grid.h), rel=1e-10)
 
@@ -408,11 +410,11 @@ def test_positive_curvature_violated_with_improving_direction():
     nodes = np.concatenate([[vec.values[0]],
                             0.5 * (vec.values[:-1] + vec.values[1:]),
                             [vec.values[-1]]])
-    base = evaluate_cost(problem, y, u, grid).total
+    base = evaluate_cost(problem, y, u).total
     for delta in (0.1, 0.05):
         u_pert = Trajectory(grid, "nodes", u.values + delta * nodes)
-        y_pert = solve_state(problem, u_pert, grid)
-        assert evaluate_cost(problem, y_pert, u_pert, grid).total < base
+        y_pert = solve_state(problem, u_pert)
+        assert evaluate_cost(problem, y_pert, u_pert).total < base
 
 
 def test_zero_form_still_holds():
@@ -420,9 +422,9 @@ def test_zero_form_still_holds():
                           f=parse_expression("0.3*y"), g=parse_expression("y"))
     grid = make_grid(1.0, 64)
     u = Trajectory.constant(0.0, grid)
-    y = solve_state(problem, u, grid)
-    fields = hamiltonian_fields(problem, (y, u), solve_adjoint(problem, (y, u), grid), grid)
-    report = second_order_test(problem, (y, u), fields, grid)
+    y = solve_state(problem, u)
+    fields = hamiltonian_fields(problem, (y, u), solve_adjoint(problem, (y, u)))
+    report = second_order_test(problem, (y, u), fields)
     assert report.verdict == "holds"
     assert report.lambda_max == 0.0
     assert not report.matrix.any()
@@ -432,9 +434,9 @@ def test_nonsingular_control_is_inconclusive():
     problem = builtin_problem("paper_example")
     grid = make_grid(1.0, 64)
     u = Trajectory.constant(0.0, grid)
-    y = solve_state(problem, u, grid)
-    fields = hamiltonian_fields(problem, (y, u), solve_adjoint(problem, (y, u), grid), grid)
-    report = second_order_test(problem, (y, u), fields, grid)
+    y = solve_state(problem, u)
+    fields = hamiltonian_fields(problem, (y, u), solve_adjoint(problem, (y, u)))
+    report = second_order_test(problem, (y, u), fields)
     assert report.verdict == "inconclusive"
     assert math.isnan(report.lambda_max)
     assert report.matrix is None
@@ -466,7 +468,7 @@ def sing_quad_report(c, n=256, tol=None):
     problem = builtin_problem("sing_quad", {"c": c})
     grid = make_grid(1.0, n)
     pair, fields = fields_for(problem, grid)
-    return second_order_test(problem, pair, fields, grid, tol)
+    return second_order_test(problem, pair, fields, tol)
 
 
 def test_holds_within_the_gershgorin_bound_takes_eigenvalues_alone(monkeypatch):
@@ -502,7 +504,7 @@ def test_non_diagonal_form_below_the_bound_matches_eigh(monkeypatch):
     grid = make_grid(1.0, 256)
     pair, fields = fields_for(problem, grid, control_value=0.3)
     calls = counted_eigensolvers(monkeypatch)
-    report = second_order_test(problem, pair, fields, grid, tol=1e9)
+    report = second_order_test(problem, pair, fields, tol=1e9)
     assert report.verdict == "holds"
     assert calls == {"eigh": 0, "eigvalsh": 1}
     assert np.count_nonzero(report.matrix - np.diag(np.diagonal(report.matrix))) > 0
@@ -520,7 +522,7 @@ def test_form_above_the_bound_takes_eigh_even_when_it_holds(monkeypatch):
     grid = make_grid(1.0, 64)
     pair, fields = fields_for(problem, grid)
     calls = counted_eigensolvers(monkeypatch)
-    report = second_order_test(problem, pair, fields, grid)
+    report = second_order_test(problem, pair, fields)
     assert svoc.optimality._gershgorin_bound(report.matrix) > report.tol
     assert report.verdict == "holds"
     assert calls == {"eigh": 1, "eigvalsh": 0}
@@ -536,7 +538,7 @@ def test_eigenvalue_above_tol_falls_back_to_eigh(monkeypatch):
     grid = make_grid(1.0, 256)
     pair, fields = fields_for(problem, grid, control_value=0.3)
     calls = counted_eigensolvers(monkeypatch, eigvalsh=lambda K: np.array([2e9]))
-    report = second_order_test(problem, pair, fields, grid, tol=1e9)
+    report = second_order_test(problem, pair, fields, tol=1e9)
     assert calls == {"eigh": 1, "eigvalsh": 1}
     assert report.verdict == "holds"
     assert report.lambda_max == float(EIGH(report.matrix)[0][-1]) < 1e9
@@ -550,7 +552,7 @@ def test_tiny_off_diagonal_entries_are_not_diagonal(monkeypatch):
     K[5, 2] = K[2, 5] = -1e-300
     assert np.all(np.abs(K).sum(axis=1) - np.abs(np.diagonal(K)) == 0.0)
     assert not svoc.optimality._is_diagonal(K)
-    monkeypatch.setattr(svoc.optimality, "_quadratic_matrix", lambda fields, m, grid: K)
+    monkeypatch.setattr(svoc.optimality, "_quadratic_matrix", lambda fields, m: K)
     calls = counted_eigensolvers(monkeypatch)
     report = sing_quad_report(1.0)
     assert calls == {"eigh": 0, "eigvalsh": 1}
@@ -582,10 +584,10 @@ def test_quadratic_matrix_holds_three_tables_on_a_tail_term():
     grid = make_grid(1.0, n)
     problem = builtin_problem("lq", {"a": 0.7, "b": -1.2, "r": 1.3})
     pair, fields = fields_for(problem, grid, control_value=0.4)
-    m = assemble_m_kernel(problem, pair, fields, build_q_kernel(problem, pair, grid), grid)
+    m = assemble_m_kernel(problem, pair, fields, build_q_kernel(problem, pair))
     tracemalloc.start()
     try:
-        K = _quadratic_matrix(fields, m, grid)
+        K = _quadratic_matrix(fields, m)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -618,7 +620,7 @@ def test_response_matrix_is_built_once_per_pair(monkeypatch):
     problem, value = list(quadratic_setups())[1]  # cross curvature: M and C both read Q
     grid = make_grid(1.0, 32)
     pair, fields = fields_for(problem, grid, control_value=value)
-    assert second_order_test(problem, pair, fields, grid, tol=1e9).verdict != "inconclusive"
+    assert second_order_test(problem, pair, fields, tol=1e9).verdict != "inconclusive"
     assert len(calls) == 1
     calls.clear()
     fd_expansion_check(problem, pair[1], Trajectory.from_expression("cos(2*t)", grid))
@@ -629,6 +631,62 @@ def test_curvature_kernel_grid_mismatch_rejected():
     problem = builtin_problem("sing_quad", {"c": 1.0})
     grid = make_grid(1.0, 32)
     pair, fields = fields_for(problem, grid)
-    q = build_q_kernel(problem, pair, grid)
-    with pytest.raises(ValueError, match="grid"):
-        assemble_m_kernel(problem, pair, fields, q, make_grid(1.0, 16))
+    other, _ = fields_for(problem, make_grid(2.0, 32))
+    q = build_q_kernel(problem, other)
+    with pytest.raises(ValueError, match="response kernel lives on a different grid"):
+        assemble_m_kernel(problem, pair, fields, q)
+
+
+@functools.cache
+def pipeline_inputs(T, n):
+    """Every grid-carrying input of the pipeline on lq (a = 0.7, b = -1.2,
+    r = 1.3) at u = 0.4 on make_grid(T, n), by the names TWO_GRID_CASES use."""
+    grid = make_grid(T, n)
+    problem = builtin_problem("lq", {"a": 0.7, "b": -1.2, "r": 1.3})
+    u = Trajectory.constant(0.4, grid)
+    y = solve_state(problem, u)
+    v = Trajectory.from_expression("cos(3*t)", grid)
+    psi = solve_adjoint(problem, (y, u))
+    return {"problem": problem, "y": y, "u": u, "v": v, "y1": solve_y1(problem, (y, u), v),
+            "psi": psi, "fields": hamiltonian_fields(problem, (y, u), psi),
+            "q": build_q_kernel(problem, (y, u)),
+            "phi": build_resolvent(lambda t, s: 0.5, 0.5, grid), "eta": y}
+
+
+# (function, its arguments, the input taken from a second grid, the name the
+# error gives it); "pair" is (y, u), so moving u moves the reference control
+TWO_GRID_CASES = [
+    (evaluate_cost, "problem y u", "u", "control"),
+    (solve_y1, "problem pair v", "u", "reference control"),
+    (solve_y1, "problem pair v", "v", "variation"),
+    (solve_y2, "problem pair v y1", "u", "reference control"),
+    (solve_y2, "problem pair v y1", "v", "variation"),
+    (solve_y2, "problem pair v y1", "y1", "first-order response"),
+    (solve_adjoint, "problem pair", "u", "reference control"),
+    (adjoint_residual, "problem pair psi", "u", "reference control"),
+    (adjoint_residual, "problem pair psi", "psi", "costate"),
+    (hamiltonian_fields, "problem pair psi", "u", "reference control"),
+    (hamiltonian_fields, "problem pair psi", "psi", "costate"),
+    (assemble_m_kernel, "problem pair fields q", "u", "reference control"),
+    (assemble_m_kernel, "problem pair fields q", "fields", "Hamiltonian fields"),
+    (assemble_m_kernel, "problem pair fields q", "q", "response kernel"),
+    (second_order_test, "problem pair fields", "u", "reference control"),
+    (second_order_test, "problem pair fields", "fields", "Hamiltonian fields"),
+    (build_q_kernel, "problem pair", "u", "reference control"),
+    (apply_kernel_nodes, "q v", "v", "input"),
+    (represent_solution, "phi eta", "eta", "free term"),
+]
+
+
+@pytest.mark.parametrize("T, n", [(2.0, 64), (1.0, 32)], ids=["same-n", "other-n"])
+@pytest.mark.parametrize("fn, names, moved, label", TWO_GRID_CASES,
+                         ids=[f"{case[0].__name__}-{case[2]}" for case in TWO_GRID_CASES])
+def test_an_input_on_a_second_grid_is_named(fn, names, moved, label, T, n):
+    # each function reads its grid from its first grid-carrying input; an
+    # input on another grid, of the same N too, is refused by name
+    here, there = pipeline_inputs(1.0, 64), pipeline_inputs(T, n)
+    inputs = {**here, moved: there[moved]}
+    args = [(inputs["y"], inputs["u"]) if name == "pair" else inputs[name]
+            for name in names.split()]
+    with pytest.raises(ValueError, match=f"^{label} lives on a different grid$"):
+        fn(*args)

@@ -177,9 +177,10 @@ def test_convergence_zero_coefficient_is_exact():
 def test_convergence_order_at_one_zero_error_is_infinite(monkeypatch):
     # the march on the middle grid alone is replaced by the series itself:
     # an error that drops to 0 has order inf, one that rises from 0 has -inf
-    def march(problem, control, grid):
+    def march(problem, control):
+        grid = control.grid
         if grid.n == 16:
-            return solve_state(problem, control, grid)
+            return solve_state(problem, control)
         return Trajectory(grid, "nodes", linear_analytic_solution(1.0, 0.5, grid.nodes))
 
     monkeypatch.setattr(oracle, "solve_state", march)
@@ -204,7 +205,7 @@ def grid_by_grid_study(lam, alpha, ns):
     for n in ns:
         problem = builtin_problem("abel_linear", {"lam": lam, "alpha": alpha, "T": 1.0})
         grid = make_grid(1.0, n)
-        y = solve_state(problem, Trajectory.constant(0.0, grid), grid)
+        y = solve_state(problem, Trajectory.constant(0.0, grid))
         ref = linear_analytic_solution(lam, alpha, grid.nodes)
         errors.append(float(np.max(np.abs(y.values - ref)) / np.max(np.abs(ref))))
     return errors
@@ -291,7 +292,7 @@ def lq_qf_gap(n):
 
     def cost(delta):
         control = Trajectory(grid, "nodes", u.values + delta * v.values)
-        return evaluate_cost(problem, solve_state(problem, control, grid), control, grid).total
+        return evaluate_cost(problem, solve_state(problem, control), control).total
 
     delta = 1e-2
     second = (cost(delta) - 2.0 * cost(0.0) + cost(-delta)) / delta**2
@@ -316,8 +317,8 @@ def q_and_y1_forms(name, params, control, n):
     v = Trajectory.from_expression("cos(3*t)", grid)
     report = fd_expansion_check(problem, u, v)
     pair = (report.variational.y_star, u)
-    fields = hamiltonian_fields(problem, pair, solve_adjoint(problem, pair, grid), grid)
-    m = assemble_m_kernel(problem, pair, fields, build_q_kernel(problem, pair, grid), grid)
+    fields = hamiltonian_fields(problem, pair, solve_adjoint(problem, pair))
+    m = assemble_m_kernel(problem, pair, fields, build_q_kernel(problem, pair))
     v_mid = Trajectory(grid, "midpoints", v.midpoint_values())
     return (quadratic_form(fields, v_mid, m.qm @ v_mid.values, m.weights, m.rows @ v_mid.values),
             report.qf)
@@ -357,7 +358,7 @@ def test_verify_form_is_quadratic_form_fed_y1(tmp_path):
     report = fd_expansion_check(problem, u, v)
     y_star, y1 = report.variational.y_star, report.variational.y1
     pair = (y_star, u)
-    fields = hamiltonian_fields(problem, pair, solve_adjoint(problem, pair, grid), grid)
+    fields = hamiltonian_fields(problem, pair, solve_adjoint(problem, pair))
     assert np.any(fields.h_yy.values) and np.any(fields.h_yu.values)
     nodes = [s.node_index for s in snap_instants(problem, grid)]
     weights = np.array([-ic.h_yy.evaluate(y=y_star.values[k])
@@ -415,8 +416,8 @@ def test_quadratic_form_on_a_zero_response_is_the_curvature_term_alone():
     report = fd_expansion_check(problem, u, v)
     assert not np.any(report.variational.y1.values)
     pair = (report.variational.y_star, u)
-    fields = hamiltonian_fields(problem, pair, solve_adjoint(problem, pair, grid), grid)
-    m = assemble_m_kernel(problem, pair, fields, build_q_kernel(problem, pair, grid), grid)
+    fields = hamiltonian_fields(problem, pair, solve_adjoint(problem, pair))
+    m = assemble_m_kernel(problem, pair, fields, build_q_kernel(problem, pair))
     assert m.qm is None and not len(m.rows)
     v_mid = Trajectory(grid, "midpoints", v.midpoint_values())
     assert report.qf == quadratic_form(fields, v_mid, np.zeros(grid.n), m.weights, np.zeros(0))
@@ -430,17 +431,17 @@ def test_first_order_pairing_direct():
     u = Trajectory.constant(1.0, grid)
     v = Trajectory.from_expression("cos(2*t)", grid)
 
-    y = solve_state(problem, u, grid)
-    base = evaluate_cost(problem, y, u, grid).total
-    adj = solve_adjoint(problem, (y, u), grid)
-    fields = hamiltonian_fields(problem, (y, u), adj, grid)
+    y = solve_state(problem, u)
+    base = evaluate_cost(problem, y, u).total
+    adj = solve_adjoint(problem, (y, u))
+    fields = hamiltonian_fields(problem, (y, u), adj)
     pairing = grid.h * float(np.dot(fields.h_u.values, v.midpoint_values()))
 
     q = []
     for delta in (0.08, 0.04, 0.02):
         u_pert = Trajectory(grid, "nodes", u.values + delta * v.values)
-        y_pert = solve_state(problem, u_pert, grid)
-        dj = evaluate_cost(problem, y_pert, u_pert, grid).total - base
+        y_pert = solve_state(problem, u_pert)
+        dj = evaluate_cost(problem, y_pert, u_pert).total - base
         q.append(abs(dj / delta + pairing))
     for a, b in zip(q, q[1:]):
         assert 1.5 <= a / b <= 2.5  # measured 2.03 / 2.06
@@ -506,7 +507,7 @@ def test_sweep_shares_one_march_when_the_operators_agree(monkeypatch, name, para
                               f=parse_expression(name), g=parse_expression("y^2"))
     grid = make_grid(1.0, 700)
     u = Trajectory.constant(control, grid)
-    pair = (solve_state(problem, u, grid), u)
+    pair = (solve_state(problem, u), u)
     v = Trajectory.from_expression("cos(3*t)", grid)
     march, seen = state.linear_march, []
 
@@ -515,7 +516,7 @@ def test_sweep_shares_one_march_when_the_operators_agree(monkeypatch, name, para
         return march(w, a, b, g, d, guard)
 
     monkeypatch.setattr(state, "linear_march", counted)
-    swept = state._march_sweep(problem, u, v, DEFAULT_DELTAS, grid)
+    swept = state._march_sweep(problem, u, v, DEFAULT_DELTAS)
     assert [c for c in seen if c > 1] == columns
     if not columns:
         assert swept is None
@@ -523,9 +524,9 @@ def test_sweep_shares_one_march_when_the_operators_agree(monkeypatch, name, para
     y_star, states, y1 = swept
     assert np.array_equal(y_star.values.view(np.int64), pair[0].values.view(np.int64))
     for delta, y in zip(DEFAULT_DELTAS, states):
-        alone = solve_state(problem, Trajectory(grid, "nodes", u.values + delta * v.values), grid)
+        alone = solve_state(problem, Trajectory(grid, "nodes", u.values + delta * v.values))
         assert y.values.tobytes() == alone.values.tobytes()
-    assert y1.values.tobytes() == solve_y1(problem, pair, v, grid).values.tobytes()
+    assert y1.values.tobytes() == solve_y1(problem, pair, v).values.tobytes()
 
 
 @pytest.mark.parametrize("name, params, control", [
@@ -539,7 +540,7 @@ def test_expansion_check_returns_the_variational_check_it_read(name, params, con
     problem = builtin_problem(name, params)
     grid = make_grid(1.0, 128)
     u = Trajectory.constant(control, grid)
-    pair = (solve_state(problem, u, grid), u)
+    pair = (solve_state(problem, u), u)
     v = Trajectory.from_expression("cos(3*t)", grid)
     inner = fd_expansion_check(problem, u, v).variational
     alone = variational_fd_check(problem, u, v)
@@ -549,9 +550,9 @@ def test_expansion_check_returns_the_variational_check_it_read(name, params, con
     assert len(inner.states) == len(inner.deltas)
     for delta, state in zip(inner.deltas, inner.states):
         u_pert = Trajectory(grid, "nodes", u.values + delta * v.values)
-        assert state.values.tobytes() == solve_state(problem, u_pert, grid).values.tobytes()
+        assert state.values.tobytes() == solve_state(problem, u_pert).values.tobytes()
     assert inner.y_star.values.tobytes() == pair[0].values.tobytes()
-    assert inner.y1.values.tobytes() == solve_y1(problem, pair, v, grid).values.tobytes()
+    assert inner.y1.values.tobytes() == solve_y1(problem, pair, v).values.tobytes()
 
 
 # --- stability and projection ------------------------------------------------------
@@ -567,7 +568,7 @@ def test_free_term_perturbations_stay_bounded():
                            f=parse_expression("1*y"), g=parse_expression("0"))
         bumped = ProblemSpec(alpha=0.5, T=1.0, eta=parse_expression("1 + 0.001"),
                              f=parse_expression("1*y"), g=parse_expression("0"))
-        diff = solve_state(bumped, u, grid).values - solve_state(base, u, grid).values
+        diff = solve_state(bumped, u).values - solve_state(base, u).values
         constants.append(float(np.max(np.abs(diff))) / 0.001)
     assert all(30.0 <= c <= 50.0 for c in constants)  # measured 38.2 .. 44.9
     assert max(constants) / min(constants) <= 1.3

@@ -5,12 +5,12 @@ from hypothesis import strategies as st
 
 from svoc.quadrature import (
     Grid,
+    _toeplitz,
     make_grid,
     midpoint_weights,
     singular_weights,
     trapezoid,
 )
-from svoc.resolvent import _causal_table
 
 alphas = st.floats(0.1, 0.9)
 cells = st.integers(2, 80)
@@ -68,7 +68,7 @@ def test_dense_matches_rows():
     # the dense weight table the node route of the resolvent applies
     g = make_grid(1.0, 6)
     w = singular_weights(0.3, g)
-    dense = _causal_table(w)
+    dense = _toeplitz(w, 0, len(w))
     assert dense.shape == (7, 7)
     for k in range(1, 7):
         assert np.array_equal(dense[k, :k], w[k:0:-1])

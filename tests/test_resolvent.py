@@ -41,16 +41,16 @@ def test_zero_kernel_short_circuits():
     phi = build_resolvent(lambda t, s: 0.0, 0.5, grid)
     assert phi.is_zero
     assert phi.regular is None
-    assert resolvent_residual(phi, lambda t, s: 0.0, grid) == 0.0
+    assert resolvent_residual(phi, lambda t, s: 0.0) == 0.0
     eta = Trajectory.from_expression("1 + t^2", grid)
-    rep = represent_solution(phi, eta, grid)
+    rep = represent_solution(phi, eta)
     assert np.array_equal(rep.values, eta.values)
 
 
 def test_zero_free_term_maps_to_zero():
     grid = make_grid(1.0, 32)
     phi = build_resolvent(lambda t, s: 0.5, 0.5, grid)
-    rep = represent_solution(phi, Trajectory.constant(0.0, grid), grid)
+    rep = represent_solution(phi, Trajectory.constant(0.0, grid))
     assert np.max(np.abs(rep.values)) == 0.0
 
 
@@ -94,9 +94,9 @@ def test_representation_matches_direct_march():
     problem = builtin_problem("abel_linear", {"lam": 0.5})
     grid = make_grid(1.0, 256)
     u = Trajectory.constant(0.0, grid)
-    y = solve_state(problem, u, grid)
+    y = solve_state(problem, u)
     phi = build_resolvent(lambda t, s: 0.5, 0.5, grid)
-    rep = represent_solution(phi, Trajectory.from_expression("1", grid), grid)
+    rep = represent_solution(phi, Trajectory.from_expression("1", grid))
     rel = np.max(np.abs(rep.values - y.values)) / np.max(np.abs(y.values))
     assert rel <= 1e-2  # measured 4.88e-3
 
@@ -107,7 +107,7 @@ def test_resolvent_identity_residual():
     grid = make_grid(1.0, 1024)
     A = lambda t, s: 0.5
     phi = build_resolvent(A, 0.5, grid)
-    residual = resolvent_residual(phi, A, grid)
+    residual = resolvent_residual(phi, A)
     assert residual <= 1e-3 * (1.0 + kernel_sup(phi, grid))  # measured 7.97e-4
 
 
@@ -231,15 +231,15 @@ def test_blocked_assembly_matches_row_reference(alpha, n):
     phi = build_resolvent(kernel, alpha, grid)
     R = ref.resolvent(kernel, kernel)
     assert _max_rel(phi.regular, R) <= 1e-12
-    res, res_ref = resolvent_residual(phi, kernel, grid), ref.residual(kernel, R)
+    res, res_ref = resolvent_residual(phi, kernel), ref.residual(kernel, R)
     assert abs(res - res_ref) <= 1e-12 * res_ref
 
     problem = ProblemSpec(alpha, 1.0, parse_expression("1 + t"),
                           parse_expression("(0.4 + 0.3*t*s)*y*cos(u) + sin(t - s)*u"),
                           parse_expression("y^2"))
     u = Trajectory.from_expression("0.5 + sin(3*t)", grid)
-    y = solve_state(problem, u, grid)
-    q = build_q_kernel(problem, (y, u), grid)
+    y = solve_state(problem, u)
+    q = build_q_kernel(problem, (y, u))
     a_fn, c_fn = pair_coefficients(problem, y, u, grid)
     assert _max_rel(q.regular, ref.resolvent(a_fn, c_fn)) <= 1e-12
 
@@ -309,7 +309,7 @@ def test_response_kernel_failure_names_the_reference_cell(first, second, frac, c
     a_fn, c_fn = pair_coefficients(problem, y, u, grid)
     with np.errstate(all="ignore"):
         assert RowReference(0.5, grid).first_failure(a_fn, c_fn) == cell
-    assert _assembly_failure(lambda: build_q_kernel(problem, (y, u), grid)) == cell
+    assert _assembly_failure(lambda: build_q_kernel(problem, (y, u))) == cell
 
 
 # --- response kernel ---------------------------------------------------------
@@ -319,14 +319,14 @@ def test_response_kernel_zero_fast_paths():
     u = Trajectory.constant(0.0, grid)
 
     lin = builtin_problem("abel_linear", {"lam": 1.0})  # f_u = 0
-    q = build_q_kernel(lin, (solve_state(lin, u, grid), u), grid)
+    q = build_q_kernel(lin, (solve_state(lin, u), u))
     assert q.is_zero
 
     quad = builtin_problem("sing_quad", {"c": 1.0})  # f_u = 2cu = 0 at u* = 0
-    q = build_q_kernel(quad, (solve_state(quad, u, grid), u), grid)
+    q = build_q_kernel(quad, (solve_state(quad, u), u))
     assert q.is_zero
-    assert not midpoint_apply_matrix(q, grid).any()
-    assert not node_apply_row(q, grid.n, grid).any()
+    assert not midpoint_apply_matrix(q).any()
+    assert not node_apply_row(q, grid.n).any()
 
 
 def test_zero_response_kernel_is_decided_from_node_values(monkeypatch):
@@ -338,7 +338,7 @@ def test_zero_response_kernel_is_decided_from_node_values(monkeypatch):
     grid = make_grid(1.0, 32)
     u = Trajectory.constant(0.0, grid)
     quad = builtin_problem("sing_quad", {"c": 1.0})
-    q = build_q_kernel(quad, (solve_state(quad, u, grid), u), grid)
+    q = build_q_kernel(quad, (solve_state(quad, u), u))
     assert q.is_zero
     assert q.regular is None
 
@@ -349,10 +349,10 @@ def test_zero_response_kernel_holds_no_table():
     grid = make_grid(1.0, n)
     u = Trajectory.constant(0.0, grid)
     quad = builtin_problem("sing_quad", {"c": 1.0})
-    pair = (solve_state(quad, u, grid), u)
+    pair = (solve_state(quad, u), u)
     tracemalloc.start()
     try:
-        q = build_q_kernel(quad, pair, grid)
+        q = build_q_kernel(quad, pair)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -366,8 +366,8 @@ def test_response_kernel_closed_form_when_state_factor_drops():
     problem = builtin_problem("paper_example")
     grid = make_grid(1.0, 256)
     u = Trajectory.constant(0.0, grid)
-    y = solve_state(problem, u, grid)
-    q = build_q_kernel(problem, (y, u), grid)
+    y = solve_state(problem, u)
+    q = build_q_kernel(problem, (y, u))
     assert not q.is_zero
     assert not q.regular.any()
     tri = np.tril(np.ones((grid.n + 1, grid.n + 1), dtype=bool))
@@ -379,11 +379,11 @@ def test_response_kernel_reproduces_first_response_exactly_when_resolvent_vanish
     problem = builtin_problem("paper_example")
     grid = make_grid(1.0, 256)
     u = Trajectory.constant(0.0, grid)
-    y = solve_state(problem, u, grid)
+    y = solve_state(problem, u)
     v = Trajectory.from_expression("1 - 0.5*t", grid)
-    direct = solve_y1(problem, (y, u), v, grid)
-    q = build_q_kernel(problem, (y, u), grid)
-    routed = apply_kernel_nodes(q, v, grid)
+    direct = solve_y1(problem, (y, u), v)
+    q = build_q_kernel(problem, (y, u))
+    routed = apply_kernel_nodes(q, v)
     assert np.max(np.abs(routed.values - direct.values)) <= 1e-12  # measured 6.7e-16
 
 
@@ -391,11 +391,11 @@ def test_response_kernel_route_agrees_on_coupled_dynamics():
     problem = builtin_problem("lq", {"a": 0.5, "b": 1.0, "r": 1.0})
     grid = make_grid(1.0, 256)
     u = Trajectory.constant(1.0, grid)
-    y = solve_state(problem, u, grid)
+    y = solve_state(problem, u)
     v = Trajectory.from_expression("cos(2*t)", grid)
-    direct = solve_y1(problem, (y, u), v, grid)
-    q = build_q_kernel(problem, (y, u), grid)
-    routed = apply_kernel_nodes(q, v, grid)
+    direct = solve_y1(problem, (y, u), v)
+    q = build_q_kernel(problem, (y, u))
+    routed = apply_kernel_nodes(q, v)
     rel = np.max(np.abs(routed.values - direct.values)) / np.max(np.abs(direct.values))
     assert rel <= 1e-2  # measured 5.7e-3
 
@@ -405,9 +405,9 @@ def test_midpoint_apply_matrix_closed_form():
     problem = builtin_problem("paper_example")
     grid = make_grid(1.0, 256)
     u = Trajectory.constant(0.0, grid)
-    y = solve_state(problem, u, grid)
-    q = build_q_kernel(problem, (y, u), grid)
-    qm = midpoint_apply_matrix(q, grid)
+    y = solve_state(problem, u)
+    q = build_q_kernel(problem, (y, u))
+    qm = midpoint_apply_matrix(q)
     assert np.array_equal(qm, np.tril(qm))
     tau = grid.midpoints
     closed = 2.0 * tau**1.5 + (3.0 * math.pi / 8.0) * tau**3
@@ -421,24 +421,24 @@ def test_midpoint_apply_matrix_matches_the_gather(n, monkeypatch):
     problem = builtin_problem("paper_example")
     grid = make_grid(1.0, n)
     u = Trajectory.constant(0.3, grid)
-    q = build_q_kernel(problem, (solve_state(problem, u, grid), u), grid)
-    got = midpoint_apply_matrix(q, grid)
+    q = build_q_kernel(problem, (solve_state(problem, u), u))
+    got = midpoint_apply_matrix(q)
     d = np.subtract.outer(np.arange(n), np.arange(n)).clip(min=0)
     monkeypatch.setattr(svoc.resolvent, "_lagged", lambda v, rows, cols: v[d])
-    assert np.array_equal(got, midpoint_apply_matrix(q, grid))
+    assert np.array_equal(got, midpoint_apply_matrix(q))
 
 
 def test_node_apply_row_closed_form():
     problem = builtin_problem("paper_example")
     grid = make_grid(1.0, 256)
     u = Trajectory.constant(0.0, grid)
-    y = solve_state(problem, u, grid)
-    q = build_q_kernel(problem, (y, u), grid)
-    assert not node_apply_row(q, 0, grid).any()
+    y = solve_state(problem, u)
+    q = build_q_kernel(problem, (y, u))
+    assert not node_apply_row(q, 0).any()
     with pytest.raises(IndexError):
-        node_apply_row(q, grid.n + 1, grid)
+        node_apply_row(q, grid.n + 1)
     for i in (100, 256):
-        total = node_apply_row(q, i, grid).sum()
+        total = node_apply_row(q, i).sum()
         exact = 2.0 * grid.nodes[i] ** 1.5 + (3.0 * math.pi / 8.0) * grid.nodes[i] ** 3
         assert total == pytest.approx(exact, rel=5e-4)  # measured 6.2e-5
 
@@ -506,7 +506,7 @@ def test_path_selection(monkeypatch):
                             parse_expression("y^2"))]
     for problem in problems:
         with pytest.raises(AssertionError, match="general"):
-            build_q_kernel(problem, (y, u), grid)
+            build_q_kernel(problem, (y, u))
 
 
 def test_response_kernel_is_marched_from_its_own_equation(monkeypatch):
@@ -526,10 +526,10 @@ def test_response_kernel_is_marched_from_its_own_equation(monkeypatch):
     grid = make_grid(1.0, 2 * _BLOCK + 5)
     u = Trajectory.from_expression("0.5 + 0.3*t", grid)
     y = Trajectory.from_expression("1 + 0.5*t", grid)
-    q = build_q_kernel(builtin_problem("paper_example"), (y, u), grid)
+    q = build_q_kernel(builtin_problem("paper_example"), (y, u))
     assert len(tables) == 1 and q.regular.any()
     lq = builtin_problem("lq", {"a": 0.5, "b": 1.0, "r": 1.0})
-    q = build_q_kernel(lq, (y, u), grid)
+    q = build_q_kernel(lq, (y, u))
     assert len(tables) == 2 and q.regular.any()
 
 
@@ -545,10 +545,10 @@ def test_response_kernel_route_accuracy(alpha, before):
                           parse_expression("y^2"))
     grid = make_grid(1.0, 256)
     u = Trajectory.from_expression("0.5 + sin(3*t)", grid)
-    y = solve_state(problem, u, grid)
+    y = solve_state(problem, u)
     v = Trajectory.from_expression("cos(2*t)", grid)
-    direct = solve_y1(problem, (y, u), v, grid)
-    routed = apply_kernel_nodes(build_q_kernel(problem, (y, u), grid), v, grid)
+    direct = solve_y1(problem, (y, u), v)
+    routed = apply_kernel_nodes(build_q_kernel(problem, (y, u)), v)
     rel = np.max(np.abs(routed.values - direct.values)) / np.max(np.abs(direct.values))
     assert rel <= 1.01 * before  # measured 8.85e-2, 1.350e-2, 1.4438e-3
 
@@ -578,14 +578,14 @@ def test_constant_kernel_failure_names_the_general_cell(literal):
                             parse_expression(f"{literal}*y + {f_u}"), parse_expression("y^2"))
                 for f_u in ("1.3*u", "(1 + s^2)*u")]
     cell = (3, 0) if literal == "1e150" else (1, 0)
-    assert [_assembly_failure(lambda: build_q_kernel(problem, (y, u), grid))
+    assert [_assembly_failure(lambda: build_q_kernel(problem, (y, u)))
             for problem in problems] == [cell, cell]
 
 
 @pytest.mark.parametrize("f,cell", [
     pytest.param("0.5*y + u/(s - 0.5)", (5, 4), id="non-finite-g"),
     pytest.param("0.5*y + 1e306*exp(8*s)*u", (9, 8), id="overflow"),
-    pytest.param("2*y + 1e307*u", (3, 0), id="overflow-at-lag-2"),
+    pytest.param("2*y + 1e307*u", (3, 0), id="overflow-at-lag-3"),
     pytest.param("0.5*y + u/(s - 1)", None, id="unread-last-node"),
 ])
 def test_convolution_kernel_failure_names_the_table_cell(f, cell):
@@ -598,6 +598,6 @@ def test_convolution_kernel_failure_names_the_table_cell(f, cell):
     u = Trajectory.from_expression("1", grid)
     y = Trajectory.from_expression("1 + 0.5*t", grid)
     if cell is None:
-        assert np.isfinite(build_q_kernel(problem, (y, u), grid).regular).all()
+        assert np.isfinite(build_q_kernel(problem, (y, u)).regular).all()
     else:
-        assert _assembly_failure(lambda: build_q_kernel(problem, (y, u), grid)) == cell
+        assert _assembly_failure(lambda: build_q_kernel(problem, (y, u))) == cell

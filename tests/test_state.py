@@ -18,7 +18,7 @@ BENCH = builtin_problem("paper_example")
 def solve_constant(problem, value, n, **kw):
     grid = make_grid(problem.T, n)
     u = Trajectory.constant(value, grid)
-    return grid, u, solve_state(problem, u, grid, **kw)
+    return grid, u, solve_state(problem, u, **kw)
 
 
 # --- trajectory container ----------------------------------------------------
@@ -47,9 +47,7 @@ def test_trajectory_times_and_midpoints():
 def test_solver_demands_matching_node_control():
     grid = make_grid(1.0, 8)
     with pytest.raises(ValueError, match="nodes"):
-        solve_state(BENCH, Trajectory.constant(0.0, grid, "midpoints"), grid)
-    with pytest.raises(ValueError, match="different grid"):
-        solve_state(BENCH, Trajectory.constant(0.0, make_grid(1.0, 4)), grid)
+        solve_state(BENCH, Trajectory.constant(0.0, grid, "midpoints"))
 
 
 # --- marching accuracy --------------------------------------------------------
@@ -78,7 +76,7 @@ def test_blowup_raises_with_location():
     problem = builtin_problem("abel_linear", {"lam": 80.0})
     grid = make_grid(1.0, 64)
     with pytest.raises(StateBlowupError) as err:
-        solve_state(problem, Trajectory.constant(0.0, grid), grid)
+        solve_state(problem, Trajectory.constant(0.0, grid))
     assert 0 < err.value.index <= 64
     assert abs(err.value.value) > 1e12
     assert "node index" in str(err.value)
@@ -92,10 +90,10 @@ def test_linear_state_scales_with_free_term(scale):
     from svoc.expr import parse_expression
     grid = make_grid(1.0, 32)
     u = Trajectory.constant(0.0, grid)
-    base = solve_state(builtin_problem("abel_linear", {"lam": 0.7}), u, grid)
+    base = solve_state(builtin_problem("abel_linear", {"lam": 0.7}), u)
     scaled = ProblemSpec(alpha=0.5, T=1.0, eta=parse_expression(f"{scale!r}"),
                          f=parse_expression("0.7*y"), g=parse_expression("0"))
-    y = solve_state(scaled, u, grid)
+    y = solve_state(scaled, u)
     assert np.max(np.abs(y.values - scale * base.values)) <= 1e-12 * (1.0 + abs(scale))
 
 
@@ -103,13 +101,13 @@ def test_linear_state_scales_with_free_term(scale):
 
 def test_cost_of_benchmark_controls():
     grid, u0, y0 = solve_constant(BENCH, 0.0, 256)
-    cost0 = evaluate_cost(BENCH, y0, u0, grid)
+    cost0 = evaluate_cost(BENCH, y0, u0)
     assert cost0.running == pytest.approx(0.0, abs=1e-15)
     assert cost0.instants[0] == pytest.approx(2.0, abs=1e-12)
     assert cost0.total == pytest.approx(2.0, abs=1e-12)
 
     _, uh, yh = solve_constant(BENCH, -0.5, 256)
-    cost_h = evaluate_cost(BENCH, yh, uh, grid)
+    cost_h = evaluate_cost(BENCH, yh, uh)
     assert cost_h.running == pytest.approx(-0.5, abs=1e-12)
     assert cost_h.instants[0] == pytest.approx(1.0, abs=1e-12)
     assert cost_h.total == pytest.approx(0.5, abs=1e-12)
@@ -125,8 +123,8 @@ def test_off_node_instant_cost_interpolates():
     )
     grid = make_grid(1.0, 4)  # nodes at multiples of 0.25
     u = Trajectory.constant(0.0, grid)
-    y = solve_state(problem, u, grid)
-    cost = evaluate_cost(problem, y, u, grid)
+    y = solve_state(problem, u)
+    cost = evaluate_cost(problem, y, u)
     assert cost.instants[0] == pytest.approx(0.3751**2, abs=1e-12)
 
 
@@ -136,13 +134,13 @@ def test_first_response_is_linear_in_the_variation():
     problem = builtin_problem("lq", {"a": 0.5, "b": 1.0, "r": 1.0})
     grid = make_grid(1.0, 64)
     u = Trajectory.constant(1.0, grid)
-    y = solve_state(problem, u, grid)
+    y = solve_state(problem, u)
     v1 = Trajectory.from_expression("t", grid)
     v2 = Trajectory.from_expression("cos(3*t)", grid)
     combo = Trajectory(grid, "nodes", 2.0 * v1.values - 0.5 * v2.values)
-    z1 = solve_y1(problem, (y, u), v1, grid).values
-    z2 = solve_y1(problem, (y, u), v2, grid).values
-    zc = solve_y1(problem, (y, u), combo, grid).values
+    z1 = solve_y1(problem, (y, u), v1).values
+    z2 = solve_y1(problem, (y, u), v2).values
+    zc = solve_y1(problem, (y, u), combo).values
     assert np.max(np.abs(zc - 2.0 * z1 + 0.5 * z2)) <= 1e-12
 
 
@@ -151,9 +149,9 @@ def test_first_response_closed_form_on_benchmark():
     # 2 t^(3/2) + Beta(5/2, 1/2) t^3 with Beta(5/2, 1/2) = 3 pi / 8
     grid = make_grid(1.0, 2048)
     u = Trajectory.constant(0.0, grid)
-    y = solve_state(BENCH, u, grid)
+    y = solve_state(BENCH, u)
     v = Trajectory.constant(1.0, grid)
-    y1 = solve_y1(BENCH, (y, u), v, grid)
+    y1 = solve_y1(BENCH, (y, u), v)
     t = grid.nodes
     exact = 2.0 * t**1.5 + (3.0 * math.pi / 8.0) * t**3
     rel = np.max(np.abs(y1.values - exact)) / np.max(np.abs(exact))
@@ -164,9 +162,9 @@ def test_first_response_vanishes_when_kernel_ignores_control():
     problem = builtin_problem("sing_quad", {"c": 1.0})
     grid = make_grid(1.0, 64)
     u = Trajectory.constant(0.0, grid)
-    y = solve_state(problem, u, grid)
+    y = solve_state(problem, u)
     v = Trajectory.from_expression("1 + t", grid)
-    assert np.max(np.abs(solve_y1(problem, (y, u), v, grid).values)) == 0.0
+    assert np.max(np.abs(solve_y1(problem, (y, u), v).values)) == 0.0
 
 
 def test_second_response_closed_form():
@@ -174,10 +172,10 @@ def test_second_response_closed_form():
     problem = builtin_problem("sing_quad", {"c": 1.0})
     grid = make_grid(1.0, 128)
     u = Trajectory.constant(0.0, grid)
-    y = solve_state(problem, u, grid)
+    y = solve_state(problem, u)
     v = Trajectory.constant(1.0, grid)
-    y1 = solve_y1(problem, (y, u), v, grid)
-    y2 = solve_y2(problem, (y, u), v, y1, grid)
+    y1 = solve_y1(problem, (y, u), v)
+    y2 = solve_y2(problem, (y, u), v, y1)
     assert np.max(np.abs(y2.values - 4.0 * np.sqrt(grid.nodes))) <= 1e-12
 
 
@@ -186,9 +184,9 @@ def test_second_response_vanishes_for_linear_dynamics(monkeypatch):
     problem = builtin_problem("lq", {"a": 0.5, "b": 1.0, "r": 1.0})
     grid = make_grid(1.0, 64)
     u = Trajectory.constant(1.0, grid)
-    y = solve_state(problem, u, grid)
+    y = solve_state(problem, u)
     v = Trajectory.from_expression("sin(t)", grid)
-    y1 = solve_y1(problem, (y, u), v, grid)
+    y1 = solve_y1(problem, (y, u), v)
     monkeypatch.setattr(state, "_march_response", None)
-    y2 = solve_y2(problem, (y, u), v, y1, grid)
+    y2 = solve_y2(problem, (y, u), v, y1)
     assert np.max(np.abs(y2.values)) == 0.0
