@@ -146,7 +146,7 @@ def solve_adjoint(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory]) -> 
     reversed index, where its tail sums are causal sums, and `linear_march`
     solves a leaf of rows at a time.
     """
-    grid = _require_pair(pair)
+    grid = _require_pair(problem, pair)
     y_star, u_star = pair
     n, tau = grid.n, grid.midpoints
     ym, um = y_star.midpoint_values(), u_star.midpoint_values()
@@ -188,7 +188,7 @@ def solve_adjoint(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory]) -> 
 def adjoint_residual(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
                      psi: Trajectory) -> float:
     """Max absolute defect of psi under one re-application of the equation."""
-    grid = _require_pair(pair)
+    grid = _require_pair(problem, pair)
     _require_grid("costate", psi, grid)
     [(field, _)] = _tail_field(problem, pair, grid, ("_y",), psi.values)
     return float(np.max(np.abs(field - psi.values)))

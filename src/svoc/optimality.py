@@ -110,7 +110,7 @@ def hamiltonian_fields(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory]
     along the pair and the midpoint costate psi, from one `_tail_field` pass.  A non-finite field raises
     NumericsError naming the first such field and the midpoint `_tail_field`
     reports for it."""
-    grid = _require_pair(pair)
+    grid = _require_pair(problem, pair)
     _require_grid("costate", psi, grid)
     parts = ("_u", "_uu", "_yy", "_yu")
     fields = _tail_field(problem, pair, grid, parts, psi.values)
@@ -144,9 +144,10 @@ def _symmetrized(A: np.ndarray, what: str) -> np.ndarray:
     return out
 
 
-def _require_fields(pair: tuple[Trajectory, Trajectory], fields: HamiltonianFields) -> Grid:
+def _require_fields(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
+                    fields: HamiltonianFields) -> Grid:
     """The pair's grid, after checking the pair and every field on it."""
-    grid = _require_pair(pair)
+    grid = _require_pair(problem, pair)
     for field in (fields.h_u, fields.h_uu, fields.h_yy, fields.h_yu):
         _require_grid("Hamiltonian fields", field, grid)
     return grid
@@ -162,7 +163,7 @@ def assemble_m_kernel(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
     as its factors (see MKernel): QM, tabulated when the tail or the cross
     term reads it, and one `node_apply_row` per instant with curvature.
     """
-    grid = _require_fields(pair, fields)
+    grid = _require_fields(problem, pair, fields)
     _require_grid("response kernel", q, grid)
     if q.is_zero:
         return MKernel(grid, None, None, np.zeros((0, grid.n)), np.zeros(0))
@@ -261,7 +262,7 @@ def second_order_test(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
     `eigh`.  If the control is not singular the test does not apply and the
     verdict is inconclusive.
     """
-    grid = _require_fields(pair, fields)
+    grid = _require_fields(problem, pair, fields)
     verdict = detect_singular(fields, tol)
     if not verdict.singular:
         return SecondOrderReport("inconclusive", float("nan"), verdict.tol,

@@ -3,15 +3,16 @@
 Nothing here reuses the model shortcuts it validates: cost differences come
 only from forward solves, analytic solutions come from series summation, and
 ratio tables measure Taylor orders directly.  Both expansion checks take the
-control u* and read one sweep: the reference state y*, the forward solves at
-u* + delta v and the first-order response Y1.  When these march one operator
-they are the columns of one linear march, which factors each leaf once for
-all of them.  The check stays independent: each column takes the products
-its own march takes, from the same leaf inverses each march would form for
-itself, so each state is the forward solve bit for bit.  The second-order
-model is `quadratic_form`, the one implementation of QF[v], fed Y1: Y1 is
-the product of the response kernel Q with v, so no Q is built.
-"""
+control u* and read one sweep, `state._march_sweep`: the reference state y*,
+the forward solves at u* + delta v and the first-order response Y1.  It
+decides whether these share the one forward solver's operator I - A and then
+marches them as its columns, which factors each leaf once for all of them;
+otherwise it marches y* alone and the checks march the rest one by one.  The
+check stays independent: each column takes the products its own march takes,
+from the same leaf inverses each march would form for itself, so each state
+is the forward solve bit for bit.  The second-order model is
+`quadratic_form`, the one implementation of QF[v], fed Y1: Y1 is the product
+of the response kernel Q with v, so no Q is built."""
 
 from __future__ import annotations
 
@@ -126,15 +127,6 @@ class ExpansionReport:
     variational: VariationalReport  # the check whose states gave delta_j
 
 
-def _reference(problem: ProblemSpec, control: Trajectory, v: Trajectory):
-    """y* on the control's grid and `_march_sweep`'s (states, Y1) with it,
-    or (y*, None) with y* marched alone when the sweep shares no march."""
-    swept = _march_sweep(problem, control, v, DEFAULT_DELTAS)
-    if swept is None:
-        return solve_state(problem, control), None
-    return swept[0], swept[1:]
-
-
 def fd_expansion_check(problem: ProblemSpec, control: Trajectory,
                        v: Trajectory) -> ExpansionReport:
     """Measure J(u* + delta v) - J(u*) along the control u* against the
@@ -147,7 +139,7 @@ def fd_expansion_check(problem: ProblemSpec, control: Trajectory,
     y*, the base cost, the costate and fields, the states and Y1 are marched
     in that order, so a failure is the first of those."""
     grid = control.grid
-    y_star, marched = _reference(problem, control, v)
+    y_star, marched = _march_sweep(problem, control, v, DEFAULT_DELTAS)
     pair = (y_star, control)
     base = evaluate_cost(problem, y_star, control).total
     fields = hamiltonian_fields(problem, pair, solve_adjoint(problem, pair))
@@ -190,13 +182,13 @@ def variational_fd_check(problem: ProblemSpec, control: Trajectory,
     """Taylor-order measurement of the first- and second-order responses
     along the control u* on its grid; y*, the states y(u* + delta v), delta
     in DEFAULT_DELTAS, and Y1 are marched first and returned."""
-    y_star, marched = _reference(problem, control, v)
+    y_star, marched = _march_sweep(problem, control, v, DEFAULT_DELTAS)
     return _variational_report(problem, (y_star, control), v, marched)
 
 
 def _variational_report(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
                         v: Trajectory, marched) -> VariationalReport:
-    """The report from the states and Y1 that `_reference` marched, or,
+    """The report from the states and Y1 that `_march_sweep` marched, or,
     when marched is None, from the states marched one by one in the order
     of DEFAULT_DELTAS and then Y1."""
     y_star, control = pair

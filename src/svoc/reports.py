@@ -2,11 +2,13 @@
 
 json.dumps would also work, but float repr is version-sensitive; formatting
 every number through one '%.17g' funnel makes identical inputs byte-identical
-across platforms.  Non-finite numbers serialize as null.
+across platforms.  Non-finite numbers serialize as null; strings are escaped
+by json.dumps, control characters included.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from pathlib import Path
 
@@ -27,7 +29,7 @@ def _encode(obj, parts: list) -> None:
     elif isinstance(obj, float):
         parts.append(fmt(obj) if math.isfinite(obj) else "null")
     elif isinstance(obj, str):
-        parts.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        parts.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, dict):
         parts.append("{")
         for i, (key, value) in enumerate(obj.items()):

@@ -426,7 +426,7 @@ def build_q_kernel(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory]) ->
     ignores t), and its regular part is zero when f_y's do.  A non-finite
     entry raises KernelAssemblyError at the first such cell in row order.
     """
-    grid = _require_pair(pair)
+    grid = _require_pair(problem, pair)
     y_star, u_star = pair
     b = problem.bundle
     c_fn = _pair_fn(b.f_u, y_star.values, u_star.values, grid)

@@ -5,10 +5,12 @@ The state equation is
     y(t) = eta(t) + int_0^t f(t, s, y(s), u(s)) (t - s)^(alpha-1) ds,
 
 discretized by product rectangles with left-endpoint sampling, which makes the
-march explicit.  The first- and second-order variational solutions along a
-reference pair use the same weight table.  When f separates every march reads
-the terms of `ProblemSpec.terms`, else each takes the O(N^2) row loop.
-"""
+march explicit.  Every forward march that is linear in its unknown solves
+with the scheme's own linearization I - A, A[k, j] = w[k-j] f_y(t_k, t_j),
+through one solver, `_march_linear`: the state when f is affine in y, the
+responses Y1 and Y2, and the sweep of y*, perturbed states and Y1 that the
+expansion checks read.  When f separates it reads the terms of
+`ProblemSpec.terms`, else it takes the O(N^2) row loop."""
 
 from __future__ import annotations
 
@@ -92,6 +94,14 @@ def _require_grid(name: str, x, grid: Grid) -> None:  # x: a trajectory or a ker
         raise ValueError(f"{name} lives on a different grid")
 
 
+def _require_horizon(problem: ProblemSpec, name: str, x) -> Grid:
+    """x's grid, after checking that it ends at the problem's horizon T."""
+    if x.grid.T != problem.T:
+        raise ValueError(f"{name} lives on a grid to T = {x.grid.T:.17g}, "
+                         f"but the problem's horizon is T = {problem.T:.17g}")
+    return x.grid
+
+
 def _require_nodes(name: str, trajectory: Trajectory, grid: Grid) -> None:
     _require_grid(name, trajectory, grid)
     if trajectory.placement != "nodes":
@@ -135,18 +145,18 @@ def _term_samples(problem: ProblemSpec, times: np.ndarray, env: dict, parts: tup
 
 def solve_state(problem: ProblemSpec, control: Trajectory) -> Trajectory:
     """March the state equation forward; the rectangle scheme makes it explicit."""
-    grid = control.grid
+    grid = _require_horizon(problem, "control", control)
     _require_nodes("control", control, grid)
     t = grid.nodes
     u = control.values
     eta = evaluate_on(problem.eta, {"t": t}, t.shape)
     _guard(0, eta[0])
-    w = singular_weights(problem.alpha, grid)
     terms = problem.terms
     if terms is not None and not any("y" in term.b_y.free_vars() for term in terms):
-        # every b_i = B_i(s, u) y + G_i(s, u), B_i = b_y: one triangular solve per leaf
-        a, (slopes, free) = _term_samples(problem, t, {"s": t, "y": 0.0, "u": u}, ("_y", ""))
-        return Trajectory(grid, "nodes", linear_march(w, a, slopes, free, eta, _guard_rows))
+        # every b_i = B_i(s, u) y + G_i(s, u), B_i = b_y: I - A with G as source
+        x = _march_linear(problem, grid, 0.0, u, ("",), lambda sl, g: g, eta)
+        return Trajectory(grid, "nodes", x)
+    w = singular_weights(problem.alpha, grid)
     y = np.zeros(grid.n + 1)
     y[0] = eta[0]
     if terms is None:
@@ -172,7 +182,7 @@ def solve_state(problem: ProblemSpec, control: Trajectory) -> Trajectory:
 
 def evaluate_cost(problem: ProblemSpec, y: Trajectory, u: Trajectory) -> CostBreakdown:
     """Trapezoid running cost plus instant costs at linearly interpolated states."""
-    grid = y.grid
+    grid = _require_horizon(problem, "state", y)
     _require_nodes("state", y, grid)
     _require_nodes("control", u, grid)
     t = grid.nodes
@@ -189,49 +199,53 @@ def evaluate_cost(problem: ProblemSpec, y: Trajectory, u: Trajectory) -> CostBre
     return CostBreakdown(running, tuple(instants), total)
 
 
-def _require_pair(pair: tuple[Trajectory, Trajectory]) -> Grid:
+def _require_pair(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory]) -> Grid:
     """The grid of the reference state, after checking the pair on its nodes."""
-    grid = pair[0].grid
+    grid = _require_horizon(problem, "reference state", pair[0])
     _require_nodes("reference state", pair[0], grid)
     _require_nodes("reference control", pair[1], grid)
     return grid
 
 
-def _march_response(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
-                    grid: Grid, parts: tuple[str, ...], source) -> Trajectory:
-    """March z_k = sum_{j<k} w[k-j] (f_y z_j + source_j) along the pair, z_0 = 0.
+def _march_linear(problem: ProblemSpec, grid: Grid, y, u, parts: tuple[str, ...],
+                  source, d=0.0) -> np.ndarray:
+    """Solve x_k = d_k + sum_{j<k} w[k-j] (f_y x_j + g_j), which is
+    (I - A) x = d + W g with W[k, j] = w[k-j], where f_y and the partials
+    of f that parts name ("_u" for f_u, "" for f itself, ...) are sampled
+    once, at s = t_j under the node values (y, u).  source(sl, *samples)
+    builds g on the node slice sl from their samples there and must be
+    linear in them.
 
-    source(sl, *samples) builds the source on the node slice sl from samples
-    there of the partials of f named by parts ("_u" for f_u, ...) and must be
-    linear in the samples.  When f separates, `linear_march` solves a leaf of
-    rows at a time, each term's b_y as coefficient and its partials in parts
-    as samples; otherwise the bundle's partials are sampled per row.
+    When f separates, one `linear_march` solves a leaf of rows at a time,
+    each term's b_y as slope, and g and d may carry a leading axis of columns
+    that share the operator; a term whose slope and partials read are all
+    identically zero stays out (`_term_samples`).  Otherwise the bundle's
+    partials are sampled per row and one column is marched.
     """
-    w = singular_weights(problem.alpha, grid)
     t = grid.nodes
+    w = singular_weights(problem.alpha, grid)
     if problem.terms is not None:
-        env = {"s": t, "y": pair[0].values, "u": pair[1].values}
-        a, (coeff, *samples) = _term_samples(problem, t, env, ("_y", *parts))
-        return Trajectory(grid, "nodes", linear_march(w, a, coeff, source(slice(None), *samples),
-                                                      0.0, _guard_rows))
-    y_star, u_star = pair
+        a, (slope, *samples) = _term_samples(problem, t, {"s": t, "y": y, "u": u}, ("_y", *parts))
+        return linear_march(w, a, slope, source(slice(None), *samples), d, _guard_rows)
     exprs = [getattr(problem.bundle, "f" + part) for part in ("_y", *parts)]
-    z = np.zeros(grid.n + 1)
+    x = np.zeros(grid.n + 1) + d
     for k in range(1, grid.n + 1):
-        env = {"t": t[k], "s": t[:k], "y": y_star.values[:k], "u": u_star.values[:k]}
-        coeff, *samples = (evaluate_on(e, env, (k,)) for e in exprs)
-        z[k] = w[k:0:-1] @ (coeff * z[:k] + source(slice(0, k), *samples))
-        _guard(k, z[k])
-    return Trajectory(grid, "nodes", z)
+        env = {"t": t[k], "s": t[:k], "y": y[:k], "u": u[:k]}
+        slope, *samples = (evaluate_on(e, env, (k,)) for e in exprs)
+        x[k] += w[k:0:-1] @ (slope * x[:k] + source(slice(0, k), *samples))
+        _guard(k, x[k])
+    return x
 
 
 def solve_y1(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
              v: Trajectory) -> Trajectory:
     """First-order response of the state to a control variation v."""
-    grid = _require_pair(pair)
+    grid = _require_pair(problem, pair)
     _require_nodes("variation", v, grid)
     vv = v.values
-    return _march_response(problem, pair, grid, ("_u",), lambda sl, fu: fu * vv[sl])
+    x = _march_linear(problem, grid, pair[0].values, pair[1].values, ("_u",),
+                      lambda sl, fu: fu * vv[sl])
+    return Trajectory(grid, "nodes", x)
 
 
 def solve_y2(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
@@ -242,7 +256,7 @@ def solve_y2(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
     every source vanishes, so Y2 solves a homogeneous equation and is zero
     without a march.
     """
-    grid = _require_pair(pair)
+    grid = _require_pair(problem, pair)
     _require_nodes("variation", v, grid)
     _require_nodes("first-order response", y1, grid)
     b = problem.bundle
@@ -253,57 +267,45 @@ def solve_y2(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory],
     def source(sl, fyy, fyu, fuu):
         return fyy * z1[sl] ** 2 + 2.0 * fyu * z1[sl] * vv[sl] + fuu * vv[sl] ** 2
 
-    return _march_response(problem, pair, grid, ("_yy", "_yu", "_uu"), source)
-
-
-def _shared_columns(problem: ProblemSpec, control: Trajectory, v: Trajectory,
-                    deltas: tuple[float, ...]):
-    """Operands (a, b, g, d) of one `linear_march` whose columns are the
-    state at the control u*, the states at u* + d v for d in deltas, and
-    then Y1 along (y*, u*), or None.
-
-    They share one operator when f separates, no slope b_y reads y or u, no
-    b_u reads y, and every term has a b_y or b_u not identically zero: then
-    every march keeps every term and samples the same outer factors and
-    slopes, and Y1's f_u samples need no y*, which the march itself gives.
-    Each column's free part comes from the sampler call of its own march,
-    the first at u* itself, so each equals that march bit for bit.  None
-    also when an input is off the grid's nodes or a control is not finite."""
-    terms, grid = problem.terms, control.grid
-    if (terms is None
-            or any(term.b_y.free_vars() & {"y", "u"} or "y" in term.b_u.free_vars()
-                   or term.b_y == term.b_u == _ZERO for term in terms)
-            or not all(x.grid == grid and x.placement == "nodes" for x in (control, v))):
-        return None
-    u_star = control.values
-    controls = [u_star, *(u_star + d * v.values for d in deltas)]
-    if not np.all(np.isfinite(controls)):
-        return None
-    t = grid.nodes
-    a, (b, fu) = _term_samples(problem, t, {"s": t, "y": 0.0, "u": u_star}, ("_y", "_u"))
-    # G of each state march, sampled as solve_state samples it
-    g = [_term_samples(problem, t, {"s": t, "y": 0.0, "u": u}, ("_y", ""))[1][1]
-         for u in controls]
-    d = np.zeros((len(g) + 1, grid.n + 1))
-    d[:-1] = evaluate_on(problem.eta, {"t": t}, t.shape)
-    return a, b, np.array([*g, fu * v.values]), d
+    x = _march_linear(problem, grid, pair[0].values, pair[1].values, ("_yy", "_yu", "_uu"),
+                      source)
+    return Trajectory(grid, "nodes", x)
 
 
 def _march_sweep(problem: ProblemSpec, control: Trajectory, v: Trajectory,
                  deltas: tuple[float, ...]):
-    """(y*, the states y(u* + d v) for d in deltas, Y1 along (y*, u*)) as
-    the columns of one `linear_march`, which inverts each leaf once for all
-    of them, each column equal to its own march bit for bit; or None when
-    `_shared_columns` finds no one operator or that march fails.  The caller
-    then marches them one by one, so a failure is the one those marches
-    raise.
+    """(y*, (states, Y1)): y(u*), the states y(u* + d v) for d in deltas
+    and Y1 along (y*, u*) as the columns of one `_march_linear`, each equal
+    to its own march bit for bit; or else (y*, None), y* marched alone, and
+    the caller marches the states and Y1 one by one after its other work,
+    so a failure is the one those marches raise.
+
+    They share one operator when f separates, no slope b_y reads y or u, no
+    b_u reads y, and every term has a b_y or b_u not identically zero: then
+    every march keeps every term and samples the same outer factors and
+    slopes, and Y1's f_u samples need no y*.  Each state's G is sampled as
+    its own march samples it.  They are marched alone also when v is off
+    the grid's nodes, a control is not finite or the shared march fails.
     """
-    shared = _shared_columns(problem, control, v, deltas)
-    if shared is None:
-        return None
-    try:
-        x = linear_march(singular_weights(problem.alpha, control.grid), *shared, _guard_rows)
-    except NumericsError:
-        return None  # the caller's marches raise it again, in their order
-    y_star, *states, y1 = (Trajectory(control.grid, "nodes", row) for row in x)
-    return y_star, tuple(states), y1
+    grid, terms = _require_horizon(problem, "control", control), problem.terms
+    if (terms is None
+            or any(term.b_y.free_vars() & {"y", "u"} or "y" in term.b_u.free_vars()
+                   or term.b_y == term.b_u == _ZERO for term in terms)
+            or not all(x.grid == grid and x.placement == "nodes" for x in (control, v))):
+        return solve_state(problem, control), None
+    t, u_star = grid.nodes, control.values
+    controls = [u_star + d * v.values for d in deltas]
+    if np.all(np.isfinite(controls)):
+        g = [_term_samples(problem, t, {"s": t, "y": 0.0, "u": u}, ("",))[1][0]
+             for u in controls]
+        d = np.zeros((len(deltas) + 2, grid.n + 1))
+        d[:-1] = evaluate_on(problem.eta, {"t": t}, t.shape)
+        try:
+            x = _march_linear(problem, grid, 0.0, u_star, ("_u", ""),
+                              lambda sl, fu, g_star: np.array([g_star, *g, fu * v.values]), d)
+        except NumericsError:
+            pass  # the marches one by one raise it again, in their order
+        else:
+            y_star, *states, y1 = (Trajectory(grid, "nodes", row) for row in x)
+            return y_star, (tuple(states), y1)
+    return solve_state(problem, control), None

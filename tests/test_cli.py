@@ -140,6 +140,23 @@ def test_verify_reports_both_checks(tmp_path):
     assert report["variational"]["exact2"] is True
 
 
+@pytest.mark.parametrize("command, name", [
+    (["solve"], "cost.json"),
+    (["check", "--order", "2", "--tol", "1e9"], "check.json"),
+    (["verify", "--direction", "cos(t)\n+0*t\t"], "verify.json"),
+])
+def test_reports_escape_control_characters(tmp_path, command, name):
+    # the expression reader takes any whitespace, so a control or direction
+    # can carry a newline or tab into a report, which must stay valid JSON
+    code = run([*command, "--problem", "sing_quad", "--param", "c=1",
+                "--control", "0\n+0*t\t", "--n", "8"], tmp_path)
+    assert code == 0
+    report = json.loads((tmp_path / name).read_text())
+    assert report["control"] == "0\n+0*t\t"
+    if command[0] == "verify":
+        assert report["direction"] == "cos(t)\n+0*t\t"
+
+
 def test_converge_table(tmp_path):
     code = run(["converge", "--lambda", "1", "--ns", "64,128,256"], tmp_path)
     assert code == 0

@@ -21,7 +21,7 @@ from svoc.optimality import (
     quadratic_form,
     second_order_test,
 )
-from svoc.oracle import fd_expansion_check
+from svoc.oracle import fd_expansion_check, variational_fd_check
 from svoc.problem import InstantCost, ProblemSpec, builtin_problem
 from svoc.quadrature import make_grid, midpoint_weights
 from svoc.resolvent import (apply_kernel_nodes, build_q_kernel, build_resolvent,
@@ -631,8 +631,9 @@ def test_curvature_kernel_grid_mismatch_rejected():
     problem = builtin_problem("sing_quad", {"c": 1.0})
     grid = make_grid(1.0, 32)
     pair, fields = fields_for(problem, grid)
-    other, _ = fields_for(problem, make_grid(2.0, 32))
-    q = build_q_kernel(problem, other)
+    longer = builtin_problem("sing_quad", {"c": 1.0, "T": 2.0})
+    other, _ = fields_for(longer, make_grid(2.0, 32))
+    q = build_q_kernel(longer, other)
     with pytest.raises(ValueError, match="response kernel lives on a different grid"):
         assemble_m_kernel(problem, pair, fields, q)
 
@@ -640,9 +641,10 @@ def test_curvature_kernel_grid_mismatch_rejected():
 @functools.cache
 def pipeline_inputs(T, n):
     """Every grid-carrying input of the pipeline on lq (a = 0.7, b = -1.2,
-    r = 1.3) at u = 0.4 on make_grid(T, n), by the names TWO_GRID_CASES use."""
+    r = 1.3, horizon T) at u = 0.4 on make_grid(T, n), by the names
+    TWO_GRID_CASES use."""
     grid = make_grid(T, n)
-    problem = builtin_problem("lq", {"a": 0.7, "b": -1.2, "r": 1.3})
+    problem = builtin_problem("lq", {"a": 0.7, "b": -1.2, "r": 1.3, "T": T})
     u = Trajectory.constant(0.4, grid)
     y = solve_state(problem, u)
     v = Trajectory.from_expression("cos(3*t)", grid)
@@ -689,4 +691,29 @@ def test_an_input_on_a_second_grid_is_named(fn, names, moved, label, T, n):
     args = [(inputs["y"], inputs["u"]) if name == "pair" else inputs[name]
             for name in names.split()]
     with pytest.raises(ValueError, match=f"^{label} lives on a different grid$"):
+        fn(*args)
+
+
+# (function, its arguments): each function of TWO_GRID_CASES that takes a
+# problem, and the three that take a problem and a control
+HORIZON_CASES = [
+    *dict.fromkeys((fn, names) for fn, names, _, _ in TWO_GRID_CASES
+                   if names.startswith("problem")),
+    (solve_state, "problem u"),
+    (fd_expansion_check, "problem u v"),
+    (variational_fd_check, "problem u v"),
+]
+FIRST_INPUT = {"y": "state", "pair": "reference state", "u": "control"}  # named in the error
+
+
+@pytest.mark.parametrize("fn, names", HORIZON_CASES, ids=[fn.__name__ for fn, _ in HORIZON_CASES])
+def test_a_grid_off_the_problem_horizon_is_named(fn, names):
+    # every input sits on a T = 2 grid and the problem ends at T = 1: the
+    # first grid-carrying input is refused by name, with both horizons
+    inputs = {**pipeline_inputs(2.0, 64), "problem": pipeline_inputs(1.0, 64)["problem"]}
+    args = [(inputs["y"], inputs["u"]) if name == "pair" else inputs[name]
+            for name in names.split()]
+    label = FIRST_INPUT[names.split()[1]]
+    with pytest.raises(ValueError, match=rf"^{label} lives on a grid to T = 2, "
+                                         r"but the problem's horizon is T = 1$"):
         fn(*args)

@@ -516,13 +516,13 @@ def test_sweep_shares_one_march_when_the_operators_agree(monkeypatch, name, para
         return march(w, a, b, g, d, guard)
 
     monkeypatch.setattr(state, "linear_march", counted)
-    swept = state._march_sweep(problem, u, v, DEFAULT_DELTAS)
+    y_star, swept = state._march_sweep(problem, u, v, DEFAULT_DELTAS)
     assert [c for c in seen if c > 1] == columns
+    assert np.array_equal(y_star.values.view(np.int64), pair[0].values.view(np.int64))
     if not columns:
         assert swept is None
         return
-    y_star, states, y1 = swept
-    assert np.array_equal(y_star.values.view(np.int64), pair[0].values.view(np.int64))
+    states, y1 = swept
     for delta, y in zip(DEFAULT_DELTAS, states):
         alone = solve_state(problem, Trajectory(grid, "nodes", u.values + delta * v.values))
         assert y.values.tobytes() == alone.values.tobytes()

@@ -187,6 +187,6 @@ def test_second_response_vanishes_for_linear_dynamics(monkeypatch):
     y = solve_state(problem, u)
     v = Trajectory.from_expression("sin(t)", grid)
     y1 = solve_y1(problem, (y, u), v)
-    monkeypatch.setattr(state, "_march_response", None)
+    monkeypatch.setattr(state, "_march_linear", None)
     y2 = solve_y2(problem, (y, u), v, y1)
     assert np.max(np.abs(y2.values)) == 0.0
