@@ -25,7 +25,8 @@ import numpy as np
 from .errors import AdjointStepError
 from .problem import ProblemSpec
 from .quadrature import Grid, linear_march, midpoint_weights
-from .state import _ZERO, Trajectory, _require_grid, _require_pair, _term_samples, evaluate_on
+from .state import (_ZERO, Trajectory, _require_grid, _require_horizon, _require_pair,
+                    _term_samples, evaluate_on)
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,9 @@ class InstantSnap:
 
 
 def snap_instants(problem: ProblemSpec, grid: Grid) -> tuple[InstantSnap, ...]:
+    """Each instant cost's time snapped to the nearest node of grid, which must
+    end at the problem's horizon T."""
+    _require_horizon(problem, "grid", grid)
     out = []
     for ic in problem.instant_costs:
         idx = int(round(ic.time / grid.h))

@@ -192,10 +192,16 @@ def quadratic_form(fields: HamiltonianFields, v: Trajectory, response: np.ndarra
     """QF[v] = h sum_k (H_uu v_k^2 + H_yy r_k^2 + 2 H_yu v_k r_k) + sum_i w_i r(t_{n_i})^2
     for v on midpoints and its response r, given on midpoints (response) and at
     the nodes n_i of the instants with curvature (at_instants), whose weights
-    w_i = -h_yy^i `_instant_curvature` gives.  A zero response adds nothing."""
+    w_i = -h_yy^i `_instant_curvature` gives.  A zero response adds nothing.
+    response holds n values, and weights and at_instants one per instant."""
     grid = fields.h_uu.grid
     if v.placement != "midpoints" or v.grid != grid:
         raise ValueError("variation and fields must match on midpoints")
+    if np.shape(response) != (grid.n,):
+        raise ValueError(f"response must hold n = {grid.n} values, got shape {np.shape(response)}")
+    if len(weights) != len(at_instants):
+        raise ValueError(f"weights and at_instants differ in length: "
+                         f"{len(weights)} and {len(at_instants)}")
     h = grid.h
     vv = v.values
     out = h * float(np.dot(fields.h_uu.values, vv**2))

@@ -2,14 +2,14 @@
 
 All integrals carry a factor (t - s)^(alpha - 1) with 0 < alpha < 1, so the
 kernel factor is integrated exactly over each cell and only the smooth factor
-is sampled.  Weights depend on k - j alone, hence one array per grid.
+is sampled.  Weights depend on k - j alone, hence one array per rule and grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -38,13 +38,11 @@ class Grid:
         """tau_k = (k + 1/2) h for k = 0..n-1 (length n)."""
         return (np.arange(self.n) + 0.5) * self.h
 
-    @cached_property
-    def _weights(self) -> dict:
-        """Weight arrays by (rule, alpha)."""
-        return {}
-
 
 def make_grid(T: float, n: int) -> Grid:
+    """Grid of n cells on [0, T]: T positive and finite, n a whole number >= 2."""
+    if not float(n).is_integer():
+        raise ValueError(f"the cell count must be a whole number, got {n}")
     if not 0.0 < T < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {T}")
     if n < 2:
@@ -52,22 +50,6 @@ def make_grid(T: float, n: int) -> Grid:
     return Grid(float(T), int(n))
 
 
-def _once_per_grid(rule):
-    """Memoize a weight rule (alpha, grid) -> array on the grid, where it is
-    built once, kept read-only (every march on the grid shares it) and
-    dropped with the grid."""
-    @wraps(rule)
-    def weights(alpha: float, grid: Grid) -> np.ndarray:
-        key = (rule.__name__, alpha)
-        if key not in grid._weights:
-            w = rule(alpha, grid)
-            w.flags.writeable = False
-            grid._weights[key] = w
-        return grid._weights[key]
-    return weights
-
-
-@_once_per_grid
 def singular_weights(alpha: float, grid: Grid) -> np.ndarray:
     """Rectangle-rule weights omega for int_0^{t_k} phi(s) (t_k - s)^(alpha-1) ds.
 
@@ -87,7 +69,6 @@ def singular_weights(alpha: float, grid: Grid) -> np.ndarray:
     return omega
 
 
-@_once_per_grid
 def midpoint_weights(alpha: float, grid: Grid) -> np.ndarray:
     """Midpoint-rule weights mu for singular integrals anchored at a midpoint.
 

@@ -94,12 +94,13 @@ def _require_grid(name: str, x, grid: Grid) -> None:  # x: a trajectory or a ker
         raise ValueError(f"{name} lives on a different grid")
 
 
-def _require_horizon(problem: ProblemSpec, name: str, x) -> Grid:
-    """x's grid, after checking that it ends at the problem's horizon T."""
-    if x.grid.T != problem.T:
-        raise ValueError(f"{name} lives on a grid to T = {x.grid.T:.17g}, "
+def _require_horizon(problem: ProblemSpec, name: str, grid: Grid) -> Grid:
+    """grid, that of the input called name, after checking that it ends at the
+    problem's horizon T."""
+    if grid.T != problem.T:
+        raise ValueError(f"{name} lives on a grid to T = {grid.T:.17g}, "
                          f"but the problem's horizon is T = {problem.T:.17g}")
-    return x.grid
+    return grid
 
 
 def _require_nodes(name: str, trajectory: Trajectory, grid: Grid) -> None:
@@ -145,7 +146,7 @@ def _term_samples(problem: ProblemSpec, times: np.ndarray, env: dict, parts: tup
 
 def solve_state(problem: ProblemSpec, control: Trajectory) -> Trajectory:
     """March the state equation forward; the rectangle scheme makes it explicit."""
-    grid = _require_horizon(problem, "control", control)
+    grid = _require_horizon(problem, "control", control.grid)
     _require_nodes("control", control, grid)
     t = grid.nodes
     u = control.values
@@ -182,7 +183,7 @@ def solve_state(problem: ProblemSpec, control: Trajectory) -> Trajectory:
 
 def evaluate_cost(problem: ProblemSpec, y: Trajectory, u: Trajectory) -> CostBreakdown:
     """Trapezoid running cost plus instant costs at linearly interpolated states."""
-    grid = _require_horizon(problem, "state", y)
+    grid = _require_horizon(problem, "state", y.grid)
     _require_nodes("state", y, grid)
     _require_nodes("control", u, grid)
     t = grid.nodes
@@ -201,7 +202,7 @@ def evaluate_cost(problem: ProblemSpec, y: Trajectory, u: Trajectory) -> CostBre
 
 def _require_pair(problem: ProblemSpec, pair: tuple[Trajectory, Trajectory]) -> Grid:
     """The grid of the reference state, after checking the pair on its nodes."""
-    grid = _require_horizon(problem, "reference state", pair[0])
+    grid = _require_horizon(problem, "reference state", pair[0].grid)
     _require_nodes("reference state", pair[0], grid)
     _require_nodes("reference control", pair[1], grid)
     return grid
@@ -287,7 +288,7 @@ def _march_sweep(problem: ProblemSpec, control: Trajectory, v: Trajectory,
     its own march samples it.  They are marched alone also when v is off
     the grid's nodes, a control is not finite or the shared march fails.
     """
-    grid, terms = _require_horizon(problem, "control", control), problem.terms
+    grid, terms = _require_horizon(problem, "control", control.grid), problem.terms
     if (terms is None
             or any(term.b_y.free_vars() & {"y", "u"} or "y" in term.b_u.free_vars()
                    or term.b_y == term.b_u == _ZERO for term in terms)

@@ -655,16 +655,6 @@ def test_linear_march_memory_stays_linear():
     assert peak <= 1.55e6
 
 
-def test_weight_arrays_are_built_once_per_grid():
-    grid = make_grid(1.0, 64)
-    for weights in (singular_weights, midpoint_weights):
-        w = weights(0.5, grid)
-        assert weights(0.5, grid) is w and not w.flags.writeable
-        assert weights(0.3, grid) is not w
-        other = weights(0.5, make_grid(1.0, 64))  # an equal grid keeps its own
-        assert other is not w and np.array_equal(other, w)
-
-
 @pytest.mark.parametrize("path,f", [("linear", "t*y*u"), ("stepped", "0.5*sin(y)*(1 + t) + u")])
 def test_each_march_builds_its_own_tables_once(path, f, monkeypatch):
     # the leaf, dense Toeplitz and FFT tables of w: once per march, dropped

@@ -284,6 +284,20 @@ def test_quadratic_form_requires_midpoint_variation():
                        r, none, none)
 
 
+def test_quadratic_form_names_an_input_of_the_wrong_length():
+    # zip would drop the unmatched instant terms, and numpy would name no input
+    problem = builtin_problem("lq", {"a": 0.7, "b": -1.2, "r": 1.3})
+    grid = make_grid(1.0, 16)
+    _, fields = fields_for(problem, grid)
+    v, r = Trajectory.constant(1.0, grid, "midpoints"), np.ones(grid.n)
+    assert quadratic_form(fields, v, r, [2.0], [1.0]) == pytest.approx(-2.6)
+    for weights, values in (([2.0, 3.0], [1.0]), ([2.0], [1.0, 5.0])):
+        with pytest.raises(ValueError, match=r"^weights and at_instants differ in length: "):
+            quadratic_form(fields, v, r, weights, values)
+    with pytest.raises(ValueError, match=r"^response must hold n = 16 values, got shape \(3,\)$"):
+        quadratic_form(fields, v, np.ones(3), [2.0], [1.0])
+
+
 def quadratic_setups():
     yield builtin_problem("lq", {"a": 0.5, "b": 1.0, "r": 1.0}), 1.0
     # explicit state-control cross curvature exercises the C + C^T block
@@ -641,15 +655,16 @@ def test_curvature_kernel_grid_mismatch_rejected():
 @functools.cache
 def pipeline_inputs(T, n):
     """Every grid-carrying input of the pipeline on lq (a = 0.7, b = -1.2,
-    r = 1.3, horizon T) at u = 0.4 on make_grid(T, n), by the names
-    TWO_GRID_CASES use."""
+    r = 1.3, horizon T) at u = 0.4 on make_grid(T, n), and that grid, by the
+    names TWO_GRID_CASES and HORIZON_CASES use."""
     grid = make_grid(T, n)
     problem = builtin_problem("lq", {"a": 0.7, "b": -1.2, "r": 1.3, "T": T})
     u = Trajectory.constant(0.4, grid)
     y = solve_state(problem, u)
     v = Trajectory.from_expression("cos(3*t)", grid)
     psi = solve_adjoint(problem, (y, u))
-    return {"problem": problem, "y": y, "u": u, "v": v, "y1": solve_y1(problem, (y, u), v),
+    return {"problem": problem, "grid": grid, "y": y, "u": u, "v": v,
+            "y1": solve_y1(problem, (y, u), v),
             "psi": psi, "fields": hamiltonian_fields(problem, (y, u), psi),
             "q": build_q_kernel(problem, (y, u)),
             "phi": build_resolvent(lambda t, s: 0.5, 0.5, grid), "eta": y}
@@ -695,15 +710,18 @@ def test_an_input_on_a_second_grid_is_named(fn, names, moved, label, T, n):
 
 
 # (function, its arguments): each function of TWO_GRID_CASES that takes a
-# problem, and the three that take a problem and a control
+# problem, the three that take a problem and a control, and the one that
+# takes a problem and a bare grid
 HORIZON_CASES = [
     *dict.fromkeys((fn, names) for fn, names, _, _ in TWO_GRID_CASES
                    if names.startswith("problem")),
     (solve_state, "problem u"),
     (fd_expansion_check, "problem u v"),
     (variational_fd_check, "problem u v"),
+    (snap_instants, "problem grid"),
 ]
-FIRST_INPUT = {"y": "state", "pair": "reference state", "u": "control"}  # named in the error
+FIRST_INPUT = {"y": "state", "pair": "reference state", "u": "control",
+               "grid": "grid"}  # named in the error
 
 
 @pytest.mark.parametrize("fn, names", HORIZON_CASES, ids=[fn.__name__ for fn, _ in HORIZON_CASES])

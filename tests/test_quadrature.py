@@ -31,6 +31,15 @@ def test_make_grid_validation():
         make_grid(1.0, 1)
 
 
+def test_make_grid_refuses_a_cell_count_that_is_not_whole():
+    for n in (2.9, 64.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=r"^the cell count must be a whole number, got "):
+            make_grid(1.0, n)
+    for n in (64, np.int64(64), np.int32(64), 64.0):
+        grid = make_grid(1.0, n)
+        assert grid == Grid(1.0, 64) and type(grid.n) is int
+
+
 def test_first_weight_alpha_half():
     # alpha = 1/2, h = 1/4: omega[1] = h^0.5 / 0.5 = 2 * 0.5 = 1
     w = singular_weights(0.5, make_grid(1.0, 4))
